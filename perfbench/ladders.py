@@ -37,11 +37,12 @@ class Op:
     check: Check
 
 
-# Per-op time limits in seconds.  Each sits well below the frontier cases
-# of its workload, so those are cut off cheaply, and far enough from every
-# other op that machine noise does not move an op across it (DESIGN.md
-# lists the two explore fixtures that sit closer than 2x).
-LIMITS = {"realize": 1.5, "explore": 6.0, "toolchain": 1.5}
+# Per-op time limits in seconds at the reference speed (harness.py).  Each
+# sits well below the frontier cases of its workload, so those are cut off
+# cheaply, and far enough from every other op that machine noise does not
+# move an op across it (DESIGN.md lists the two explore fixtures that sit
+# just under 2x from it).
+LIMITS = {"realize": 1.0, "explore": 4.5, "toolchain": 1.5}
 
 
 # ---------------------------------------------------------------------------
@@ -412,16 +413,18 @@ def realize_ops(inputs: Inputs, rng: random.Random, tiny: bool) -> list[Op]:
         ops.append(Op(op_id, family, ("realizability", path, "--format", "json") + tuple(flags), check))
 
     # Chains: each message is sent by the previous receiver and all names
-    # differ, so every model realizes them.  Up to 350 atoms they run under
-    # four models (400 atoms would come within 2x of the limit); the larger
-    # sizes raise RecursionError today and run once.  The slow end of the
-    # chains (300 and 350 atoms) is where the realize tail (11th slowest
-    # op) sits, on fixed inputs, above every seeded random expression.
-    # They come first, so that a second pass within a run reaches them.
+    # differ, so every model realizes them.  Up to 300 atoms they run under
+    # four models and at 350 under eight (400 atoms would come within 2x
+    # of the limit); the larger sizes raise RecursionError today and run
+    # once.  The realize tail (11th slowest op, with six ops cut off) sits
+    # in the middle of the eight 350-atom ops, on fixed inputs, above every
+    # seeded random expression, rather than on the edge between two sizes.
+    four = (FIFO_RR, UNORDERED_RR, ("trace-c",), ("scribble",))
+    eight = four + tuple(("trace-f", d, i) for d in ("fifo", "unordered") for i in ("SS", "SR"))
     for n in (50, 100) if tiny else (50, 100, 200, 250, 300, 350, 600, 800, 1000, 1200):
         path = inputs.write(f"chain{n}.trace", atom_chain(n))
-        for config in (FIFO_RR,) if n > 350 else (FIFO_RR, UNORDERED_RR, ("trace-c",), ("scribble",)):
-            add(f"chain/n{n}/{config_name(config)}", "chain", path, config_args(config), verdict("Realizable"))
+        for config in (FIFO_RR,) if n > 350 else eight if n == 350 else four:
+            add(f"chain/n{n}/{config_name(config)}", f"chain/n{n}", path, config_args(config), verdict("Realizable"))
 
     golden_paths = {
         "split": inputs.write("split.trace", "W -> X : p ; W -> Y : q\n"),
@@ -536,8 +539,13 @@ def explore_ops(inputs: Inputs, rng: random.Random, tiny: bool) -> list[Op]:
                 expected = ONE_INSTANCE_ENACTMENTS.get((name, policy)) if instances == 1 else None
                 add(f"fixture/{name}/x{instances}/{policy}", "fixture", inputs.fixture(f"{name}.bspl"), instances, policy, exploration(expected))
     if not tiny:
+        # Three runs of each: ten ops are slower than these six and L = 4 at
+        # two instances (0.6-0.8 reference s together), so the explore tail
+        # (11th slowest op) falls in the middle of that group rather than
+        # on the single next op.
         for name in ("pricing", "catalog"):
-            add(f"fixture/{name}/x3/fifo", "fixture3", inputs.fixture(f"{name}.bspl"), 3, "fifo", exploration())
+            for rep in range(3):
+                add(f"fixture/{name}/x3/fifo/{rep}", "fixture3", inputs.fixture(f"{name}.bspl"), 3, "fifo", exploration())
         # Six messages on one channel exceed the queue cap of 4: the known
         # answer is that the cap fires.
         add("fixture/want_willpay/x3/fifo", "fixture3", inputs.fixture("want_willpay.bspl"), 3, "fifo", exploration(capped=True))
@@ -550,12 +558,12 @@ def explore_ops(inputs: Inputs, rng: random.Random, tiny: bool) -> list[Op]:
     # explore median (among the L = 16 runs) and tail (next to the L = 32
     # runs) fall in groups of like ops rather than on single inputs.
     chain_role_pairs = (("A", "B"), ("Buyer", "Seller"), ("P", "Q"), ("Left", "Right"))
-    for length, variants in ((4, 1), (8, 1)) if tiny else ((8, 3), (16, 6), (24, 3), (32, 3)):
+    for length, variants in ((4, 1), (8, 1)) if tiny else ((8, 3), (16, 12), (24, 3), (32, 3)):
         for variant in range(variants):
             roles = chain_role_pairs[rng.randrange(len(chain_role_pairs))]
             path = inputs.write(f"chain{length}_{variant}.bspl", bspl_chain(f"Chain{length}", length, roles))
             for policy in ("unordered", "fifo"):
-                add(f"chain/L{length}/{variant}/x1/{policy}", "chain1", path, 1, policy, exploration(1))
+                add(f"chain/L{length}/{variant}/x1/{policy}", f"chain1/L{length}", path, 1, policy, exploration(1))
     # (L = 4 under unordered delivery runs past the limit, like the
     # fixture frontier, so it is left out.)
     for length, policies in ((2, ("unordered", "fifo")),) if tiny else ((3, ("unordered", "fifo")), (4, ("fifo",))):
@@ -611,9 +619,27 @@ def toolchain_ops(inputs: Inputs, rng: random.Random, tiny: bool) -> list[Op]:
 WORKLOADS = {"realize": realize_ops, "explore": explore_ops, "toolchain": toolchain_ops}
 
 
+def interleave(ops: list[Op]) -> list[Op]:
+    """`ops` with each family spread evenly over the ladder: the i-th of a
+    family's n ops goes to the relative position (i + 1/2) / n.  Like ops
+    then run at different moments of a pass, so a stretch in which the
+    host runs the program at an odd speed moves few ops of the group that
+    sets a median or a tail, not all of them."""
+    sizes: dict[str, int] = {}
+    for op in ops:
+        sizes[op.family] = sizes.get(op.family, 0) + 1
+    seen: dict[str, int] = {}
+    keyed = []
+    for op in ops:
+        i = seen.get(op.family, 0)
+        seen[op.family] = i + 1
+        keyed.append(((i + 0.5) / sizes[op.family], len(keyed), op))
+    return [op for _position, _index, op in sorted(keyed)]
+
+
 def build(workload: str, seed: int, workdir: Path, fixtures: Path, tiny: bool = False) -> list[Op]:
     """The ladder of `workload` for `seed`, with its inputs written under
     `workdir`.  The same seed gives the same ops and the same files."""
     workdir.mkdir(parents=True, exist_ok=True)
     rng = random.Random(f"{workload}:{seed}")
-    return WORKLOADS[workload](Inputs(workdir, fixtures), rng, tiny)
+    return interleave(WORKLOADS[workload](Inputs(workdir, fixtures), rng, tiny))

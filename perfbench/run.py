@@ -5,11 +5,17 @@ through the in-process CLI entry point `protolab.cli.main`.
 
 One process, one thread: each op starts after the previous one finished.
 The ladder (ladders.py) is built from the seed, written under
-.perfbench/ and run pass after pass until --seconds have elapsed, always
-at least one whole pass; an op's time is its median over the passes.
+.perfbench/ and run pass after pass until --seconds have elapsed, not
+counting ops cut off at the limit, always at least one whole pass; an
+op's time is its median over the passes.
 Every answer is checked against its known answer.  An op that reaches the
 workload's time limit is stopped by a timer signal, counts as undecided,
 is recorded at the limit, and is not run again in later passes.
+
+Times (set-up included) and limits are given at a reference host speed:
+each measured time is divided by the host's slowness, taken from a fixed
+reference loop timed after every op (harness.py).  The run prints the
+slowness and the unscaled times on the lines before the result.
 
 With --trace 0 the last stdout line holds the end-to-end metrics; with
 --trace 1 a separate traced pass gives the per-layer metrics (tracing.py).
@@ -35,12 +41,12 @@ import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import ladders  # noqa: E402
-from harness import ERROR, TIMEOUT, Runner, run_pass  # noqa: E402
+from harness import ERROR, REFERENCE_S, TIMEOUT, Runner, run_pass  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 OUT = ROOT / ".perfbench"
-SETUP_REPEATS = 3
+SETUP_REPEATS = 5
 # A traced op may run this many times its untraced limit, so that tracing
 # overhead does not cut off an op that finished untraced.
 TRACE_LIMIT_FACTOR = 4
@@ -77,10 +83,13 @@ def setup(workload: str, seed: int, tiny: bool, runner: Runner, limit: float):
 
 
 def timed_run(runner: Runner, ops, limit: float, seconds: float, setup_s: float, ops_path: Path) -> dict:
-    """Closed loop over the ladder until `seconds` have elapsed, at least one
-    whole pass, and the end-to-end metrics."""
+    """Closed loop over the ladder until `seconds` have elapsed, not counting
+    ops cut off at the limit, at least one whole pass; and the end-to-end
+    metrics."""
+    mark, raw_start, cut_start = len(runner.reference), runner.raw_s, runner.cut_s
     deadline = time.perf_counter() + seconds
     first = run_pass(runner, ops, limit)
+    deadline += runner.cut_s - cut_start
     samples = {op_id: [t] for op_id, (t, _, _) in first.items()}
     cut = frozenset(op_id for op_id, (_, status, _) in first.items() if status == TIMEOUT)
     while time.perf_counter() < deadline:
@@ -109,7 +118,11 @@ def timed_run(runner: Runner, ops, limit: float, seconds: float, setup_s: float,
     return {
         "first": first,
         "correct": ladders.WRONG not in statuses,
-        "lines": [f"op_tail_ms is the p{tail_pct:.1f} of {len(ops)} per-op median times; per-op results in {ops_path}"],
+        "lines": [
+            f"op_tail_ms is the p{tail_pct:.1f} of {len(ops)} per-op median times; per-op results in {ops_path}",
+            f"host slowness {runner.slowness_since(mark):.3f} (median reference loop / {REFERENCE_S * 1000:g} ms); "
+            f"ops ran {runner.raw_s - raw_start:.2f} s measured, unscaled",
+        ],
         "metrics": {name: (value, UNITS[name]) for name, value in metrics.items()},
     }
 
@@ -130,22 +143,24 @@ def main(argv=None) -> int:
         print(f"perfbench: no protolab sources under {SRC}; run from the root of a checkout", file=sys.stderr)
         return 2
     sys.path.insert(0, str(SRC))
+    runner = Runner(lambda argv: protolab.cli.main(argv))
     t_import = time.perf_counter()
     import protolab.cli
 
     import_s = time.perf_counter() - t_import
     limit = ladders.LIMITS[args.workload]
-    runner = Runner(lambda argv: protolab.cli.main(argv))
     setups = []
     for _ in range(SETUP_REPEATS):
+        mark = len(runner.reference)
         t0 = time.perf_counter()
         ops, workdir, warm = setup(args.workload, args.seed, args.tiny, runner, limit)
-        setups.append(time.perf_counter() - t0)
+        setups.append((time.perf_counter() - t0) / runner.slowness_since(mark))
         if len(setups) < SETUP_REPEATS:
             shutil.rmtree(workdir, ignore_errors=True)
-    # process start to the first timed op: the harness's imports, the
-    # program's import, and the median of the repeated builds and warm-ups
-    setup_s = (t_import - T_START) + import_s + statistics.median(setups)
+    # process start to the first timed op: the harness's imports and the
+    # runner's first reference loops, the program's import, and the median
+    # of the repeated builds and warm-ups, each at the reference speed
+    setup_s = (t_import - T_START + import_s) / runner.slowness_since(0) + statistics.median(setups)
     # Keep the harness's own objects (ladder, results) out of the program's
     # garbage collections from here on, as in a fresh CLI process.
     gc.collect()

@@ -221,6 +221,13 @@ class Tracer:
             for key, value in counters.items():
                 total[key] = max(total.get(key, 0), value) if key == "max_queue_depth" else total.get(key, 0) + value
 
+    def exclude(self, seconds: float) -> None:
+        """Time spent inside a span but outside the program (the runner's
+        in-op reference loops): the innermost open span counts it as child
+        time, so no self time includes it."""
+        if self.stack:
+            self.stack[-1][1] += seconds
+
     def wrap(self, name: str, fn, probe):
         tracer = self
         self.depth[name] = 0
@@ -328,12 +335,14 @@ def traced_run(runner, ops, limit: float, traced_limit: float, args, out_dir) ->
     tracer = Tracer()
     traced = {}
     tracer.install()
+    runner.on_stolen = tracer.exclude
     try:
         for op in traced_ops:
             tracer.begin_op(op.id)
             traced[op.id] = runner.run(op, traced_limit)
             tracer.end_op(keep=traced[op.id][1] != TIMEOUT)
     finally:
+        runner.on_stolen = None
         tracer.uninstall()
     kept = [op.id for op in traced_ops if traced[op.id][1] != TIMEOUT]
     untraced_s = sum(first[op_id][0] for op_id in kept)

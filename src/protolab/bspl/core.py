@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .._lexer import TokenStream
 from ..diagnostics import Diagnostic, ParseError, Severity
@@ -72,12 +73,24 @@ class InfoProtocol:
     def message_keys(self, schema: MessageSchema) -> tuple[str, ...]:
         """Key parameters of a schema: protocol keys it carries, plus its own
         key-flagged parameters, in schema declaration order."""
+        return tuple(schema.params[i].name for i in self.key_positions(schema))
+
+    def key_positions(self, schema: MessageSchema) -> tuple[int, ...]:
+        """Positions of a schema's key parameters among its parameters,
+        computed once for each of this protocol's own schemas."""
+        cached = self._key_positions.get(schema.name)
+        if cached is not None and cached[0] is schema:
+            return cached[1]
+        return _find_key_positions(schema, set(self.key_names()))
+
+    @cached_property
+    def _key_positions(self) -> dict[str, tuple[MessageSchema, tuple[int, ...]]]:
         keys = set(self.key_names())
-        out = []
-        for p in schema.params:
-            if p.name in keys or p.is_key:
-                out.append(p.name)
-        return tuple(out)
+        return {m.name: (m, _find_key_positions(m, keys)) for m in self.messages}
+
+
+def _find_key_positions(schema: MessageSchema, protocol_keys: set[str]) -> tuple[int, ...]:
+    return tuple(i for i, p in enumerate(schema.params) if p.name in protocol_keys or p.is_key)
 
 
 @dataclass(frozen=True)

@@ -40,9 +40,8 @@ class MessageInstance:
         return dict(self.bindings)
 
     def key(self, protocol: InfoProtocol) -> Key:
-        keys = protocol.message_keys(self.schema)
-        values = self.binding_map()
-        return tuple((k, values[k]) for k in keys)
+        bindings = self.bindings
+        return tuple([bindings[i] for i in protocol.key_positions(self.schema)])
 
     def __str__(self) -> str:
         inner = ",".join(f"{k}={v}" for k, v in self.bindings)
@@ -70,6 +69,18 @@ class History:
     owner: str
     observations: tuple[Observation, ...] = ()
 
+    def __hash__(self) -> int:
+        # Cached outside the fields, so repr, equality and records are as
+        # if it were not there.  String hashes are salted per process, so
+        # a pickle leaves it out.
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = self.__dict__["_hash"] = hash((self.owner, self.observations))
+        return cached
+
+    def __getstate__(self) -> dict:
+        return {"owner": self.owner, "observations": self.observations}
+
     def last_tick(self) -> int:
         return self.observations[-1].tick if self.observations else 0
 
@@ -90,18 +101,15 @@ def observe(h: History, kind: str, instance: MessageInstance, day: int | None = 
     return apply_observation(h, Observation(kind, instance, h.last_tick() + 1, day))
 
 
-def _key_matches(instance_key: Key, query: Key) -> bool:
-    q = dict(query)
-    return all(k in q and q[k] == v for k, v in instance_key)
-
-
 def known_bindings(h: History, key: Key, protocol: InfoProtocol) -> dict[str, str]:
     """Union of bindings from all observations whose instance correlates
-    with `key`.  Raises IntegrityConflict on an inconsistent union, which
-    signals a noncompliant peer."""
+    with `key` (every binding of the instance's key is in `key`).  Raises
+    IntegrityConflict on an inconsistent union, which signals a
+    noncompliant peer."""
+    query = set(key)
     known: dict[str, str] = {}
     for obs in h.observations:
-        if not _key_matches(obs.instance.key(protocol), key):
+        if not query.issuperset(obs.instance.key(protocol)):
             continue
         for param, value in obs.instance.bindings:
             if param in known and known[param] != value:

@@ -5,13 +5,18 @@ The network is noncreative (delivers only what was sent, uncorrupted) and
 imposes no order beyond what the policy guarantees.  Exploration is a
 breadth-first walk over a canonical move ordering with memoized composite
 states; seeds only influence single-run sampling.
+
+What an agent may do next follows from its own state alone, so one
+exploration expands each distinct agent state once: every agent's
+emissions and receptions are memoized per call, successor states are
+shared objects, and each distinct network is kept once.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Any, Protocol
 
@@ -104,11 +109,19 @@ class Network:
 
 
 class AgentExecutor(Protocol):
+    """An agent driven by the simulator.
+
+    `emissions` and `receive` must be pure functions of their arguments:
+    the same state (and payload) always gives equal results, and neither
+    changes the agent.  `explore` relies on this to call each at most once
+    per distinct argument within one exploration.  States must be hashable
+    and immutable."""
+
     role: str
 
     def initial(self) -> Any: ...
 
-    def emissions(self, state: Any) -> list[tuple[Any, Any]]:
+    def emissions(self, state: Any) -> tuple[tuple[Any, Any], ...]:
         """Candidate correct emissions as (payload, next_state) pairs."""
         ...
 
@@ -143,9 +156,26 @@ def explore(
     queue_cap: int = DEFAULT_QUEUE_CAP,
 ) -> ExplorationResult:
     """Exhaustively explore every interleaving of enabled emissions and
-    deliveries; an enactment is the history vector at a state with no moves."""
+    deliveries; an enactment is the history vector at a state with no moves.
+
+    A composite state is the agents' states and the number of its network
+    in a table of the distinct networks met so far.  The tables built here
+    (networks and each agent's memoized steps) live for this call only."""
     agents = sorted(agents, key=lambda a: a.role)
-    start = (tuple(a.initial() for a in agents), Network())
+    local = [_LocalSteps(a) for a in agents]
+    networks: list[Network] = []
+    depths: list[int] = []
+    numbers: dict[Network, int] = {}
+
+    def number(net: Network) -> int:
+        n = numbers.get(net)
+        if n is None:
+            n = numbers[net] = len(networks)
+            networks.append(net)
+            depths.append(net.max_queue_depth())
+        return n
+
+    start = (tuple(a.initial() for a in agents), number(Network()))
     seen = {start}
     frontier = deque([start])
     terminals: set[tuple[History, ...]] = set()
@@ -153,25 +183,51 @@ def explore(
     max_depth = 0
     exceeded = False
     while frontier:
-        states, net = frontier.popleft()
+        states, n = frontier.popleft()
         explored += 1
-        max_depth = max(max_depth, net.max_queue_depth())
+        max_depth = max(max_depth, depths[n])
         if explored > state_cap:
             exceeded = True
             break
-        moves = _moves(agents, states, net, policy, queue_cap)
-        if moves is None:
-            exceeded = True
-            continue
-        if not moves:
+        successors = [(nxt, number(net)) for _event, (nxt, net) in _moves(local, states, networks[n], policy)]
+        if not successors:
             terminals.add(_vector(agents, states))
             continue
-        for nxt in moves:
+        if any(depths[m] > queue_cap for _, m in successors):
+            exceeded = True
+            continue
+        for nxt in successors:
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
-    enactments = tuple(sorted(terminals, key=_vector_key))
+    keys = {h: _history_key(h) for vec in terminals for h in vec}
+    enactments = tuple(sorted(terminals, key=lambda vec: tuple(keys[h] for h in vec)))
     return ExplorationResult(enactments, ExplorationStats(explored, len(enactments), max_depth), exceeded)
+
+
+class _LocalSteps:
+    """One agent's `emissions` and `receive`, memoized for one exploration.
+    Both are pure (see AgentExecutor), so each distinct state is expanded
+    once and equal successor states are one shared object."""
+
+    def __init__(self, agent: AgentExecutor):
+        self.role = agent.role
+        self.agent = agent
+        self._emissions: dict[Any, tuple[tuple[Any, Any], ...]] = {}
+        self._receptions: dict[tuple[Any, Any], Any] = {}
+
+    def emissions(self, state):
+        out = self._emissions.get(state)
+        if out is None:
+            out = self._emissions[state] = tuple(self.agent.emissions(state))
+        return out
+
+    def receive(self, state, payload):
+        key = (state, payload)
+        nxt = self._receptions.get(key)
+        if nxt is None:
+            nxt = self._receptions[key] = self.agent.receive(state, payload)
+        return nxt
 
 
 def _vector(agents, states) -> tuple[History, ...]:
@@ -182,13 +238,19 @@ def _history_of(agent, state) -> History:
     return state if isinstance(state, History) else agent.history(state)
 
 
-def _vector_key(vec: tuple[History, ...]):
-    return tuple(
-        (h.owner, tuple((o.kind, o.instance.schema.name, o.instance.bindings) for o in h.observations)) for h in vec
-    )
+def _history_key(h: History):
+    """A history's part of the enactment order."""
+    return (h.owner, tuple((o.kind, o.instance.schema.name, o.instance.bindings) for o in h.observations))
 
 
-def _moves(agents, states, net: Network, policy: SimPolicy, queue_cap: int):
+LOSS = "L"
+
+
+def _moves(agents, states, net: Network, policy: SimPolicy):
+    """Every move from a composite state in canonical order, as
+    (event, (states, network)) with event (role, kind, payload): emissions
+    by role unless a synchronous delivery is due, then each deliverable
+    envelope's reception, followed by its loss when loss is enabled."""
     moves = []
     deliveries = net.deliverable(policy)
     force_delivery = policy.delivery is Delivery.SYNCHRONOUS and deliveries
@@ -196,17 +258,15 @@ def _moves(agents, states, net: Network, policy: SimPolicy, queue_cap: int):
         for i, agent in enumerate(agents):
             for payload, nxt in agent.emissions(states[i]):
                 new_net = net.send(agent.role, _receiver_of(payload), payload)
-                if new_net.max_queue_depth() > queue_cap:
-                    return None
-                moves.append((states[:i] + (nxt,) + states[i + 1 :], new_net))
+                moves.append(((agent.role, EMISSION, payload), (states[:i] + (nxt,) + states[i + 1 :], new_net)))
     for env in deliveries:
         for i, agent in enumerate(agents):
             if agent.role != env.receiver:
                 continue
             nxt = agent.receive(states[i], env.payload)
-            moves.append((states[:i] + (nxt,) + states[i + 1 :], net.remove(env)))
+            moves.append(((agent.role, RECEPTION, env.payload), (states[:i] + (nxt,) + states[i + 1 :], net.remove(env))))
         if policy.loss_enabled:
-            moves.append((states, net.remove(env)))
+            moves.append(((env.receiver, LOSS, env.payload), (states, net.remove(env))))
     return moves
 
 
@@ -224,15 +284,18 @@ def run_one(
 ) -> tuple[tuple[History, ...], list[tuple[str, str, Any]]]:
     """One deterministic enactment: moves are ordered canonically and picked
     by the choice script (consumed left to right) or a seeded RNG.  Returns
-    the history vector and the global event log as (agent, kind, payload)."""
+    the history vector and the global event log as (agent, kind, payload).
+    A single run delivers every message, whatever the policy says of loss,
+    and no queue cap applies."""
     agents = sorted(agents, key=lambda a: a.role)
     states = tuple(a.initial() for a in agents)
     net = Network()
+    policy = replace(policy, loss_enabled=False)
     rng = random.Random(seed)
     script = list(choice_script) if choice_script is not None else None
     log: list[tuple[str, str, Any]] = []
     while True:
-        labelled = _labelled_moves(agents, states, net, policy)
+        labelled = _moves(agents, states, net, policy)
         if not labelled:
             return _vector(agents, states), log
         if script is not None:
@@ -243,28 +306,6 @@ def run_one(
             index = rng.randrange(len(labelled))
         event, (states, net) = labelled[index]
         log.append(event)
-
-
-def _labelled_moves(agents, states, net, policy):
-    out = []
-    deliveries = net.deliverable(policy)
-    force_delivery = policy.delivery is Delivery.SYNCHRONOUS and deliveries
-    if not force_delivery:
-        for i, agent in enumerate(agents):
-            for payload, nxt in agent.emissions(states[i]):
-                out.append(
-                    (
-                        (agent.role, EMISSION, payload),
-                        (states[:i] + (nxt,) + states[i + 1 :], net.send(agent.role, _receiver_of(payload), payload)),
-                    )
-                )
-    for env in deliveries:
-        for i, agent in enumerate(agents):
-            if agent.role != env.receiver:
-                continue
-            nxt = agent.receive(states[i], env.payload)
-            out.append(((agent.role, RECEPTION, env.payload), (states[:i] + (nxt,) + states[i + 1 :], net.remove(env))))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +334,7 @@ class BsplAgent:
 
     def __init__(self, role: str, scripts: list[InstanceScript]):
         self.role = role
-        self.scripts = scripts
+        self.scripts = tuple(scripts)
 
     def initial(self) -> History:
         return History(self.role)
@@ -301,7 +342,7 @@ class BsplAgent:
     def history(self, state: History) -> History:
         return state
 
-    def emissions(self, h: History) -> list[tuple[MessageInstance, History]]:
+    def emissions(self, h: History) -> tuple[tuple[MessageInstance, History], ...]:
         out = []
         for script in self.scripts:
             p = script.protocol
@@ -315,7 +356,7 @@ class BsplAgent:
                     if check_emission(h, mi, p) is None:
                         out.append((mi, observe(h, EMISSION, mi)))
         out.sort(key=lambda pair: (pair[0].schema.name, pair[0].bindings))
-        return out
+        return tuple(out)
 
     def receive(self, h: History, mi: MessageInstance) -> History:
         return observe(h, RECEPTION, mi)

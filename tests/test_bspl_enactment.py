@@ -1,5 +1,10 @@
+import dataclasses
+import json
+import pickle
+
 import pytest
 
+from protolab.bspl.core import Adornment, MessageSchema, ParamDecl, parse_bspl, print_bspl
 from protolab.bspl.enactment import (
     EMISSION,
     RECEPTION,
@@ -181,3 +186,39 @@ def test_bindings_must_cover_schema(purchase):
         MessageInstance.make(purchase.message("Request"), {"ID": "1"})
     with pytest.raises(ValueError):
         MessageInstance.make(purchase.message("Request"), {"ID": "1", "item": "fig", "extra": "x"})
+
+
+def test_history_hash_is_cached_and_invisible(purchase):
+    request = mi(purchase, "Request", ID="1", item="fig")
+    offer = mi(purchase, "Offer", ID="1", item="fig", price="$5")
+    stepwise = observe(observe(History("Buyer"), EMISSION, request), RECEPTION, offer)
+    hash(stepwise)
+    direct = History("Buyer", (Observation(EMISSION, request, 1), Observation(RECEPTION, offer, 2)))
+    assert direct == stepwise and hash(direct) == hash(stepwise)
+    assert {stepwise: "seen"}[direct] == "seen"
+    never_hashed = History("Buyer", stepwise.observations)
+    assert repr(stepwise) == repr(never_hashed)
+    assert [f.name for f in dataclasses.fields(stepwise)] == ["owner", "observations"]
+    assert dataclasses.asdict(stepwise) == dataclasses.asdict(never_hashed)
+    assert json.dumps(dataclasses.asdict(stepwise)) == json.dumps(dataclasses.asdict(never_hashed))
+    copy = pickle.loads(pickle.dumps(stepwise))
+    assert copy == stepwise and vars(copy) == vars(never_hashed)
+
+
+def reference_key(m, protocol):
+    keys = set(protocol.key_names())
+    values = m.binding_map()
+    return tuple((q.name, values[q.name]) for q in m.schema.params if q.name in keys or q.is_key)
+
+
+def test_instance_key_for_own_equal_and_foreign_schemas(purchase, pricing):
+    reparsed = parse_bspl(print_bspl(purchase))
+    own_key = MessageSchema("Buyer", "Seller", "Note", (ParamDecl("ID", Adornment.IN), ParamDecl("n", Adornment.OUT, True)))
+    request = purchase.message("Request")
+    same_name = MessageSchema(request.sender, request.receiver, request.name, tuple(reversed(request.params)))
+    schemas = list(purchase.messages) + list(reparsed.messages) + list(pricing.messages) + [own_key, same_name]
+    for schema in schemas:
+        m = MessageInstance.make(schema, {q: f"{q}1" for q in schema.param_names()})
+        for protocol in (purchase, pricing):
+            assert m.key(protocol) == reference_key(m, protocol)
+            assert protocol.message_keys(schema) == tuple(k for k, _ in reference_key(m, protocol))

@@ -1,6 +1,11 @@
+import hashlib
+
 import pytest
 
+from protolab.bspl.core import parse_bspl_file
 from protolab.bspl.enactment import EMISSION, RECEPTION, instance_views, is_complete
+from protolab.cli import _auto_rows
+from protolab.matrix import fixture_text
 from protolab.netsim import (
     BsplAgent,
     Delivery,
@@ -158,3 +163,145 @@ def test_compliant_simulation_never_conflicts(purchase, pricing):
             for h in vec:
                 for view in views:
                     known_bindings(h, view.key, protocol)  # raises on conflict
+
+
+# ---------------------------------------------------------------------------
+# exploration results pinned before exploration memoized local steps
+
+
+def simulate_agents(name, instances):
+    """The agents `protolab simulate` builds for a bundled fixture."""
+    protocols = parse_bspl_file(fixture_text(f"{name}.bspl"))
+    scripts = [InstanceScript.make(p, _auto_rows(p, instances)) for p in protocols]
+    return [BsplAgent(role, scripts) for role in sorted({r for p in protocols for r in p.roles})]
+
+
+def tuple_repr(items: tuple, item_repr) -> str:
+    inner = ", ".join(map(item_repr, items))
+    return f"({inner},)" if len(items) == 1 else f"({inner})"
+
+
+def repr_digest(enactments: tuple) -> str:
+    """sha256 of repr(enactments), hashed one enactment at a time with one
+    repr per distinct history, so that large explorations stay cheap."""
+    reprs: dict = {}
+
+    def history_repr(h) -> str:
+        if h not in reprs:
+            reprs[h] = repr(h)
+        return reprs[h]
+
+    digest = hashlib.sha256(b"(")
+    for i, vec in enumerate(enactments):
+        digest.update(((", " if i else "") + tuple_repr(vec, history_repr)).encode())
+    digest.update(b",)" if len(enactments) == 1 else b")")
+    return digest.hexdigest()
+
+
+# (fixture, instances, policy, states explored, enactments, max queue depth,
+# bound exceeded, sha256 of repr(result.enactments))
+PINNED_EXPLORATIONS = [
+    ("catalog", 1, "fifo", 5, 1, 1, False, "c01bbce5f02cf21a5d5a4f93f1181838fac56d5eeb9f9d56da0845f301ab2616"),
+    ("catalog", 1, "unordered", 5, 1, 1, False, "c01bbce5f02cf21a5d5a4f93f1181838fac56d5eeb9f9d56da0845f301ab2616"),
+    ("flexible_purchase", 1, "fifo", 19, 3, 2, False, "c624a04f3862c6050f016d6eb6bcaf4397ae89bc9bd0587bef9fcbefd4d7ecda"),
+    ("flexible_purchase", 1, "unordered", 27, 5, 2, False, "2142df225bc10f1f1360996975539b42700d573f38a650a9f4c918479673d1a9"),
+    ("indirect_payment", 1, "fifo", 14, 2, 1, False, "72c8edcad54d3f9f45ff1e0deaeb7d87ec2a7d7c5c5378a644ebab90f46c8125"),
+    ("indirect_payment", 1, "unordered", 14, 2, 1, False, "72c8edcad54d3f9f45ff1e0deaeb7d87ec2a7d7c5c5378a644ebab90f46c8125"),
+    ("pricing", 1, "fifo", 5, 1, 1, False, "e315b4b23d00942550d03d529756a2ea4509b5c9978c27d48eacdc6c8b4b0108"),
+    ("pricing", 1, "unordered", 5, 1, 1, False, "e315b4b23d00942550d03d529756a2ea4509b5c9978c27d48eacdc6c8b4b0108"),
+    ("purchase", 1, "fifo", 13, 2, 1, False, "9af4c8df3a9250e2291ca2cfb262972346e3fdf0012cd920da60178e8c783997"),
+    ("purchase", 1, "unordered", 13, 2, 1, False, "9af4c8df3a9250e2291ca2cfb262972346e3fdf0012cd920da60178e8c783997"),
+    ("want_willpay", 1, "fifo", 6, 1, 2, False, "c9ff7e40810317f8040ff7ab38031e935a795f47e6bc6379d2e792c79295fd4f"),
+    ("want_willpay", 1, "unordered", 8, 2, 2, False, "50ee46e2ca19b0f1da3ab88f0b99f0bb68ec314e7e463c1f838a1052cf60531d"),
+    ("catalog", 2, "fifo", 65, 8, 2, False, "cbf5497c06048ba84ea9ca61d86bac054899e07fa516de1cbd41adda9feb72f0"),
+    ("catalog", 2, "unordered", 129, 26, 2, False, "c422d6d40c34e2aebec3f30583d1fe9a9a991e63436319e76d0b07450133b44a"),
+    ("flexible_purchase", 2, "fifo", 3883, 302, 4, False, "200af79dc2c83839b3050474bd5f03ede99ab6aadb3b1f9ca1100a9a98d0212d"),
+    ("flexible_purchase", 2, "unordered", 45311, 6280, 4, False, "6fa17ea6a95be3897be8a558e81feb54e4107a85edc5df9ac660718122266f51"),
+    ("indirect_payment", 2, "fifo", 4183, 446, 2, False, "63e42c9fb2c26b443ac750782fcd8b0ee38e5faf8447bbac80aed754cb807a84"),
+    ("indirect_payment", 2, "unordered", 28591, 6068, 2, False, "1fa77d5cd8f58731b22498f59fbc462a8f67c0ee4c11f57af20ab9ae68bfb98f"),
+    ("pricing", 2, "fifo", 65, 8, 2, False, "3d6f7abf3b9f439ad262e2b198878d933c2290b58b88200af18dc8896518292c"),
+    ("pricing", 2, "unordered", 129, 26, 2, False, "f8feace4b7999aea2a30c838ee707af4d9297a48457a3a7dd355d7906171c8cc"),
+    ("purchase", 2, "fifo", 7927, 940, 2, False, "2af597e169221a79a19e619ddfc3a19b96cf6615068a97df0d6c74618cc5a2de"),
+    ("purchase", 2, "unordered", 69479, 12968, 2, False, "dc39a8bc75e6dff7e3713fe4ca6ca4ee8eeaca1d0b1bb5159cfac897f567f993"),
+    ("want_willpay", 2, "fifo", 71, 6, 4, False, "e308b38e2b0f6427644bf57420be47e16756a0f9db7b950998804bf9e8767b5e"),
+    ("want_willpay", 2, "unordered", 511, 144, 4, False, "b233b31086f7851eb9707851d861b3fdee58698084368c16ddf87e9b08e95647"),
+    ("catalog", 3, "fifo", 2113, 186, 3, False, "e3764f1ad4e3091bb4178ffe1bdbd1e8e4007ac16ea4e3be5a2e2bb2ecec9dd8"),
+    ("pricing", 3, "fifo", 2113, 186, 3, False, "478f43a0b9e913464f66e20d76fc8e62cecbb866d7d4590654949b7c676c3a3b"),
+    ("want_willpay", 3, "fifo", 1300, 90, 4, True, "9d3c7c3ed96cda74a232d76885e410e624f4435ff41b830abbc955678514844b"),
+    ("want_willpay", 3, "unordered", 68962, 19440, 4, True, "60fd004c93c5285d727cbcfd33c6b7447face703b45e2d7bf6310604f360b4bb"),
+]
+
+
+@pytest.mark.parametrize(
+    "name,instances,policy,states,enactments,depth,exceeded,digest",
+    PINNED_EXPLORATIONS,
+    ids=[f"{c[0]}-x{c[1]}-{c[2]}" for c in PINNED_EXPLORATIONS],
+)
+def test_exploration_pinned(name, instances, policy, states, enactments, depth, exceeded, digest):
+    result = explore(simulate_agents(name, instances), SimPolicy(Delivery(policy)))
+    assert result.stats.states_explored == states
+    assert result.stats.enactments == len(result.enactments) == enactments
+    assert result.stats.max_queue_depth == depth
+    assert result.bound_exceeded is exceeded
+    assert repr_digest(result.enactments) == digest
+
+
+def test_repr_digest_matches_repr():
+    enactments = explore(simulate_agents("want_willpay", 2), SimPolicy(Delivery.UNORDERED)).enactments
+    for items in ((), enactments[:1], enactments[:1] + ((),), enactments):
+        assert repr_digest(items) == hashlib.sha256(repr(items).encode()).hexdigest()
+
+
+# sha256 of repr([run_one(...) for seed in 0..4]) per (fixture, instances, policy)
+PINNED_RUNS = {
+    ("purchase", 1, "unordered"): "f9ab836ae05932c05b03a9bf4309a4a0a9363561844540d8ff8656783e4229fe",
+    ("purchase", 1, "fifo"): "f9ab836ae05932c05b03a9bf4309a4a0a9363561844540d8ff8656783e4229fe",
+    ("purchase", 1, "synchronous"): "f9ab836ae05932c05b03a9bf4309a4a0a9363561844540d8ff8656783e4229fe",
+    ("purchase", 2, "unordered"): "a3ac566da6fcc75fa82866e0d685fed43bc65859f2fb03ef6f561fa54d767e82",
+    ("purchase", 2, "fifo"): "12aa706bc5b7cd7ecd19e371d0f855f1172517bebb3bf3a555279fc627d43891",
+    ("purchase", 2, "synchronous"): "134d7428e142fdad309b54ee9e1d431fb4994c9c9237dc4dea295bb42086886c",
+    ("want_willpay", 1, "unordered"): "9b3d0d3038a12477abf0b01becf38ea0026481f1d047885d77b206a5f2ff4d44",
+    ("want_willpay", 1, "fifo"): "b0e42d155030dcdd3127331f90ad6be6107bc8c5036e446f8f84ed766c131d0a",
+    ("want_willpay", 1, "synchronous"): "5ade73f9634ab0ba676263468a145a764a18e012730a4f7079f6be61a57dbdbb",
+    ("want_willpay", 2, "unordered"): "9fc199a6899de97d9b02950cc575dbf7e9ea7a90001b7b2c66a3e65d4969b050",
+    ("want_willpay", 2, "fifo"): "ea6d96e5d3fd111302c0e42fc7a9ae65c102cbaa4d981cb61d06eae4c6d54613",
+    ("want_willpay", 2, "synchronous"): "12131104e77bb7946d79b9a53bd4de4ffe2184a24fbbacf2afcd19ddae37494e",
+}
+
+
+@pytest.mark.parametrize("name,instances,policy", sorted(PINNED_RUNS))
+def test_run_one_logs_pinned(name, instances, policy):
+    runs = [run_one(simulate_agents(name, instances), SimPolicy(Delivery(policy)), seed=seed) for seed in range(5)]
+    assert hashlib.sha256(repr(runs).encode()).hexdigest() == PINNED_RUNS[(name, instances, policy)]
+
+
+def test_run_one_never_loses_messages(want_willpay):
+    for seed in range(20):
+        vector, log = run_one(agent_pair(want_willpay, WW_ROWS), SimPolicy(Delivery.UNORDERED, loss_enabled=True), seed=seed)
+        assert {kind for _, kind, _ in log} <= {EMISSION, RECEPTION}
+        assert sum(kind == EMISSION for _, kind, _ in log) == sum(kind == RECEPTION for _, kind, _ in log)
+
+
+# ---------------------------------------------------------------------------
+# purity contract: explore memoizes each agent's steps within one call
+
+
+def test_explore_twice_on_same_agents_is_equal():
+    for name, policy in (("indirect_payment", SimPolicy(Delivery.FIFO_PAIRWISE)), ("want_willpay", SimPolicy(loss_enabled=True))):
+        agents = simulate_agents(name, 2)
+        assert explore(agents, policy) == explore(agents, policy)
+
+
+def test_bspl_agent_is_immutable_to_callers(want_willpay):
+    agent = BsplAgent("Buyer", [InstanceScript.make(want_willpay, WW_ROWS)])
+    assert isinstance(agent.scripts, tuple)
+    moves = agent.emissions(agent.initial())
+    assert isinstance(moves, tuple) and all(isinstance(move, tuple) for move in moves)
+    assert moves == agent.emissions(agent.initial())
+
+
+def test_queue_cap_fires_only_in_explore():
+    agents = simulate_agents("want_willpay", 3)
+    assert explore(agents, SimPolicy(Delivery.FIFO_PAIRWISE), queue_cap=2).bound_exceeded
+    vector, log = run_one(agents, SimPolicy(Delivery.FIFO_PAIRWISE), choice_script=[0] * 100)
+    assert sum(kind == EMISSION for _, kind, _ in log) == 6  # all six sent before any delivery

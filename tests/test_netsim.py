@@ -166,7 +166,8 @@ def test_compliant_simulation_never_conflicts(purchase, pricing):
 
 
 # ---------------------------------------------------------------------------
-# exploration results pinned before exploration memoized local steps
+# exploration and single-run results, pinned on the explorer without memoized
+# agent steps: the memo must not change a state, an enactment or their order
 
 
 def simulate_agents(name, instances):
@@ -292,7 +293,7 @@ def test_explore_twice_on_same_agents_is_equal():
         assert explore(agents, policy) == explore(agents, policy)
 
 
-def test_bspl_agent_is_immutable_to_callers(want_willpay):
+def test_bspl_agent_scripts_and_emissions_are_tuples(want_willpay):
     agent = BsplAgent("Buyer", [InstanceScript.make(want_willpay, WW_ROWS)])
     assert isinstance(agent.scripts, tuple)
     moves = agent.emissions(agent.initial())

@@ -3,6 +3,8 @@ subset: atoms, sequence, choice (with optional decider), shuffle, recursion.
 
 Expressions are immutable; equality is structural.  Payload signatures on
 atoms are retained for type-level machinery but ignored by trace semantics.
+Every node caches its hash at construction (`HashedNode`), so expressions
+key dictionaries in O(1) however deep they are.
 """
 
 from __future__ import annotations
@@ -10,11 +12,43 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-class CfpExpr:
+class HashedNode:
+    """Base for frozen dataclass nodes that cache their hash; declare them
+    with `@node`.
+
+    The hash is computed once, at construction, from the fields, whose own
+    hashes are cached the same way: hashing a node costs O(1) and never
+    recurses into a deep tree.  It is kept outside the dataclass fields, so
+    repr, equality, `fields` and `asdict` are as if it were not there.
+    String hashes are salted per process, so a pickle leaves it out."""
+
+    def __post_init__(self) -> None:
+        self.__dict__["_hash"] = hash((type(self), *self.__dict__.values()))
+
+    def __hash__(self) -> int:
+        cached = self.__dict__.get("_hash")
+        if cached is None:  # unpickled or copied
+            self.__post_init__()
+            cached = self.__dict__["_hash"]
+        return cached
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
+
+def node(cls):
+    """`dataclass(frozen=True)` keeping `HashedNode`'s hash, which
+    `dataclass` would otherwise replace."""
+    cls = dataclass(frozen=True)(cls)
+    cls.__hash__ = HashedNode.__hash__
+    return cls
+
+
+class CfpExpr(HashedNode):
     pass
 
 
-@dataclass(frozen=True)
+@node
 class Atom(CfpExpr):
     sender: str
     receiver: str
@@ -38,13 +72,13 @@ class Atom(CfpExpr):
         return f"{self.sender} -> {self.receiver} : {self.name}{sig}"
 
 
-@dataclass(frozen=True)
+@node
 class Seq(CfpExpr):
     left: CfpExpr
     right: CfpExpr
 
 
-@dataclass(frozen=True)
+@node
 class Choice(CfpExpr):
     branches: tuple[CfpExpr, ...]
     decider: str | None = None
@@ -52,26 +86,27 @@ class Choice(CfpExpr):
     def __post_init__(self):
         if len(self.branches) < 2:
             raise ValueError("Choice needs at least two branches")
+        super().__post_init__()
 
 
-@dataclass(frozen=True)
+@node
 class Shuffle(CfpExpr):
     left: CfpExpr
     right: CfpExpr
 
 
-@dataclass(frozen=True)
+@node
 class Rec(CfpExpr):
     var: str
     body: CfpExpr
 
 
-@dataclass(frozen=True)
+@node
 class Var(CfpExpr):
     var: str
 
 
-@dataclass(frozen=True)
+@node
 class Epsilon(CfpExpr):
     pass
 
@@ -262,7 +297,7 @@ def _as_star(e: Rec) -> CfpExpr | None:
     return None
 
 
-@dataclass(frozen=True)
+@node
 class _Star(CfpExpr):
     body: CfpExpr
 

@@ -56,7 +56,7 @@ def extract_fsm(l: LocalExpr, unroll_bound: int = 2) -> TypeLevelFsm:
 
     Tail recursion becomes a cycle; non-tail recursion is unrolled to the
     bound before compilation."""
-    nfa = _Nfa()
+    nfa = Nfa()
     start = nfa.new_state()
     if _all_tail(l):
         end = nfa.new_state()
@@ -66,10 +66,12 @@ def extract_fsm(l: LocalExpr, unroll_bound: int = 2) -> TypeLevelFsm:
         end = nfa.new_state()
         _build(nfa, _unroll_local(l, unroll_bound, {}), start, end, {})
         nfa.finals.add(end)
-    return _determinize(nfa, start)
+    return _minimize(determinize(nfa, start))
 
 
-class _Nfa:
+class Nfa:
+    """A labelled automaton with silent (epsilon) moves, states 0..count-1."""
+
     def __init__(self):
         self.count = 0
         self.eps: dict[int, set[int]] = {}
@@ -87,7 +89,7 @@ class _Nfa:
         self.edges.setdefault(a, []).append((label, b))
 
 
-def _build(nfa: _Nfa, e: LocalExpr, start: int, end: int, env: dict[str, int]) -> None:
+def _build(nfa: Nfa, e: LocalExpr, start: int, end: int, env: dict[str, int]) -> None:
     if isinstance(e, LEps):
         nfa.add_eps(start, end)
     elif isinstance(e, LAtom):
@@ -195,7 +197,9 @@ def _unroll_local(e: LocalExpr, bound: int, env: dict[str, tuple[LRec, int]]) ->
     return e
 
 
-def _determinize(nfa: _Nfa, start: int) -> TypeLevelFsm:
+def determinize(nfa: Nfa, start: int) -> TypeLevelFsm:
+    """Subset construction over the states reachable from `start`, silent
+    moves closed over; the result is not minimized."""
     def closure(states: frozenset[int]) -> frozenset[int]:
         stack, seen = list(states), set(states)
         while stack:
@@ -225,8 +229,7 @@ def _determinize(nfa: _Nfa, start: int) -> TypeLevelFsm:
             transitions.append((subsets[subset], label, subsets[target]))
         i += 1
     finals = tuple(sorted(subsets[s] for s in order if s & nfa.finals))
-    fsm = TypeLevelFsm(tuple(range(len(order))), 0, finals, tuple(sorted(transitions)))
-    return _minimize(fsm)
+    return TypeLevelFsm(tuple(range(len(order))), 0, finals, tuple(sorted(transitions)))
 
 
 def _minimize(fsm: TypeLevelFsm) -> TypeLevelFsm:
@@ -250,9 +253,6 @@ def _minimize(fsm: TypeLevelFsm) -> TypeLevelFsm:
         if new_partition != partition:
             partition = new_partition
             changed = True
-    remap = {}
-    for s in fsm.states:
-        remap.setdefault(partition[s], partition[s])
     transitions = sorted({(partition[a], lab, partition[b]) for a, lab, b in fsm.transitions})
     states = tuple(sorted(set(partition.values())))
     finals2 = tuple(sorted({partition[s] for s in fsm.finals}))

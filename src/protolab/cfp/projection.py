@@ -3,15 +3,15 @@
 A local expression mirrors the global structure with other parties' events
 erased.  Choice polarity records who resolves a choice point: the role
 itself (internal), a peer via a first reception (external), or neither
-uniformly (mixed, the raw material of nonlocal choice).
+uniformly (mixed, the raw material of nonlocal choice).  Nodes cache their
+hashes, like the global AST's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
-from .ast import Atom, CfpExpr, Choice, Epsilon, Rec, Seq, Shuffle, Var, initials
+from .ast import Atom, CfpExpr, Choice, Epsilon, HashedNode, Rec, Seq, Shuffle, Var, initials, node
 from .transforms import OccAtom
 
 SEND = "!"
@@ -25,8 +25,8 @@ class ChoiceKind(str, Enum):
     MIXED = "mixed"
 
 
-@dataclass(frozen=True)
-class LAtom:
+@node
+class LAtom(HashedNode):
     peer: str
     name: str
     direction: str  # SEND | RECV
@@ -37,38 +37,38 @@ class LAtom:
         return f"{self.peer}{self.direction}{self.name}"
 
 
-@dataclass(frozen=True)
-class LSeq:
+@node
+class LSeq(HashedNode):
     left: "LocalExpr"
     right: "LocalExpr"
 
 
-@dataclass(frozen=True)
-class LChoice:
+@node
+class LChoice(HashedNode):
     branches: tuple["LocalExpr", ...]
     kind: ChoiceKind
     lean: ChoiceKind | None = None  # presentation polarity when mixed
 
 
-@dataclass(frozen=True)
-class LShuffle:
+@node
+class LShuffle(HashedNode):
     left: "LocalExpr"
     right: "LocalExpr"
 
 
-@dataclass(frozen=True)
-class LRec:
+@node
+class LRec(HashedNode):
     var: str
     body: "LocalExpr"
 
 
-@dataclass(frozen=True)
-class LVar:
+@node
+class LVar(HashedNode):
     var: str
 
 
-@dataclass(frozen=True)
-class LEps:
+@node
+class LEps(HashedNode):
     pass
 
 

@@ -8,7 +8,7 @@ even when several positions carry the same message label.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .ast import (
     Atom,
@@ -16,11 +16,13 @@ from .ast import (
     Choice,
     Epsilon,
     GlobalTrace,
+    HashedNode,
     Rec,
     Seq,
     Shuffle,
     Var,
     has_rec,
+    node,
 )
 
 DEFAULT_UNROLL = 2
@@ -60,8 +62,8 @@ def analyze(e: CfpExpr) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class OccAtom:
+@node
+class OccAtom(HashedNode):
     """An atom occurrence in an unrolled expression."""
 
     atom: Atom
@@ -134,33 +136,63 @@ def _expand(e: CfpExpr, env: dict[str, tuple[Rec, int]], bound: int, counter: _C
 
 
 def occ_traces(expanded: CfpExpr) -> tuple[tuple[OccAtom, ...], ...]:
-    """All occurrence-level traces of a recursion-free expression."""
+    """All occurrence-level traces of a recursion-free expression, in the
+    order of `iter_occ_traces`."""
+    return tuple(iter_occ_traces(expanded))
+
+
+def iter_occ_traces(expanded: CfpExpr) -> Iterator[tuple[OccAtom, ...]]:
+    """The occurrence-level traces, produced lazily, so a reader that stops
+    at the first hit enumerates no further.  Order: a sequence pairs each
+    left trace with every right trace; a choice takes its branches in turn;
+    a shuffle interleaves each left trace with every right trace, left
+    atoms first.  A trace met again is skipped."""
     if isinstance(expanded, Epsilon):
-        return ((),)
-    if isinstance(expanded, OccAtom):
-        return ((expanded,),)
-    if isinstance(expanded, Atom):
+        yield ()
+    elif isinstance(expanded, OccAtom):
+        yield (expanded,)
+    elif isinstance(expanded, Atom):
         raise TypeError("expression must be expanded before enumeration")
-    if isinstance(expanded, Seq):
-        lefts = occ_traces(expanded.left)
-        rights = occ_traces(expanded.right)
-        return tuple(l + r for l in lefts for r in rights)
-    if isinstance(expanded, Choice):
-        out: list[tuple[OccAtom, ...]] = []
-        for b in expanded.branches:
-            for t in occ_traces(b):
-                if t not in out:
-                    out.append(t)
-        return tuple(out)
-    if isinstance(expanded, Shuffle):
-        out = []
-        for l in occ_traces(expanded.left):
-            for r in occ_traces(expanded.right):
-                for merged in _interleave(l, r):
-                    if merged not in out:
-                        out.append(merged)
-        return tuple(out)
-    raise TypeError(type(expanded))
+    elif isinstance(expanded, Seq):
+        rights = _Replay(iter_occ_traces(expanded.right))
+        for l in iter_occ_traces(expanded.left):
+            for r in rights:
+                yield l + r
+    elif isinstance(expanded, Choice):
+        yield from _unique(t for b in expanded.branches for t in iter_occ_traces(b))
+    elif isinstance(expanded, Shuffle):
+        rights = _Replay(iter_occ_traces(expanded.right))
+        yield from _unique(m for l in iter_occ_traces(expanded.left) for r in rights for m in _interleave(l, r))
+    else:
+        raise TypeError(type(expanded))
+
+
+class _Replay:
+    """Iterable any number of times over one iterator's items, pulling each
+    item once, when first needed."""
+
+    def __init__(self, items: Iterator):
+        self._items = items
+        self._pulled: list = []
+
+    def __iter__(self):
+        i = 0
+        while True:
+            if i == len(self._pulled):
+                try:
+                    self._pulled.append(next(self._items))
+                except StopIteration:
+                    return
+            yield self._pulled[i]
+            i += 1
+
+
+def _unique(items: Iterable) -> Iterator:
+    seen: set = set()
+    for item in items:
+        if item not in seen:
+            seen.add(item)
+            yield item
 
 
 def _interleave(a: tuple, b: tuple):
@@ -323,6 +355,35 @@ def _derivative(e: CfpExpr, head) -> CfpExpr | tuple:
             return _EMPTY
         return _choice(options, None)
     raise TypeError(type(e))
+
+
+def language_state(e: CfpExpr) -> frozenset:
+    """The protocol-automaton state of a recursion-free expression."""
+    return frozenset(_branches(e))
+
+
+def label_derivatives(state: frozenset) -> dict[tuple[str, str, str], frozenset]:
+    """Moves of the protocol automaton (Brzozowski, JACM 1964), with a
+    state kept as a set of expressions whose languages it unites
+    (Antimirov, TCS 1996): for each label, the derivatives of every member
+    by every initial atom carrying that label, top-level choices split
+    into their branches."""
+    out: dict[tuple[str, str, str], set] = {}
+    for e in state:
+        for head in _first_atoms(e):
+            d = _derivative(e, head)
+            if d is not _EMPTY:
+                out.setdefault(head.label, set()).update(_branches(d))
+    return {label: frozenset(ds) for label, ds in out.items()}
+
+
+def accepts_empty(state: frozenset) -> bool:
+    """Whether a protocol-automaton state accepts (holds a nullable member)."""
+    return any(_nullable(e) for e in state)
+
+
+def _branches(e: CfpExpr) -> list[CfpExpr]:
+    return [x for b in e.branches for x in _branches(b)] if isinstance(e, Choice) else [e]
 
 
 def _seq(l: CfpExpr, r: CfpExpr) -> CfpExpr:

@@ -8,6 +8,7 @@ formats dispatch on extension: .bspl, .trace, .scr, .hapn, .cupid.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from datetime import datetime, timezone
@@ -62,9 +63,14 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: input nested too deeply (Python recursion limit reached)", file=sys.stderr)
+        return 2
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built once per process: parsing leaves the parser unchanged."""
     parser = argparse.ArgumentParser(
         prog="protolab",
         description="Workbench for multiagent protocol languages: parsing, projection, "

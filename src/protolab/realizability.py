@@ -24,10 +24,20 @@ from .cfp.projection import (
     project_trace_c,
     project_trace_f,
 )
-from .cfp.transforms import DEFAULT_UNROLL, OccAtom, eliminate_shuffle, expand, occ_traces
+from .cfp.fsm import Nfa, determinize
+from .cfp.transforms import (
+    DEFAULT_UNROLL,
+    OccAtom,
+    accepts_empty,
+    eliminate_shuffle,
+    expand,
+    iter_occ_traces,
+    label_derivatives,
+    language_state,
+)
 from .diagnostics import Diagnostic
 from .netsim import Delivery, Reception
-from .runtime import CompositionOutcome, compose
+from .runtime import CompositionGraph, compose, least_path, topological
 
 
 class Interpretation(str, Enum):
@@ -280,7 +290,7 @@ class Verdict:
         return lines
 
 
-def check_realizability(e: CfpExpr, cfg: CommConfig, bound: int = DEFAULT_UNROLL, path_cap: int = 250_000) -> Verdict:
+def check_realizability(e: CfpExpr, cfg: CommConfig, bound: int = DEFAULT_UNROLL, state_cap: int = 250_000) -> Verdict:
     if cfg.doctrine is Doctrine.HAPN:
         raise ValueError("state-machine protocols are checked by synchronous acceptance, not composition")
     if cfg.delivery is None:
@@ -298,17 +308,15 @@ def check_realizability(e: CfpExpr, cfg: CommConfig, bound: int = DEFAULT_UNROLL
         notes.extend(d.message for d in nonlocal_diags)
 
     expanded = expand(e, bound)
-    traces = occ_traces(expanded)
-    label_traces = {tuple(o.label for o in t) for t in traces}
 
     # correlation ambiguity: unordered delivery cannot keep same-schema
     # occurrences on one channel apart, and type-level reception hides it
     if cfg.delivery is Delivery.UNORDERED and cfg.reception is Reception.ANYTIME:
-        dup = _repeated_schema_on_channel(traces)
+        dup = _repeated_schema_on_channel(iter_occ_traces(expanded))
         if dup is not None:
             trace, label = dup
             reasons.append(Reason.ORDER_VIOLATION)
-            witness = witness or tuple(("E", o.occ, *o.label) for o in trace)
+            witness = witness or _trace_witness(trace)
             notes.append(
                 f"unordered delivery can cross occurrences of {label[2]} on channel {label[0]}->{label[1]}; "
                 "the receiver consumes by type and cannot detect the crossed correlation"
@@ -320,53 +328,62 @@ def check_realizability(e: CfpExpr, cfg: CommConfig, bound: int = DEFAULT_UNROLL
     except MergeFailure as failure:
         reasons.append(Reason.MERGE_FAILURE)
         notes.append(str(failure))
-        if not witness and traces:
-            witness = tuple(("E", o.occ, *o.label) for o in traces[0])
+        witness = witness or _first_trace_witness(expanded)
         return Verdict(Outcome.UNREALIZABLE, _order_reasons(reasons), witness, tuple(notes))
 
-    outcome = compose(behaviors, cfg.delivery, cfg.reception, path_cap=path_cap)
-    if outcome.bound_exceeded:
-        return Verdict(Outcome.BOUND_EXCEEDED, (), (), ("exploration bound exceeded; inconclusive",))
+    graph = compose(behaviors, cfg.delivery, cfg.reception, state_cap=state_cap)
+    if graph.bound_exceeded:
+        # the static findings stand; only the exploration is inconclusive
+        notes.append(f"exploration bound exceeded: the composition state cap ({state_cap} states) fired; inconclusive")
+        if reasons:
+            return Verdict(Outcome.UNREALIZABLE, _order_reasons(reasons), witness or _first_trace_witness(expanded), tuple(notes))
+        return Verdict(Outcome.BOUND_EXCEEDED, (), (), tuple(notes))
 
-    if outcome.deadlocks:
+    if graph.deadlocks:
         reasons.append(Reason.DEADLOCK)
-        witness = witness or outcome.deadlocks[0]
+        stuck = set(graph.deadlocks)
+        witness = witness or least_path(0, graph.successors, lambda n: () if n in stuck else None)
         notes.append("a reachable state has no enabled emission or delivery and is not final")
-    for violation in outcome.violations:
+    for kind, detail in sorted({(kind, detail) for found in graph.violations for kind, detail, _ in found}):
         reasons.append(Reason.ORDER_VIOLATION)
-        witness = witness or violation.events
-        notes.append(f"{violation.kind}: {violation.detail}")
+        witness = witness or least_path(
+            0,
+            graph.successors,
+            lambda n: min([(ev,) for k, d, ev in graph.violations[n] if (k, d) == (kind, detail)], default=None),
+        )
+        notes.append(f"{kind}: {detail}")
 
-    constraint_note, constraint_witness = _check_constraints(expanded, cfg, outcome)
+    constraint_note, constraint_witness = _check_constraints(expanded, cfg, graph)
     if constraint_note:
         reasons.append(Reason.ORDER_VIOLATION)
         witness = witness or constraint_witness
         notes.append(constraint_note)
 
-    realized = {ex.labels() for ex in outcome.completed}
-    missing = sorted(label_traces - realized)
-    extra = sorted(realized - label_traces)
+    missing, least_missing, extra, least_extra = _compare_trace_sets(expanded, graph)
     if (missing or extra) and not reasons:
         reasons.append(Reason.TRACE_MISMATCH)
         if missing:
-            notes.append(f"{len(missing)} protocol trace(s) cannot be enacted, e.g. {_fmt_labels(missing[0])}")
+            notes.append(f"{missing} protocol trace(s) cannot be enacted, e.g. {_fmt_labels(least_missing)}")
         if extra:
-            notes.append(f"the composition produces {len(extra)} extra trace(s), e.g. {_fmt_labels(extra[0])}")
-        if extra:
-            for ex in outcome.completed:
-                if ex.labels() == extra[0]:
-                    witness = witness or ex.events
+            notes.append(f"the composition produces {extra} extra trace(s), e.g. {_fmt_labels(least_extra)}")
+            witness = witness or _spelling(graph, least_extra)
     elif missing and reasons:
-        notes.append(f"{len(missing)} protocol trace(s) additionally cannot be enacted")
+        notes.append(f"{missing} protocol trace(s) additionally cannot be enacted")
 
     ordered = _order_reasons(reasons)
     if ordered:
-        if not witness and traces:
-            # fall back to a trace witness (e.g. a nonlocal choice point is
-            # a static finding with no single offending execution)
-            witness = tuple(("E", o.occ, *o.label) for o in traces[0])
-        return Verdict(Outcome.UNREALIZABLE, ordered, witness, tuple(notes))
+        # fall back to a trace witness (e.g. a nonlocal choice point is a
+        # static finding with no single offending execution)
+        return Verdict(Outcome.UNREALIZABLE, ordered, witness or _first_trace_witness(expanded), tuple(notes))
     return Verdict(Outcome.REALIZABLE, (), (), tuple(notes))
+
+
+def _trace_witness(trace) -> tuple:
+    return tuple(("E", o.occ, *o.label) for o in trace)
+
+
+def _first_trace_witness(expanded) -> tuple:
+    return _trace_witness(next(iter_occ_traces(expanded)))
 
 
 def _fmt_labels(labels: tuple) -> str:
@@ -443,25 +460,154 @@ def _repeated_schema_on_channel(traces):
     return None
 
 
-def _check_constraints(expanded, cfg: CommConfig, outcome: CompositionOutcome) -> tuple[str | None, tuple]:
+def _check_constraints(expanded, cfg: CommConfig, graph: CompositionGraph) -> tuple[str | None, tuple]:
+    """The note and witness for the least completed execution that fires a
+    constraint's second event before its first, naming the first
+    constraint (in `sequence_constraints` order) it violates.
+
+    Each event fires at most once on a path, so some completed execution
+    violates a constraint iff an edge fires the first event from a state
+    where the second may already have fired, into a state from which
+    completion is reachable.  The may-fired sets are bitsets over the
+    constraints' second events, from one pass in topological order."""
     if cfg.interpretation is None:
         return None, ()
     constraints = sequence_constraints(expanded, cfg.interpretation)
     if not constraints:
         return None, ()
-    trace_occ_sets = [frozenset(o.occ for o in t) for t in occ_traces(expanded)]
-    for ex in outcome.completed:
-        occs = frozenset(ev[1] for ev in ex.events if ev[0] == "E")
-        relevant = [c for c in constraints if c.left.occ in occs and c.right.occ in occs]
-        for c in relevant:
-            (k1, o1), (k2, o2) = c.events()
-            p1 = ex.position(k1, o1)
-            p2 = ex.position(k2, o2)
-            if p1 is None or p2 is None:
-                continue
-            if p1 >= p2:
-                return (
-                    f"a completed execution violates the {cfg.interpretation.value} constraint {c}",
-                    ex.events,
-                )
-    return None, ()
+    bits: dict[tuple[str, int], int] = {}
+    by_first: dict[tuple[str, int], list[tuple[int, int]]] = {}
+    for i, c in enumerate(constraints):
+        first, second = c.events()
+        bit = bits.setdefault(second, 1 << len(bits))
+        by_first.setdefault(first, []).append((i, bit))
+    order = graph.order
+    completes = list(graph.final)
+    for n in reversed(order):
+        completes[n] = completes[n] or any(completes[t] for _, t in graph.edges[n])
+    fired = [0] * len(graph.edges)
+    violated: set[int] = set()
+    for n in order:
+        for event, t in graph.edges[n]:
+            after = fired[n]
+            if event is not None:
+                key = (event[0], event[1])
+                if completes[t]:
+                    violated.update(i for i, bit in by_first.get(key, ()) if fired[n] & bit)
+                after |= bits.get(key, 0)
+            fired[t] |= after
+    if not violated:
+        return None, ()
+    events = min(_least_violation(graph, constraints[i]) for i in violated)
+    position = {(ev[0], ev[1]): p for p, ev in enumerate(events)}
+    for c in constraints:
+        first, second = c.events()
+        if position.get(first, -1) > position.get(second, len(events)):
+            return f"a completed execution violates the {cfg.interpretation.value} constraint {c}", events
+    raise AssertionError("the least violating execution violates no constraint")
+
+
+def _least_violation(graph: CompositionGraph, c: Constraint) -> tuple:
+    """The least completed execution that fires `c`'s second event before
+    its first (tags: 0 before the second event, 1 after it, 2 after both)."""
+    first, second = c.events()
+
+    def advance(event, tag):
+        key = event and (event[0], event[1])
+        if key == second:
+            return 1
+        if key == first:
+            return 2 if tag == 1 else None
+        return tag
+
+    return _least_execution(graph, advance, 0, lambda tag: tag == 2)
+
+
+def _least_execution(graph: CompositionGraph, advance, start, done) -> tuple | None:
+    """The least completed execution along which `advance(event, tag)`
+    carries the tag from `start` to one that `done` accepts; a move whose
+    `advance` is None is not taken."""
+
+    def successors(node):
+        n, tag = node
+        for event, t in graph.successors(n):
+            after = advance(event, tag)
+            if after is not None:
+                yield event, (t, after)
+
+    return least_path((0, start), successors, lambda node: () if graph.final[node[0]] and done(node[1]) else None)
+
+
+def _compare_trace_sets(expanded, graph: CompositionGraph) -> tuple[int, tuple | None, int, tuple | None]:
+    """(number of protocol traces the composition cannot enact, the least
+    of them, number of extra traces it enacts, the least of them), with
+    traces as label words in tuple order.
+
+    The protocol's automaton comes from label derivatives of the expanded
+    expression; the composition's from subset construction over the graph,
+    its emissions as labels and every other move silent.  Both are
+    deterministic and acyclic, so each word is one path of their product
+    and path counts give the set sizes."""
+    nfa = Nfa()
+    nfa.count = len(graph.edges)
+    for n, out in enumerate(graph.edges):
+        for event, t in out:
+            if event is not None and event[0] == "E":
+                nfa.add_edge(n, event[2:], t)
+            else:
+                nfa.add_eps(n, t)
+    nfa.finals = {n for n, final in enumerate(graph.final) if final}
+    emitted = determinize(nfa, 0)
+    emitted_moves: list[dict] = [{} for _ in emitted.states]
+    for a, label, b in emitted.transitions:
+        emitted_moves[a][label] = b
+    emitted_finals = set(emitted.finals)
+    protocol_moves: dict[frozenset, dict] = {}
+
+    nodes = [(language_state(expanded), 0)]
+    numbers = {nodes[0]: 0}
+    edges: list[list[tuple[tuple, int]]] = []
+    while len(edges) < len(nodes):
+        p, c = nodes[len(edges)]
+        if p is not None and p not in protocol_moves:
+            protocol_moves[p] = label_derivatives(p)
+        p_out = protocol_moves[p] if p is not None else {}
+        c_out = emitted_moves[c] if c is not None else {}
+        out = []
+        for label in sorted(p_out.keys() | c_out.keys()):
+            node = (p_out.get(label), c_out.get(label))
+            n = numbers.get(node)
+            if n is None:
+                n = numbers[node] = len(nodes)
+                nodes.append(node)
+            out.append((label, n))
+        edges.append(out)
+    in_protocol = [p is not None and accepts_empty(p) for p, _ in nodes]
+    in_composition = [c is not None and c in emitted_finals for _, c in nodes]
+    paths = [0] * len(nodes)
+    paths[0] = 1
+    for n in topological(edges):
+        for _, t in edges[n]:
+            paths[t] += paths[n]
+
+    def count_and_least(ends: list[bool]) -> tuple[int, tuple | None]:
+        count = sum(paths[n] for n, end in enumerate(ends) if end)
+        if not count:
+            return 0, None
+        return count, least_path(0, lambda n: edges[n], lambda n: () if ends[n] else None)
+
+    missing = count_and_least([a and not b for a, b in zip(in_protocol, in_composition)])
+    extra = count_and_least([b and not a for a, b in zip(in_protocol, in_composition)])
+    return (*missing, *extra)
+
+
+def _spelling(graph: CompositionGraph, word: tuple) -> tuple:
+    """The least completed execution whose emissions spell `word` (the tag
+    counts the labels spelled so far)."""
+
+    def advance(event, i):
+        if event is None or event[0] == "R":
+            return i
+        return i + 1 if i < len(word) and event[2:] == word[i] else None
+
+    return _least_execution(graph, advance, 0, lambda i: i == len(word))

@@ -7,11 +7,22 @@ stuck states reachable when a choice is nonlocal.  Under anytime reception
 an agent observes a message the moment it is delivered, and a delivery its
 behavior cannot accept is an ordering violation; under the channel selector
 arrivals wait in per-peer queues until the behavior expects that channel.
+
+`compose` explores the composition as a graph of states, not of paths.  A
+state is every agent's remaining behavior, the payloads in transit on each
+channel in send order and, under the channel selector, each agent's
+arrival queues; each distinct state is expanded once.  The behaviors come
+from a recursion-free expression, so the graph is finite and acyclic, and
+every pass over it is iterative.  Witnesses are least event sequences in
+Python tuple order (`least_path`), so no answer depends on the order in
+which moves are generated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, Hashable, Iterable
 
 from .cfp.projection import (
     RECV,
@@ -25,7 +36,7 @@ from .cfp.projection import (
     LocalExpr,
     L_EPSILON,
 )
-from .netsim import Delivery, Network, Reception, SimPolicy
+from .netsim import Delivery, Reception
 
 # ---------------------------------------------------------------------------
 # single-agent small-step semantics
@@ -159,179 +170,278 @@ def _lshuffle(l: LocalExpr, r: LocalExpr) -> LocalExpr:
 
 
 def _dedup(items: list) -> list:
-    out = []
-    for x in items:
-        if x not in out:
-            out.append(x)
-    return out
+    return list(dict.fromkeys(items))
 
 
 # ---------------------------------------------------------------------------
 # composition
 
 Event = tuple[str, int, str, str, str]  # (kind E|R, occurrence, sender, receiver, msg)
+# A composite state: (remainder number by role, network number, arrival
+# queues by role), numbers from the composer's tables; a network or an
+# arrival row is ((channel or peer, payloads), ...) sorted by its first
+# element, with empty queues left out.
+State = tuple
 
 
 @dataclass(frozen=True)
 class Execution:
     events: tuple[Event, ...]
 
-    def emissions(self) -> tuple[Event, ...]:
-        return tuple(ev for ev in self.events if ev[0] == "E")
-
     def labels(self) -> tuple[tuple[str, str, str], ...]:
         return tuple((s, r, m) for kind, _, s, r, m in self.events if kind == "E")
 
-    def position(self, kind: str, occ: int) -> int | None:
-        for i, (k, o, *_rest) in enumerate(self.events):
-            if k == kind and o == occ:
-                return i
-        return None
+
+Violation = tuple[str, str, Event]  # (kind, detail, offending reception)
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str  # "reception-order" | "selector-type" | "constraint" | "correlation"
-    detail: str
-    events: tuple[Event, ...]
+class Composer:
+    """The composite moves of a set of behaviors under one network policy.
+
+    Remainders and networks are numbered in tables of the distinct ones
+    met, so a state hashes and compares as a few small integers.  Each
+    agent's steps depend only on its own remainder, and deliveries only on
+    the network, so both are computed once per number."""
+
+    def __init__(self, behaviors: dict[str, LocalExpr], delivery: Delivery, reception: Reception):
+        self.roles = tuple(sorted(behaviors))
+        self.delivery = delivery
+        self.reception = reception
+        self._index = {role: i for i, role in enumerate(self.roles)}
+        self._numbers: dict = {}  # remainder or network -> its number
+        self._items: list = []
+        self._steps: dict[int, tuple] = {}
+        self._consumed: dict[tuple, list[int]] = {}
+        self._deliveries: dict[int, list[tuple]] = {}
+        self._sent: dict[tuple, int] = {}
+        self._empty = self._number(())
+        self.initial: State = (tuple(self._number(behaviors[r]) for r in self.roles), self._empty, tuple(() for _ in self.roles))
+
+    def _number(self, item) -> int:
+        n = self._numbers.get(item)
+        if n is None:
+            n = self._numbers[item] = len(self._items)
+            self._items.append(item)
+        return n
+
+    def _local(self, n: int) -> tuple:
+        """(sends as (peer, occurrence, name, remainder), silent commits,
+        accepting, expected peers) of remainder `n`."""
+        steps = self._steps.get(n)
+        if steps is None:
+            e = self._items[n]
+            sends = [(a.peer, a.occ or 0, a.name, self._number(rest)) for a, rest in send_steps(e)]
+            steps = self._steps[n] = (sends, [self._number(r) for r in commit_steps(e)], accepting(e), expected_peers(e))
+        return steps
+
+    def _consume(self, n: int, peer: str, name: str) -> list[int]:
+        key = (n, peer, name)
+        rests = self._consumed.get(key)
+        if rests is None:
+            rests = self._consumed[key] = [self._number(r) for r in consume(self._items[n], peer, name)]
+        return rests
+
+    def _send(self, net: int, channel: tuple[str, str], payload: tuple[int, str]) -> int:
+        key = (net, channel, payload)
+        after = self._sent.get(key)
+        if after is None:
+            after = self._sent[key] = self._number(_enqueue(self._items[net], channel, payload))
+        return after
+
+    def _delivered(self, net: int) -> list[tuple]:
+        """Deliverable payloads of network `net` as (sender, receiver,
+        occurrence, name, network after)."""
+        out = self._deliveries.get(net)
+        if out is None:
+            queues = self._items[net]
+            out = self._deliveries[net] = [
+                (sender, receiver, occ, name, self._number(_dequeue(queues, (sender, receiver), i)))
+                for (sender, receiver), queue in queues
+                for i, (occ, name) in enumerate(queue[:1] if self.delivery is Delivery.FIFO_PAIRWISE else queue)
+            ]
+        return out
+
+    def completed(self, state: State) -> bool:
+        locals_, net, pending = state
+        return net == self._empty and not any(pending) and all(self._local(l)[2] for l in locals_)
+
+    def moves(self, state: State) -> tuple[list[tuple[Event | None, State]], list[Violation]]:
+        """Every move from `state` as (event or None for a silent move,
+        next state), and the violations a delivery would cause there."""
+        locals_, net, pending = state
+        moves: list = []
+        violations: list[Violation] = []
+        deliveries = self._delivered(net)
+        if not (self.delivery is Delivery.SYNCHRONOUS and deliveries):
+            for i, role in enumerate(self.roles):
+                sends, commits, _, _ = self._local(locals_[i])
+                for peer, occ, name, rest in sends:
+                    after = self._send(net, (role, peer), (occ, name))
+                    moves.append((("E", occ, role, peer, name), (_put(locals_, i, rest), after, pending)))
+                for rest in commits:
+                    moves.append((None, (_put(locals_, i, rest), net, pending)))
+        for sender, receiver, occ, name, after in deliveries:
+            i = self._index[receiver]
+            event = ("R", occ, sender, receiver, name)
+            if self.reception is Reception.ANYTIME:
+                alternatives = self._consume(locals_[i], sender, name)
+                if not alternatives:
+                    violations.append(
+                        ("reception-order", f"{receiver} cannot accept {name} from {sender} at this point", event)
+                    )
+                for rest in alternatives:
+                    moves.append((event, (_put(locals_, i, rest), after, pending)))
+            else:
+                # deliver into the per-peer arrival queue; observation happens
+                # only when the behavior reads that channel
+                moves.append((None, (locals_, after, _put(pending, i, _enqueue(pending[i], sender, (occ, name))))))
+        if self.reception is Reception.BLOCKING_SELECTOR:
+            for i, role in enumerate(self.roles):
+                row = dict(pending[i])
+                for peer in self._local(locals_[i])[3]:
+                    if peer not in row:
+                        continue
+                    occ, name = row[peer][0]
+                    event = ("R", occ, peer, role, name)
+                    alternatives = self._consume(locals_[i], peer, name)
+                    if not alternatives:
+                        violations.append(
+                            ("selector-type", f"{role} expected a different message on the channel from {peer}, found {name}", event)
+                        )
+                    new_pending = _put(pending, i, _dequeue(pending[i], peer, 0))
+                    for rest in alternatives:
+                        moves.append((event, (_put(locals_, i, rest), net, new_pending)))
+        return moves, violations
 
 
-@dataclass(frozen=True)
-class CompositionOutcome:
-    completed: tuple[Execution, ...]
-    deadlocks: tuple[tuple[Event, ...], ...]
-    violations: tuple[Violation, ...]
-    bound_exceeded: bool
+def _put(row: tuple, i: int, value) -> tuple:
+    return row[:i] + (value,) + row[i + 1 :]
+
+
+def _enqueue(queues: tuple, key, payload) -> tuple:
+    table = dict(queues)
+    table[key] = table.get(key, ()) + (payload,)
+    return tuple(sorted(table.items()))
+
+
+def _dequeue(queues: tuple, key, index: int) -> tuple:
+    table = dict(queues)
+    queue = table[key][:index] + table[key][index + 1 :]
+    if queue:
+        table[key] = queue
+    else:
+        del table[key]
+    return tuple(sorted(table.items()))
+
+
+class CompositionGraph:
+    """The reachable composite states (state 0 is the initial one), their
+    moves and violations.  When the state cap fires, the graph holds the
+    states found until then and `bound_exceeded` is set."""
+
+    def __init__(self, composer: Composer, state_cap: int):
+        self.states: list[State] = [composer.initial]
+        self.edges: list[list[tuple[Event | None, int]]] = []
+        self.violations: list[list[Violation]] = []
+        self.bound_exceeded = False
+        numbers = {composer.initial: 0}
+        while len(self.edges) < len(self.states) and not self.bound_exceeded:
+            moves, violations = composer.moves(self.states[len(self.edges)])
+            out = []
+            for event, state in moves:
+                n = numbers.get(state)
+                if n is None:
+                    n = numbers[state] = len(self.states)
+                    self.states.append(state)
+                out.append((event, n))
+            self.edges.append(out)
+            self.violations.append(violations)
+            self.bound_exceeded = len(self.states) > state_cap
+        self.final = [composer.completed(s) for s in self.states[: len(self.edges)]]
+        # a state with only violating deliveries is not stuck
+        self.deadlocks = [
+            n for n, out in enumerate(self.edges) if not out and not self.violations[n] and not self.final[n]
+        ]
+
+    def successors(self, n: int) -> list[tuple[Event | None, int]]:
+        return self.edges[n] if n < len(self.edges) else []
+
+    @cached_property
+    def order(self) -> list[int]:
+        """The states in topological order (of a graph the cap did not cut)."""
+        return topological(self.edges)
+
+    @cached_property
+    def completed(self) -> tuple[Execution, ...]:
+        """One execution per completed state, its least path, in order."""
+        paths = (least_path(0, self.successors, lambda n, t=t: () if n == t else None) for t, f in enumerate(self.final) if f)
+        return tuple(Execution(p) for p in sorted(paths))
 
 
 def compose(
     behaviors: dict[str, LocalExpr],
     delivery: Delivery,
     reception: Reception,
-    path_cap: int = 250_000,
-) -> CompositionOutcome:
-    """Explore every interleaving of the composed local behaviors over the
-    network policy, collecting completed executions, stuck states, and
-    reception violations."""
-    roles = tuple(sorted(behaviors))
-    policy = SimPolicy(delivery=delivery)
-    start_locals = tuple(behaviors[r] for r in roles)
-    start_pending: tuple = tuple(() for _ in roles)
-    completed: list[Execution] = []
-    completed_seen: set = set()
-    deadlocks: list[tuple[Event, ...]] = []
-    deadlock_seen: set = set()
-    violations: list[Violation] = []
-    violation_seen: set = set()
-    exceeded = False
-    stack = [((start_locals, Network(), start_pending), ())]
-    visited_paths = 0
-    seen_nodes: set = set()
+    state_cap: int = 250_000,
+) -> CompositionGraph:
+    """Explore the composed local behaviors over the network policy, each
+    distinct composite state once."""
+    return CompositionGraph(Composer(behaviors, delivery, reception), state_cap)
+
+
+def topological(edges: list[list[tuple[object, int]]]) -> list[int]:
+    """The nodes of an acyclic graph, given as each node's (label, target)
+    list, in topological order."""
+    indegree = [0] * len(edges)
+    for out in edges:
+        for _, t in out:
+            indegree[t] += 1
+    ready = [n for n, d in enumerate(indegree) if not d]
+    order = []
+    while ready:
+        n = ready.pop()
+        order.append(n)
+        for _, t in edges[n]:
+            indegree[t] -= 1
+            if not indegree[t]:
+                ready.append(t)
+    if len(order) != len(edges):
+        raise RuntimeError("the graph has a cycle")
+    return order
+
+
+def least_path(
+    start: Hashable,
+    successors: Callable[[Hashable], Iterable[tuple[Event | None, Hashable]]],
+    terminal: Callable[[Hashable], tuple | None],
+) -> tuple | None:
+    """The least event sequence (Python tuple order) that a path from
+    `start` through an acyclic graph spells, ending with `terminal(node)`
+    at a node where that is not None; None when no path ends so.
+
+    Prepending an event keeps tuple order, so the least sequence from a
+    node is the least over its own terminal and each move followed by the
+    least sequence from the move's target: one iterative pass in
+    post-order, each node once."""
+    best: dict = {}
+    stack: list = [(start, None)]
     while stack:
-        (locals_, net, pending), events = stack.pop()
-        visited_paths += 1
-        if visited_paths > path_cap:
-            exceeded = True
-            break
-        node = (locals_, net, pending, events)
-        if node in seen_nodes:
+        node, out = stack.pop()
+        if out is None:
+            if node in best:
+                continue
+            out = list(successors(node))
+            best[node] = None
+            stack.append((node, out))
+            stack.extend((t, None) for _, t in out if t not in best)
             continue
-        seen_nodes.add(node)
-        moves = _composite_moves(roles, locals_, net, pending, policy, reception, events)
-        live_moves = []
-        for move in moves:
-            if isinstance(move, Violation):
-                if (move.kind, move.detail) not in violation_seen:
-                    violation_seen.add((move.kind, move.detail))
-                    violations.append(move)
-                continue
-            live_moves.append(move)
-        # a state can be both final and able to continue (a loop boundary),
-        # so completion is recorded before expanding further moves
-        if _completed(locals_, net, pending):
-            if events not in completed_seen:
-                completed_seen.add(events)
-                completed.append(Execution(events))
-        elif not moves:
-            key = (locals_, net, pending)
-            if key not in deadlock_seen:
-                deadlock_seen.add(key)
-                deadlocks.append(events)
-        for state, event in live_moves:
-            stack.append((state, events + ((event,) if event else ())))
-    return CompositionOutcome(
-        tuple(sorted(completed, key=lambda ex: ex.events)),
-        tuple(sorted(deadlocks)),
-        tuple(sorted(violations, key=lambda v: (v.kind, v.detail))),
-        exceeded,
-    )
-
-
-def _completed(locals_, net: Network, pending) -> bool:
-    pendings_empty = all(not queue for p in pending for _, queue in p)
-    return net.empty() and pendings_empty and all(accepting(l) for l in locals_)
-
-
-def _composite_moves(roles, locals_, net, pending, policy, reception, events):
-    moves: list = []
-    deliveries = net.deliverable(policy)
-    force = policy.delivery is Delivery.SYNCHRONOUS and deliveries
-    if not force:
-        for i, role in enumerate(roles):
-            for atom, rest in sorted(send_steps(locals_[i]), key=lambda p: (p[0].name, p[0].peer, p[0].occ or 0)):
-                new_net = net.send(role, atom.peer, (atom.occ or 0, atom.name))
-                event = ("E", atom.occ or 0, role, atom.peer, atom.name)
-                moves.append(((locals_[:i] + (rest,) + locals_[i + 1 :], new_net, pending), event))
-            for rest in commit_steps(locals_[i]):
-                moves.append(((locals_[:i] + (rest,) + locals_[i + 1 :], net, pending), None))
-    for env in deliveries:
-        i = roles.index(env.receiver)
-        occ, name = env.payload
-        if reception is Reception.ANYTIME:
-            alternatives = consume(locals_[i], env.sender, name)
-            if not alternatives:
-                moves.append(
-                    Violation(
-                        "reception-order",
-                        f"{env.receiver} cannot accept {name} from {env.sender} at this point",
-                        events + (("R", occ, env.sender, env.receiver, name),),
-                    )
-                )
-                continue
-            event = ("R", occ, env.sender, env.receiver, name)
-            for rest in alternatives:
-                moves.append(((locals_[:i] + (rest,) + locals_[i + 1 :], net.remove(env), pending), event))
-        else:
-            # deliver into the per-peer arrival queue; observation happens
-            # only when the behavior reads that channel
-            row = dict(pending[i])
-            row[env.sender] = row.get(env.sender, ()) + ((occ, name),)
-            new_pending = pending[:i] + (tuple(sorted(row.items())),) + pending[i + 1 :]
-            moves.append(((locals_, net.remove(env), new_pending), None))
-    if reception is Reception.BLOCKING_SELECTOR:
-        for i, role in enumerate(roles):
-            row = dict(pending[i])
-            for peer in expected_peers(locals_[i]):
-                queue = row.get(peer, ())
-                if not queue:
-                    continue
-                occ, name = queue[0]
-                alternatives = consume(locals_[i], peer, name)
-                if not alternatives:
-                    moves.append(
-                        Violation(
-                            "selector-type",
-                            f"{role} expected a different message on the channel from {peer}, found {name}",
-                            events + (("R", occ, peer, role, name),),
-                        )
-                    )
-                    continue
-                new_row = dict(row)
-                new_row[peer] = queue[1:]
-                if not new_row[peer]:
-                    del new_row[peer]
-                new_pending = pending[:i] + (tuple(sorted(new_row.items())),) + pending[i + 1 :]
-                event = ("R", occ, peer, role, name)
-                for rest in alternatives:
-                    moves.append(((locals_[:i] + (rest,) + locals_[i + 1 :], net, new_pending), event))
-    return moves
+        options = []
+        end = terminal(node)
+        if end is not None:
+            options.append(end)
+        for event, t in out:
+            rest = best[t]
+            if rest is not None:
+                options.append(rest if event is None else (event,) + rest)
+        best[node] = min(options) if options else None
+    return best[start]

@@ -152,3 +152,13 @@ def test_project_fsm_output(capsys):
     code, out, _ = run(capsys, "project", str(FIXDIR / "book_journey.scr"), "C", "--fsm")
     assert code == 0
     assert "edge 0 -> 1 A!query(String)" in out
+
+
+def test_too_deep_input_is_a_one_line_diagnostic(capsys, tmp_path):
+    path = tmp_path / "chain1200.trace"
+    path.write_text(" ; ".join(f"A -> B : M{i}" if i % 2 else f"B -> A : M{i}" for i in range(1, 1201)) + "\n")
+    code, out, err = run(capsys, "realizability", str(path), "--preset", "trace-f")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "nested too deeply" in err
+    assert "Traceback" not in err

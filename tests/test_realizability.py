@@ -154,16 +154,17 @@ def test_synchronous_delivery_receptions_adjacent():
     cfg = CommConfig(Delivery.SYNCHRONOUS, Reception.ANYTIME, Interpretation.RR, Doctrine.TRACE_F)
     verdict = check_realizability(e, cfg)
     assert verdict.outcome is Outcome.REALIZABLE
-    # inspect the underlying composition directly for adjacency
+    # on the composition graph, every emission leads to a state whose only
+    # move is the matching reception
     from protolab.realizability import _project_all
     from protolab.runtime import compose
 
-    expanded = expand(e, 2)
-    outcome = compose(_project_all(expanded, cfg), Delivery.SYNCHRONOUS, Reception.ANYTIME)
-    for execution in outcome.completed:
-        for i, ev in enumerate(execution.events):
-            if ev[0] == "E":
-                assert execution.events[i + 1] == ("R",) + ev[1:]
+    graph = compose(_project_all(expand(e, 2), cfg), Delivery.SYNCHRONOUS, Reception.ANYTIME)
+    emissions = [(ev, t) for out in graph.edges for ev, t in out if ev and ev[0] == "E"]
+    assert emissions
+    for ev, t in emissions:
+        [(only, _)] = graph.edges[t]
+        assert only == ("R",) + ev[1:]
 
 
 def test_trace_mismatch_reason_reserved_for_pure_mismatch():
@@ -186,9 +187,10 @@ def test_verdict_record_shape():
 
 def test_bound_exceeded_is_inconclusive():
     e = parse_trace(fixture_text("purchase.trace"))
-    verdict = check_realizability(e, language_preset("trace-c"), path_cap=3)
+    verdict = check_realizability(e, language_preset("trace-c"), state_cap=3)
     assert verdict.outcome is Outcome.BOUND_EXCEEDED
     assert verdict.reasons == ()
+    assert verdict.notes == ("exploration bound exceeded: the composition state cap (3 states) fired; inconclusive",)
 
 
 def test_starred_repetition_realizable_under_ordered_preset():

@@ -106,16 +106,7 @@ def known_bindings(h: History, key: Key, protocol: InfoProtocol) -> dict[str, st
     with `key` (every binding of the instance's key is in `key`).  Raises
     IntegrityConflict on an inconsistent union, which signals a
     noncompliant peer."""
-    query = set(key)
-    known: dict[str, str] = {}
-    for obs in h.observations:
-        if not query.issuperset(obs.instance.key(protocol)):
-            continue
-        for param, value in obs.instance.bindings:
-            if param in known and known[param] != value:
-                raise IntegrityConflict(param, known[param], value, key)
-            known[param] = value
-    return known
+    return Knowledge(h, protocol).bindings(key)
 
 
 @dataclass(frozen=True)
@@ -135,31 +126,81 @@ def check_emission(h: History, m: MessageInstance, p: InfoProtocol) -> EmissionE
     (b) no 'out' parameter is already known, and (c) the same schema has not
     already been emitted for this key.
     """
-    if h.owner != m.schema.sender:
-        raise ValueError(f"{h.owner} is not the sender of {m.schema.name}")
-    key = m.key(p)
-    try:
-        known = known_bindings(h, key, p)
-    except IntegrityConflict as conflict:
-        return EmissionError("IntegrityConflict", conflict.param, str(conflict))
-    values = m.binding_map()
-    for q in m.schema.params:
-        if q.adornment is Adornment.IN:
-            if q.name not in known:
-                return EmissionError("UnknownIn", q.name, f"'in' parameter {q.name} is not known for key {dict(key)}")
-            if known[q.name] != values[q.name]:
-                return EmissionError(
-                    "IntegrityConflict",
-                    q.name,
-                    f"'in' parameter {q.name} is bound to {known[q.name]!r}, not {values[q.name]!r}",
-                )
-        else:
-            if q.name in known:
-                return EmissionError("AlreadyBound", q.name, f"'out' parameter {q.name} already bound to {known[q.name]!r}")
-    for obs in h.observations:
-        if obs.kind == EMISSION and obs.instance.schema.name == m.schema.name and obs.instance.key(p) == key:
+    return Knowledge(h, p).check_emission(m)
+
+
+class Knowledge:
+    """What one history knows under one protocol, read in one pass: each
+    observation's key is computed once, and the known bindings for a key
+    are built once, when first asked for.  `known_bindings` and
+    `check_emission` read a fresh one; a caller with many questions about
+    one history builds one and asks it each of them."""
+
+    def __init__(self, h: History, protocol: InfoProtocol):
+        self.history = h
+        self.protocol = protocol
+        self.keys: tuple[Key, ...] = tuple(obs.instance.key(protocol) for obs in h.observations)
+        self._bindings: dict[Key, dict[str, str] | IntegrityConflict] = {}
+        self._emitted: set[tuple[str, Key]] | None = None
+
+    def bindings(self, key: Key) -> dict[str, str]:
+        """`known_bindings(self.history, key, self.protocol)`.  The dict is
+        shared by every call for this key, so callers must not change it."""
+        known = self._union(key)
+        if isinstance(known, IntegrityConflict):
+            raise known.with_traceback(None)
+        return known
+
+    def _union(self, key: Key) -> dict[str, str] | IntegrityConflict:
+        known = self._bindings.get(key)
+        if known is None:
+            known = self._bindings[key] = self._read(key)
+        return known
+
+    def _read(self, key: Key) -> dict[str, str] | IntegrityConflict:
+        query = set(key)
+        known: dict[str, str] = {}
+        for obs, obs_key in zip(self.history.observations, self.keys):
+            if not query.issuperset(obs_key):
+                continue
+            for param, value in obs.instance.bindings:
+                if param in known and known[param] != value:
+                    return IntegrityConflict(param, known[param], value, key)
+                known[param] = value
+        return known
+
+    def check_emission(self, m: MessageInstance) -> EmissionError | None:
+        """`check_emission(self.history, m, self.protocol)`."""
+        h = self.history
+        if h.owner != m.schema.sender:
+            raise ValueError(f"{h.owner} is not the sender of {m.schema.name}")
+        key = m.key(self.protocol)
+        known = self._union(key)
+        if isinstance(known, IntegrityConflict):
+            return EmissionError("IntegrityConflict", known.param, str(known))
+        values = m.binding_map()
+        for q in m.schema.params:
+            if q.adornment is Adornment.IN:
+                if q.name not in known:
+                    return EmissionError("UnknownIn", q.name, f"'in' parameter {q.name} is not known for key {dict(key)}")
+                if known[q.name] != values[q.name]:
+                    return EmissionError(
+                        "IntegrityConflict",
+                        q.name,
+                        f"'in' parameter {q.name} is bound to {known[q.name]!r}, not {values[q.name]!r}",
+                    )
+            else:
+                if q.name in known:
+                    return EmissionError("AlreadyBound", q.name, f"'out' parameter {q.name} already bound to {known[q.name]!r}")
+        if self._emitted is None:
+            self._emitted = {
+                (obs.instance.schema.name, obs_key)
+                for obs, obs_key in zip(h.observations, self.keys)
+                if obs.kind == EMISSION
+            }
+        if (m.schema.name, key) in self._emitted:
             return EmissionError("DuplicateMessage", None, f"{m.schema.name} already emitted for key {dict(key)}")
-    return None
+        return None
 
 
 @dataclass(frozen=True)

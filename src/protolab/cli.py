@@ -239,7 +239,7 @@ def cmd_simulate(args) -> int:
     scripts = [InstanceScript.make(p, _auto_rows(p, args.instances)) for p in protocols]
     roles = sorted({r for p in protocols for r in p.roles})
     agents = [BsplAgent(role, scripts) for role in roles]
-    policy = SimPolicy(Delivery(args.policy), seed=args.seed)
+    policy = SimPolicy(Delivery(args.policy))
     if args.exhaustive:
         result = explore(agents, policy)
         if args.format == "json":

@@ -7,9 +7,14 @@ breadth-first walk over a canonical move ordering with memoized composite
 states; seeds only influence single-run sampling.
 
 What an agent may do next follows from its own state alone, so one
-exploration expands each distinct agent state once: every agent's
-emissions and receptions are memoized per call, successor states are
-shared objects, and each distinct network is kept once.
+exploration expands each distinct agent state once.  Within a call, each
+agent's distinct states, the payloads and the networks are numbered by
+equality, and a composite state is a tuple of those numbers.  Each agent's
+emissions are computed once per state number and its receptions once per
+(state, payload) number pair; each network's deliveries are listed once,
+and its send successors are found once.  A move is then a few table
+lookups.  Eager BSPL agents read each history's knowledge in one pass
+(`bspl.enactment.Knowledge`).
 """
 
 from __future__ import annotations
@@ -20,15 +25,15 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Any, Protocol
 
-from .bspl.core import InfoProtocol
+from .bspl.core import Adornment, InfoProtocol, MessageSchema
 from .bspl.enactment import (
     EMISSION,
     RECEPTION,
     History,
     IntegrityConflict,
+    Key,
+    Knowledge,
     MessageInstance,
-    check_emission,
-    known_bindings,
     observe,
 )
 
@@ -46,9 +51,11 @@ class Reception(str, Enum):
 
 @dataclass(frozen=True)
 class SimPolicy:
+    """How the network delivers.  Loss applies to `explore` only; `run_one`
+    delivers every message and takes its seed as an argument."""
+
     delivery: Delivery = Delivery.UNORDERED
     loss_enabled: bool = False
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -130,9 +137,17 @@ class AgentExecutor(Protocol):
 
 @dataclass(frozen=True)
 class ExplorationStats:
+    """Counts of one exploration.  `local_states` is the number of distinct
+    states numbered for each agent, as (role, count) in role order;
+    `networks` the number of distinct networks; `dedup_hits` the moves
+    into a composite state already met."""
+
     states_explored: int
     enactments: int
     max_queue_depth: int
+    local_states: tuple[tuple[str, int], ...]
+    networks: int
+    dedup_hits: int
 
 
 @dataclass(frozen=True)
@@ -158,80 +173,176 @@ def explore(
     """Exhaustively explore every interleaving of enabled emissions and
     deliveries; an enactment is the history vector at a state with no moves.
 
-    A composite state is the agents' states and the number of its network
-    in a table of the distinct networks met so far.  The tables built here
-    (networks and each agent's memoized steps) live for this call only."""
-    agents = sorted(agents, key=lambda a: a.role)
-    local = [_LocalSteps(a) for a in agents]
-    networks: list[Network] = []
-    depths: list[int] = []
-    numbers: dict[Network, int] = {}
-
-    def number(net: Network) -> int:
-        n = numbers.get(net)
-        if n is None:
-            n = numbers[net] = len(networks)
-            networks.append(net)
-            depths.append(net.max_queue_depth())
-        return n
-
-    start = (tuple(a.initial() for a in agents), number(Network()))
-    seen = {start}
-    frontier = deque([start])
+    A composite state is a tuple of numbers: each agent's state, then the
+    network, in the tables of one `_StateSpace` that lives for this call."""
+    space = _StateSpace(agents, policy)
+    seen = {space.start}
+    frontier = deque([space.start])
     terminals: set[tuple[History, ...]] = set()
     explored = 0
     max_depth = 0
+    dedup_hits = 0
     exceeded = False
+    depths = space.depths
     while frontier:
-        states, n = frontier.popleft()
+        state = frontier.popleft()
         explored += 1
-        max_depth = max(max_depth, depths[n])
+        max_depth = max(max_depth, depths[state[-1]])
         if explored > state_cap:
             exceeded = True
             break
-        successors = [(nxt, number(net)) for _event, (nxt, net) in _moves(local, states, networks[n], policy)]
+        successors = [nxt for _event, nxt in space.moves(state)]
         if not successors:
-            terminals.add(_vector(agents, states))
+            terminals.add(space.vector(state))
             continue
-        if any(depths[m] > queue_cap for _, m in successors):
+        if any(depths[nxt[-1]] > queue_cap for nxt in successors):
             exceeded = True
             continue
         for nxt in successors:
-            if nxt not in seen:
+            if nxt in seen:
+                dedup_hits += 1
+            else:
                 seen.add(nxt)
                 frontier.append(nxt)
-    keys = {h: _history_key(h) for vec in terminals for h in vec}
+    keys = {h: _history_key(h) for h in {h for vec in terminals for h in vec}}
     enactments = tuple(sorted(terminals, key=lambda vec: tuple(keys[h] for h in vec)))
-    return ExplorationResult(enactments, ExplorationStats(explored, len(enactments), max_depth), exceeded)
+    local_states = tuple((steps.role, len(steps.states)) for steps in space.local)
+    stats = ExplorationStats(explored, len(enactments), max_depth, local_states, len(space.networks), dedup_hits)
+    return ExplorationResult(enactments, stats, exceeded)
+
+
+class _Numbering:
+    """Numbers equal values 0, 1, 2, ... in the order they are met;
+    `values[n]` is the first value numbered n."""
+
+    def __init__(self):
+        self.values: list = []
+        self._numbers: dict = {}
+
+    def __call__(self, value) -> int:
+        n = self._numbers.get(value)
+        if n is None:
+            n = self._numbers[value] = len(self.values)
+            self.values.append(value)
+        return n
 
 
 class _LocalSteps:
-    """One agent's `emissions` and `receive`, memoized for one exploration.
-    Both are pure (see AgentExecutor), so each distinct state is expanded
-    once and equal successor states are one shared object."""
+    """One agent's `emissions` and `receive` on numbered states, memoized
+    for one exploration.  Both are pure (see AgentExecutor), so each
+    distinct state is expanded once.  Payloads are numbered in a table the
+    agents share, and equal payloads are one object."""
 
-    def __init__(self, agent: AgentExecutor):
+    def __init__(self, agent: AgentExecutor, payloads: _Numbering):
         self.role = agent.role
         self.agent = agent
-        self._emissions: dict[Any, tuple[tuple[Any, Any], ...]] = {}
-        self._receptions: dict[tuple[Any, Any], Any] = {}
+        self.payloads = payloads
+        self._number = _Numbering()
+        self.states = self._number.values
+        self._emissions: list[tuple[tuple[Any, int, int], ...] | None] = []
+        self._receptions: dict[tuple[int, int], int] = {}
 
-    def emissions(self, state):
-        out = self._emissions.get(state)
+    def number(self, state) -> int:
+        k = self._number(state)
+        if k == len(self._emissions):
+            self._emissions.append(None)
+        return k
+
+    def emissions(self, k: int) -> tuple[tuple[Any, int, int], ...]:
+        """(payload, payload number, next state number) per emission."""
+        out = self._emissions[k]
         if out is None:
-            out = self._emissions[state] = tuple(self.agent.emissions(state))
+            out = []
+            for payload, nxt in self.agent.emissions(self.states[k]):
+                p = self.payloads(payload)
+                out.append((self.payloads.values[p], p, self.number(nxt)))
+            out = self._emissions[k] = tuple(out)
         return out
 
-    def receive(self, state, payload):
-        key = (state, payload)
-        nxt = self._receptions.get(key)
+    def receive(self, k: int, p: int) -> int:
+        nxt = self._receptions.get((k, p))
         if nxt is None:
-            nxt = self._receptions[key] = self.agent.receive(state, payload)
+            nxt = self._receptions[k, p] = self.number(self.agent.receive(self.states[k], self.payloads.values[p]))
         return nxt
 
 
-def _vector(agents, states) -> tuple[History, ...]:
-    return tuple(_history_of(a, s) for a, s in zip(agents, states))
+class _StateSpace:
+    """The composite states of some agents under a policy, numbered: a
+    state is a tuple of each agent's state number (agents in role order)
+    followed by its network's number.  Networks are numbered by equality.
+    A network's deliveries (each deliverable envelope with its receivers
+    and the network left once it is taken) are listed on the network's
+    first expansion, and its send successors are found on first use.
+    `moves` is the one successor function of both `explore` and
+    `run_one`."""
+
+    def __init__(self, agents: list[AgentExecutor], policy: SimPolicy):
+        agents = sorted(agents, key=lambda a: a.role)
+        self.policy = policy
+        self.payloads = _Numbering()
+        self.local = [_LocalSteps(a, self.payloads) for a in agents]
+        self._network_number = _Numbering()
+        self.networks: list[Network] = self._network_number.values
+        self.depths: list[int] = []
+        self._deliveries: dict[int, tuple[tuple[Envelope, int, tuple[int, ...], int], ...]] = {}
+        self._sends: dict[tuple[int, int, int], int] = {}
+        self.start = tuple(steps.number(a.initial()) for steps, a in zip(self.local, agents)) + (self._network(Network()),)
+
+    def _network(self, net: Network) -> int:
+        n = self._network_number(net)
+        if n == len(self.depths):
+            self.depths.append(net.max_queue_depth())
+        return n
+
+    def _list_deliveries(self, n: int) -> tuple[tuple[Envelope, int, tuple[int, ...], int], ...]:
+        """(envelope, payload number, receiving agents, network after its
+        removal) per deliverable envelope of network n, in send order."""
+        net = self.networks[n]
+        out = self._deliveries[n] = tuple(
+            (
+                env,
+                self.payloads(env.payload),
+                tuple(i for i, steps in enumerate(self.local) if steps.role == env.receiver),
+                self._network(net.remove(env)),
+            )
+            for env in net.deliverable(self.policy)
+        )
+        return out
+
+    def _send(self, n: int, i: int, p: int) -> int:
+        m = self._sends.get((n, i, p))
+        if m is None:
+            payload = self.payloads.values[p]
+            net = self.networks[n].send(self.local[i].role, _receiver_of(payload), payload)
+            m = self._sends[n, i, p] = self._network(net)
+        return m
+
+    def moves(self, state: tuple[int, ...]) -> list[tuple[tuple[str, str, Any], tuple[int, ...]]]:
+        """Every move from a composite state in canonical order, as (event,
+        next state) with event (role, kind, payload): emissions by role
+        unless a synchronous delivery is due, then each deliverable
+        envelope's reception, followed by its loss when loss is enabled."""
+        n = state[-1]
+        deliveries = self._deliveries.get(n)
+        if deliveries is None:
+            deliveries = self._list_deliveries(n)
+        moves = []
+        if not (deliveries and self.policy.delivery is Delivery.SYNCHRONOUS):
+            for i, steps in enumerate(self.local):
+                before, after = state[:i], state[i + 1 : -1]
+                for payload, p, nxt in steps.emissions(state[i]):
+                    moves.append(((steps.role, EMISSION, payload), (*before, nxt, *after, self._send(n, i, p))))
+        for env, p, receivers, m in deliveries:
+            for i in receivers:
+                nxt = self.local[i].receive(state[i], p)
+                moves.append(((env.receiver, RECEPTION, env.payload), (*state[:i], nxt, *state[i + 1 : -1], m)))
+            if self.policy.loss_enabled:
+                moves.append(((env.receiver, LOSS, env.payload), (*state[:-1], m)))
+        return moves
+
+    def vector(self, state: tuple[int, ...]) -> tuple[History, ...]:
+        """The agents' histories at a composite state."""
+        return tuple(_history_of(steps.agent, steps.states[k]) for steps, k in zip(self.local, state[:-1]))
 
 
 def _history_of(agent, state) -> History:
@@ -244,30 +355,6 @@ def _history_key(h: History):
 
 
 LOSS = "L"
-
-
-def _moves(agents, states, net: Network, policy: SimPolicy):
-    """Every move from a composite state in canonical order, as
-    (event, (states, network)) with event (role, kind, payload): emissions
-    by role unless a synchronous delivery is due, then each deliverable
-    envelope's reception, followed by its loss when loss is enabled."""
-    moves = []
-    deliveries = net.deliverable(policy)
-    force_delivery = policy.delivery is Delivery.SYNCHRONOUS and deliveries
-    if not force_delivery:
-        for i, agent in enumerate(agents):
-            for payload, nxt in agent.emissions(states[i]):
-                new_net = net.send(agent.role, _receiver_of(payload), payload)
-                moves.append(((agent.role, EMISSION, payload), (states[:i] + (nxt,) + states[i + 1 :], new_net)))
-    for env in deliveries:
-        for i, agent in enumerate(agents):
-            if agent.role != env.receiver:
-                continue
-            nxt = agent.receive(states[i], env.payload)
-            moves.append(((agent.role, RECEPTION, env.payload), (states[:i] + (nxt,) + states[i + 1 :], net.remove(env))))
-        if policy.loss_enabled:
-            moves.append(((env.receiver, LOSS, env.payload), (states, net.remove(env))))
-    return moves
 
 
 def _receiver_of(payload) -> str:
@@ -287,24 +374,22 @@ def run_one(
     the history vector and the global event log as (agent, kind, payload).
     A single run delivers every message, whatever the policy says of loss,
     and no queue cap applies."""
-    agents = sorted(agents, key=lambda a: a.role)
-    states = tuple(a.initial() for a in agents)
-    net = Network()
-    policy = replace(policy, loss_enabled=False)
+    space = _StateSpace(agents, replace(policy, loss_enabled=False))
+    state = space.start
     rng = random.Random(seed)
     script = list(choice_script) if choice_script is not None else None
     log: list[tuple[str, str, Any]] = []
     while True:
-        labelled = _moves(agents, states, net, policy)
+        labelled = space.moves(state)
         if not labelled:
-            return _vector(agents, states), log
+            return space.vector(state), log
         if script is not None:
             if not script:
                 raise RuntimeError("choice script exhausted")
             index = script.pop(0) % len(labelled)
         else:
             index = rng.randrange(len(labelled))
-        event, (states, net) = labelled[index]
+        event, state = labelled[index]
         log.append(event)
 
 
@@ -335,6 +420,7 @@ class BsplAgent:
     def __init__(self, role: str, scripts: list[InstanceScript]):
         self.role = role
         self.scripts = tuple(scripts)
+        self._plans = tuple(_ScriptPlan(script, role) for script in self.scripts)
 
     def initial(self) -> History:
         return History(self.role)
@@ -344,16 +430,15 @@ class BsplAgent:
 
     def emissions(self, h: History) -> tuple[tuple[MessageInstance, History], ...]:
         out = []
-        for script in self.scripts:
-            p = script.protocol
-            for schema in p.messages:
-                if schema.sender != self.role:
-                    continue
-                for key in self._candidate_keys(h, script, schema):
-                    mi = self._instantiate(h, script, schema, key)
+        for plan in self._plans:
+            knowledge = Knowledge(h, plan.protocol)
+            observed = plan.observed_keys(knowledge)
+            for sent in plan.sends:
+                for key in self._candidate_keys(observed, sent):
+                    mi = self._instantiate(knowledge, plan, sent, key)
                     if mi is None:
                         continue
-                    if check_emission(h, mi, p) is None:
+                    if knowledge.check_emission(mi) is None:
                         out.append((mi, observe(h, EMISSION, mi)))
         out.sort(key=lambda pair: (pair[0].schema.name, pair[0].bindings))
         return tuple(out)
@@ -361,54 +446,85 @@ class BsplAgent:
     def receive(self, h: History, mi: MessageInstance) -> History:
         return observe(h, RECEPTION, mi)
 
-    def _candidate_keys(self, h: History, script: InstanceScript, schema) -> list[tuple[tuple[str, str], ...]]:
-        p = script.protocol
-        key_params = p.message_keys(schema)
-        keys: list[tuple[tuple[str, str], ...]] = []
-        schema_names = {m.name for m in p.messages}
-        for obs in h.observations:
-            if obs.instance.schema.name not in schema_names:
-                continue
-            known = {k: v for k, v in obs.instance.key(p)}
-            if all(k in known for k in key_params):
-                key = tuple((k, known[k]) for k in key_params)
-                if key not in keys:
-                    keys.append(key)
-        all_out = all(schema.param(k) and schema.param(k).adornment.value == "out" for k in key_params)
-        if all_out:
-            for row in script.row_maps():
-                if all(k in row for k in key_params):
-                    key = tuple((k, row[k]) for k in key_params)
-                    if key not in keys:
-                        keys.append(key)
-        return keys
+    @staticmethod
+    def _candidate_keys(observed: list[dict[str, str]], sent: "_Send") -> list[Key]:
+        """Keys to try for a schema: each observed key that binds all of the
+        schema's key parameters, then, when the schema originates its key,
+        each script row's key, without repeats, in that order."""
+        key_params = sent.key_params
+        keys = dict.fromkeys(tuple((k, known[k]) for k in key_params) for known in observed if all(k in known for k in key_params))
+        keys.update(dict.fromkeys(sent.row_keys))
+        return list(keys)
 
-    def _instantiate(self, h: History, script: InstanceScript, schema, key) -> MessageInstance | None:
-        p = script.protocol
+    @staticmethod
+    def _instantiate(knowledge: Knowledge, plan: "_ScriptPlan", sent: "_Send", key: Key) -> MessageInstance | None:
+        """The schema's instance for a key: key parameters from the key,
+        'in' parameters from what is known for it, 'out' parameters from
+        the key's script row; None when some value is missing."""
         try:
-            known = known_bindings(h, key, p)
+            known = knowledge.bindings(key)
         except IntegrityConflict:
             return None
-        row = self._row_for(script, key)
+        row = plan.row_for(key)
         key_map = dict(key)
-        values: dict[str, str] = {}
-        for q in schema.params:
+        bindings = []
+        for q in sent.schema.params:
             if q.name in key_map:
-                values[q.name] = key_map[q.name]
-            elif q.adornment.value == "in":
+                value = key_map[q.name]
+            elif q.adornment is Adornment.IN:
                 if q.name not in known:
                     return None
-                values[q.name] = known[q.name]
+                value = known[q.name]
             else:
                 if row is None or q.name not in row:
                     return None
-                values[q.name] = row[q.name]
-        return MessageInstance.make(schema, values)
+                value = row[q.name]
+            bindings.append((q.name, value))
+        return MessageInstance(sent.schema, tuple(bindings))
 
-    @staticmethod
-    def _row_for(script: InstanceScript, key) -> dict[str, str] | None:
-        key_map = dict(key)
-        for row in script.row_maps():
-            if all(row.get(k) == v for k, v in key_map.items()):
-                return row
-        return None
+
+@dataclass(frozen=True)
+class _Send:
+    """A schema an agent sends, with its key parameters and, when every
+    key parameter is 'out' (the schema originates its key), the keys of
+    the script rows that bind them all."""
+
+    schema: MessageSchema
+    key_params: tuple[str, ...]
+    row_keys: tuple[Key, ...]
+
+
+class _ScriptPlan:
+    """What an agent reads of one instance script, computed once: its
+    rows, the schemas the agent sends and the names of the protocol's
+    schemas.  Rows are looked up by key on first use."""
+
+    def __init__(self, script: InstanceScript, role: str):
+        p = script.protocol
+        self.protocol = p
+        self.rows = script.row_maps()
+        self.names = frozenset(m.name for m in p.messages)
+        self.sends = tuple(self._send(schema) for schema in p.messages if schema.sender == role)
+        self._rows_by_key: dict[Key, dict[str, str] | None] = {}
+
+    def _send(self, schema: MessageSchema) -> _Send:
+        key_params = self.protocol.message_keys(schema)
+        row_keys: tuple[Key, ...] = ()
+        if all(schema.param(k) and schema.param(k).adornment.value == "out" for k in key_params):
+            row_keys = tuple(
+                tuple((k, row[k]) for k in key_params) for row in self.rows if all(k in row for k in key_params)
+            )
+        return _Send(schema, key_params, row_keys)
+
+    def observed_keys(self, knowledge: Knowledge) -> list[dict[str, str]]:
+        """The distinct keys of the history's observations of this
+        protocol's schemas, as maps, in order of first observation."""
+        observations = knowledge.history.observations
+        keys = dict.fromkeys(k for obs, k in zip(observations, knowledge.keys) if obs.instance.schema.name in self.names)
+        return [dict(k) for k in keys]
+
+    def row_for(self, key: Key) -> dict[str, str] | None:
+        """The first row that agrees with every binding of `key`."""
+        if key not in self._rows_by_key:
+            self._rows_by_key[key] = next((row for row in self.rows if all(row.get(k) == v for k, v in key)), None)
+        return self._rows_by_key[key]

@@ -310,8 +310,10 @@ def check_realizability(e: CfpExpr, cfg: CommConfig, bound: int = DEFAULT_UNROLL
     expanded = expand(e, bound)
 
     # correlation ambiguity: unordered delivery cannot keep same-schema
-    # occurrences on one channel apart, and type-level reception hides it
-    if cfg.delivery is Delivery.UNORDERED and cfg.reception is Reception.ANYTIME:
+    # occurrences on one channel apart, and type-level reception hides it.
+    # A trace takes each atom at most once, so unless two atoms share a
+    # label no trace can repeat one, and no trace is read.
+    if cfg.delivery is Delivery.UNORDERED and cfg.reception is Reception.ANYTIME and _label_at_two_atoms(expanded):
         dup = _repeated_schema_on_channel(iter_occ_traces(expanded))
         if dup is not None:
             trace, label = dup
@@ -458,6 +460,24 @@ def _repeated_schema_on_channel(traces):
                 return t, label
             seen.add(label)
     return None
+
+
+def _label_at_two_atoms(expanded) -> bool:
+    """Whether two atom occurrences of an expanded expression share a
+    label (sender, receiver, schema)."""
+    labels: set[tuple[str, str, str]] = set()
+    stack = [expanded]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, OccAtom):
+            if e.label in labels:
+                return True
+            labels.add(e.label)
+        elif isinstance(e, (Seq, Shuffle)):
+            stack += (e.left, e.right)
+        elif isinstance(e, Choice):
+            stack += e.branches
+    return False
 
 
 def _check_constraints(expanded, cfg: CommConfig, graph: CompositionGraph) -> tuple[str | None, tuple]:

@@ -86,6 +86,17 @@ def test_simulate_exhaustive_counts(capsys):
     assert "maximal enactments" in out
 
 
+def test_simulate_exhaustive_prints_only_its_four_counts(capsys):
+    # the exploration's other counts (local states, networks, dedup hits)
+    # stay out of the output, so its bytes do not change
+    path = str(FIXDIR / "want_willpay.bspl")
+    code, out, _ = run(capsys, "simulate", path, "--exhaustive", "--instances", "2")
+    assert (code, out) == (0, "144 maximal enactments (511 states explored)\n")
+    code, out, _ = run(capsys, "simulate", path, "--exhaustive", "--instances", "2", "--format", "json")
+    record = json.loads(out)
+    assert sorted(record) == ["bound_exceeded", "enactments", "max_queue_depth", "schema_version", "states_explored"]
+
+
 def test_commitments_command(capsys, tmp_path):
     log = tmp_path / "run.log"
     log.write_text(

@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+import protolab.realizability as realizability
 from generators import random_cfp, random_shuffle_expr
 from protolab.cfp.ast import Atom, Choice, Epsilon, Rec, Seq, Shuffle, Var
 from protolab.cfp.projection import MergeFailure
@@ -26,6 +27,7 @@ from protolab.realizability import (
     Reason,
     Verdict,
     _order_reasons,
+    _label_at_two_atoms,
     _project_all,
     _repeated_schema_on_channel,
     check_realizability,
@@ -258,6 +260,29 @@ def test_first_trace_read_lazily():
     e = expand(parse_trace(" | ".join(f"A -> B : m{i}" for i in range(41))), 2)
     first = next(iter_occ_traces(e))
     assert [o.name for o in first] == [f"m{i}" for i in range(41)]
+
+
+def test_repeated_labels_need_two_atoms_with_one_label():
+    rng = random.Random(11)
+    shared = 0
+    for i in range(400):
+        e = expand(random_shuffle_expr(rng) if i % 2 else random_cfp(rng, 3), 2)
+        if _label_at_two_atoms(e):
+            shared += 1
+        else:
+            assert _repeated_schema_on_channel(list_occ_traces(e)) is None
+    assert 0 < shared < 400
+
+
+def test_unordered_check_reads_no_trace_when_labels_are_distinct(monkeypatch):
+    # disjoint k=5 has 113,400 traces and no label twice
+    def no_traces(traces):
+        raise AssertionError("traces read")
+
+    monkeypatch.setattr(realizability, "_repeated_schema_on_channel", no_traces)
+    cfg = CommConfig(Delivery.UNORDERED, Reception.ANYTIME, Interpretation.RR, Doctrine.TRACE_F)
+    verdict = check_realizability(parse_trace(disjoint_pairs(5)), cfg)
+    assert (verdict.outcome, verdict.reasons) == (Outcome.UNREALIZABLE, (Reason.NONLOCAL_CHOICE,))
 
 
 # ---------------------------------------------------------------------------

@@ -233,6 +233,40 @@ PINNED_EXPLORATIONS = [
 ]
 
 
+# (local states per role, distinct networks, dedup hits) per exploration
+# above: deterministic counts of the numbered exploration
+PINNED_COUNTS = {
+    ("catalog", 1, "fifo"): ((("Provider", 3), ("Seller", 3)), 5, 0),
+    ("catalog", 1, "unordered"): ((("Provider", 3), ("Seller", 3)), 5, 0),
+    ("flexible_purchase", 1, "fifo"): ((("Buyer", 6), ("Seller", 6)), 14, 4),
+    ("flexible_purchase", 1, "unordered"): ((("Buyer", 6), ("Seller", 11)), 17, 5),
+    ("indirect_payment", 1, "fifo"): ((("Bank", 3), ("Buyer", 4), ("Seller", 6)), 13, 3),
+    ("indirect_payment", 1, "unordered"): ((("Bank", 3), ("Buyer", 4), ("Seller", 6)), 13, 3),
+    ("pricing", 1, "fifo"): ((("Buyer", 3), ("Seller", 3)), 5, 0),
+    ("pricing", 1, "unordered"): ((("Buyer", 3), ("Seller", 3)), 5, 0),
+    ("purchase", 1, "fifo"): ((("Buyer", 7), ("Seller", 7)), 12, 0),
+    ("purchase", 1, "unordered"): ((("Buyer", 7), ("Seller", 7)), 12, 0),
+    ("want_willpay", 1, "fifo"): ((("Buyer", 3), ("Seller", 3)), 6, 1),
+    ("want_willpay", 1, "unordered"): ((("Buyer", 3), ("Seller", 5)), 7, 1),
+    ("catalog", 2, "fifo"): ((("Provider", 19), ("Seller", 19)), 31, 16),
+    ("catalog", 2, "unordered"): ((("Provider", 19), ("Seller", 19)), 41, 26),
+    ("flexible_purchase", 2, "fifo"): ((("Buyer", 225), ("Seller", 225)), 439, 2208),
+    ("flexible_purchase", 2, "unordered"): ((("Buyer", 225), ("Seller", 877)), 1445, 26514),
+    ("indirect_payment", 2, "fifo"): ((("Bank", 19), ("Buyer", 69), ("Seller", 211)), 555, 2834),
+    ("indirect_payment", 2, "unordered"): ((("Bank", 19), ("Buyer", 69), ("Seller", 225)), 937, 13532),
+    ("pricing", 2, "fifo"): ((("Buyer", 19), ("Seller", 19)), 31, 16),
+    ("pricing", 2, "unordered"): ((("Buyer", 19), ("Seller", 19)), 41, 26),
+    ("purchase", 2, "fifo"): ((("Buyer", 1195), ("Seller", 1195)), 215, 2078),
+    ("purchase", 2, "unordered"): ((("Buyer", 1195), ("Seller", 1195)), 479, 14510),
+    ("want_willpay", 2, "fifo"): ((("Buyer", 19), ("Seller", 19)), 49, 34),
+    ("want_willpay", 2, "unordered"): ((("Buyer", 19), ("Seller", 65)), 121, 118),
+    ("catalog", 3, "fifo"): ((("Provider", 271), ("Seller", 271)), 277, 960),
+    ("pricing", 3, "fifo"): ((("Buyer", 271), ("Seller", 271)), 277, 960),
+    ("want_willpay", 3, "fifo"): ((("Buyer", 271), ("Seller", 271)), 658, 615),
+    ("want_willpay", 3, "unordered"): ((("Buyer", 271), ("Seller", 1957)), 3157, 16143),
+}
+
+
 @pytest.mark.parametrize(
     "name,instances,policy,states,enactments,depth,exceeded,digest",
     PINNED_EXPLORATIONS,
@@ -245,6 +279,8 @@ def test_exploration_pinned(name, instances, policy, states, enactments, depth, 
     assert result.stats.max_queue_depth == depth
     assert result.bound_exceeded is exceeded
     assert repr_digest(result.enactments) == digest
+    stats = result.stats
+    assert (stats.local_states, stats.networks, stats.dedup_hits) == PINNED_COUNTS[(name, instances, policy)]
 
 
 def test_repr_digest_matches_repr():

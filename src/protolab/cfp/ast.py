@@ -1,10 +1,17 @@
 """Control-flow protocol AST shared by the trace languages and the session
-subset: atoms, sequence, choice (with optional decider), shuffle, recursion.
+subset: atoms, sequence, choice (with optional decider), shuffle, recursion,
+and the atom occurrences (`OccAtom`) of an unrolled expression.
 
 Expressions are immutable; equality is structural.  Payload signatures on
 atoms are retained for type-level machinery but ignored by trace semantics.
 Every node caches its hash at construction (`HashedNode`), so expressions
 key dictionaries in O(1) however deep they are.
+
+The structural helpers every language's analysis rests on live here, once:
+whether an expression accepts the empty trace (`nullable`), which atoms can
+begin or end a trace (`initials`, `finals`; the nullable and first sets of
+Brzozowski, JACM 1964), the smart constructors `seq`, `choice` and
+`shuffle`, and `untag`, which turns occurrences back into atoms.
 """
 
 from __future__ import annotations
@@ -122,8 +129,38 @@ class GlobalTrace:
         return " . ".join(name for _, _, name in self.events) if self.events else "<empty>"
 
 
+@node
+class OccAtom(HashedNode):
+    """An atom occurrence in an unrolled expression."""
+
+    atom: Atom
+    occ: int
+
+    @property
+    def label(self) -> tuple[str, str, str]:
+        return self.atom.label
+
+    @property
+    def sender(self) -> str:
+        return self.atom.sender
+
+    @property
+    def receiver(self) -> str:
+        return self.atom.receiver
+
+    @property
+    def name(self) -> str:
+        return self.atom.name
+
+    def __str__(self) -> str:
+        return f"{self.atom.name}#{self.occ}"
+
+
 # ---------------------------------------------------------------------------
-# structure helpers
+# structure helpers: each takes Atom and OccAtom leaves alike.  A recursion
+# variable counts as a dead end (not nullable, no atoms), which is exact for
+# `nullable` and `initials` under guarded recursion; `finals` is exact on
+# recursion-free (expanded) expressions.
 
 
 def seq(left: CfpExpr, right: CfpExpr) -> CfpExpr:
@@ -132,6 +169,14 @@ def seq(left: CfpExpr, right: CfpExpr) -> CfpExpr:
     if isinstance(right, Epsilon):
         return left
     return Seq(left, right)
+
+
+def shuffle(left: CfpExpr, right: CfpExpr) -> CfpExpr:
+    if isinstance(left, Epsilon):
+        return right
+    if isinstance(right, Epsilon):
+        return left
+    return Shuffle(left, right)
 
 
 def choice(branches: list[CfpExpr], decider: str | None = None) -> CfpExpr:
@@ -144,88 +189,71 @@ def choice(branches: list[CfpExpr], decider: str | None = None) -> CfpExpr:
     return Choice(tuple(seen), decider)
 
 
-def nullable(e: CfpExpr, env: dict[str, bool] | None = None) -> bool:
-    env = env or {}
+def untag(e: CfpExpr) -> CfpExpr:
+    """The expression with every OccAtom replaced by its atom."""
+    if isinstance(e, OccAtom):
+        return e.atom
+    if isinstance(e, Seq):
+        return Seq(untag(e.left), untag(e.right))
+    if isinstance(e, Shuffle):
+        return Shuffle(untag(e.left), untag(e.right))
+    if isinstance(e, Choice):
+        return Choice(tuple(untag(b) for b in e.branches), e.decider)
+    return e
+
+
+def nullable(e: CfpExpr) -> bool:
+    """Whether the empty trace is a trace of `e`."""
     if isinstance(e, Epsilon):
         return True
-    if isinstance(e, Atom):
+    if isinstance(e, (Atom, OccAtom, Var)):
         return False
-    if isinstance(e, Seq):
-        return nullable(e.left, env) and nullable(e.right, env)
+    if isinstance(e, (Seq, Shuffle)):
+        return nullable(e.left) and nullable(e.right)
     if isinstance(e, Choice):
-        return any(nullable(b, env) for b in e.branches)
-    if isinstance(e, Shuffle):
-        return nullable(e.left, env) and nullable(e.right, env)
+        return any(nullable(b) for b in e.branches)
     if isinstance(e, Rec):
-        # a recursion is nullable iff its body is, treating back-references
-        # as non-nullable (they only repeat the body)
-        return nullable(e.body, {**env, e.var: False})
-    if isinstance(e, Var):
-        return env.get(e.var, False)
+        return nullable(e.body)
     raise TypeError(type(e))
 
 
-def initials(e: CfpExpr, env: dict[str, tuple] | None = None):
-    """Atoms that can begin a trace of `e` (Epsilon-aware)."""
-    env = env or {}
-    if isinstance(e, (Epsilon,)):
-        return ()
-    if isinstance(e, Atom):
-        return (e,)
-    if isinstance(e, Seq):
-        first = initials(e.left, env)
-        if nullable(e.left):
-            first = first + tuple(a for a in initials(e.right, env) if a not in first)
-        return first
-    if isinstance(e, Choice):
-        out: list[Atom] = []
+def initials(e: CfpExpr) -> tuple:
+    """The distinct atoms that can begin a trace of `e`, in order of first
+    occurrence."""
+    out: list = []
+    _ends(e, out, True)
+    return tuple(out)
+
+
+def finals(e: CfpExpr) -> tuple:
+    """The distinct atoms that can end a trace of `e`, in order of first
+    occurrence, right operands of a sequence first."""
+    out: list = []
+    _ends(e, out, False)
+    return tuple(out)
+
+
+def _ends(e: CfpExpr, out: list, first: bool) -> None:
+    """Append to `out` the atoms not yet in it that can begin (`first`) or
+    end a trace of `e`."""
+    if isinstance(e, (Atom, OccAtom)):
+        if e not in out:
+            out.append(e)
+    elif isinstance(e, Seq):
+        near, far = (e.left, e.right) if first else (e.right, e.left)
+        _ends(near, out, first)
+        if nullable(near):
+            _ends(far, out, first)
+    elif isinstance(e, Choice):
         for b in e.branches:
-            for a in initials(b, env):
-                if a not in out:
-                    out.append(a)
-        return tuple(out)
-    if isinstance(e, Shuffle):
-        left = initials(e.left, env)
-        return left + tuple(a for a in initials(e.right, env) if a not in left)
-    if isinstance(e, Rec):
-        if e.var in env:
-            return env[e.var]
-        env2 = {**env, e.var: ()}
-        return initials(e.body, env2)
-    if isinstance(e, Var):
-        return env.get(e.var, ())
-    raise TypeError(type(e))
-
-
-def finals(e: CfpExpr, env: dict[str, tuple] | None = None):
-    """Atoms that can end a trace of `e`."""
-    env = env or {}
-    if isinstance(e, Epsilon):
-        return ()
-    if isinstance(e, Atom):
-        return (e,)
-    if isinstance(e, Seq):
-        last = finals(e.right, env)
-        if nullable(e.right):
-            last = last + tuple(a for a in finals(e.left, env) if a not in last)
-        return last
-    if isinstance(e, Choice):
-        out: list[Atom] = []
-        for b in e.branches:
-            for a in finals(b, env):
-                if a not in out:
-                    out.append(a)
-        return tuple(out)
-    if isinstance(e, Shuffle):
-        left = finals(e.left, env)
-        return left + tuple(a for a in finals(e.right, env) if a not in left)
-    if isinstance(e, Rec):
-        if e.var in env:
-            return env[e.var]
-        return finals(e.body, {**env, e.var: ()})
-    if isinstance(e, Var):
-        return env.get(e.var, ())
-    raise TypeError(type(e))
+            _ends(b, out, first)
+    elif isinstance(e, Shuffle):
+        _ends(e.left, out, first)
+        _ends(e.right, out, first)
+    elif isinstance(e, Rec):
+        _ends(e.body, out, first)
+    elif not isinstance(e, (Epsilon, Var)):
+        raise TypeError(type(e))
 
 
 def atoms(e: CfpExpr) -> list[Atom]:

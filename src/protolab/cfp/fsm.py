@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .projection import LAtom, LChoice, LEps, LRec, LSeq, LShuffle, LVar, LocalExpr
+from .transforms import interleave
 
 Label = tuple[str, str, str, tuple[str, ...]]  # (peer, direction, name, type signature)
 
@@ -121,7 +122,7 @@ def _shuffle_variants(e: LShuffle) -> list[LocalExpr]:
     out: list[LocalExpr] = []
     for l in lefts:
         for r in rights:
-            for merged in _interleave(l, r):
+            for merged in interleave(l, r):
                 expr: LocalExpr = LEps()
                 for atom in reversed(merged):
                     expr = atom if isinstance(expr, LEps) else LSeq(atom, expr)
@@ -146,17 +147,9 @@ def _linearize(e: LocalExpr) -> list[tuple[LAtom, ...]]:
         out = []
         for l in _linearize(e.left):
             for r in _linearize(e.right):
-                out.extend(_interleave(l, r))
+                out.extend(interleave(l, r))
         return out
     raise TypeError(f"cannot linearize {type(e).__name__} inside a shuffle")
-
-
-def _interleave(a: tuple, b: tuple):
-    if not a:
-        return [b]
-    if not b:
-        return [a]
-    return [(a[0],) + rest for rest in _interleave(a[1:], b)] + [(b[0],) + rest for rest in _interleave(a, b[1:])]
 
 
 def _all_tail(e: LocalExpr) -> bool:

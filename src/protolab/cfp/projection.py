@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .ast import Atom, CfpExpr, Choice, Epsilon, HashedNode, Rec, Seq, Shuffle, Var, initials, node
-from .transforms import OccAtom
+from .ast import Atom, CfpExpr, Choice, Epsilon, HashedNode, OccAtom, Rec, Seq, Shuffle, Var, initials, node
 
 SEND = "!"
 RECV = "?"
@@ -90,7 +89,7 @@ def _project_atom(e, role: str) -> LocalExpr:
     return L_EPSILON
 
 
-def _lseq(l: LocalExpr, r: LocalExpr) -> LocalExpr:
+def lseq(l: LocalExpr, r: LocalExpr) -> LocalExpr:
     if isinstance(l, LEps):
         return r
     if isinstance(r, LEps):
@@ -98,12 +97,26 @@ def _lseq(l: LocalExpr, r: LocalExpr) -> LocalExpr:
     return LSeq(l, r)
 
 
-def _lshuffle(l: LocalExpr, r: LocalExpr) -> LocalExpr:
+def lshuffle(l: LocalExpr, r: LocalExpr) -> LocalExpr:
     if isinstance(l, LEps):
         return r
     if isinstance(r, LEps):
         return l
     return LShuffle(l, r)
+
+
+def accepting(e: LocalExpr) -> bool:
+    """Whether a recursion-free local behavior may stop here (it accepts
+    the empty sequence of events)."""
+    if isinstance(e, LEps):
+        return True
+    if isinstance(e, LAtom):
+        return False
+    if isinstance(e, (LSeq, LShuffle)):
+        return accepting(e.left) and accepting(e.right)
+    if isinstance(e, LChoice):
+        return any(accepting(b) for b in e.branches)
+    raise TypeError(type(e))
 
 
 def _branch_polarity(global_branches, role: str) -> tuple[ChoiceKind, ChoiceKind | None]:
@@ -114,7 +127,7 @@ def _branch_polarity(global_branches, role: str) -> tuple[ChoiceKind, ChoiceKind
     from the first branch."""
     polarities: list[str] = []
     for b in global_branches:
-        firsts = initials(_plain(b))
+        firsts = initials(b)
         if not firsts:
             polarities.append("none")
             continue
@@ -133,19 +146,6 @@ def _branch_polarity(global_branches, role: str) -> tuple[ChoiceKind, ChoiceKind
     return ChoiceKind.MIXED, lean
 
 
-def _plain(e):
-    """View an occurrence-expanded expression as a plain one for analysis."""
-    if isinstance(e, OccAtom):
-        return e.atom
-    if isinstance(e, Seq):
-        return Seq(_plain(e.left), _plain(e.right))
-    if isinstance(e, Shuffle):
-        return Shuffle(_plain(e.left), _plain(e.right))
-    if isinstance(e, Choice):
-        return Choice(tuple(_plain(b) for b in e.branches), e.decider)
-    return e
-
-
 def project_trace_c(e: CfpExpr, role: str) -> LocalExpr:
     """Projection with internal/external choice polarity.  Expects a
     shuffle-free expression (run eliminate_shuffle first)."""
@@ -154,7 +154,7 @@ def project_trace_c(e: CfpExpr, role: str) -> LocalExpr:
     if isinstance(e, Epsilon):
         return L_EPSILON
     if isinstance(e, Seq):
-        return _lseq(project_trace_c(e.left, role), project_trace_c(e.right, role))
+        return lseq(project_trace_c(e.left, role), project_trace_c(e.right, role))
     if isinstance(e, Choice):
         kind, lean = _branch_polarity(e.branches, role)
         branches = tuple(project_trace_c(b, role) for b in e.branches)
@@ -177,9 +177,9 @@ def project_trace_f(e: CfpExpr, role: str) -> LocalExpr:
     if isinstance(e, Epsilon):
         return L_EPSILON
     if isinstance(e, Seq):
-        return _lseq(project_trace_f(e.left, role), project_trace_f(e.right, role))
+        return lseq(project_trace_f(e.left, role), project_trace_f(e.right, role))
     if isinstance(e, Shuffle):
-        return _lshuffle(project_trace_f(e.left, role), project_trace_f(e.right, role))
+        return lshuffle(project_trace_f(e.left, role), project_trace_f(e.right, role))
     if isinstance(e, Choice):
         kind, lean = _branch_polarity(e.branches, role)
         branches = tuple(project_trace_f(b, role) for b in e.branches)
@@ -201,7 +201,7 @@ def project_scribble(e: CfpExpr, role: str) -> LocalExpr:
     if isinstance(e, Epsilon):
         return L_EPSILON
     if isinstance(e, Seq):
-        return _lseq(project_scribble(e.left, role), project_scribble(e.right, role))
+        return lseq(project_scribble(e.left, role), project_scribble(e.right, role))
     if isinstance(e, Choice):
         if e.decider is None:
             raise MergeFailure("choice without a decider cannot be projected")

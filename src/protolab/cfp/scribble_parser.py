@@ -70,7 +70,7 @@ class _ScribbleParser:
         self.ts.expect("}")
         expr: CfpExpr = Epsilon()
         for item in reversed(items):
-            expr = item if isinstance(expr, Epsilon) else _seq(item, expr)
+            expr = item if isinstance(expr, Epsilon) else Seq(item, expr)
         return expr
 
     def _statement(self) -> CfpExpr:
@@ -157,10 +157,6 @@ class _ScribbleParser:
         if tok.text not in self.roles:
             raise ParseError(f"unknown role {tok.text!r}", tok.line, tok.column)
         return tok.text
-
-
-def _seq(left: CfpExpr, right: CfpExpr) -> CfpExpr:
-    return Seq(left, right)
 
 
 def print_scribble(p: ScribbleProtocol) -> str:

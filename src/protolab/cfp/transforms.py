@@ -16,13 +16,18 @@ from .ast import (
     Choice,
     Epsilon,
     GlobalTrace,
-    HashedNode,
+    OccAtom,
     Rec,
     Seq,
     Shuffle,
     Var,
+    choice,
     has_rec,
-    node,
+    initials,
+    nullable,
+    seq,
+    shuffle,
+    untag,
 )
 
 DEFAULT_UNROLL = 2
@@ -60,33 +65,6 @@ def analyze(e: CfpExpr) -> list:
 
     walk(e, False)
     return out
-
-
-@node
-class OccAtom(HashedNode):
-    """An atom occurrence in an unrolled expression."""
-
-    atom: Atom
-    occ: int
-
-    @property
-    def label(self) -> tuple[str, str, str]:
-        return self.atom.label
-
-    @property
-    def sender(self) -> str:
-        return self.atom.sender
-
-    @property
-    def receiver(self) -> str:
-        return self.atom.receiver
-
-    @property
-    def name(self) -> str:
-        return self.atom.name
-
-    def __str__(self) -> str:
-        return f"{self.atom.name}#{self.occ}"
 
 
 class _Counter:
@@ -162,7 +140,7 @@ def iter_occ_traces(expanded: CfpExpr) -> Iterator[tuple[OccAtom, ...]]:
         yield from _unique(t for b in expanded.branches for t in iter_occ_traces(b))
     elif isinstance(expanded, Shuffle):
         rights = _Replay(iter_occ_traces(expanded.right))
-        yield from _unique(m for l in iter_occ_traces(expanded.left) for r in rights for m in _interleave(l, r))
+        yield from _unique(m for l in iter_occ_traces(expanded.left) for r in rights for m in interleave(l, r))
     else:
         raise TypeError(type(expanded))
 
@@ -195,16 +173,18 @@ def _unique(items: Iterable) -> Iterator:
             yield item
 
 
-def _interleave(a: tuple, b: tuple):
+def interleave(a: tuple, b: tuple):
+    """Every merge of two sequences that keeps each one's order, those
+    taking `a`'s head first before those taking `b`'s."""
     if not a:
         yield b
         return
     if not b:
         yield a
         return
-    for rest in _interleave(a[1:], b):
+    for rest in interleave(a[1:], b):
         yield (a[0],) + rest
-    for rest in _interleave(a, b[1:]):
+    for rest in interleave(a, b[1:]):
         yield (b[0],) + rest
 
 
@@ -236,29 +216,17 @@ def eliminate_shuffle(e: CfpExpr) -> CfpExpr:
 
 def expand_plain(e: CfpExpr, unroll_bound: int = DEFAULT_UNROLL) -> CfpExpr:
     """Bounded unrolling without occurrence tagging."""
-    return _untag(expand(e, unroll_bound))
-
-
-def _untag(e: CfpExpr) -> CfpExpr:
-    if isinstance(e, OccAtom):
-        return e.atom
-    if isinstance(e, Seq):
-        return Seq(_untag(e.left), _untag(e.right))
-    if isinstance(e, Shuffle):
-        return Shuffle(_untag(e.left), _untag(e.right))
-    if isinstance(e, Choice):
-        return Choice(tuple(_untag(b) for b in e.branches), e.decider)
-    return e
+    return untag(expand(e, unroll_bound))
 
 
 def _expand_shuffles(e: CfpExpr) -> CfpExpr:
     if isinstance(e, (Epsilon, Atom, OccAtom)):
         return e
     if isinstance(e, Seq):
-        return _seq(_expand_shuffles(e.left), _expand_shuffles(e.right))
+        return seq(_expand_shuffles(e.left), _expand_shuffles(e.right))
     if isinstance(e, Choice):
         branches = [_expand_shuffles(b) for b in e.branches]
-        return _choice(branches, e.decider)
+        return choice(branches, e.decider)
     if isinstance(e, Shuffle):
         return _expand_by_derivatives(e)
     raise TypeError(type(e))
@@ -268,56 +236,16 @@ def _expand_by_derivatives(e: CfpExpr) -> CfpExpr:
     """Brzozowski-style expansion: a shuffle equals the choice, over each
     possible first atom, of that atom followed by the residual shuffle."""
     alternatives: list[CfpExpr] = []
-    for head in _first_atoms(e):
+    for head in initials(e):
         residual = _derivative(e, head)
         if residual is _EMPTY:
             continue
-        alternatives.append(_seq(head, _expand_shuffles(residual)))
-    if _nullable(e):
+        alternatives.append(seq(head, _expand_shuffles(residual)))
+    if nullable(e):
         alternatives.append(Epsilon())
     if not alternatives:
         return Epsilon()
-    return _choice(alternatives, None)
-
-
-def _first_atoms(e: CfpExpr) -> list:
-    """Distinct atom heads (by identity of the node) that can start a trace."""
-    out: list = []
-
-    def push(a):
-        if a not in out:
-            out.append(a)
-
-    if isinstance(e, (Atom, OccAtom)):
-        push(e)
-    elif isinstance(e, Seq):
-        for a in _first_atoms(e.left):
-            push(a)
-        if _nullable(e.left):
-            for a in _first_atoms(e.right):
-                push(a)
-    elif isinstance(e, Choice):
-        for b in e.branches:
-            for a in _first_atoms(b):
-                push(a)
-    elif isinstance(e, Shuffle):
-        for a in _first_atoms(e.left):
-            push(a)
-        for a in _first_atoms(e.right):
-            push(a)
-    return out
-
-
-def _nullable(e: CfpExpr) -> bool:
-    if isinstance(e, Epsilon):
-        return True
-    if isinstance(e, (Atom, OccAtom)):
-        return False
-    if isinstance(e, (Seq, Shuffle)):
-        return _nullable(e.left) and _nullable(e.right)
-    if isinstance(e, Choice):
-        return any(_nullable(b) for b in e.branches)
-    raise TypeError(type(e))
+    return choice(alternatives)
 
 
 def _derivative(e: CfpExpr, head) -> CfpExpr | tuple:
@@ -330,30 +258,30 @@ def _derivative(e: CfpExpr, head) -> CfpExpr | tuple:
         first = _derivative(e.left, head)
         options: list[CfpExpr] = []
         if first is not _EMPTY:
-            options.append(_seq(first, e.right))
-        if _nullable(e.left):
+            options.append(seq(first, e.right))
+        if nullable(e.left):
             rest = _derivative(e.right, head)
             if rest is not _EMPTY:
                 options.append(rest)
         if not options:
             return _EMPTY
-        return _choice(options, None)
+        return choice(options)
     if isinstance(e, Choice):
         options = [d for d in (_derivative(b, head) for b in e.branches) if d is not _EMPTY]
         if not options:
             return _EMPTY
-        return _choice(options, None)
+        return choice(options)
     if isinstance(e, Shuffle):
         options = []
         left = _derivative(e.left, head)
         if left is not _EMPTY:
-            options.append(_shuffle(left, e.right))
+            options.append(shuffle(left, e.right))
         right = _derivative(e.right, head)
         if right is not _EMPTY:
-            options.append(_shuffle(e.left, right))
+            options.append(shuffle(e.left, right))
         if not options:
             return _EMPTY
-        return _choice(options, None)
+        return choice(options)
     raise TypeError(type(e))
 
 
@@ -370,7 +298,7 @@ def label_derivatives(state: frozenset) -> dict[tuple[str, str, str], frozenset]
     into their branches."""
     out: dict[tuple[str, str, str], set] = {}
     for e in state:
-        for head in _first_atoms(e):
+        for head in initials(e):
             d = _derivative(e, head)
             if d is not _EMPTY:
                 out.setdefault(head.label, set()).update(_branches(d))
@@ -379,34 +307,8 @@ def label_derivatives(state: frozenset) -> dict[tuple[str, str, str], frozenset]
 
 def accepts_empty(state: frozenset) -> bool:
     """Whether a protocol-automaton state accepts (holds a nullable member)."""
-    return any(_nullable(e) for e in state)
+    return any(nullable(e) for e in state)
 
 
 def _branches(e: CfpExpr) -> list[CfpExpr]:
     return [x for b in e.branches for x in _branches(b)] if isinstance(e, Choice) else [e]
-
-
-def _seq(l: CfpExpr, r: CfpExpr) -> CfpExpr:
-    if isinstance(l, Epsilon):
-        return r
-    if isinstance(r, Epsilon):
-        return l
-    return Seq(l, r)
-
-
-def _shuffle(l: CfpExpr, r: CfpExpr) -> CfpExpr:
-    if isinstance(l, Epsilon):
-        return r
-    if isinstance(r, Epsilon):
-        return l
-    return Shuffle(l, r)
-
-
-def _choice(branches: list[CfpExpr], decider: str | None) -> CfpExpr:
-    flat: list[CfpExpr] = []
-    for b in branches:
-        if b not in flat:
-            flat.append(b)
-    if len(flat) == 1:
-        return flat[0]
-    return Choice(tuple(flat), decider)

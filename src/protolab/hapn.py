@@ -10,7 +10,7 @@ variable to a different value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ._lexer import TokenStream
 from .diagnostics import ParseError
@@ -119,40 +119,10 @@ def step_hapn(c: HapnConfigState, m: HapnMachine, ev: HapnEvent | None) -> tuple
     """All successor configurations for a message event (or epsilon when
     ev is None), with guards evaluated against the shared store and actions
     applied atomically."""
-    store = c.store_map()
-    out = []
-    for t in m.transitions:
-        if t.source != c.state:
-            continue
-        if ev is None:
-            if t.label is not None:
-                continue
-        else:
-            if t.label != (ev.sender, ev.receiver, ev.name):
-                continue
-        if not t.guard.holds(store):
-            continue
-        new_store = _apply_actions(store, t.actions, ev)
-        out.append(HapnConfigState(t.target, tuple(sorted(new_store.items()))))
+    out = tuple(s for _, s in _steps(m, c, ev))
     if not out:
         raise NoTransition(f"no transition from {c.state} on {ev.name if ev else 'epsilon'}")
-    return tuple(out)
-
-
-def _eps_closure(m: HapnMachine, configs: set[HapnConfigState]) -> set[HapnConfigState]:
-    seen = set(configs)
-    stack = list(configs)
-    while stack:
-        c = stack.pop()
-        try:
-            successors = step_hapn(c, m, None)
-        except NoTransition:
-            continue
-        for nxt in successors:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return seen
+    return out
 
 
 def runs(m: HapnMachine, enactment: list[HapnEvent]) -> list[tuple[HapnConfigState, list[tuple[Transition, HapnEvent | None, dict[str, str]]]]]:
@@ -237,7 +207,7 @@ def _integrity_runs(m: HapnMachine, enactment: list[HapnEvent]) -> list[list[Bin
     for ev in enactment:
         nxt = set()
         for config, conflicts in frontier:
-            for t, s in _integrity_steps(m, config, ev):
+            for t, s in _steps(m, config, ev):
                 nxt.add((s, conflicts + _bind_conflicts(config, t, ev)))
         frontier = _integrity_close(m, nxt)
         if not frontier:
@@ -250,7 +220,7 @@ def _integrity_close(m: HapnMachine, frontier: set) -> set:
     stack = list(frontier)
     while stack:
         config, conflicts = stack.pop()
-        for t, s in _integrity_steps(m, config, None):
+        for t, s in _steps(m, config, None):
             item = (s, conflicts + _bind_conflicts(config, t, None))
             if item not in seen:
                 seen.add(item)
@@ -258,7 +228,9 @@ def _integrity_close(m: HapnMachine, frontier: set) -> set:
     return seen
 
 
-def _integrity_steps(m: HapnMachine, c: HapnConfigState, ev: HapnEvent | None):
+def _steps(m: HapnMachine, c: HapnConfigState, ev: HapnEvent | None):
+    """(transition, successor configuration) for every transition enabled
+    from `c` on `ev` (or epsilon when ev is None), in declaration order."""
     store = c.store_map()
     for t in m.transitions:
         if t.source != c.state:

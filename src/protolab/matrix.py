@@ -46,7 +46,7 @@ from .cfp.trace_parser import parse_trace
 from .commitments import LifecycleState, commitment_states, parse_cupid
 from .filters import BsplBackend, CfpBackend, FilterState, HapnBackend, on_delivery, request_emission
 from .hapn import HapnEvent, conforms, hapn_integrity_check, parse_hapn
-from .netsim import BsplAgent, Delivery, InstanceScript, SimPolicy, explore
+from .netsim import BsplAgent, Delivery, InstanceScript, SimPolicy, explore, history_key
 from .realizability import CommConfig, Interpretation, check_realizability, language_preset
 
 LANGUAGES = ("Scribble", "TraceC", "TraceF", "HAPN", "BSPL")
@@ -293,12 +293,8 @@ def _bspl_reachable_enactments(protocol: InfoProtocol) -> set:
     result = explore(agents, SimPolicy(Delivery.UNORDERED))
     out = set()
     for vec in result.enactments:
-        out.add(tuple(_obs_signature(h) for h in vec))
+        out.add(tuple(history_key(h) for h in vec))
     return out
-
-
-def _obs_signature(h: History):
-    return (h.owner, tuple((o.kind, o.instance.schema.name, o.instance.bindings) for o in h.observations))
 
 
 def _vector_signature(msgs, events):
@@ -481,7 +477,7 @@ def concurrency_cell(language: str) -> CriterionReport:
             ("R", "Payment"),
             ("R", "Shipment"),
         )
-        feasible = _sync_feasible_named(concurrent_events)
+        feasible = _sync_feasible(concurrent_events)
         evidence.append(Evidence("serial-enactments", "accepted" if serial_ok else "rejected"))
         evidence.append(
             Evidence(
@@ -496,7 +492,7 @@ def concurrency_cell(language: str) -> CriterionReport:
         scripts = [InstanceScript.make(protocol, [{"ID": "1", "item": "fig", "shipped": "T", "paid": "T"}])]
         agents = [BsplAgent("Buyer", scripts), BsplAgent("Seller", scripts)]
         result = explore(agents, SimPolicy(Delivery.UNORDERED))
-        signatures = {tuple(_obs_signature(h) for h in vec) for vec in result.enactments}
+        signatures = {tuple(history_key(h) for h in vec) for vec in result.enactments}
         targets = {
             "shipment-first": (
                 ("Buyer", (("E", "Request"), ("R", "Shipment"), ("E", "Payment"))),
@@ -528,13 +524,6 @@ def _flex_event(name: str) -> HapnEvent:
     sender = {"Request": "Buyer", "Payment": "Buyer", "Shipment": "Seller"}[name]
     receiver = "Seller" if sender == "Buyer" else "Buyer"
     return HapnEvent.make(sender, receiver, name)
-
-
-def _sync_feasible_named(events) -> bool:
-    for i, (kind, name) in enumerate(events):
-        if kind == "E" and not (i + 1 < len(events) and events[i + 1] == ("R", name)):
-            return False
-    return True
 
 
 def extensibility_cell(language: str) -> CriterionReport:

@@ -204,7 +204,7 @@ def explore(
             else:
                 seen.add(nxt)
                 frontier.append(nxt)
-    keys = {h: _history_key(h) for h in {h for vec in terminals for h in vec}}
+    keys = {h: history_key(h) for h in {h for vec in terminals for h in vec}}
     enactments = tuple(sorted(terminals, key=lambda vec: tuple(keys[h] for h in vec)))
     local_states = tuple((steps.role, len(steps.states)) for steps in space.local)
     stats = ExplorationStats(explored, len(enactments), max_depth, local_states, len(space.networks), dedup_hits)
@@ -349,8 +349,9 @@ def _history_of(agent, state) -> History:
     return state if isinstance(state, History) else agent.history(state)
 
 
-def _history_key(h: History):
-    """A history's part of the enactment order."""
+def history_key(h: History):
+    """A history's part of the enactment order: its owner and each
+    observation's kind, schema name and bindings."""
     return (h.owner, tuple((o.kind, o.instance.schema.name, o.instance.bindings) for o in h.observations))
 
 

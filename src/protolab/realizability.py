@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .cfp.ast import CfpExpr, Choice, Epsilon, Rec, Seq, Shuffle, initials, roles as expr_roles
+from .cfp.ast import CfpExpr, Choice, OccAtom, Rec, Seq, Shuffle, finals, initials, roles as expr_roles, untag
 from .cfp.projection import (
     LocalExpr,
     MergeFailure,
@@ -27,7 +27,6 @@ from .cfp.projection import (
 from .cfp.fsm import Nfa, determinize
 from .cfp.transforms import (
     DEFAULT_UNROLL,
-    OccAtom,
     accepts_empty,
     eliminate_shuffle,
     expand,
@@ -131,8 +130,8 @@ def _is_expanded(e) -> bool:
 
 def _collect_constraints(e, interpretation: Interpretation, out: list[Constraint]) -> None:
     if isinstance(e, Seq):
-        for a in _occ_finals(e.left):
-            for b in _occ_initials(e.right):
+        for a in finals(e.left):
+            for b in initials(e.right):
                 out.append(Constraint(interpretation, a, b))
         _collect_constraints(e.left, interpretation, out)
         _collect_constraints(e.right, interpretation, out)
@@ -142,52 +141,6 @@ def _collect_constraints(e, interpretation: Interpretation, out: list[Constraint
     elif isinstance(e, Choice):
         for b in e.branches:
             _collect_constraints(b, interpretation, out)
-
-
-def _occ_initials(e) -> tuple[OccAtom, ...]:
-    if isinstance(e, OccAtom):
-        return (e,)
-    if isinstance(e, Epsilon):
-        return ()
-    if isinstance(e, Seq):
-        first = _occ_initials(e.left)
-        if _occ_nullable(e.left):
-            first = first + _occ_initials(e.right)
-        return first
-    if isinstance(e, Choice):
-        return tuple(a for b in e.branches for a in _occ_initials(b))
-    if isinstance(e, Shuffle):
-        return _occ_initials(e.left) + _occ_initials(e.right)
-    raise TypeError(type(e))
-
-
-def _occ_finals(e) -> tuple[OccAtom, ...]:
-    if isinstance(e, OccAtom):
-        return (e,)
-    if isinstance(e, Epsilon):
-        return ()
-    if isinstance(e, Seq):
-        last = _occ_finals(e.right)
-        if _occ_nullable(e.right):
-            last = last + _occ_finals(e.left)
-        return last
-    if isinstance(e, Choice):
-        return tuple(a for b in e.branches for a in _occ_finals(b))
-    if isinstance(e, Shuffle):
-        return _occ_finals(e.left) + _occ_finals(e.right)
-    raise TypeError(type(e))
-
-
-def _occ_nullable(e) -> bool:
-    if isinstance(e, Epsilon):
-        return True
-    if isinstance(e, OccAtom):
-        return False
-    if isinstance(e, (Seq, Shuffle)):
-        return _occ_nullable(e.left) and _occ_nullable(e.right)
-    if isinstance(e, Choice):
-        return any(_occ_nullable(b) for b in e.branches)
-    raise TypeError(type(e))
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +361,7 @@ def _order_reasons(reasons: list[Reason]) -> tuple[Reason, ...]:
 
 
 def _project_all(working, cfg: CommConfig) -> dict[str, LocalExpr]:
-    all_roles = expr_roles(_as_plain(working))
+    all_roles = expr_roles(untag(working))
     behaviors: dict[str, LocalExpr] = {}
     for role in all_roles:
         if cfg.doctrine is Doctrine.TRACE_C:
@@ -420,16 +373,6 @@ def _project_all(working, cfg: CommConfig) -> dict[str, LocalExpr]:
     return behaviors
 
 
-def _as_plain(e) -> CfpExpr:
-    if isinstance(e, OccAtom):
-        return e.atom
-    if isinstance(e, (Seq, Shuffle)):
-        return type(e)(_as_plain(e.left), _as_plain(e.right))
-    if isinstance(e, Choice):
-        return Choice(tuple(_as_plain(b) for b in e.branches), e.decider)
-    return e
-
-
 def _infer_deciders(e):
     """Session projection needs a decider on every choice; infer it as the
     unique sender of the branch-initial events, or fail the merge."""
@@ -437,7 +380,7 @@ def _infer_deciders(e):
         branches = tuple(_infer_deciders(b) for b in e.branches)
         decider = e.decider
         if decider is None:
-            senders = {a.sender for b in e.branches for a in _occ_initials(b)}
+            senders = {a.sender for b in e.branches for a in initials(b)}
             if len(senders) != 1:
                 raise MergeFailure(
                     "no single role initiates every branch (candidates: " + ", ".join(sorted(senders)) + ")"

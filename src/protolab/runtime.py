@@ -35,6 +35,9 @@ from .cfp.projection import (
     LShuffle,
     LocalExpr,
     L_EPSILON,
+    accepting,
+    lseq,
+    lshuffle,
 )
 from .netsim import Delivery, Reception
 
@@ -50,7 +53,7 @@ def send_steps(e: LocalExpr) -> list[tuple[LAtom, LocalExpr]]:
     if isinstance(e, LEps):
         return []
     if isinstance(e, LSeq):
-        out = [(a, _lseq(rest, e.right)) for a, rest in send_steps(e.left)]
+        out = [(a, lseq(rest, e.right)) for a, rest in send_steps(e.left)]
         if accepting(e.left):
             out.extend(send_steps(e.right))
         return out
@@ -62,8 +65,8 @@ def send_steps(e: LocalExpr) -> list[tuple[LAtom, LocalExpr]]:
             out.extend(send_steps(b))
         return out
     if isinstance(e, LShuffle):
-        out = [(a, _lshuffle(rest, e.right)) for a, rest in send_steps(e.left)]
-        out.extend((a, _lshuffle(e.left, rest)) for a, rest in send_steps(e.right))
+        out = [(a, lshuffle(rest, e.right)) for a, rest in send_steps(e.left)]
+        out.extend((a, lshuffle(e.left, rest)) for a, rest in send_steps(e.right))
         return out
     raise TypeError(f"runtime requires an expanded local behavior, got {type(e).__name__}")
 
@@ -74,7 +77,7 @@ def commit_steps(e: LocalExpr) -> list[LocalExpr]:
     if isinstance(e, (LAtom, LEps)):
         return []
     if isinstance(e, LSeq):
-        out = [_lseq(left, e.right) for left in commit_steps(e.left)]
+        out = [lseq(left, e.right) for left in commit_steps(e.left)]
         if accepting(e.left):
             out.extend(_dedup(commit_steps(e.right)))
         return _dedup(out)
@@ -88,8 +91,8 @@ def commit_steps(e: LocalExpr) -> list[LocalExpr]:
             return [waitable[0]]
         return [LChoice(waitable, ChoiceKind.EXTERNAL)]
     if isinstance(e, LShuffle):
-        out = [_lshuffle(left, e.right) for left in commit_steps(e.left)]
-        out.extend(_lshuffle(e.left, right) for right in commit_steps(e.right))
+        out = [lshuffle(left, e.right) for left in commit_steps(e.left)]
+        out.extend(lshuffle(e.left, right) for right in commit_steps(e.right))
         return _dedup(out)
     raise TypeError(type(e))
 
@@ -103,7 +106,7 @@ def consume(e: LocalExpr, peer: str, name: str) -> list[LocalExpr]:
     if isinstance(e, LEps):
         return []
     if isinstance(e, LSeq):
-        out = [_lseq(rest, e.right) for rest in consume(e.left, peer, name)]
+        out = [lseq(rest, e.right) for rest in consume(e.left, peer, name)]
         if accepting(e.left):
             out.extend(consume(e.right, peer, name))
         return _dedup(out)
@@ -113,8 +116,8 @@ def consume(e: LocalExpr, peer: str, name: str) -> list[LocalExpr]:
             out.extend(consume(b, peer, name))
         return _dedup(out)
     if isinstance(e, LShuffle):
-        out = [_lshuffle(rest, e.right) for rest in consume(e.left, peer, name)]
-        out.extend(_lshuffle(e.left, rest) for rest in consume(e.right, peer, name))
+        out = [lshuffle(rest, e.right) for rest in consume(e.left, peer, name)]
+        out.extend(lshuffle(e.left, rest) for rest in consume(e.right, peer, name))
         return _dedup(out)
     raise TypeError(type(e))
 
@@ -139,34 +142,6 @@ def _recv_candidates(e: LocalExpr) -> list[tuple[str, str]]:
 
 def expected_peers(e: LocalExpr) -> tuple[str, ...]:
     return tuple(sorted({peer for peer, _ in _recv_candidates(e)}))
-
-
-def accepting(e: LocalExpr) -> bool:
-    if isinstance(e, LEps):
-        return True
-    if isinstance(e, LAtom):
-        return False
-    if isinstance(e, (LSeq, LShuffle)):
-        return accepting(e.left) and accepting(e.right)
-    if isinstance(e, LChoice):
-        return any(accepting(b) for b in e.branches)
-    raise TypeError(type(e))
-
-
-def _lseq(l: LocalExpr, r: LocalExpr) -> LocalExpr:
-    if isinstance(l, LEps):
-        return r
-    if isinstance(r, LEps):
-        return l
-    return LSeq(l, r)
-
-
-def _lshuffle(l: LocalExpr, r: LocalExpr) -> LocalExpr:
-    if isinstance(l, LEps):
-        return r
-    if isinstance(r, LEps):
-        return l
-    return LShuffle(l, r)
 
 
 def _dedup(items: list) -> list:

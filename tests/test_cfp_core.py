@@ -2,10 +2,23 @@ import random
 
 import pytest
 
-from protolab.cfp.ast import Atom, Choice, Epsilon, GlobalTrace, Rec, Seq, Shuffle, Var, print_cfp
+from protolab.cfp.ast import (
+    Atom,
+    Choice,
+    Epsilon,
+    GlobalTrace,
+    Rec,
+    Seq,
+    Shuffle,
+    Var,
+    finals,
+    initials,
+    nullable,
+    print_cfp,
+)
 from protolab.cfp.scribble_parser import parse_scribble, parse_scribble_protocol, print_scribble
 from protolab.cfp.trace_parser import parse_trace
-from protolab.cfp.transforms import eliminate_shuffle, enumerate_traces, expand_plain
+from protolab.cfp.transforms import eliminate_shuffle, enumerate_traces, expand, expand_plain, iter_occ_traces
 from protolab.diagnostics import ParseError
 from protolab.matrix import fixture_text
 
@@ -131,6 +144,46 @@ def test_eliminate_shuffle_preserves_traces_random():
     for _ in range(100):
         e = random_shuffle_expr(rng)
         assert set(enumerate_traces(e, 6)) == set(enumerate_traces(eliminate_shuffle(e), 6))
+
+
+def _subterms(e):
+    if isinstance(e, (Seq, Shuffle)):
+        return [e, *_subterms(e.left), *_subterms(e.right)]
+    if isinstance(e, Choice):
+        return [e, *(x for b in e.branches for x in _subterms(b))]
+    return [e]
+
+
+def test_structural_helpers_match_trace_semantics_random():
+    """On every subterm of an expanded expression and of its shuffle-free
+    form (where one occurrence can end several branches), `nullable`,
+    `initials` and `finals` agree with its occurrence-level traces, and the
+    atom lists hold no duplicate."""
+    rng = random.Random(29)
+    checked = 0
+    for case in range(300):
+        e = random_cfp(rng, 3) if case % 2 else random_shuffle_expr(rng)
+        expanded = expand(e, 2)
+        for x in dict.fromkeys(_subterms(expanded) + _subterms(eliminate_shuffle(expanded))):
+            traces = set(iter_occ_traces(x))
+            firsts, lasts = initials(x), finals(x)
+            assert nullable(x) == (() in traces)
+            assert set(firsts) == {t[0] for t in traces if t}
+            assert set(lasts) == {t[-1] for t in traces if t}
+            assert len(set(firsts)) == len(firsts) and len(set(lasts)) == len(lasts)
+            checked += 1
+    assert checked > 4000
+
+
+def test_structural_helpers_on_recursion():
+    a, b = atom("A", "B", "a"), atom("B", "A", "b")
+    loop = Rec("X", Choice((Seq(a, Var("X")), Epsilon())))
+    assert nullable(loop) and initials(loop) == (a,)
+    assert not nullable(Seq(loop, b)) and initials(Seq(loop, b)) == (a, b)
+    # a recursion variable is a dead end: not nullable, no atoms
+    assert not nullable(Var("X")) and initials(Var("X")) == () and finals(Var("X")) == ()
+    # an inner recursion reusing the outer one's variable starts with its own body
+    assert initials(Rec("X", Rec("X", Seq(b, Var("X"))))) == (b,)
 
 
 def test_enumerate_purchase_two_traces():

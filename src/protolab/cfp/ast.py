@@ -257,8 +257,11 @@ def _ends(e: CfpExpr, out: list, first: bool) -> None:
 
 
 def atoms(e: CfpExpr) -> list[Atom]:
+    """The atoms of `e` in order, an occurrence as its atom."""
     if isinstance(e, Atom):
         return [e]
+    if isinstance(e, OccAtom):
+        return [e.atom]
     if isinstance(e, (Seq, Shuffle)):
         return atoms(e.left) + atoms(e.right)
     if isinstance(e, Choice):

@@ -2,13 +2,16 @@
 
 Labels carry peer, direction, message name, and the payload *type*
 signature; parameter names and values are deliberately absent, which is
-what makes these machines value-blind.
+what makes these machines value-blind.  `determinize` is the subset
+construction on the exploration core (`graph.explore`); realizability
+also uses it to read a composition's emitted traces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..graph import Graph, explore
 from .projection import LAtom, LChoice, LEps, LRec, LSeq, LShuffle, LVar, LocalExpr
 from .transforms import interleave
 
@@ -58,16 +61,13 @@ def extract_fsm(l: LocalExpr, unroll_bound: int = 2) -> TypeLevelFsm:
     Tail recursion becomes a cycle; non-tail recursion is unrolled to the
     bound before compilation."""
     nfa = Nfa()
-    start = nfa.new_state()
-    if _all_tail(l):
-        end = nfa.new_state()
-        _build(nfa, l, start, end, {})
-        nfa.finals.add(end)
-    else:
-        end = nfa.new_state()
-        _build(nfa, _unroll_local(l, unroll_bound, {}), start, end, {})
-        nfa.finals.add(end)
-    return _minimize(determinize(nfa, start))
+    start, end = nfa.new_state(), nfa.new_state()
+    _build(nfa, l if _all_tail(l) else _unroll_local(l, unroll_bound, {}), start, end, {})
+    nfa.finals.add(end)
+    subsets = determinize(nfa, start)
+    transitions = [(n, label, t) for n, out in enumerate(subsets.edges) for label, t in out]
+    finals = tuple(n for n, subset in enumerate(subsets.states) if subset & nfa.finals)
+    return _minimize(TypeLevelFsm(tuple(range(len(subsets.states))), 0, finals, tuple(sorted(transitions))))
 
 
 class Nfa:
@@ -117,17 +117,13 @@ def _build(nfa: Nfa, e: LocalExpr, start: int, end: int, env: dict[str, int]) ->
 
 
 def _shuffle_variants(e: LShuffle) -> list[LocalExpr]:
-    lefts = _linearize(e.left)
-    rights = _linearize(e.right)
     out: list[LocalExpr] = []
-    for l in lefts:
-        for r in rights:
-            for merged in interleave(l, r):
-                expr: LocalExpr = LEps()
-                for atom in reversed(merged):
-                    expr = atom if isinstance(expr, LEps) else LSeq(atom, expr)
-                if expr not in out:
-                    out.append(expr)
+    for merged in _linearize(e):
+        expr: LocalExpr = LEps()
+        for atom in reversed(merged):
+            expr = atom if isinstance(expr, LEps) else LSeq(atom, expr)
+        if expr not in out:
+            out.append(expr)
     return out
 
 
@@ -190,9 +186,11 @@ def _unroll_local(e: LocalExpr, bound: int, env: dict[str, tuple[LRec, int]]) ->
     return e
 
 
-def determinize(nfa: Nfa, start: int) -> TypeLevelFsm:
+def determinize(nfa: Nfa, start: int) -> Graph:
     """Subset construction over the states reachable from `start`, silent
-    moves closed over; the result is not minimized."""
+    moves closed over: the core's graph of subsets (frozensets of NFA
+    states), each subset's moves in label order."""
+
     def closure(states: frozenset[int]) -> frozenset[int]:
         stack, seen = list(states), set(states)
         while stack:
@@ -203,26 +201,15 @@ def determinize(nfa: Nfa, start: int) -> TypeLevelFsm:
                     stack.append(t)
         return frozenset(seen)
 
-    initial = closure(frozenset([start]))
-    subsets: dict[frozenset[int], int] = {initial: 0}
-    order = [initial]
-    transitions: list[tuple[int, Label, int]] = []
-    i = 0
-    while i < len(order):
-        subset = order[i]
+    def successors(subset: frozenset[int]) -> tuple[list[Label], list[frozenset[int]]]:
         by_label: dict[Label, set[int]] = {}
         for s in subset:
             for label, t in nfa.edges.get(s, ()):
                 by_label.setdefault(label, set()).add(t)
-        for label in sorted(by_label):
-            target = closure(frozenset(by_label[label]))
-            if target not in subsets:
-                subsets[target] = len(order)
-                order.append(target)
-            transitions.append((subsets[subset], label, subsets[target]))
-        i += 1
-    finals = tuple(sorted(subsets[s] for s in order if s & nfa.finals))
-    return TypeLevelFsm(tuple(range(len(order))), 0, finals, tuple(sorted(transitions)))
+        labels = sorted(by_label)
+        return labels, [closure(frozenset(by_label[label])) for label in labels]
+
+    return explore(closure(frozenset([start])), successors)
 
 
 def _minimize(fsm: TypeLevelFsm) -> TypeLevelFsm:

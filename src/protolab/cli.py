@@ -25,7 +25,7 @@ from .commitments import commitment_states, parse_cupid
 from .diagnostics import ParseError, Severity
 from .enactlog import format_log, histories_from_log, log_from_run, parse_log
 from .hapn import parse_hapn
-from .netsim import BsplAgent, Delivery, InstanceScript, SimPolicy, explore, run_one
+from .netsim import DEFAULT_QUEUE_CAP, DEFAULT_STATE_CAP, BsplAgent, Delivery, InstanceScript, SimPolicy, explore, run_one
 from .realizability import Delivery, Doctrine, Interpretation, check_realizability, language_preset
 
 SCHEMA_VERSION = "1"
@@ -243,21 +243,19 @@ def cmd_simulate(args) -> int:
     if args.exhaustive:
         result = explore(agents, policy)
         if args.format == "json":
-            print(
-                json.dumps(
-                    {
-                        "schema_version": SCHEMA_VERSION,
-                        "enactments": result.stats.enactments,
-                        "states_explored": result.stats.states_explored,
-                        "max_queue_depth": result.stats.max_queue_depth,
-                        "bound_exceeded": result.bound_exceeded,
-                    },
-                    indent=2,
-                    sort_keys=True,
-                )
-            )
+            record = {
+                "schema_version": SCHEMA_VERSION,
+                "enactments": result.stats.enactments,
+                "states_explored": result.stats.states_explored,
+                "max_queue_depth": result.stats.max_queue_depth,
+                "bound_exceeded": result.bound_exceeded,
+                **({"cap": result.cap} if result.cap else {}),
+            }
+            print(json.dumps(record, indent=2, sort_keys=True))
         else:
-            print(f"{result.stats.enactments} maximal enactments ({result.stats.states_explored} states explored)")
+            limits = {"state": f"{DEFAULT_STATE_CAP} states", "queue": f"{DEFAULT_QUEUE_CAP} messages per channel"}
+            clause = f"; the {result.cap} cap of {limits[result.cap]} fired" if result.cap else ""
+            print(f"{result.stats.enactments} maximal enactments ({result.stats.states_explored} states explored{clause})")
         return 0
     vector, log = run_one(agents, policy, seed=args.seed)
     entries = log_from_run([(agent, kind, mi) for agent, kind, mi in log])

@@ -91,14 +91,20 @@ class NoTransition(Exception):
     pass
 
 
-def _apply_actions(store: dict[str, str], actions: tuple[Action, ...], event: HapnEvent | None) -> dict[str, str]:
+def _apply_actions(store: dict[str, str], actions: tuple[Action, ...], event: HapnEvent | None) -> tuple[dict[str, str], tuple]:
+    """The store after the actions, and each bind that gave a bound
+    variable a different value."""
     out = dict(store)
+    conflicts = []
     for action in actions:
         if action.kind == "unbind":
             out.pop(action.var, None)
-        else:
-            out[action.var] = _resolve(action.value, event)
-    return out
+            continue
+        value = _resolve(action.value, event)
+        if out.get(action.var, value) != value:
+            conflicts.append(BindConflict(action.var, out[action.var], value, event.name if event else None))
+        out[action.var] = value
+    return out, tuple(conflicts)
 
 
 def _resolve(value: str | None, event: HapnEvent | None) -> str:
@@ -119,55 +125,43 @@ def step_hapn(c: HapnConfigState, m: HapnMachine, ev: HapnEvent | None) -> tuple
     """All successor configurations for a message event (or epsilon when
     ev is None), with guards evaluated against the shared store and actions
     applied atomically."""
-    out = tuple(s for _, s in _steps(m, c, ev))
+    out = tuple(s for s, _ in _steps(m, c, ev))
     if not out:
         raise NoTransition(f"no transition from {c.state} on {ev.name if ev else 'epsilon'}")
     return out
 
 
-def runs(m: HapnMachine, enactment: list[HapnEvent]) -> list[tuple[HapnConfigState, list[tuple[Transition, HapnEvent | None, dict[str, str]]]]]:
-    """All runs over the synchronous event sequence, interleaving epsilon
-    steps; each run carries its taken transitions for inspection."""
-    initial = HapnConfigState(m.initial)
-    frontier: list[tuple[HapnConfigState, list]] = [(initial, [])]
-    frontier = _close(m, frontier)
-    for ev in enactment:
-        nxt: list[tuple[HapnConfigState, list]] = []
-        for config, path in frontier:
-            try:
-                successors = step_hapn(config, m, ev)
-            except NoTransition:
-                continue
-            for s in successors:
-                nxt.append((s, path + [(None, ev, s.store_map())]))
-        frontier = _close(m, nxt)
-        if not frontier:
-            return []
-    return frontier
+def runs(m: HapnMachine, enactment: list[HapnEvent]) -> list[HapnConfigState]:
+    """The configurations that some run over the synchronous event
+    sequence ends in, epsilon steps interleaved, in discovery order."""
+    return [config for config, _ in _walk(m, enactment, lambda tag, conflicts: ())]
 
 
-def _close(m: HapnMachine, frontier: list) -> list:
-    out = list(frontier)
-    seen = {c for c, _ in frontier}
-    stack = list(frontier)
-    while stack:
-        config, path = stack.pop()
-        try:
-            successors = step_hapn(config, m, None)
-        except NoTransition:
-            continue
-        for s in successors:
-            if s not in seen:
-                seen.add(s)
-                item = (s, path + [(None, None, s.store_map())])
-                out.append(item)
-                stack.append(item)
-    return out
+def _walk(m: HapnMachine, enactment: list[HapnEvent], extend) -> list[tuple[HapnConfigState, tuple]]:
+    """The distinct (configuration, tag) pairs that some run over the
+    enactment ends in, epsilon steps interleaved, in discovery order (each
+    epsilon closure depth first).  A run starts with the tag (), and each
+    step makes it extend(tag, the step's bind conflicts)."""
+    items = [(HapnConfigState(m.initial), ())]
+    for ev in (None, *enactment):
+        if ev is not None:
+            items = [(s, extend(tag, conflicts)) for c, tag in items for s, conflicts in _steps(m, c, ev)]
+        seen = dict.fromkeys(items)
+        stack = list(seen)
+        while stack:
+            c, tag = stack.pop()
+            for s, conflicts in _steps(m, c, None):
+                item = (s, extend(tag, conflicts))
+                if item not in seen:
+                    seen[item] = None
+                    stack.append(item)
+        items = list(seen)
+    return items
 
 
 def accepts(m: HapnMachine, enactment: list[HapnEvent]) -> bool:
     """True iff some run over the sequence ends in a final state."""
-    return any(config.state in m.finals for config, _ in runs(m, enactment))
+    return any(config.state in m.finals for config in runs(m, enactment))
 
 
 def conforms(m: HapnMachine, enactment: list[HapnEvent]) -> bool:
@@ -189,48 +183,19 @@ class BindConflict:
 def hapn_integrity_check(m: HapnMachine, enactment: list[HapnEvent]) -> BindConflict | None:
     """Report a conflict iff every run that consumes the enactment rebinds a
     currently-bound variable to a different value somewhere; unbinding first
-    makes rebinding legal."""
-    completed = _integrity_runs(m, enactment)
+    makes rebinding legal.  The conflict reported is the first of the run
+    with the fewest conflicts, the first such run in discovery order."""
+    completed = [conflicts for _, conflicts in _walk(m, enactment, lambda tag, conflicts: tag + conflicts)]
     if not completed:
         raise NoTransition("no run consumes the enactment")
-    clean = [conflicts for conflicts in completed if not conflicts]
-    if clean:
-        return None
     first = min(completed, key=len)
-    return first[0]
-
-
-def _integrity_runs(m: HapnMachine, enactment: list[HapnEvent]) -> list[list[BindConflict]]:
-    # track (config, conflicts) pairs through message and epsilon steps
-    start = (HapnConfigState(m.initial), ())
-    frontier = _integrity_close(m, {start})
-    for ev in enactment:
-        nxt = set()
-        for config, conflicts in frontier:
-            for t, s in _steps(m, config, ev):
-                nxt.add((s, conflicts + _bind_conflicts(config, t, ev)))
-        frontier = _integrity_close(m, nxt)
-        if not frontier:
-            return []
-    return [list(conflicts) for _, conflicts in frontier]
-
-
-def _integrity_close(m: HapnMachine, frontier: set) -> set:
-    seen = set(frontier)
-    stack = list(frontier)
-    while stack:
-        config, conflicts = stack.pop()
-        for t, s in _steps(m, config, None):
-            item = (s, conflicts + _bind_conflicts(config, t, None))
-            if item not in seen:
-                seen.add(item)
-                stack.append(item)
-    return seen
+    return first[0] if first else None
 
 
 def _steps(m: HapnMachine, c: HapnConfigState, ev: HapnEvent | None):
-    """(transition, successor configuration) for every transition enabled
-    from `c` on `ev` (or epsilon when ev is None), in declaration order."""
+    """(successor configuration, bind conflicts) for every transition
+    enabled from `c` on `ev` (or epsilon when ev is None), in declaration
+    order."""
     store = c.store_map()
     for t in m.transitions:
         if t.source != c.state:
@@ -241,21 +206,8 @@ def _steps(m: HapnMachine, c: HapnConfigState, ev: HapnEvent | None):
             continue
         if not t.guard.holds(store):
             continue
-        yield t, HapnConfigState(t.target, tuple(sorted(_apply_actions(store, t.actions, ev).items())))
-
-
-def _bind_conflicts(c: HapnConfigState, t: Transition, ev: HapnEvent | None) -> tuple[BindConflict, ...]:
-    store = c.store_map()
-    out = []
-    for action in t.actions:
-        if action.kind == "unbind":
-            store.pop(action.var, None)
-            continue
-        value = _resolve(action.value, ev)
-        if action.var in store and store[action.var] != value:
-            out.append(BindConflict(action.var, store[action.var], value, ev.name if ev else None))
-        store[action.var] = value
-    return tuple(out)
+        after, conflicts = _apply_actions(store, t.actions, ev)
+        yield HapnConfigState(t.target, tuple(sorted(after.items()))), conflicts
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@ exhaustive interleaving exploration.
 
 The network is noncreative (delivers only what was sent, uncorrupted) and
 imposes no order beyond what the policy guarantees.  Exploration is a
-breadth-first walk over a canonical move ordering with memoized composite
-states; seeds only influence single-run sampling.
+breadth-first walk on the exploration core (`graph.explore`) over a
+canonical move ordering with memoized composite states; seeds only
+influence single-run sampling.
 
 What an agent may do next follows from its own state alone, so one
 exploration expands each distinct agent state once.  Within a call, each
@@ -20,7 +21,6 @@ lookups.  Eager BSPL agents read each history's knowledge in one pass
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Any, Protocol
@@ -36,6 +36,7 @@ from .bspl.enactment import (
     MessageInstance,
     observe,
 )
+from .graph import Numbering, explore as walk
 
 
 class Delivery(str, Enum):
@@ -105,9 +106,6 @@ class Network:
                 channels.append((chan, queue))
         return Network(tuple(channels), self.sent_count)
 
-    def in_transit(self) -> tuple[Envelope, ...]:
-        return tuple(e for _, queue in self.channels for e in queue)
-
     def empty(self) -> bool:
         return not any(queue for _, queue in self.channels)
 
@@ -154,10 +152,11 @@ class ExplorationStats:
 class ExplorationResult:
     enactments: tuple[tuple[History, ...], ...]  # sorted per-agent histories
     stats: ExplorationStats
-    bound_exceeded: bool
+    cap: str | None  # "state" or "queue" when that cap fired
 
-    def vectors(self) -> tuple[dict[str, History], ...]:
-        return tuple({h.owner: h for h in vec} for vec in self.enactments)
+    @property
+    def bound_exceeded(self) -> bool:
+        return self.cap is not None
 
 
 DEFAULT_STATE_CAP = 1_000_000
@@ -173,58 +172,31 @@ def explore(
     """Exhaustively explore every interleaving of enabled emissions and
     deliveries; an enactment is the history vector at a state with no moves.
 
-    A composite state is a tuple of numbers: each agent's state, then the
-    network, in the tables of one `_StateSpace` that lives for this call."""
+    The walk is `graph.explore` over `_StateSpace.moves`, and a composite
+    state is a tuple of numbers: each agent's state, then the network.  A
+    state with a move that would put more than `queue_cap` messages on a
+    channel is left unexpanded, and the queue cap is reported as fired."""
     space = _StateSpace(agents, policy)
-    seen = {space.start}
-    frontier = deque([space.start])
-    terminals: set[tuple[History, ...]] = set()
-    explored = 0
-    max_depth = 0
-    dedup_hits = 0
-    exceeded = False
     depths = space.depths
-    while frontier:
-        state = frontier.popleft()
-        explored += 1
+    terminals: set[tuple[History, ...]] = set()
+    max_depth = 0
+
+    def successors(state):
+        nonlocal max_depth
         max_depth = max(max_depth, depths[state[-1]])
-        if explored > state_cap:
-            exceeded = True
-            break
-        successors = [nxt for _event, nxt in space.moves(state)]
-        if not successors:
+        nexts = [nxt for _event, nxt in space.moves(state)]
+        if not nexts:
             terminals.add(space.vector(state))
-            continue
-        if any(depths[nxt[-1]] > queue_cap for nxt in successors):
-            exceeded = True
-            continue
-        for nxt in successors:
-            if nxt in seen:
-                dedup_hits += 1
-            else:
-                seen.add(nxt)
-                frontier.append(nxt)
+        elif any(depths[nxt[-1]] > queue_cap for nxt in nexts):
+            return None
+        return None, nexts
+
+    graph = walk(space.start, successors, state_cap)
     keys = {h: history_key(h) for h in {h for vec in terminals for h in vec}}
     enactments = tuple(sorted(terminals, key=lambda vec: tuple(keys[h] for h in vec)))
     local_states = tuple((steps.role, len(steps.states)) for steps in space.local)
-    stats = ExplorationStats(explored, len(enactments), max_depth, local_states, len(space.networks), dedup_hits)
-    return ExplorationResult(enactments, stats, exceeded)
-
-
-class _Numbering:
-    """Numbers equal values 0, 1, 2, ... in the order they are met;
-    `values[n]` is the first value numbered n."""
-
-    def __init__(self):
-        self.values: list = []
-        self._numbers: dict = {}
-
-    def __call__(self, value) -> int:
-        n = self._numbers.get(value)
-        if n is None:
-            n = self._numbers[value] = len(self.values)
-            self.values.append(value)
-        return n
+    stats = ExplorationStats(len(graph.labels), len(enactments), max_depth, local_states, len(space.networks), graph.dedup_hits)
+    return ExplorationResult(enactments, stats, graph.cap or ("queue" if graph.declined else None))
 
 
 class _LocalSteps:
@@ -233,11 +205,11 @@ class _LocalSteps:
     distinct state is expanded once.  Payloads are numbered in a table the
     agents share, and equal payloads are one object."""
 
-    def __init__(self, agent: AgentExecutor, payloads: _Numbering):
+    def __init__(self, agent: AgentExecutor, payloads: Numbering):
         self.role = agent.role
         self.agent = agent
         self.payloads = payloads
-        self._number = _Numbering()
+        self._number = Numbering()
         self.states = self._number.values
         self._emissions: list[tuple[tuple[Any, int, int], ...] | None] = []
         self._receptions: dict[tuple[int, int], int] = {}
@@ -279,9 +251,9 @@ class _StateSpace:
     def __init__(self, agents: list[AgentExecutor], policy: SimPolicy):
         agents = sorted(agents, key=lambda a: a.role)
         self.policy = policy
-        self.payloads = _Numbering()
+        self.payloads = Numbering()
         self.local = [_LocalSteps(a, self.payloads) for a in agents]
-        self._network_number = _Numbering()
+        self._network_number = Numbering()
         self.networks: list[Network] = self._network_number.values
         self.depths: list[int] = []
         self._deliveries: dict[int, tuple[tuple[Envelope, int, tuple[int, ...], int], ...]] = {}

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .cfp.ast import CfpExpr, Choice, OccAtom, Rec, Seq, Shuffle, finals, initials, roles as expr_roles, untag
+from .cfp.ast import CfpExpr, Choice, OccAtom, Rec, Seq, Shuffle, finals, initials, roles as expr_roles
 from .cfp.projection import (
     LocalExpr,
     MergeFailure,
@@ -35,8 +35,9 @@ from .cfp.transforms import (
     language_state,
 )
 from .diagnostics import Diagnostic
+from .graph import explore, least_path, topological
 from .netsim import Delivery, Reception
-from .runtime import CompositionGraph, compose, least_path, topological
+from .runtime import CompositionGraph, compose
 
 
 class Interpretation(str, Enum):
@@ -361,9 +362,8 @@ def _order_reasons(reasons: list[Reason]) -> tuple[Reason, ...]:
 
 
 def _project_all(working, cfg: CommConfig) -> dict[str, LocalExpr]:
-    all_roles = expr_roles(untag(working))
     behaviors: dict[str, LocalExpr] = {}
-    for role in all_roles:
+    for role in expr_roles(working):
         if cfg.doctrine is Doctrine.TRACE_C:
             behaviors[role] = project_trace_c(working, role)
         elif cfg.doctrine is Doctrine.SCRIBBLE:
@@ -512,7 +512,6 @@ def _compare_trace_sets(expanded, graph: CompositionGraph) -> tuple[int, tuple |
     deterministic and acyclic, so each word is one path of their product
     and path counts give the set sizes."""
     nfa = Nfa()
-    nfa.count = len(graph.edges)
     for n, out in enumerate(graph.edges):
         for event, t in out:
             if event is not None and event[0] == "E":
@@ -521,43 +520,32 @@ def _compare_trace_sets(expanded, graph: CompositionGraph) -> tuple[int, tuple |
                 nfa.add_eps(n, t)
     nfa.finals = {n for n, final in enumerate(graph.final) if final}
     emitted = determinize(nfa, 0)
-    emitted_moves: list[dict] = [{} for _ in emitted.states]
-    for a, label, b in emitted.transitions:
-        emitted_moves[a][label] = b
-    emitted_finals = set(emitted.finals)
+    emitted_moves = [dict(out) for out in emitted.edges]
     protocol_moves: dict[frozenset, dict] = {}
 
-    nodes = [(language_state(expanded), 0)]
-    numbers = {nodes[0]: 0}
-    edges: list[list[tuple[tuple, int]]] = []
-    while len(edges) < len(nodes):
-        p, c = nodes[len(edges)]
+    def successors(node):
+        p, c = node
         if p is not None and p not in protocol_moves:
             protocol_moves[p] = label_derivatives(p)
         p_out = protocol_moves[p] if p is not None else {}
         c_out = emitted_moves[c] if c is not None else {}
-        out = []
-        for label in sorted(p_out.keys() | c_out.keys()):
-            node = (p_out.get(label), c_out.get(label))
-            n = numbers.get(node)
-            if n is None:
-                n = numbers[node] = len(nodes)
-                nodes.append(node)
-            out.append((label, n))
-        edges.append(out)
-    in_protocol = [p is not None and accepts_empty(p) for p, _ in nodes]
-    in_composition = [c is not None and c in emitted_finals for _, c in nodes]
-    paths = [0] * len(nodes)
+        labels = sorted(p_out.keys() | c_out.keys())
+        return labels, [(p_out.get(label), c_out.get(label)) for label in labels]
+
+    product = explore((language_state(expanded), 0), successors)
+    in_protocol = [p is not None and accepts_empty(p) for p, _ in product.states]
+    in_composition = [c is not None and not emitted.states[c].isdisjoint(nfa.finals) for _, c in product.states]
+    paths = [0] * len(product.states)
     paths[0] = 1
-    for n in topological(edges):
-        for _, t in edges[n]:
+    for n in topological(product):
+        for _, t in product.edges[n]:
             paths[t] += paths[n]
 
     def count_and_least(ends: list[bool]) -> tuple[int, tuple | None]:
         count = sum(paths[n] for n, end in enumerate(ends) if end)
         if not count:
             return 0, None
-        return count, least_path(0, lambda n: edges[n], lambda n: () if ends[n] else None)
+        return count, least_path(0, product.successors, lambda n: () if ends[n] else None)
 
     missing = count_and_least([a and not b for a, b in zip(in_protocol, in_composition)])
     extra = count_and_least([b and not a for a, b in zip(in_protocol, in_composition)])

@@ -8,21 +8,21 @@ an agent observes a message the moment it is delivered, and a delivery its
 behavior cannot accept is an ordering violation; under the channel selector
 arrivals wait in per-peer queues until the behavior expects that channel.
 
-`compose` explores the composition as a graph of states, not of paths.  A
-state is every agent's remaining behavior, the payloads in transit on each
-channel in send order and, under the channel selector, each agent's
-arrival queues; each distinct state is expanded once.  The behaviors come
-from a recursion-free expression, so the graph is finite and acyclic, and
-every pass over it is iterative.  Witnesses are least event sequences in
-Python tuple order (`least_path`), so no answer depends on the order in
-which moves are generated.
+`compose` explores the composition as a graph of states, not of paths, on
+the exploration core (`graph.explore`) with `Composer.moves` as the
+successor function.  A state is every agent's remaining behavior, the
+payloads in transit on each channel in send order and, under the channel
+selector, each agent's arrival queues; each distinct state is expanded
+once.  The behaviors come from a recursion-free expression, so the graph
+is finite and acyclic, and every pass over it is iterative.  Witnesses are
+least event sequences in Python tuple order (`graph.least_path`), so no
+answer depends on the order in which moves are generated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Hashable, Iterable
 
 from .cfp.projection import (
     RECV,
@@ -39,6 +39,7 @@ from .cfp.projection import (
     lseq,
     lshuffle,
 )
+from .graph import Graph, Numbering, explore, least_path, topological
 from .netsim import Delivery, Reception
 
 # ---------------------------------------------------------------------------
@@ -183,21 +184,14 @@ class Composer:
         self.delivery = delivery
         self.reception = reception
         self._index = {role: i for i, role in enumerate(self.roles)}
-        self._numbers: dict = {}  # remainder or network -> its number
-        self._items: list = []
+        self._number = Numbering()  # remainders and networks
+        self._items = self._number.values
         self._steps: dict[int, tuple] = {}
         self._consumed: dict[tuple, list[int]] = {}
         self._deliveries: dict[int, list[tuple]] = {}
         self._sent: dict[tuple, int] = {}
         self._empty = self._number(())
         self.initial: State = (tuple(self._number(behaviors[r]) for r in self.roles), self._empty, tuple(() for _ in self.roles))
-
-    def _number(self, item) -> int:
-        n = self._numbers.get(item)
-        if n is None:
-            n = self._numbers[item] = len(self._items)
-            self._items.append(item)
-        return n
 
     def _local(self, n: int) -> tuple:
         """(sends as (peer, occurrence, name, remainder), silent commits,
@@ -240,11 +234,12 @@ class Composer:
         locals_, net, pending = state
         return net == self._empty and not any(pending) and all(self._local(l)[2] for l in locals_)
 
-    def moves(self, state: State) -> tuple[list[tuple[Event | None, State]], list[Violation]]:
-        """Every move from `state` as (event or None for a silent move,
-        next state), and the violations a delivery would cause there."""
+    def moves(self, state: State) -> tuple[list[Event | None], list[State], list[Violation]]:
+        """Every move from `state` as parallel lists of events (None for a
+        silent move) and next states, and the violations a delivery would
+        cause there."""
         locals_, net, pending = state
-        moves: list = []
+        events, nexts = [], []
         violations: list[Violation] = []
         deliveries = self._delivered(net)
         if not (self.delivery is Delivery.SYNCHRONOUS and deliveries):
@@ -252,9 +247,11 @@ class Composer:
                 sends, commits, _, _ = self._local(locals_[i])
                 for peer, occ, name, rest in sends:
                     after = self._send(net, (role, peer), (occ, name))
-                    moves.append((("E", occ, role, peer, name), (_put(locals_, i, rest), after, pending)))
+                    events.append(("E", occ, role, peer, name))
+                    nexts.append((_put(locals_, i, rest), after, pending))
                 for rest in commits:
-                    moves.append((None, (_put(locals_, i, rest), net, pending)))
+                    events.append(None)
+                    nexts.append((_put(locals_, i, rest), net, pending))
         for sender, receiver, occ, name, after in deliveries:
             i = self._index[receiver]
             event = ("R", occ, sender, receiver, name)
@@ -265,11 +262,13 @@ class Composer:
                         ("reception-order", f"{receiver} cannot accept {name} from {sender} at this point", event)
                     )
                 for rest in alternatives:
-                    moves.append((event, (_put(locals_, i, rest), after, pending)))
+                    events.append(event)
+                    nexts.append((_put(locals_, i, rest), after, pending))
             else:
                 # deliver into the per-peer arrival queue; observation happens
                 # only when the behavior reads that channel
-                moves.append((None, (locals_, after, _put(pending, i, _enqueue(pending[i], sender, (occ, name))))))
+                events.append(None)
+                nexts.append((locals_, after, _put(pending, i, _enqueue(pending[i], sender, (occ, name)))))
         if self.reception is Reception.BLOCKING_SELECTOR:
             for i, role in enumerate(self.roles):
                 row = dict(pending[i])
@@ -285,8 +284,9 @@ class Composer:
                         )
                     new_pending = _put(pending, i, _dequeue(pending[i], peer, 0))
                     for rest in alternatives:
-                        moves.append((event, (_put(locals_, i, rest), net, new_pending)))
-        return moves, violations
+                        events.append(event)
+                        nexts.append((_put(locals_, i, rest), net, new_pending))
+        return events, nexts, violations
 
 
 def _put(row: tuple, i: int, value) -> tuple:
@@ -309,42 +309,29 @@ def _dequeue(queues: tuple, key, index: int) -> tuple:
     return tuple(sorted(table.items()))
 
 
-class CompositionGraph:
-    """The reachable composite states (state 0 is the initial one), their
-    moves and violations.  When the state cap fires, the graph holds the
-    states found until then and `bound_exceeded` is set."""
+@dataclass
+class CompositionGraph(Graph):
+    """The core's graph of the reachable composite states (state 0 is the
+    initial one), with each expanded state's violations, whether it is
+    completed, and the deadlocks.  When the state cap fires, the graph
+    holds the states found until then and `bound_exceeded` is set."""
 
-    def __init__(self, composer: Composer, state_cap: int):
-        self.states: list[State] = [composer.initial]
-        self.edges: list[list[tuple[Event | None, int]]] = []
-        self.violations: list[list[Violation]] = []
-        self.bound_exceeded = False
-        numbers = {composer.initial: 0}
-        while len(self.edges) < len(self.states) and not self.bound_exceeded:
-            moves, violations = composer.moves(self.states[len(self.edges)])
-            out = []
-            for event, state in moves:
-                n = numbers.get(state)
-                if n is None:
-                    n = numbers[state] = len(self.states)
-                    self.states.append(state)
-                out.append((event, n))
-            self.edges.append(out)
-            self.violations.append(violations)
-            self.bound_exceeded = len(self.states) > state_cap
-        self.final = [composer.completed(s) for s in self.states[: len(self.edges)]]
+    violations: list[list[Violation]]
+    final: list[bool]
+
+    @property
+    def bound_exceeded(self) -> bool:
+        return self.cap is not None
+
+    @cached_property
+    def deadlocks(self) -> list[int]:
         # a state with only violating deliveries is not stuck
-        self.deadlocks = [
-            n for n, out in enumerate(self.edges) if not out and not self.violations[n] and not self.final[n]
-        ]
-
-    def successors(self, n: int) -> list[tuple[Event | None, int]]:
-        return self.edges[n] if n < len(self.edges) else []
+        return [n for n, out in enumerate(self.edges) if not out and not self.violations[n] and not self.final[n]]
 
     @cached_property
     def order(self) -> list[int]:
         """The states in topological order (of a graph the cap did not cut)."""
-        return topological(self.edges)
+        return topological(self)
 
     @cached_property
     def completed(self) -> tuple[Execution, ...]:
@@ -360,63 +347,15 @@ def compose(
     state_cap: int = 250_000,
 ) -> CompositionGraph:
     """Explore the composed local behaviors over the network policy, each
-    distinct composite state once."""
-    return CompositionGraph(Composer(behaviors, delivery, reception), state_cap)
+    distinct composite state once: `graph.explore` over `Composer.moves`."""
+    composer = Composer(behaviors, delivery, reception)
+    violations: list[list[Violation]] = []
 
+    def successors(state: State) -> tuple[list, list]:
+        events, nexts, found = composer.moves(state)
+        violations.append(found)
+        return events, nexts
 
-def topological(edges: list[list[tuple[object, int]]]) -> list[int]:
-    """The nodes of an acyclic graph, given as each node's (label, target)
-    list, in topological order."""
-    indegree = [0] * len(edges)
-    for out in edges:
-        for _, t in out:
-            indegree[t] += 1
-    ready = [n for n, d in enumerate(indegree) if not d]
-    order = []
-    while ready:
-        n = ready.pop()
-        order.append(n)
-        for _, t in edges[n]:
-            indegree[t] -= 1
-            if not indegree[t]:
-                ready.append(t)
-    if len(order) != len(edges):
-        raise RuntimeError("the graph has a cycle")
-    return order
-
-
-def least_path(
-    start: Hashable,
-    successors: Callable[[Hashable], Iterable[tuple[Event | None, Hashable]]],
-    terminal: Callable[[Hashable], tuple | None],
-) -> tuple | None:
-    """The least event sequence (Python tuple order) that a path from
-    `start` through an acyclic graph spells, ending with `terminal(node)`
-    at a node where that is not None; None when no path ends so.
-
-    Prepending an event keeps tuple order, so the least sequence from a
-    node is the least over its own terminal and each move followed by the
-    least sequence from the move's target: one iterative pass in
-    post-order, each node once."""
-    best: dict = {}
-    stack: list = [(start, None)]
-    while stack:
-        node, out = stack.pop()
-        if out is None:
-            if node in best:
-                continue
-            out = list(successors(node))
-            best[node] = None
-            stack.append((node, out))
-            stack.extend((t, None) for _, t in out if t not in best)
-            continue
-        options = []
-        end = terminal(node)
-        if end is not None:
-            options.append(end)
-        for event, t in out:
-            rest = best[t]
-            if rest is not None:
-                options.append(rest if event is None else (event,) + rest)
-        best[node] = min(options) if options else None
-    return best[start]
+    graph = explore(composer.initial, successors, state_cap)
+    final = [composer.completed(state) for state, _ in zip(graph.states, graph.labels)]
+    return CompositionGraph(**vars(graph), violations=violations, final=final)

@@ -15,6 +15,7 @@ from protolab.cfp.ast import (
     initials,
     nullable,
     print_cfp,
+    roles,
 )
 from protolab.cfp.scribble_parser import parse_scribble, parse_scribble_protocol, print_scribble
 from protolab.cfp.trace_parser import parse_trace
@@ -173,6 +174,16 @@ def test_structural_helpers_match_trace_semantics_random():
             assert len(set(firsts)) == len(firsts) and len(set(lasts)) == len(lasts)
             checked += 1
     assert checked > 4000
+
+
+def test_roles_read_occurrences_random():
+    """An expression, its expansion and the expansion's shuffle-free form
+    list the same roles in the same order."""
+    rng = random.Random(31)
+    for case in range(300):
+        e = random_cfp(rng, 3) if case % 2 else random_shuffle_expr(rng)
+        expanded = expand(e, 2)
+        assert roles(expanded) == roles(eliminate_shuffle(expanded)) == roles(e) != ()
 
 
 def test_structural_helpers_on_recursion():

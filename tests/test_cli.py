@@ -97,6 +97,16 @@ def test_simulate_exhaustive_prints_only_its_four_counts(capsys):
     assert sorted(record) == ["bound_exceeded", "enactments", "max_queue_depth", "schema_version", "states_explored"]
 
 
+def test_simulate_exhaustive_names_the_cap_that_fired(capsys):
+    # six messages on one channel exceed the queue cap of 4
+    args = ("simulate", str(FIXDIR / "want_willpay.bspl"), "--exhaustive", "--instances", "3", "--policy", "fifo")
+    code, out, _ = run(capsys, *args)
+    assert (code, out) == (0, "90 maximal enactments (1300 states explored; the queue cap of 4 messages per channel fired)\n")
+    code, out, _ = run(capsys, *args, "--format", "json")
+    record = json.loads(out)
+    assert (code, record["cap"], record["bound_exceeded"], record["states_explored"]) == (0, "queue", True, 1300)
+
+
 def test_commitments_command(capsys, tmp_path):
     log = tmp_path / "run.log"
     log.write_text(

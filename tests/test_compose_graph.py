@@ -102,7 +102,8 @@ def paths(composer, limit=2_000):
         if len(completed) + len(deadlocks) + len(stack) > limit:
             raise TooManyPaths()
         state, events = stack.pop()
-        moves, found = composer.moves(state)
+        labels, nexts, found = composer.moves(state)
+        moves = list(zip(labels, nexts))
         for kind, detail, ev in found:
             candidate = events + (ev,)
             violations[(kind, detail)] = min(violations.get((kind, detail), candidate), candidate)

@@ -1,6 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import protolab
 
 from protolab.hapn import (
     Action,
@@ -173,13 +179,41 @@ def test_integrity_unbind_permits_rebinding():
     assert hapn_integrity_check(machine, run) is None
 
 
+TIED_CONFLICTS = """machine tie
+var x, y
+state s0 initial
+state s1
+state s2 final
+trans s0 -> s1 on A -> B : m() do bind(x, "1"), bind(y, "1")
+trans s1 -> s2 on A -> B : n() do bind(x, "2")
+trans s1 -> s2 on A -> B : n() do bind(y, "2")
+"""
+
+
+def test_integrity_conflict_does_not_depend_on_hash_seed():
+    # two runs tie with one conflict each; the first run discovered (the
+    # first declared transition) names the conflict, whatever the hash seed
+    script = (
+        "from protolab.hapn import HapnEvent, hapn_integrity_check, parse_hapn\n"
+        f"m = parse_hapn({TIED_CONFLICTS!r})\n"
+        "print(hapn_integrity_check(m, [HapnEvent.make('A', 'B', 'm'), HapnEvent.make('A', 'B', 'n')]))\n"
+    )
+    src = str(Path(protolab.__file__).parent.parent)
+    answers = set()
+    for seed in range(8):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60, check=True)
+        answers.add(done.stdout)
+    assert answers == {"variable x rebound from '1' to '2' by n\n"}
+
+
 def test_replaying_accepted_run_reproduces_store(flexible):
     request = ev("Buyer", "Seller", "Request")
     payment = ev("Buyer", "Seller", "Payment")
     shipment = ev("Seller", "Buyer", "Shipment")
     from protolab.hapn import runs
 
-    final_stores = {config.store for config, _ in runs(flexible, [request, payment, shipment]) if config.state == "s2"}
+    final_stores = {config.store for config in runs(flexible, [request, payment, shipment]) if config.state == "s2"}
     assert final_stores == {(("paid", "T"), ("shipped", "T"))}
 
 

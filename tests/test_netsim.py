@@ -339,6 +339,13 @@ def test_bspl_agent_scripts_and_emissions_are_tuples(want_willpay):
 
 def test_queue_cap_fires_only_in_explore():
     agents = simulate_agents("want_willpay", 3)
-    assert explore(agents, SimPolicy(Delivery.FIFO_PAIRWISE), queue_cap=2).bound_exceeded
+    result = explore(agents, SimPolicy(Delivery.FIFO_PAIRWISE), queue_cap=2)
+    assert result.bound_exceeded and result.cap == "queue"
     vector, log = run_one(agents, SimPolicy(Delivery.FIFO_PAIRWISE), choice_script=[0] * 100)
     assert sum(kind == EMISSION for _, kind, _ in log) == 6  # all six sent before any delivery
+
+
+def test_state_cap_is_named_and_counts_only_expanded_states():
+    result = explore(simulate_agents("want_willpay", 2), SimPolicy(Delivery.UNORDERED), state_cap=10)
+    assert result.bound_exceeded and result.cap == "state"
+    assert result.stats.states_explored == 10

@@ -159,8 +159,9 @@ class OccAtom(HashedNode):
 # ---------------------------------------------------------------------------
 # structure helpers: each takes Atom and OccAtom leaves alike.  A recursion
 # variable counts as a dead end (not nullable, no atoms), which is exact for
-# `nullable` and `initials` under guarded recursion; `finals` is exact on
-# recursion-free (expanded) expressions.
+# `nullable` and `initials` under guarded recursion.  `finals` is exact on
+# recursion-free (expanded) expressions and refuses recursion, where the
+# dead-end reading would drop the atoms a loop ends with.
 
 
 def seq(left: CfpExpr, right: CfpExpr) -> CfpExpr:
@@ -227,7 +228,8 @@ def initials(e: CfpExpr) -> tuple:
 
 def finals(e: CfpExpr) -> tuple:
     """The distinct atoms that can end a trace of `e`, in order of first
-    occurrence, right operands of a sequence first."""
+    occurrence, right operands of a sequence first.  Raises ValueError when
+    the walk meets a recursion: expand the expression first."""
     out: list = []
     _ends(e, out, False)
     return tuple(out)
@@ -250,6 +252,8 @@ def _ends(e: CfpExpr, out: list, first: bool) -> None:
     elif isinstance(e, Shuffle):
         _ends(e.left, out, first)
         _ends(e.right, out, first)
+    elif isinstance(e, (Rec, Var)) and not first:
+        raise ValueError("finals needs a recursion-free expression; expand it first")
     elif isinstance(e, Rec):
         _ends(e.body, out, first)
     elif not isinstance(e, (Epsilon, Var)):
@@ -257,27 +261,34 @@ def _ends(e: CfpExpr, out: list, first: bool) -> None:
 
 
 def atoms(e: CfpExpr) -> list[Atom]:
-    """The atoms of `e` in order, an occurrence as its atom."""
-    if isinstance(e, Atom):
-        return [e]
-    if isinstance(e, OccAtom):
-        return [e.atom]
-    if isinstance(e, (Seq, Shuffle)):
-        return atoms(e.left) + atoms(e.right)
-    if isinstance(e, Choice):
-        return [a for b in e.branches for a in atoms(b)]
-    if isinstance(e, Rec):
-        return atoms(e.body)
-    return []
+    """The atoms of `e` in order, an occurrence as its atom.  The walk is
+    pre-order and enters each compound node object once, so a subterm
+    shared by several parents (see `eliminate_shuffle`) is read once; the
+    first occurrences come in the order the unfolded tree gives them."""
+    out: list[Atom] = []
+    entered: set[int] = set()
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, (Atom, OccAtom)):
+            out.append(x.atom if isinstance(x, OccAtom) else x)
+            continue
+        if id(x) in entered:
+            continue
+        entered.add(id(x))
+        if isinstance(x, (Seq, Shuffle)):
+            stack += (x.right, x.left)
+        elif isinstance(x, Choice):
+            stack += reversed(x.branches)
+        elif isinstance(x, Rec):
+            stack.append(x.body)
+    return out
 
 
 def roles(e: CfpExpr) -> tuple[str, ...]:
-    out: list[str] = []
-    for a in atoms(e):
-        for r in (a.sender, a.receiver):
-            if r not in out:
-                out.append(r)
-    return tuple(out)
+    """The roles of `e` in order of first occurrence, each atom's sender
+    before its receiver."""
+    return tuple(dict.fromkeys(r for a in atoms(e) for r in (a.sender, a.receiver)))
 
 
 def has_shuffle(e: CfpExpr) -> bool:

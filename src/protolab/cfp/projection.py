@@ -146,27 +146,46 @@ def _branch_polarity(global_branches, role: str) -> tuple[ChoiceKind, ChoiceKind
     return ChoiceKind.MIXED, lean
 
 
+# `project_trace_c` and `project_scribble`, which run on shuffle-free
+# forms, walk their input once per node object and keep each node's
+# projection by id: a subterm shared in `eliminate_shuffle`'s DAG is
+# projected once and its projection shared, so the work is linear in the
+# distinct nodes, not in the unfolded tree.  The memo sits inside the one
+# recursive function, so that nesting costs one frame per level, as deep
+# inputs need.
+
+
 def project_trace_c(e: CfpExpr, role: str) -> LocalExpr:
     """Projection with internal/external choice polarity.  Expects a
     shuffle-free expression (run eliminate_shuffle first)."""
-    if isinstance(e, (Atom, OccAtom)):
-        return _project_atom(e, role)
-    if isinstance(e, Epsilon):
-        return L_EPSILON
-    if isinstance(e, Seq):
-        return lseq(project_trace_c(e.left, role), project_trace_c(e.right, role))
-    if isinstance(e, Choice):
-        kind, lean = _branch_polarity(e.branches, role)
-        branches = tuple(project_trace_c(b, role) for b in e.branches)
-        return _collapse_choice(branches, kind, lean)
-    if isinstance(e, Rec):
-        body = project_trace_c(e.body, role)
-        return LRec(e.var, body) if _uses_var(body, e.var) else body
-    if isinstance(e, Var):
-        return LVar(e.var)
-    if isinstance(e, Shuffle):
-        raise ValueError("projection expects a shuffle-free expression; run eliminate_shuffle first")
-    raise TypeError(type(e))
+    done: dict[int, LocalExpr] = {}
+
+    def walk(x: CfpExpr) -> LocalExpr:
+        out = done.get(id(x))
+        if out is not None:
+            return out
+        if isinstance(x, (Atom, OccAtom)):
+            out = _project_atom(x, role)
+        elif isinstance(x, Epsilon):
+            out = L_EPSILON
+        elif isinstance(x, Seq):
+            out = lseq(walk(x.left), walk(x.right))
+        elif isinstance(x, Choice):
+            kind, lean = _branch_polarity(x.branches, role)
+            out = _collapse_choice(tuple(walk(b) for b in x.branches), kind, lean)
+        elif isinstance(x, Rec):
+            body = walk(x.body)
+            out = LRec(x.var, body) if _uses_var(body, x.var) else body
+        elif isinstance(x, Var):
+            out = LVar(x.var)
+        elif isinstance(x, Shuffle):
+            raise ValueError("projection expects a shuffle-free expression; run eliminate_shuffle first")
+        else:
+            raise TypeError(type(x))
+        done[id(x)] = out
+        return out
+
+    return walk(e)
 
 
 def project_trace_f(e: CfpExpr, role: str) -> LocalExpr:
@@ -196,38 +215,54 @@ def project_scribble(e: CfpExpr, role: str) -> LocalExpr:
     """Session-style projection.  Every choice must carry a decider; the
     decider gets an internal choice, others an external choice resolved by
     the first reception of each branch."""
-    if isinstance(e, (Atom, OccAtom)):
-        return _project_atom(e, role)
-    if isinstance(e, Epsilon):
-        return L_EPSILON
-    if isinstance(e, Seq):
-        return lseq(project_scribble(e.left, role), project_scribble(e.right, role))
-    if isinstance(e, Choice):
-        if e.decider is None:
-            raise MergeFailure("choice without a decider cannot be projected")
-        branches = tuple(project_scribble(b, role) for b in e.branches)
-        if e.decider == role:
-            return _collapse_choice(branches, ChoiceKind.INTERNAL, None)
-        distinct = set(branches)
-        if len(distinct) == 1:
-            return branches[0]
-        heads = []
-        for b in branches:
-            first = _first_local(b)
-            if first is None or first.direction != RECV:
-                raise MergeFailure(f"role {role} cannot distinguish the branches of a choice at {e.decider}")
-            heads.append((first.peer, first.name))
-        if len(set(heads)) != len(heads):
-            raise MergeFailure(f"role {role} sees identical first receptions in distinct branches")
-        return _collapse_choice(branches, ChoiceKind.EXTERNAL, None)
-    if isinstance(e, Rec):
-        body = project_scribble(e.body, role)
-        return LRec(e.var, body) if _uses_var(body, e.var) else body
-    if isinstance(e, Var):
-        return LVar(e.var)
-    if isinstance(e, Shuffle):
-        raise MergeFailure("the session subset has no shuffle operator")
-    raise TypeError(type(e))
+    done: dict[int, LocalExpr] = {}
+
+    def walk(x: CfpExpr) -> LocalExpr:
+        out = done.get(id(x))
+        if out is not None:
+            return out
+        if isinstance(x, (Atom, OccAtom)):
+            out = _project_atom(x, role)
+        elif isinstance(x, Epsilon):
+            out = L_EPSILON
+        elif isinstance(x, Seq):
+            out = lseq(walk(x.left), walk(x.right))
+        elif isinstance(x, Choice):
+            if x.decider is None:
+                raise MergeFailure("choice without a decider cannot be projected")
+            out = _session_choice(tuple(walk(b) for b in x.branches), x.decider, role)
+        elif isinstance(x, Rec):
+            body = walk(x.body)
+            out = LRec(x.var, body) if _uses_var(body, x.var) else body
+        elif isinstance(x, Var):
+            out = LVar(x.var)
+        elif isinstance(x, Shuffle):
+            raise MergeFailure("the session subset has no shuffle operator")
+        else:
+            raise TypeError(type(x))
+        done[id(x)] = out
+        return out
+
+    return walk(e)
+
+
+def _session_choice(branches: tuple[LocalExpr, ...], decider: str, role: str) -> LocalExpr:
+    """A session choice at `decider` as `role` sees it: internal for the
+    decider; for any other role the branches merge when equal, and must
+    otherwise each begin with a distinct reception."""
+    if decider == role:
+        return _collapse_choice(branches, ChoiceKind.INTERNAL, None)
+    if len(set(branches)) == 1:
+        return branches[0]
+    heads = []
+    for b in branches:
+        first = _first_local(b)
+        if first is None or first.direction != RECV:
+            raise MergeFailure(f"role {role} cannot distinguish the branches of a choice at {decider}")
+        heads.append((first.peer, first.name))
+    if len(set(heads)) != len(heads):
+        raise MergeFailure(f"role {role} sees identical first receptions in distinct branches")
+    return _collapse_choice(branches, ChoiceKind.EXTERNAL, None)
 
 
 def _collapse_choice(branches: tuple[LocalExpr, ...], kind: ChoiceKind, lean, plain: bool = False) -> LocalExpr:

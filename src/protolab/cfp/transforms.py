@@ -209,43 +209,47 @@ _EMPTY = ("_empty",)  # sentinel for the empty language
 def eliminate_shuffle(e: CfpExpr) -> CfpExpr:
     """Rewrite an expression into a shuffle-free choice of orderings with
     exactly the same bounded trace set.  Recursion is bound-expanded first.
-    Also accepts occurrence-expanded expressions."""
-    source = expand_plain(e) if has_rec(e) else e
-    return _expand_shuffles(source)
+    Also accepts occurrence-expanded expressions.
+
+    Brzozowski-style expansion: a shuffle equals the choice, over each
+    possible first atom, of that atom followed by the residual shuffle.
+    Each distinct residual is expanded once, within the call, so the result
+    is a DAG: equal subterms reached by different orderings are one object.
+    The tree it stands for can have factorially many leaves (113,400 for
+    five shuffled request/reply pairs, which have 3^5 distinct residuals),
+    so callers must walk it once per node object and never unfold it."""
+    done: dict[CfpExpr, CfpExpr] = {}
+
+    def walk(x: CfpExpr) -> CfpExpr:
+        if isinstance(x, (Epsilon, Atom, OccAtom)):
+            return x
+        out = done.get(x)
+        if out is not None:
+            return out
+        if isinstance(x, Seq):
+            out = seq(walk(x.left), walk(x.right))
+        elif isinstance(x, Choice):
+            out = choice([walk(b) for b in x.branches], x.decider)
+        elif isinstance(x, Shuffle):
+            alternatives: list[CfpExpr] = []
+            for head in initials(x):
+                residual = _derivative(x, head)
+                if residual is not _EMPTY:
+                    alternatives.append(seq(head, walk(residual)))
+            if nullable(x):
+                alternatives.append(Epsilon())
+            out = choice(alternatives) if alternatives else Epsilon()
+        else:
+            raise TypeError(type(x))
+        done[x] = out
+        return out
+
+    return walk(expand_plain(e) if has_rec(e) else e)
 
 
 def expand_plain(e: CfpExpr, unroll_bound: int = DEFAULT_UNROLL) -> CfpExpr:
     """Bounded unrolling without occurrence tagging."""
     return untag(expand(e, unroll_bound))
-
-
-def _expand_shuffles(e: CfpExpr) -> CfpExpr:
-    if isinstance(e, (Epsilon, Atom, OccAtom)):
-        return e
-    if isinstance(e, Seq):
-        return seq(_expand_shuffles(e.left), _expand_shuffles(e.right))
-    if isinstance(e, Choice):
-        branches = [_expand_shuffles(b) for b in e.branches]
-        return choice(branches, e.decider)
-    if isinstance(e, Shuffle):
-        return _expand_by_derivatives(e)
-    raise TypeError(type(e))
-
-
-def _expand_by_derivatives(e: CfpExpr) -> CfpExpr:
-    """Brzozowski-style expansion: a shuffle equals the choice, over each
-    possible first atom, of that atom followed by the residual shuffle."""
-    alternatives: list[CfpExpr] = []
-    for head in initials(e):
-        residual = _derivative(e, head)
-        if residual is _EMPTY:
-            continue
-        alternatives.append(seq(head, _expand_shuffles(residual)))
-    if nullable(e):
-        alternatives.append(Epsilon())
-    if not alternatives:
-        return Epsilon()
-    return choice(alternatives)
 
 
 def _derivative(e: CfpExpr, head) -> CfpExpr | tuple:

@@ -21,7 +21,7 @@ from .cfp.projection import MergeFailure, print_local, project_scribble, project
 from .cfp.scribble_parser import parse_scribble
 from .cfp.trace_parser import parse_trace
 from .cfp.transforms import DEFAULT_UNROLL, eliminate_shuffle
-from .commitments import commitment_states, parse_cupid
+from .commitments import bind_spec, commitment_states, parse_cupid
 from .diagnostics import ParseError, Severity
 from .enactlog import format_log, histories_from_log, log_from_run, parse_log
 from .hapn import parse_hapn
@@ -266,6 +266,9 @@ def cmd_simulate(args) -> int:
 def cmd_commitments(args) -> int:
     protocol = parse_bspl(args.protocol.read_text())
     spec = parse_cupid(args.cupid.read_text())
+    missing = bind_spec(spec, protocol)
+    if missing:
+        raise ValueError(f"commitment {spec.name} names events protocol {protocol.name} lacks: {', '.join(missing)}")
     entries = parse_log(args.log.read_text(), [protocol])
     histories = histories_from_log(entries, [protocol])
     states = commitment_states(spec, list(histories.values()), protocol, now=args.now)

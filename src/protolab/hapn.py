@@ -141,22 +141,40 @@ def _walk(m: HapnMachine, enactment: list[HapnEvent], extend) -> list[tuple[Hapn
     """The distinct (configuration, tag) pairs that some run over the
     enactment ends in, epsilon steps interleaved, in discovery order (each
     epsilon closure depth first).  A run starts with the tag (), and each
-    step makes it extend(tag, the step's bind conflicts)."""
+    step makes it extend(tag, the step's bind conflicts).
+
+    An item whose configuration an ancestor in the same closure already
+    had, with a proper prefix of its tag, is dropped: it went round an
+    epsilon cycle that only added conflicts, so skipping the cycle reaches
+    every continuation it has with fewer, and it lies on no fewest-conflict
+    run.  Without this, a cycle that rebinds a variable grows the tag on
+    every lap and the closure never ends."""
     items = [(HapnConfigState(m.initial), ())]
     for ev in (None, *enactment):
         if ev is not None:
             items = [(s, extend(tag, conflicts)) for c, tag in items for s, conflicts in _steps(m, c, ev)]
-        seen = dict.fromkeys(items)
-        stack = list(seen)
+        parent = dict.fromkeys(items)  # item -> the item it was first reached from in this closure
+        stack = list(parent)
         while stack:
-            c, tag = stack.pop()
-            for s, conflicts in _steps(m, c, None):
-                item = (s, extend(tag, conflicts))
-                if item not in seen:
-                    seen[item] = None
-                    stack.append(item)
-        items = list(seen)
+            item = stack.pop()
+            for s, conflicts in _steps(m, item[0], None):
+                reached = (s, extend(item[1], conflicts))
+                if reached not in parent and not _laps(parent, item, reached):
+                    parent[reached] = item
+                    stack.append(reached)
+        items = list(parent)
     return items
+
+
+def _laps(parent: dict, item, reached) -> bool:
+    """Whether `item` or one of its ancestors has `reached`'s configuration
+    with a shorter tag (tags only grow along a run, so a shorter one is a
+    proper prefix)."""
+    while item is not None:
+        if item[0] == reached[0] and len(item[1]) < len(reached[1]):
+            return True
+        item = parent[item]
+    return False
 
 
 def accepts(m: HapnMachine, enactment: list[HapnEvent]) -> bool:

@@ -362,22 +362,32 @@ def _order_reasons(reasons: list[Reason]) -> tuple[Reason, ...]:
 
 
 def _project_all(working, cfg: CommConfig) -> dict[str, LocalExpr]:
+    roles = expr_roles(working)
+    if cfg.doctrine is Doctrine.SCRIBBLE and roles:
+        working = _infer_deciders(working, {})
     behaviors: dict[str, LocalExpr] = {}
-    for role in expr_roles(working):
+    for role in roles:
         if cfg.doctrine is Doctrine.TRACE_C:
             behaviors[role] = project_trace_c(working, role)
         elif cfg.doctrine is Doctrine.SCRIBBLE:
-            behaviors[role] = project_scribble(_infer_deciders(working), role)
+            behaviors[role] = project_scribble(working, role)
         else:
             behaviors[role] = project_trace_f(working, role)
     return behaviors
 
 
-def _infer_deciders(e):
+def _infer_deciders(e, done: dict[int, CfpExpr]):
     """Session projection needs a decider on every choice; infer it as the
-    unique sender of the branch-initial events, or fail the merge."""
+    unique sender of the branch-initial events, or fail the merge.  `done`
+    maps each node object already rewritten (by id) to its rewrite, so a
+    shared subterm stays one object."""
+    if not isinstance(e, (Choice, Seq, Shuffle)):
+        return e
+    out = done.get(id(e))
+    if out is not None:
+        return out
     if isinstance(e, Choice):
-        branches = tuple(_infer_deciders(b) for b in e.branches)
+        branches = tuple(_infer_deciders(b, done) for b in e.branches)
         decider = e.decider
         if decider is None:
             senders = {a.sender for b in e.branches for a in initials(b)}
@@ -386,12 +396,11 @@ def _infer_deciders(e):
                     "no single role initiates every branch (candidates: " + ", ".join(sorted(senders)) + ")"
                 )
             decider = senders.pop()
-        return Choice(branches, decider)
-    if isinstance(e, Seq):
-        return Seq(_infer_deciders(e.left), _infer_deciders(e.right))
-    if isinstance(e, Shuffle):
-        return Shuffle(_infer_deciders(e.left), _infer_deciders(e.right))
-    return e
+        out = Choice(branches, decider)
+    else:
+        out = type(e)(_infer_deciders(e.left, done), _infer_deciders(e.right, done))
+    done[id(e)] = out
+    return out
 
 
 def _repeated_schema_on_channel(traces):

@@ -191,10 +191,26 @@ def test_structural_helpers_on_recursion():
     loop = Rec("X", Choice((Seq(a, Var("X")), Epsilon())))
     assert nullable(loop) and initials(loop) == (a,)
     assert not nullable(Seq(loop, b)) and initials(Seq(loop, b)) == (a, b)
-    # a recursion variable is a dead end: not nullable, no atoms
-    assert not nullable(Var("X")) and initials(Var("X")) == () and finals(Var("X")) == ()
+    # a recursion variable is a dead end: not nullable, no initial atoms
+    assert not nullable(Var("X")) and initials(Var("X")) == ()
     # an inner recursion reusing the outer one's variable starts with its own body
     assert initials(Rec("X", Rec("X", Seq(b, Var("X"))))) == (b,)
+
+
+def test_finals_refuses_recursion():
+    """Read as a dead end, a loop would end nothing: `finals` of
+    rec X (A -> B : a ; X \\/ eps) would be () although every non-empty
+    trace ends with a.  So `finals` raises wherever its walk meets a
+    recursion, and is exact once the loop is expanded."""
+    a, b = atom("A", "B", "a"), atom("B", "A", "b")
+    loop = parse_trace("rec X (A -> B : a ; X \\/ eps)")
+    for e in (loop, Var("X"), Seq(b, loop)):
+        with pytest.raises(ValueError, match="recursion-free"):
+            finals(e)
+    assert initials(loop) == (a,) and initials(Seq(b, loop)) == (b,)
+    # a recursion the walk does not reach is no obstacle
+    assert finals(Seq(loop, b)) == (b,)
+    assert finals(expand_plain(loop, 2)) == (a,)
 
 
 def test_enumerate_purchase_two_traces():

@@ -143,40 +143,42 @@ def test_integrity_rebind_same_value_ok(pricing_machine):
     assert hapn_integrity_check(pricing_machine, run) is None
 
 
-def test_integrity_unbind_permits_rebinding():
-    # same loop but the request edge clears the price first
-    machine = HapnMachine(
-        "PricingUnbind",
-        ("s0", "s1"),
-        "s0",
-        ("s0",),
-        ("ID", "item", "price"),
-        (
-            Transition(
-                "s0",
-                "s1",
-                ("Buyer", "Seller", "Request"),
-                ("ID", "item"),
-                Guard(),
-                (Action("bind", "ID", "arg.ID"), Action("bind", "item", "arg.item"), Action("unbind", "price")),
-            ),
-            Transition(
-                "s1",
-                "s0",
-                ("Seller", "Buyer", "Offer"),
-                ("ID", "price"),
-                Guard(),
-                (Action("bind", "price", "arg.price"),),
-            ),
+# the pricing loop with the request edge clearing the price first
+PRICING_UNBIND = HapnMachine(
+    "PricingUnbind",
+    ("s0", "s1"),
+    "s0",
+    ("s0",),
+    ("ID", "item", "price"),
+    (
+        Transition(
+            "s0",
+            "s1",
+            ("Buyer", "Seller", "Request"),
+            ("ID", "item"),
+            Guard(),
+            (Action("bind", "ID", "arg.ID"), Action("bind", "item", "arg.item"), Action("unbind", "price")),
         ),
-    )
+        Transition(
+            "s1",
+            "s0",
+            ("Seller", "Buyer", "Offer"),
+            ("ID", "price"),
+            Guard(),
+            (Action("bind", "price", "arg.price"),),
+        ),
+    ),
+)
+
+
+def test_integrity_unbind_permits_rebinding():
     run = [
         ev("Buyer", "Seller", "Request", ID="1", item="fig"),
         ev("Seller", "Buyer", "Offer", ID="1", price="$5"),
         ev("Buyer", "Seller", "Request", ID="1", item="fig"),
         ev("Seller", "Buyer", "Offer", ID="1", price="$6"),
     ]
-    assert hapn_integrity_check(machine, run) is None
+    assert hapn_integrity_check(PRICING_UNBIND, run) is None
 
 
 TIED_CONFLICTS = """machine tie
@@ -248,3 +250,125 @@ def test_parse_print_roundtrip_random():
     for _ in range(100):
         m = random_hapn(rng)
         assert parse_hapn(print_hapn(m)) == m
+
+
+# An epsilon cycle that rebinds x: every lap adds a conflict to the run's
+# tag, so a closure over (configuration, conflicts) pairs that kept every
+# lap would never end.
+REBINDING_CYCLE = """machine cycle
+var x
+state s0 initial final
+state s1
+trans s0 -> s1 do bind(x, "1")
+trans s1 -> s0 do bind(x, "2")
+trans s0 -> s0 on A -> B : m(){guard}
+"""
+
+
+def test_integrity_check_ends_on_a_rebinding_epsilon_cycle():
+    run = [ev("A", "B", "m")]
+    # m can be taken before any lap: no run needs a conflict
+    free = parse_hapn(REBINDING_CYCLE.format(guard=""))
+    assert hapn_integrity_check(free, run) is None
+    assert conforms(free, run)
+    # m needs x bound, so every run goes round at least once: s0 -> s1
+    # binds x to "1" and s1 -> s0 rebinds it to "2"
+    forced = parse_hapn(REBINDING_CYCLE.format(guard=" when bound(x)"))
+    assert str(hapn_integrity_check(forced, run)) == "variable x rebound from '1' to '2' by epsilon"
+
+
+# One lap only: the way back sets y, which the way back needs unset.  The
+# run that m needs returns to s0 with a conflict and a different store, so
+# dropping it for its state alone would lose the answer.
+REBINDING_ONCE = """machine once
+var x, y
+state s0 initial final
+state s1
+trans s0 -> s1 do bind(x, "1")
+trans s1 -> s0 when unbound(y) do bind(x, "2"), bind(y, "T")
+trans s0 -> s0 on A -> B : m() when bound(y)
+"""
+
+
+class Unfinished(Exception):
+    pass
+
+
+def unpruned_integrity_check(m, enactment, budget=200):
+    """The integrity check on the walker that keeps every (configuration,
+    conflicts) item, laps of conflict-adding epsilon cycles included;
+    raises Unfinished once a closure holds `budget` items."""
+    from protolab.hapn import _steps
+
+    items = [(HapnConfigState(m.initial), ())]
+    for event in (None, *enactment):
+        if event is not None:
+            items = [(s, tag + conflicts) for c, tag in items for s, conflicts in _steps(m, c, event)]
+        seen = dict.fromkeys(items)
+        stack = list(seen)
+        while stack:
+            c, tag = stack.pop()
+            for s, conflicts in _steps(m, c, None):
+                item = (s, tag + conflicts)
+                if item not in seen:
+                    if len(seen) >= budget:
+                        raise Unfinished
+                    seen[item] = None
+                    stack.append(item)
+        items = list(seen)
+    if not items:
+        raise NoTransition("no run consumes the enactment")
+    first = min((tag for _, tag in items), key=len)
+    return first[0] if first else None
+
+
+def random_enactment(rng, m, length):
+    """Events along a random walk over the machine's transitions, guards
+    ignored, with argument values from a small set so rebinding happens."""
+    state, events = m.initial, []
+    for _ in range(4 * length):
+        out = [t for t in m.transitions if t.source == state]
+        if len(events) == length or not out:
+            break
+        t = rng.choice(out)
+        if t.label is not None:
+            args = {p: rng.choice(("1", "2")) for p in t.message_params}
+            events.append(HapnEvent.make(*t.label, **args))
+        state = t.target
+    return events
+
+
+def outcome(check, m, enactment):
+    try:
+        return str(check(m, enactment))
+    except (NoTransition, ValueError) as err:
+        return type(err).__name__
+
+
+def test_pruned_walker_matches_the_unpruned_one():
+    """On every machine in this file, where the unpruned walker ends, the
+    integrity check gives the same answer with and without dropping laps."""
+    base = parse_hapn(fixture_text("purchase.hapn"))
+    looped = HapnMachine(
+        base.name, base.states, base.initial, base.finals, base.variables,
+        base.transitions + (Transition("s1", "s1", None, (), Guard(), ()),),
+    )
+    machines = [parse_hapn(fixture_text(name)) for name in ("purchase.hapn", "flexible_purchase.hapn", "concurrent_pricing.hapn")]
+    machines += [looped, PRICING_UNBIND, parse_hapn(TIED_CONFLICTS), HapnMachine("M", ("s0",), "s0", ("s0",), (), ())]
+    machines += [parse_hapn(REBINDING_CYCLE.format(guard=g)) for g in ("", " when bound(x)")] + [parse_hapn(REBINDING_ONCE)]
+    rng = random.Random(17)
+    machines += [random_hapn(rng) for _ in range(100)]
+    compared = conflicts = unfinished = 0
+    for m in machines:
+        for length in (*range(8), *range(8)):
+            enactment = random_enactment(rng, m, length)
+            try:
+                want = outcome(unpruned_integrity_check, m, enactment)
+            except Unfinished:
+                unfinished += 1
+                continue
+            assert outcome(hapn_integrity_check, m, enactment) == want, (print_hapn(m), enactment)
+            compared += 1
+            conflicts += want.startswith("variable")
+    # 1,728 compared, 45 of them with a conflict, 32 left unfinished
+    assert compared > 1_500 and conflicts > 40 and unfinished > 0

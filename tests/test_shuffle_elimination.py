@@ -1,0 +1,175 @@
+"""Shuffle elimination as a DAG of shared residuals.
+
+`eliminate_shuffle` expands each distinct residual shuffle once, so equal
+subterms of its result are one object.  These tests check it against the
+tree-building recursion it replaced (kept below as the reference), pin
+the verdicts and notes it makes reachable, and pin its size as a count of
+node objects.
+"""
+
+import random
+
+import pytest
+
+from generators import random_cfp, random_shuffle_expr
+from protolab.cfp.ast import (
+    Atom,
+    Choice,
+    Epsilon,
+    OccAtom,
+    Rec,
+    Seq,
+    Shuffle,
+    atoms,
+    choice,
+    has_shuffle,
+    initials,
+    nullable,
+    roles,
+    seq,
+)
+from protolab.cfp.trace_parser import parse_trace
+from protolab.cfp.transforms import _EMPTY, _derivative, eliminate_shuffle, expand, expand_plain
+from protolab.realizability import Outcome, Reason, check_realizability, language_preset
+from test_realize_table import TABLE, config_from_flags, expression
+
+
+def tree_elimination(e):
+    """The reference: the tree-building recursion, which expands a residual
+    again each time another ordering reaches it."""
+    return _expand_shuffles(expand_plain(e) if _has_rec(e) else e)
+
+
+def _has_rec(e):
+    if isinstance(e, Rec):
+        return True
+    if isinstance(e, (Seq, Shuffle)):
+        return _has_rec(e.left) or _has_rec(e.right)
+    if isinstance(e, Choice):
+        return any(_has_rec(b) for b in e.branches)
+    return False
+
+
+def _expand_shuffles(e):
+    if isinstance(e, (Epsilon, Atom, OccAtom)):
+        return e
+    if isinstance(e, Seq):
+        return seq(_expand_shuffles(e.left), _expand_shuffles(e.right))
+    if isinstance(e, Choice):
+        return choice([_expand_shuffles(b) for b in e.branches], e.decider)
+    if isinstance(e, Shuffle):
+        return _expand_by_derivatives(e)
+    raise TypeError(type(e))
+
+
+def _expand_by_derivatives(e):
+    alternatives = []
+    for head in initials(e):
+        residual = _derivative(e, head)
+        if residual is _EMPTY:
+            continue
+        alternatives.append(seq(head, _expand_shuffles(residual)))
+    if nullable(e):
+        alternatives.append(Epsilon())
+    if not alternatives:
+        return Epsilon()
+    return choice(alternatives)
+
+
+def node_objects(e):
+    """The number of distinct node objects reachable from `e`."""
+    seen, stack = {}, [e]
+    while stack:
+        x = stack.pop()
+        if id(x) in seen:
+            continue
+        seen[id(x)] = x
+        if isinstance(x, (Seq, Shuffle)):
+            stack += (x.left, x.right)
+        elif isinstance(x, Choice):
+            stack += x.branches
+    return len(seen)
+
+
+def tree_nodes(e):
+    """The number of nodes of the tree `e` unfolds to, counted on the DAG."""
+    counts = {}
+
+    def count(x):
+        if id(x) not in counts:
+            if isinstance(x, (Seq, Shuffle)):
+                counts[id(x)] = 1 + count(x.left) + count(x.right)
+            elif isinstance(x, Choice):
+                counts[id(x)] = 1 + sum(count(b) for b in x.branches)
+            else:
+                counts[id(x)] = 1
+        return counts[id(x)]
+
+    return count(e)
+
+
+def disjoint_pairs(k):
+    return " | ".join(f"(A{i} -> B{i} : Req{i} ; B{i} -> A{i} : Rep{i})" for i in range(1, k + 1))
+
+
+def test_shared_elimination_equals_the_tree_on_the_realize_table():
+    """On the expanded form `check_realizability` eliminates, for every
+    distinct (expression, bound) of the pinned realize table that has a
+    shuffle; the largest is five shuffled pairs, 625,231 tree nodes."""
+    import test_acceptance
+
+    golden = {case_id: expr for case_id, expr, *_ in test_acceptance._golden_cases()}
+    inputs = {}
+    for entry in TABLE:
+        # chains have no shuffle, and the longest do not parse
+        if not (entry["source"] or "").startswith("chain:"):
+            e = expression(entry, golden)
+            if has_shuffle(e):
+                inputs.setdefault((e, config_from_flags(entry["flags"])[1]), entry["id"])
+    assert len(inputs) > 3_000
+    for (e, bound), entry_id in inputs.items():
+        expanded = expand(e, bound)
+        shared, tree = eliminate_shuffle(expanded), tree_elimination(expanded)
+        assert shared == tree, entry_id
+        assert roles(shared) == roles(tree), entry_id
+
+
+def test_shared_elimination_equals_the_tree_on_generated_expressions():
+    rng = random.Random(43)
+    for case in range(300):
+        e = random_cfp(rng, 3) if case % 2 else random_shuffle_expr(rng)
+        for x in (e, expand(e, 2)):
+            shared, tree = eliminate_shuffle(x), tree_elimination(x)
+            assert shared == tree
+            assert roles(shared) == roles(tree)
+            assert node_objects(shared) <= node_objects(tree)
+
+
+def test_equal_residuals_are_one_object():
+    # k pairs have 3^k residuals (each pair untouched, half done or done);
+    # the unfolded tree has a leaf per ordering, (2k)! / 2^k of them
+    shared = eliminate_shuffle(parse_trace(disjoint_pairs(6)))
+    assert node_objects(shared) == 3_638
+    assert tree_nodes(shared) == 40_753_747
+
+
+def test_roles_read_the_shared_form_in_the_unfolded_order():
+    e = parse_trace(disjoint_pairs(4) + " ; B4 -> C : done")
+    shared, tree = eliminate_shuffle(e), tree_elimination(e)
+    assert node_objects(shared) < node_objects(tree)
+    assert roles(shared) == roles(tree) == ("A1", "B1", "A2", "B2", "A3", "B3", "A4", "B4", "C")
+    assert dict.fromkeys(atoms(shared)).keys() == dict.fromkeys(atoms(tree)).keys()
+
+
+def nonlocal_notes(k):
+    return tuple(
+        "shuffle operands are initiated by different roles: " + ", ".join(f"A{i}" for i in range(1, n + 1)) for n in range(k, 1, -1)
+    )
+
+
+@pytest.mark.parametrize("k", [5, 6, 7])
+def test_disjoint_pairs_fail_the_session_merge(k):
+    verdict = check_realizability(parse_trace(disjoint_pairs(k)), language_preset("scribble"))
+    assert (verdict.outcome, verdict.reasons) == (Outcome.UNREALIZABLE, (Reason.NONLOCAL_CHOICE, Reason.MERGE_FAILURE))
+    assert verdict.notes == nonlocal_notes(k) + (f"no single role initiates every branch (candidates: B{k - 1}, B{k})",)
+    assert verdict.witness[:2] == (("E", 1, "A1", "B1", "Req1"), ("E", 2, "B1", "A1", "Rep1"))

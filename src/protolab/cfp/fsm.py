@@ -2,18 +2,21 @@
 
 Labels carry peer, direction, message name, and the payload *type*
 signature; parameter names and values are deliberately absent, which is
-what makes these machines value-blind.  `determinize` is the subset
-construction on the exploration core (`graph.explore`); realizability
-also uses it to read a composition's emitted traces.
+what makes these machines value-blind.  A shuffle is compiled from its
+residuals: the remainders that the one first-step walk
+(`projection.local_steps`) reaches, one state each, rather than from a
+list of its interleavings.  `determinize` is the subset construction on
+the exploration core (`graph.explore`); realizability also uses it to
+read a composition's emitted traces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..graph import Graph, explore
-from .projection import LAtom, LChoice, LEps, LRec, LSeq, LShuffle, LVar, LocalExpr
-from .transforms import interleave
+from .projection import ChoiceKind, LAtom, LChoice, LEps, LRec, LSeq, LShuffle, LVar, LocalExpr, accepting, local_steps
 
 Label = tuple[str, str, str, tuple[str, ...]]  # (peer, direction, name, type signature)
 
@@ -36,11 +39,26 @@ class TypeLevelFsm:
     finals: tuple[int, ...]
     transitions: tuple[tuple[int, Label, int], ...]
 
+    @cached_property
+    def index(self) -> dict[int, dict[tuple, int]]:
+        """Each state's moves, keyed by label and by (peer, direction,
+        name); a name that several signatures share there keys the first
+        of them in transition order."""
+        out: dict[int, dict[tuple, int]] = {}
+        for src, label, dst in self.transitions:
+            moves = out.setdefault(src, {})
+            moves.setdefault(label, dst)
+            moves.setdefault(label[:3], dst)
+        return out
+
     def step(self, state: int, label: Label) -> int | None:
-        for src, lab, dst in self.transitions:
-            if src == state and lab == label:
-                return dst
-        return None
+        return self.index.get(state, {}).get(label)
+
+    def move(self, state: int, peer: str, direction: str, name: str) -> int | None:
+        """The state after the move with this peer, direction and message
+        name from `state`, or None; the machines are value-blind, so a
+        message resolves by name among the moves of the state it is in."""
+        return self.index.get(state, {}).get((peer, direction, name))
 
     def accepts(self, labels: list[Label]) -> bool:
         state = self.initial
@@ -103,9 +121,18 @@ def _build(nfa: Nfa, e: LocalExpr, start: int, end: int, env: dict[str, int]) ->
         for b in e.branches:
             _build(nfa, b, start, end, env)
     elif isinstance(e, LShuffle):
-        # type-level interleavings: expand to explicit alternation
-        for variant in _shuffle_variants(e):
-            _build(nfa, variant, start, end, env)
+        # one NFA state per residual the shuffle's first steps reach, the
+        # shuffle itself at `start`
+        number, todo = {e: start}, [e]
+        while todo:
+            r = todo.pop()
+            for atom, rest in local_steps(r):
+                if rest not in number:
+                    number[rest] = nfa.new_state()
+                    todo.append(rest)
+                nfa.add_edge(number[r], _label(atom), number[rest])
+            if accepting(r):
+                nfa.add_eps(number[r], end)
     elif isinstance(e, LRec):
         entry = nfa.new_state()
         nfa.add_eps(start, entry)
@@ -114,38 +141,6 @@ def _build(nfa: Nfa, e: LocalExpr, start: int, end: int, env: dict[str, int]) ->
         nfa.add_eps(start, env[e.var])
     else:
         raise TypeError(type(e))
-
-
-def _shuffle_variants(e: LShuffle) -> list[LocalExpr]:
-    out: list[LocalExpr] = []
-    for merged in _linearize(e):
-        expr: LocalExpr = LEps()
-        for atom in reversed(merged):
-            expr = atom if isinstance(expr, LEps) else LSeq(atom, expr)
-        if expr not in out:
-            out.append(expr)
-    return out
-
-
-def _linearize(e: LocalExpr) -> list[tuple[LAtom, ...]]:
-    if isinstance(e, LEps):
-        return [()]
-    if isinstance(e, LAtom):
-        return [(e,)]
-    if isinstance(e, LSeq):
-        return [l + r for l in _linearize(e.left) for r in _linearize(e.right)]
-    if isinstance(e, LChoice):
-        out = []
-        for b in e.branches:
-            out.extend(_linearize(b))
-        return out
-    if isinstance(e, LShuffle):
-        out = []
-        for l in _linearize(e.left):
-            for r in _linearize(e.right):
-                out.extend(interleave(l, r))
-        return out
-    raise TypeError(f"cannot linearize {type(e).__name__} inside a shuffle")
 
 
 def _all_tail(e: LocalExpr) -> bool:
@@ -182,7 +177,9 @@ def _unroll_local(e: LocalExpr, bound: int, env: dict[str, tuple[LRec, int]]) ->
     if isinstance(e, LShuffle):
         return LShuffle(_unroll_local(e.left, bound, env), _unroll_local(e.right, bound, env))
     if isinstance(e, LChoice):
-        return LChoice(tuple(_unroll_local(b, bound, env) for b in e.branches), e.kind, e.lean)
+        # a polarity read before a variable was replaced by its body no
+        # longer holds; the machine reads every branch, so it is plain
+        return LChoice(tuple(_unroll_local(b, bound, env) for b in e.branches), ChoiceKind.PLAIN, e.lean)
     return e
 
 

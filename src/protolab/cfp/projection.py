@@ -119,6 +119,31 @@ def accepting(e: LocalExpr) -> bool:
     raise TypeError(type(e))
 
 
+def local_steps(e: LocalExpr) -> list[tuple[LAtom, LocalExpr]]:
+    """Every event a recursion-free local behavior can perform first, with
+    the remainder it leaves, left to right (its derivatives: Brzozowski,
+    JACM 1964; Antimirov, TCS 1996).  Entering a branch commits its choice;
+    an external choice is entered only through a reception, so a role that
+    waits on its peers never commits by sending."""
+    if isinstance(e, LAtom):
+        return [(e, L_EPSILON)]
+    if isinstance(e, LEps):
+        return []
+    if isinstance(e, LSeq):
+        out = [(a, lseq(rest, e.right)) for a, rest in local_steps(e.left)]
+        if accepting(e.left):
+            out.extend(local_steps(e.right))
+        return out
+    if isinstance(e, LChoice):
+        external = e.kind is ChoiceKind.EXTERNAL
+        return [step for b in e.branches for step in local_steps(b) if not (external and step[0].direction == SEND)]
+    if isinstance(e, LShuffle):
+        out = [(a, lshuffle(rest, e.right)) for a, rest in local_steps(e.left)]
+        out.extend((a, lshuffle(e.left, rest)) for a, rest in local_steps(e.right))
+        return out
+    raise TypeError(f"first steps need an expanded local behavior, got {type(e).__name__}")
+
+
 def _branch_polarity(global_branches, role: str) -> tuple[ChoiceKind, ChoiceKind | None]:
     """Classify a choice by who initiates each branch's first event.
 

@@ -119,7 +119,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     matrix = sub.add_parser("matrix", help="reproduce the language-evaluation matrix")
     matrix.add_argument("--format", choices=["text", "json"], default="text")
-    matrix.add_argument("--jobs", type=int, default=1, help="accepted for symmetry; scenarios are cheap")
     matrix.set_defaults(func=cmd_matrix)
     return parser
 

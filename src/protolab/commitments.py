@@ -83,7 +83,9 @@ class CommitmentSpec:
     discharge_window: Window = OPEN_WINDOW
 
     def events(self) -> tuple[str, ...]:
-        return (self.create, self.detach, self.discharge)
+        """The distinct events the spec names, window references included."""
+        refs = (ref for w in (self.detach_window, self.discharge_window) for ref in (w.lo_ref, w.hi_ref))
+        return tuple(dict.fromkeys(n for n in (self.create, self.detach, self.discharge, *refs) if n))
 
 
 @dataclass(frozen=True)
@@ -100,7 +102,7 @@ class CommitmentInstance:
 def bind_spec(spec: CommitmentSpec, protocol: InfoProtocol) -> list[str]:
     """Names of referenced events missing from the protocol."""
     names = {m.name for m in protocol.messages}
-    return [n for n in spec.events() if n and n not in names]
+    return [n for n in spec.events() if n not in names]
 
 
 def commitment_states(

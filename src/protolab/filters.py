@@ -10,7 +10,7 @@ on reception is recorded and flagged as peer noncompliance, never refused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from .bspl.core import InfoProtocol
 from .bspl.enactment import (
@@ -99,22 +99,21 @@ def request_emission(f: FilterState, mi: MessageInstance) -> tuple[FilterState, 
             return _reject(f, mi, Rejection(error.code, str(error)))
         return _record(f, EMISSION, mi), None
     if isinstance(f.backend, CfpBackend):
-        label = _fsm_label(f.backend.fsm, mi.schema.receiver, "!", mi.schema.name)
-        nxt = f.backend.fsm.step(f.fsm_state, label) if label else None
+        nxt = f.backend.fsm.move(f.fsm_state, mi.schema.receiver, "!", mi.schema.name)
         if nxt is None:
             return _reject(f, mi, Rejection("NotInProtocol", f"the local machine has no send of {mi.schema.name} here"))
-        return _record(_with(f, fsm_state=nxt), EMISSION, mi), None
+        return _record(replace(f, fsm_state=nxt), EMISSION, mi), None
     machine = f.backend.machine
     event = _hapn_event(mi)
     try:
         successors = step_hapn(f.hapn_config, machine, event)
     except NoTransition:
         return _reject(f, mi, Rejection("NotInProtocol", f"no machine transition for {mi.schema.name}"))
-    return _record(_with(f, hapn_config=successors[0]), EMISSION, mi), None
+    return _record(replace(f, hapn_config=successors[0]), EMISSION, mi), None
 
 
 def _reject(f: FilterState, mi: MessageInstance, rejection: Rejection) -> tuple[FilterState, Rejection]:
-    logged = _with(f, rejections=f.rejections + ((mi.schema.name, str(rejection)),))
+    logged = replace(f, rejections=f.rejections + ((mi.schema.name, str(rejection)),))
     return logged, rejection
 
 
@@ -144,7 +143,7 @@ def on_delivery(f: FilterState, mi: MessageInstance) -> tuple[FilterState, list[
     # machine currently expects
     row = dict(f.pending)
     row[mi.schema.sender] = row.get(mi.schema.sender, ()) + (mi,)
-    state = _with(f, pending=tuple(sorted(row.items())))
+    state = replace(f, pending=tuple(sorted(row.items())))
     return _drain(state)
 
 
@@ -159,11 +158,10 @@ def _drain(f: FilterState) -> tuple[FilterState, list[MessageInstance]]:
             if not queue:
                 continue
             head = queue[0]
-            label = _fsm_label(f.backend.fsm, peer, "?", head.schema.name)
-            nxt = f.backend.fsm.step(f.fsm_state, label) if label else None
+            nxt = f.backend.fsm.move(f.fsm_state, peer, "?", head.schema.name)
             if _expects_channel(f.backend.fsm, f.fsm_state, peer):
                 if nxt is None:
-                    f = _with(
+                    f = replace(
                         f,
                         diagnostics=f.diagnostics
                         + (
@@ -175,11 +173,11 @@ def _drain(f: FilterState) -> tuple[FilterState, list[MessageInstance]]:
                         ),
                     )
                     row[peer] = queue[1:]
-                    f = _with(f, pending=_prune(row))
+                    f = replace(f, pending=_prune(row))
                     progress = True
                     break
                 row[peer] = queue[1:]
-                f = _with(f, pending=_prune(row), fsm_state=nxt)
+                f = replace(f, pending=_prune(row), fsm_state=nxt)
                 f = _record(f, RECEPTION, head)
                 surfaced.append(head)
                 progress = True
@@ -192,7 +190,7 @@ def _prune(row: dict) -> tuple:
 
 
 def _expects_channel(fsm: TypeLevelFsm, state: int, peer: str) -> bool:
-    return any(src == state and lab[0] == peer and lab[1] == "?" for src, lab, _ in fsm.transitions)
+    return any(key[:2] == (peer, "?") for key in fsm.index.get(state, ()))
 
 
 def _receive_now(f: FilterState, mi: MessageInstance) -> FilterState:
@@ -203,34 +201,33 @@ def _receive_now(f: FilterState, mi: MessageInstance) -> FilterState:
             try:
                 known_bindings(f.history, mi.key(protocol), protocol)
             except IntegrityConflict as conflict:
-                f = _with(
+                f = replace(
                     f,
                     diagnostics=f.diagnostics
                     + (Diagnostic("IntegrityConflict", str(conflict), Severity.WARNING, subject=f.owner),),
                 )
         else:
-            f = _with(
+            f = replace(
                 f,
                 diagnostics=f.diagnostics
                 + (Diagnostic("UnknownMessage", f"{mi.schema.name} is not in any loaded protocol", Severity.WARNING),),
             )
     elif isinstance(f.backend, CfpBackend):
-        label = _fsm_label(f.backend.fsm, mi.schema.sender, "?", mi.schema.name)
-        nxt = f.backend.fsm.step(f.fsm_state, label) if label else None
+        nxt = f.backend.fsm.move(f.fsm_state, mi.schema.sender, "?", mi.schema.name)
         if nxt is None:
-            f = _with(
+            f = replace(
                 f,
                 diagnostics=f.diagnostics
                 + (Diagnostic("NotInProtocol", f"reception of {mi.schema.name} deviates from the local machine", Severity.WARNING),),
             )
         else:
-            f = _with(f, fsm_state=nxt)
+            f = replace(f, fsm_state=nxt)
     elif isinstance(f.backend, HapnBackend):
         try:
             successors = step_hapn(f.hapn_config, f.backend.machine, _hapn_event(mi))
-            f = _with(f, hapn_config=successors[0])
+            f = replace(f, hapn_config=successors[0])
         except NoTransition:
-            f = _with(
+            f = replace(
                 f,
                 diagnostics=f.diagnostics
                 + (Diagnostic("NotInProtocol", f"no machine transition for {mi.schema.name}", Severity.WARNING),),
@@ -239,32 +236,7 @@ def _receive_now(f: FilterState, mi: MessageInstance) -> FilterState:
 
 
 def _record(f: FilterState, kind: str, mi: MessageInstance) -> FilterState:
-    return _with(f, history=observe(f.history, kind, mi))
-
-
-def _with(f: FilterState, **kw) -> FilterState:
-    data = {
-        "owner": f.owner,
-        "backend": f.backend,
-        "reception": f.reception,
-        "history": f.history,
-        "fsm_state": f.fsm_state,
-        "hapn_config": f.hapn_config,
-        "pending": f.pending,
-        "diagnostics": f.diagnostics,
-        "rejections": f.rejections,
-    }
-    data.update(kw)
-    return FilterState(**data)
-
-
-def _fsm_label(fsm: TypeLevelFsm, peer: str, direction: str, name: str):
-    """Resolve the full label by peer, direction, and message name; the type
-    signature tags along (labels are value-blind, names resolve uniquely)."""
-    for _, label, _ in fsm.transitions:
-        if label[0] == peer and label[1] == direction and label[2] == name:
-            return label
-    return None
+    return replace(f, history=observe(f.history, kind, mi))
 
 
 def _hapn_event(mi: MessageInstance) -> HapnEvent:

@@ -165,18 +165,13 @@ def _local_sequence(events, agent: str) -> list[tuple[str, str, str]]:
 
 
 def _fsm_conforms(fsm: TypeLevelFsm, sequence: list[tuple[str, str, str]]) -> bool:
-    """Walk the machine resolving labels by peer, direction, and name; the
+    """Walk the machine resolving moves by peer, direction, and name; the
     machines are value-blind so bindings never participate."""
     state = fsm.initial
     for peer, direction, name in sequence:
-        label = None
-        for src, lab, dst in fsm.transitions:
-            if src == state and lab[0] == peer and lab[1] == direction and lab[2] == name:
-                label = lab
-                break
-        if label is None:
+        state = fsm.move(state, peer, direction, name)
+        if state is None:
             return False
-        state = fsm.step(state, label)
     return True
 
 

@@ -13,7 +13,7 @@ reordered deliveries silently cross protocol instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .cfp.ast import CfpExpr, Choice, OccAtom, Rec, Seq, Shuffle, finals, initials, roles as expr_roles
@@ -62,14 +62,7 @@ class CommConfig:
     doctrine: Doctrine = Doctrine.TRACE_F
 
     def with_(self, **kw) -> "CommConfig":
-        data = {
-            "delivery": self.delivery,
-            "reception": self.reception,
-            "interpretation": self.interpretation,
-            "doctrine": self.doctrine,
-        }
-        data.update(kw)
-        return CommConfig(**data)
+        return replace(self, **kw)
 
 
 def language_preset(name: str) -> CommConfig:

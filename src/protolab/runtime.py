@@ -1,9 +1,12 @@
 """Execution of projected local behaviors over the simulated network.
 
-Each agent holds the remainder of its local expression.  Emissions commit a
-choice atomically (commit-by-sending); a mixed choice may also silently
-commit to its reception-initiated branches, which is what makes genuinely
-stuck states reachable when a choice is nonlocal.  Under anytime reception
+Each agent holds the remainder of its local expression.  What it can do
+next is read from one walk of its first steps (`projection.local_steps`):
+each send or reception with the remainder it leaves.  Emissions commit a
+choice atomically (commit-by-sending), and an external choice is entered
+only through a reception; a mixed choice may also silently commit to its
+reception-initiated branches, which is what makes genuinely stuck states
+reachable when a choice is nonlocal.  Under anytime reception
 an agent observes a message the moment it is delivered, and a delivery its
 behavior cannot accept is an ordering violation; under the channel selector
 arrivals wait in per-peer queues until the behavior expects that channel.
@@ -25,7 +28,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .cfp.projection import (
-    RECV,
     SEND,
     ChoiceKind,
     LAtom,
@@ -34,8 +36,8 @@ from .cfp.projection import (
     LSeq,
     LShuffle,
     LocalExpr,
-    L_EPSILON,
     accepting,
+    local_steps,
     lseq,
     lshuffle,
 )
@@ -46,32 +48,6 @@ from .netsim import Delivery, Reception
 # single-agent small-step semantics
 
 
-def send_steps(e: LocalExpr) -> list[tuple[LAtom, LocalExpr]]:
-    """Initially-performable emissions with the advanced remainder; entering
-    a choice branch through its first send commits the choice."""
-    if isinstance(e, LAtom):
-        return [(e, L_EPSILON)] if e.direction == SEND else []
-    if isinstance(e, LEps):
-        return []
-    if isinstance(e, LSeq):
-        out = [(a, lseq(rest, e.right)) for a, rest in send_steps(e.left)]
-        if accepting(e.left):
-            out.extend(send_steps(e.right))
-        return out
-    if isinstance(e, LChoice):
-        if e.kind is ChoiceKind.EXTERNAL:
-            return []
-        out = []
-        for b in e.branches:
-            out.extend(send_steps(b))
-        return out
-    if isinstance(e, LShuffle):
-        out = [(a, lshuffle(rest, e.right)) for a, rest in send_steps(e.left)]
-        out.extend((a, lshuffle(e.left, rest)) for a, rest in send_steps(e.right))
-        return out
-    raise TypeError(f"runtime requires an expanded local behavior, got {type(e).__name__}")
-
-
 def commit_steps(e: LocalExpr) -> list[LocalExpr]:
     """Silent commitments available at the frontier: a mixed choice may
     resolve to waiting on its reception-initiated branches."""
@@ -80,12 +56,12 @@ def commit_steps(e: LocalExpr) -> list[LocalExpr]:
     if isinstance(e, LSeq):
         out = [lseq(left, e.right) for left in commit_steps(e.left)]
         if accepting(e.left):
-            out.extend(_dedup(commit_steps(e.right)))
-        return _dedup(out)
+            out.extend(commit_steps(e.right))
+        return list(dict.fromkeys(out))
     if isinstance(e, LChoice):
         if e.kind is not ChoiceKind.MIXED:
             return []
-        waitable = tuple(b for b in e.branches if not send_steps(b) or _recv_candidates(b))
+        waitable = tuple(b for b in e.branches if {a.direction for a, _ in local_steps(b)} != {SEND})
         if not waitable or len(waitable) == len(e.branches):
             return []
         if len(waitable) == 1:
@@ -94,59 +70,8 @@ def commit_steps(e: LocalExpr) -> list[LocalExpr]:
     if isinstance(e, LShuffle):
         out = [lshuffle(left, e.right) for left in commit_steps(e.left)]
         out.extend(lshuffle(e.left, right) for right in commit_steps(e.right))
-        return _dedup(out)
+        return list(dict.fromkeys(out))
     raise TypeError(type(e))
-
-
-def consume(e: LocalExpr, peer: str, name: str) -> list[LocalExpr]:
-    """Ways to accept a reception of `name` from `peer` right now."""
-    if isinstance(e, LAtom):
-        if e.direction == RECV and e.peer == peer and e.name == name:
-            return [L_EPSILON]
-        return []
-    if isinstance(e, LEps):
-        return []
-    if isinstance(e, LSeq):
-        out = [lseq(rest, e.right) for rest in consume(e.left, peer, name)]
-        if accepting(e.left):
-            out.extend(consume(e.right, peer, name))
-        return _dedup(out)
-    if isinstance(e, LChoice):
-        out = []
-        for b in e.branches:
-            out.extend(consume(b, peer, name))
-        return _dedup(out)
-    if isinstance(e, LShuffle):
-        out = [lshuffle(rest, e.right) for rest in consume(e.left, peer, name)]
-        out.extend(lshuffle(e.left, rest) for rest in consume(e.right, peer, name))
-        return _dedup(out)
-    raise TypeError(type(e))
-
-
-def _recv_candidates(e: LocalExpr) -> list[tuple[str, str]]:
-    """(peer, name) pairs the behavior could accept as its next reception."""
-    if isinstance(e, LAtom):
-        return [(e.peer, e.name)] if e.direction == RECV else []
-    if isinstance(e, LEps):
-        return []
-    if isinstance(e, LSeq):
-        out = list(_recv_candidates(e.left))
-        if accepting(e.left):
-            out.extend(_recv_candidates(e.right))
-        return out
-    if isinstance(e, LChoice):
-        return [c for b in e.branches for c in _recv_candidates(b)]
-    if isinstance(e, LShuffle):
-        return _recv_candidates(e.left) + _recv_candidates(e.right)
-    raise TypeError(type(e))
-
-
-def expected_peers(e: LocalExpr) -> tuple[str, ...]:
-    return tuple(sorted({peer for peer, _ in _recv_candidates(e)}))
-
-
-def _dedup(items: list) -> list:
-    return list(dict.fromkeys(items))
 
 
 # ---------------------------------------------------------------------------
@@ -187,28 +112,30 @@ class Composer:
         self._number = Numbering()  # remainders and networks
         self._items = self._number.values
         self._steps: dict[int, tuple] = {}
-        self._consumed: dict[tuple, list[int]] = {}
         self._deliveries: dict[int, list[tuple]] = {}
         self._sent: dict[tuple, int] = {}
         self._empty = self._number(())
         self.initial: State = (tuple(self._number(behaviors[r]) for r in self.roles), self._empty, tuple(() for _ in self.roles))
 
     def _local(self, n: int) -> tuple:
-        """(sends as (peer, occurrence, name, remainder), silent commits,
-        accepting, expected peers) of remainder `n`."""
-        steps = self._steps.get(n)
-        if steps is None:
+        """(sends as (peer, occurrence, name, remainder), receptions as
+        remainders by (peer, name), silent commits, accepting, expected
+        peers) of remainder `n`, from one walk of its first steps."""
+        local = self._steps.get(n)
+        if local is None:
             e = self._items[n]
-            sends = [(a.peer, a.occ or 0, a.name, self._number(rest)) for a, rest in send_steps(e)]
-            steps = self._steps[n] = (sends, [self._number(r) for r in commit_steps(e)], accepting(e), expected_peers(e))
-        return steps
-
-    def _consume(self, n: int, peer: str, name: str) -> list[int]:
-        key = (n, peer, name)
-        rests = self._consumed.get(key)
-        if rests is None:
-            rests = self._consumed[key] = [self._number(r) for r in consume(self._items[n], peer, name)]
-        return rests
+            sends, receptions = [], {}
+            for a, rest in local_steps(e):
+                r = self._number(rest)
+                if a.direction == SEND:
+                    sends.append((a.peer, a.occ or 0, a.name, r))
+                else:
+                    rests = receptions.setdefault((a.peer, a.name), [])
+                    if r not in rests:
+                        rests.append(r)
+            commits = [self._number(r) for r in commit_steps(e)]
+            local = self._steps[n] = (sends, receptions, commits, accepting(e), sorted({peer for peer, _ in receptions}))
+        return local
 
     def _send(self, net: int, channel: tuple[str, str], payload: tuple[int, str]) -> int:
         key = (net, channel, payload)
@@ -232,7 +159,7 @@ class Composer:
 
     def completed(self, state: State) -> bool:
         locals_, net, pending = state
-        return net == self._empty and not any(pending) and all(self._local(l)[2] for l in locals_)
+        return net == self._empty and not any(pending) and all(self._local(l)[3] for l in locals_)
 
     def moves(self, state: State) -> tuple[list[Event | None], list[State], list[Violation]]:
         """Every move from `state` as parallel lists of events (None for a
@@ -244,7 +171,7 @@ class Composer:
         deliveries = self._delivered(net)
         if not (self.delivery is Delivery.SYNCHRONOUS and deliveries):
             for i, role in enumerate(self.roles):
-                sends, commits, _, _ = self._local(locals_[i])
+                sends, _, commits, _, _ = self._local(locals_[i])
                 for peer, occ, name, rest in sends:
                     after = self._send(net, (role, peer), (occ, name))
                     events.append(("E", occ, role, peer, name))
@@ -256,7 +183,7 @@ class Composer:
             i = self._index[receiver]
             event = ("R", occ, sender, receiver, name)
             if self.reception is Reception.ANYTIME:
-                alternatives = self._consume(locals_[i], sender, name)
+                alternatives = self._local(locals_[i])[1].get((sender, name), ())
                 if not alternatives:
                     violations.append(
                         ("reception-order", f"{receiver} cannot accept {name} from {sender} at this point", event)
@@ -272,12 +199,13 @@ class Composer:
         if self.reception is Reception.BLOCKING_SELECTOR:
             for i, role in enumerate(self.roles):
                 row = dict(pending[i])
-                for peer in self._local(locals_[i])[3]:
+                _, receptions, _, _, peers = self._local(locals_[i])
+                for peer in peers:
                     if peer not in row:
                         continue
                     occ, name = row[peer][0]
                     event = ("R", occ, peer, role, name)
-                    alternatives = self._consume(locals_[i], peer, name)
+                    alternatives = receptions.get((peer, name), ())
                     if not alternatives:
                         violations.append(
                             ("selector-type", f"{role} expected a different message on the channel from {peer}, found {name}", event)

@@ -152,6 +152,17 @@ def test_commitments_rejects_a_spec_naming_a_missing_message(capsys, tmp_path):
     assert err == "error: commitment DeliverPayment names events protocol Purchase lacks: Acept\n"
 
 
+def test_commitments_rejects_a_window_naming_a_missing_message(capsys, tmp_path):
+    cupid = tmp_path / "typo.cupid"
+    cupid.write_text((FIXDIR / "deliver_payment.cupid").read_text().replace("[, Accept + 3]", "[, Acept + 3]"))
+    log = tmp_path / "run.log"
+    log.write_text("0 Buyer E Request ID=1,item=fig\n")
+    args = ("commitments", "--protocol", str(FIXDIR / "purchase.bspl"), "--cupid", str(cupid), "--log", str(log), "--now", "5")
+    code, out, err = run(capsys, *args)
+    assert (code, out) == (2, "")
+    assert err == "error: commitment DeliverPayment names events protocol Purchase lacks: Acept\n"
+
+
 def test_matrix_text(capsys):
     code, out, _ = run(capsys, "matrix")
     assert code == 0

@@ -1,7 +1,8 @@
 from protolab.bspl.enactment import EMISSION, MessageInstance
 from protolab.cfp.fsm import extract_fsm
-from protolab.cfp.projection import project_scribble
+from protolab.cfp.projection import project_scribble, project_trace_c
 from protolab.cfp.scribble_parser import parse_scribble
+from protolab.cfp.trace_parser import parse_trace
 from protolab.filters import BsplBackend, CfpBackend, FilterState, on_delivery, request_emission
 from protolab.matrix import fixture_text
 from protolab.netsim import Reception
@@ -50,6 +51,22 @@ def test_cfp_backend_rejects_out_of_protocol_message(pricing, catalog):
     fsm = extract_fsm(project_scribble(body, "Seller"))
     f = FilterState("Seller", CfpBackend(fsm))
     f, rejection = request_emission(f, mi(catalog, "Query", qID="q1", req="specials"))
+    assert rejection is not None and rejection.code == "NotInProtocol"
+
+
+def test_cfp_backend_resolves_a_name_among_the_moves_of_its_state(pricing):
+    # the machine is value-blind: each Offer matches the signature its state offers
+    expr = parse_trace("Seller -> Buyer : Offer(ID:Int) ; Seller -> Buyer : Offer(ID:String)")
+    seller = FilterState("Seller", CfpBackend(extract_fsm(project_trace_c(expr, "Seller"))))
+    buyer = FilterState("Buyer", CfpBackend(extract_fsm(project_trace_c(expr, "Buyer"))))
+    for _ in range(2):
+        offer = mi(pricing, "Offer", ID="1", price="$5")
+        seller, rejection = request_emission(seller, offer)
+        assert rejection is None
+        buyer, _ = on_delivery(buyer, offer)
+    assert seller.fsm_state in seller.backend.fsm.finals and buyer.fsm_state in buyer.backend.fsm.finals
+    assert buyer.diagnostics == ()
+    seller, rejection = request_emission(seller, mi(pricing, "Offer", ID="1", price="$5"))
     assert rejection is not None and rejection.code == "NotInProtocol"
 
 

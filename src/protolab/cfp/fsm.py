@@ -19,6 +19,7 @@ from ..graph import Graph, explore
 from .projection import ChoiceKind, LAtom, LChoice, LEps, LRec, LSeq, LShuffle, LVar, LocalExpr, accepting, local_steps
 
 Label = tuple[str, str, str, tuple[str, ...]]  # (peer, direction, name, type signature)
+UNROLL_BOUND = 2  # unrollings of a non-tail recursion
 
 
 def _label(atom: LAtom) -> Label:
@@ -73,14 +74,14 @@ class TypeLevelFsm:
         return {lab for _, lab, _ in self.transitions}
 
 
-def extract_fsm(l: LocalExpr, unroll_bound: int = 2) -> TypeLevelFsm:
+def extract_fsm(l: LocalExpr) -> TypeLevelFsm:
     """Compile a local behavior to a deterministic type-level FSM.
 
-    Tail recursion becomes a cycle; non-tail recursion is unrolled to the
-    bound before compilation."""
+    Tail recursion becomes a cycle; non-tail recursion is unrolled
+    `UNROLL_BOUND` times before compilation."""
     nfa = Nfa()
     start, end = nfa.new_state(), nfa.new_state()
-    _build(nfa, l if _all_tail(l) else _unroll_local(l, unroll_bound, {}), start, end, {})
+    _build(nfa, l if _all_tail(l) else _unroll_local(l, UNROLL_BOUND, {}), start, end, {})
     nfa.finals.add(end)
     subsets = determinize(nfa, start)
     transitions = [(n, label, t) for n, out in enumerate(subsets.edges) for label, t in out]

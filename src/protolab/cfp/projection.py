@@ -5,11 +5,23 @@ erased.  Choice polarity records who resolves a choice point: the role
 itself (internal), a peer via a first reception (external), or neither
 uniformly (mixed, the raw material of nonlocal choice).  Nodes cache their
 hashes, like the global AST's.
+
+One walker (`_project`) serves the three doctrines, and each gives it a
+choice rule and a shuffle rule.  Trace-c reads a choice's polarity from
+the first events of its branches and refuses a shuffle; trace-f reads
+polarity alike but prints the choice plain, and keeps a shuffle; scribble
+needs a decider, merges the branches for every other role, and refuses a
+shuffle.  A rule sees its node before the operands are projected, so a
+refusal comes first, and returns what builds the projection from them; it
+never calls the walker, as deep inputs can afford only the walker's
+frames.  Each node's projection is kept by id, so a subterm shared in
+`eliminate_shuffle`'s DAG is projected once.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from functools import partial
 
 from .ast import Atom, CfpExpr, Choice, Epsilon, HashedNode, OccAtom, Rec, Seq, Shuffle, Var, initials, node
 
@@ -144,15 +156,16 @@ def local_steps(e: LocalExpr) -> list[tuple[LAtom, LocalExpr]]:
     raise TypeError(f"first steps need an expanded local behavior, got {type(e).__name__}")
 
 
-def _branch_polarity(global_branches, role: str) -> tuple[ChoiceKind, ChoiceKind | None]:
+def _branch_polarity(global_branches, role: str, bodies: dict[str, CfpExpr]) -> tuple[ChoiceKind, ChoiceKind | None]:
     """Classify a choice by who initiates each branch's first event.
 
     Internal: the role sends every branch's first event.  External: it
     receives every one.  Mixed otherwise, with a presentation lean taken
-    from the first branch."""
+    from the first branch.  A branch that is only a recursion variable
+    begins as its body in `bodies`, whose own variables are not read."""
     polarities: list[str] = []
     for b in global_branches:
-        firsts = initials(b)
+        firsts = initials(bodies.get(b.var, b) if isinstance(b, Var) else b)
         if not firsts:
             polarities.append("none")
             continue
@@ -171,21 +184,12 @@ def _branch_polarity(global_branches, role: str) -> tuple[ChoiceKind, ChoiceKind
     return ChoiceKind.MIXED, lean
 
 
-# `project_trace_c` and `project_scribble`, which run on shuffle-free
-# forms, walk their input once per node object and keep each node's
-# projection by id: a subterm shared in `eliminate_shuffle`'s DAG is
-# projected once and its projection shared, so the work is linear in the
-# distinct nodes, not in the unfolded tree.  The memo sits inside the one
-# recursive function, so that nesting costs one frame per level, as deep
-# inputs need.
-
-
-def project_trace_c(e: CfpExpr, role: str) -> LocalExpr:
-    """Projection with internal/external choice polarity.  Expects a
-    shuffle-free expression (run eliminate_shuffle first)."""
+def _project(e: CfpExpr, role: str, choice_rule, shuffle_rule) -> LocalExpr:
+    """The one projection walker: `e` as `role` sees it under the doctrine
+    whose rules are given (see the module docstring)."""
     done: dict[int, LocalExpr] = {}
 
-    def walk(x: CfpExpr) -> LocalExpr:
+    def walk(x: CfpExpr, bodies: dict[str, CfpExpr]) -> LocalExpr:
         out = done.get(id(x))
         if out is not None:
             return out
@@ -194,81 +198,71 @@ def project_trace_c(e: CfpExpr, role: str) -> LocalExpr:
         elif isinstance(x, Epsilon):
             out = L_EPSILON
         elif isinstance(x, Seq):
-            out = lseq(walk(x.left), walk(x.right))
+            out = lseq(walk(x.left, bodies), walk(x.right, bodies))
         elif isinstance(x, Choice):
-            kind, lean = _branch_polarity(x.branches, role)
-            out = _collapse_choice(tuple(walk(b) for b in x.branches), kind, lean)
+            build = choice_rule(x, role, bodies)
+            out = build(tuple(walk(b, bodies) for b in x.branches))
+        elif isinstance(x, Shuffle):
+            build = shuffle_rule(x)
+            out = build(walk(x.left, bodies), walk(x.right, bodies))
         elif isinstance(x, Rec):
-            body = walk(x.body)
+            body = walk(x.body, {**bodies, x.var: x.body})
             out = LRec(x.var, body) if _uses_var(body, x.var) else body
         elif isinstance(x, Var):
             out = LVar(x.var)
-        elif isinstance(x, Shuffle):
-            raise ValueError("projection expects a shuffle-free expression; run eliminate_shuffle first")
         else:
             raise TypeError(type(x))
-        done[id(x)] = out
+        # under a recursion a choice may read a variable's binding, which
+        # depends on where the node sits; the DAGs that share nodes have none
+        if not bodies:
+            done[id(x)] = out
         return out
 
-    return walk(e)
+    return walk(e, {})
+
+
+def project_trace_c(e: CfpExpr, role: str) -> LocalExpr:
+    """Projection with internal/external choice polarity.  Expects a
+    shuffle-free expression (run eliminate_shuffle first)."""
+    return _project(e, role, _polar_choice, _no_shuffle)
 
 
 def project_trace_f(e: CfpExpr, role: str) -> LocalExpr:
     """Operator-preserving projection: every binary operator survives, and
     choices stay plain (their polarity lives in a decision structure)."""
-    if isinstance(e, (Atom, OccAtom)):
-        return _project_atom(e, role)
-    if isinstance(e, Epsilon):
-        return L_EPSILON
-    if isinstance(e, Seq):
-        return lseq(project_trace_f(e.left, role), project_trace_f(e.right, role))
-    if isinstance(e, Shuffle):
-        return lshuffle(project_trace_f(e.left, role), project_trace_f(e.right, role))
-    if isinstance(e, Choice):
-        kind, lean = _branch_polarity(e.branches, role)
-        branches = tuple(project_trace_f(b, role) for b in e.branches)
-        return _collapse_choice(branches, kind, lean, plain=True)
-    if isinstance(e, Rec):
-        body = project_trace_f(e.body, role)
-        return LRec(e.var, body) if _uses_var(body, e.var) else body
-    if isinstance(e, Var):
-        return LVar(e.var)
-    raise TypeError(type(e))
+    return _project(e, role, _plain_choice, lambda x: lshuffle)
 
 
 def project_scribble(e: CfpExpr, role: str) -> LocalExpr:
     """Session-style projection.  Every choice must carry a decider; the
     decider gets an internal choice, others an external choice resolved by
     the first reception of each branch."""
-    done: dict[int, LocalExpr] = {}
+    return _project(e, role, _decided_choice, _no_session_shuffle)
 
-    def walk(x: CfpExpr) -> LocalExpr:
-        out = done.get(id(x))
-        if out is not None:
-            return out
-        if isinstance(x, (Atom, OccAtom)):
-            out = _project_atom(x, role)
-        elif isinstance(x, Epsilon):
-            out = L_EPSILON
-        elif isinstance(x, Seq):
-            out = lseq(walk(x.left), walk(x.right))
-        elif isinstance(x, Choice):
-            if x.decider is None:
-                raise MergeFailure("choice without a decider cannot be projected")
-            out = _session_choice(tuple(walk(b) for b in x.branches), x.decider, role)
-        elif isinstance(x, Rec):
-            body = walk(x.body)
-            out = LRec(x.var, body) if _uses_var(body, x.var) else body
-        elif isinstance(x, Var):
-            out = LVar(x.var)
-        elif isinstance(x, Shuffle):
-            raise MergeFailure("the session subset has no shuffle operator")
-        else:
-            raise TypeError(type(x))
-        done[id(x)] = out
-        return out
 
-    return walk(e)
+def _polar_choice(x: Choice, role: str, bodies: dict[str, CfpExpr]):
+    kind, lean = _branch_polarity(x.branches, role, bodies)
+    return partial(_collapse_choice, kind=kind, lean=lean)
+
+
+def _plain_choice(x: Choice, role: str, bodies: dict[str, CfpExpr]):
+    # plain choices keep their polarity for execution but print as plain
+    kind, _ = _branch_polarity(x.branches, role, bodies)
+    return partial(_collapse_choice, kind=kind, lean=ChoiceKind.PLAIN)
+
+
+def _decided_choice(x: Choice, role: str, bodies: dict[str, CfpExpr]):
+    if x.decider is None:
+        raise MergeFailure("choice without a decider cannot be projected")
+    return partial(_session_choice, decider=x.decider, role=role)
+
+
+def _no_shuffle(x: Shuffle):
+    raise ValueError("projection expects a shuffle-free expression; run eliminate_shuffle first")
+
+
+def _no_session_shuffle(x: Shuffle):
+    raise MergeFailure("the session subset has no shuffle operator")
 
 
 def _session_choice(branches: tuple[LocalExpr, ...], decider: str, role: str) -> LocalExpr:
@@ -290,15 +284,14 @@ def _session_choice(branches: tuple[LocalExpr, ...], decider: str, role: str) ->
     return _collapse_choice(branches, ChoiceKind.EXTERNAL, None)
 
 
-def _collapse_choice(branches: tuple[LocalExpr, ...], kind: ChoiceKind, lean, plain: bool = False) -> LocalExpr:
+def _collapse_choice(branches: tuple[LocalExpr, ...], kind: ChoiceKind, lean) -> LocalExpr:
     distinct: list[LocalExpr] = []
     for b in branches:
         if b not in distinct:
             distinct.append(b)
     if len(distinct) == 1:
         return distinct[0]
-    # plain choices keep their polarity for execution but print as plain
-    return LChoice(tuple(distinct), kind, ChoiceKind.PLAIN if plain else lean)
+    return LChoice(tuple(distinct), kind, lean)
 
 
 def _first_local(e: LocalExpr) -> LAtom | None:

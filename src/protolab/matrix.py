@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 
 from .bspl.core import InfoProtocol, parse_bspl
@@ -175,7 +176,9 @@ def _fsm_conforms(fsm: TypeLevelFsm, sequence: list[tuple[str, str, str]]) -> bo
     return True
 
 
+@cache
 def _pricing_fsms(language: str) -> dict[str, TypeLevelFsm]:
+    """Buyer's and Seller's pricing machines, built once for every cell."""
     if language == "Scribble":
         body = parse_scribble(fixture_text("concurrent_pricing.scr"))
         return {r: extract_fsm(project_scribble(body, r)) for r in ("Buyer", "Seller")}
@@ -316,16 +319,14 @@ def integrity_cell(language: str) -> CriterionReport:
         )
         verdict = "No" if accepted else "Yes"
     elif language == "TraceC":
-        expr = parse_trace(fixture_text("concurrent_pricing_star.trace"))
-        fsm = extract_fsm(project_trace_c(expr, "Seller"))
+        fsm = _pricing_fsms(language)["Seller"]
         accepted = _fsm_conforms(fsm, [("Buyer", "?", "Request"), ("Buyer", "!", "Offer")])
         evidence.append(
             Evidence("fig-jam-type-run", "accepted" if accepted else "rejected", "message contents are opaque")
         )
         verdict = "No" if accepted else "Yes"
     elif language == "TraceF":
-        expr = parse_trace(fixture_text("concurrent_pricing_rec.trace"))
-        fsm = extract_fsm(project_trace_f(expr, "Seller"))
+        fsm = _pricing_fsms(language)["Seller"]
         accepted = _fsm_conforms(fsm, [("Buyer", "?", "Request"), ("Buyer", "!", "Offer")])
         scoped_rejects = _fresh_scope_conflict("ID", [[{"ID": "1"}, {"ID": "2"}]])
         unscoped_accepts = not _fresh_scope_conflict("ID", [[{"ID": "1", "item": "fig"}, {"ID": "1", "item": "jam"}]])

@@ -311,7 +311,7 @@ def _fsm_inputs():
     for e in exprs:
         for role in roles(e):
             local = project_trace_f(e, role)
-            compiled = local if fsm._all_tail(local) else fsm._unroll_local(local, 2, {})
+            compiled = local if fsm._all_tail(local) else fsm._unroll_local(local, fsm.UNROLL_BOUND, {})
             if 0 < _shuffle_atoms(compiled) <= 6:
                 out.append(local)
     return out

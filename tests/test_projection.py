@@ -11,7 +11,9 @@ from protolab.cfp.projection import (
     LAtom,
     LChoice,
     LEps,
+    LRec,
     LSeq,
+    LVar,
     MergeFailure,
     print_local,
     project_scribble,
@@ -222,7 +224,6 @@ def test_extract_fsm_purchase_buyer_accepts_both_paths():
 
 def test_erasure_soundness_every_local_atom_involves_role():
     from protolab.cfp.ast import atoms as global_atoms
-    from protolab.cfp.projection import LRec, LVar
 
     def local_atoms(e):
         if isinstance(e, LAtom):
@@ -246,3 +247,19 @@ def test_erasure_soundness_every_local_atom_involves_role():
             involved = [a for a in global_atoms(e) if role in (a.sender, a.receiver)]
             projected = local_atoms(project_trace_f(e, role))
             assert len(projected) == len(involved)
+
+
+def test_a_branch_that_is_only_a_variable_begins_as_its_body():
+    # R decides by sending m whether to go round again, so the choice
+    # between B's reply and another lap is mixed; it leans external, so it
+    # prints as before
+    e = parse_trace("rec X (R -> A : m ; (B -> R : n \\/ X))")
+    for project in (project_trace_c, project_trace_f):
+        choice = project(e, "R").body.right
+        assert (choice.kind, choice.branches[1]) == (ChoiceKind.MIXED, LVar("X"))
+    assert project_trace_c(e, "R").body.right.lean is ChoiceKind.EXTERNAL
+    assert print_local(project_trace_c(e, "R")) == "rec X (A!m ; (B?n + X))"
+    assert print_local(project_trace_f(e, "R")) == "rec X (A!m ; (B?n \\/ X))"
+    # the body's own first variable is not read again
+    loop = project_trace_c(parse_trace("rec X (X \\/ R -> A : m)"), "R")
+    assert loop == LRec("X", LChoice((LVar("X"), latom("A", "m", SEND)), ChoiceKind.INTERNAL))

@@ -3,8 +3,9 @@
 `eliminate_shuffle` expands each distinct residual shuffle once, so equal
 subterms of its result are one object.  These tests check it against the
 tree-building recursion it replaced (kept below as the reference), pin
-the verdicts and notes it makes reachable, and pin its size as a count of
-node objects.
+the verdicts and notes it makes reachable, pin its size as a count of
+node objects, and check that every projection keeps a shared residual
+one object.
 """
 
 import random
@@ -28,6 +29,7 @@ from protolab.cfp.ast import (
     roles,
     seq,
 )
+from protolab.cfp.projection import LChoice, project_scribble, project_trace_c, project_trace_f
 from protolab.cfp.trace_parser import parse_trace
 from protolab.cfp.transforms import _EMPTY, _derivative, eliminate_shuffle, expand, expand_plain
 from protolab.realizability import Outcome, Reason, check_realizability, language_preset
@@ -151,6 +153,39 @@ def test_equal_residuals_are_one_object():
     shared = eliminate_shuffle(parse_trace(disjoint_pairs(6)))
     assert node_objects(shared) == 3_638
     assert tree_nodes(shared) == 40_753_747
+
+
+def after(e, names):
+    """What remains of `e`, global or local, after the events named, each
+    the first event of a branch or of a sequence."""
+    for name in names:
+        if isinstance(e, (Choice, LChoice)):
+            e = next(b for b in e.branches if b.left.name == name)
+        e = e.right
+    return e
+
+
+def decided_by(e, role, done):
+    """`e` with `role` deciding every choice, shared subterms kept shared."""
+    if not isinstance(e, (Choice, Seq)):
+        return e
+    if id(e) not in done:
+        if isinstance(e, Choice):
+            done[id(e)] = Choice(tuple(decided_by(b, role, done) for b in e.branches), role)
+        else:
+            done[id(e)] = Seq(decided_by(e.left, role, done), decided_by(e.right, role, done))
+    return done[id(e)]
+
+
+def test_a_shared_residual_projects_to_one_object_under_every_doctrine():
+    # after Req1 then Req2, and after Req2 then Req1, both replies remain:
+    # one residual, one object, so one projection
+    shared = eliminate_shuffle(parse_trace("(A -> B : Req1 ; B -> A : Rep1) | (A -> B : Req2 ; B -> A : Rep2)"))
+    decided = decided_by(shared, "A", {})
+    for project, e in ((project_trace_c, shared), (project_trace_f, shared), (project_scribble, decided)):
+        assert after(e, ["Req1", "Req2"]) is after(e, ["Req2", "Req1"])
+        local = project(e, "A")
+        assert after(local, ["Req1", "Req2"]) is after(local, ["Req2", "Req1"]), project.__name__
 
 
 def test_roles_read_the_shared_form_in_the_unfolded_order():

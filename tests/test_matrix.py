@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from protolab.matrix import (
@@ -11,6 +14,11 @@ from protolab.matrix import (
     render_matrix,
     run_matrix,
 )
+
+
+# `json.dumps(run_matrix(), indent=2, sort_keys=True)` plus a newline, so that
+# evidence text cannot drift while the verdicts hold
+REPORT = Path(__file__).parent / "data" / "matrix_report.json"
 
 
 @pytest.fixture(scope="module")
@@ -69,3 +77,7 @@ def test_enactment_feasibility_encodings():
 
 def test_report_deterministic():
     assert run_matrix() == run_matrix()
+
+
+def test_report_bytes_pinned(report):
+    assert json.dumps(report, indent=2, sort_keys=True) + "\n" == REPORT.read_text()

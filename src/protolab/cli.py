@@ -26,7 +26,7 @@ from .diagnostics import ParseError, Severity
 from .enactlog import format_log, histories_from_log, log_from_run, parse_log
 from .hapn import parse_hapn
 from .netsim import DEFAULT_QUEUE_CAP, DEFAULT_STATE_CAP, BsplAgent, Delivery, InstanceScript, SimPolicy, explore, run_one
-from .realizability import Delivery, Doctrine, Interpretation, check_realizability, language_preset
+from .realizability import Delivery, Doctrine, Interpretation, _infer_deciders, check_realizability, language_preset
 
 SCHEMA_VERSION = "1"
 
@@ -168,7 +168,7 @@ def cmd_project(args) -> int:
     expr = parse_scribble(text) if suffix == ".scr" else parse_trace(text)
     try:
         if doctrine == "scribble":
-            local = project_scribble(expr, args.role)
+            local = project_scribble(_infer_deciders(expr, {}), args.role)
         elif doctrine == "trace-f":
             local = project_trace_f(expr, args.role)
         else:

@@ -19,6 +19,13 @@ Verdict mapping, per criterion:
 - Asynchrony: Yes iff the language preset works without synchrony.
 - Unordering: Yes iff dropping FIFO leaves every verdict on the
   want+willpay and indirect-payment fixtures unchanged.
+
+Every compliance question is asked of the per-agent protocol filters
+(`filters`, with the language's backend): an enactment is replayed in
+order through one filter per role it concerns.  An enactment is accepted
+iff no filter refuses an emission or flags a reception; Extensibility and
+BSPL's Integrity ask only of the seller's emissions.  Each fixture is read
+and parsed once per process.
 """
 
 from __future__ import annotations
@@ -29,39 +36,43 @@ from functools import cache
 from importlib import resources
 
 from .bspl.core import InfoProtocol, parse_bspl
-from .bspl.enactment import (
-    EMISSION,
-    RECEPTION,
-    History,
-    MessageInstance,
-    check_emission,
-    instance_views,
-    is_complete,
-    observe,
-)
-from .cfp.ast import CfpExpr
+from .bspl.enactment import EMISSION, RECEPTION, History, MessageInstance, instance_views, is_complete, observe
 from .cfp.fsm import TypeLevelFsm, extract_fsm
 from .cfp.projection import project_scribble, project_trace_c, project_trace_f
 from .cfp.scribble_parser import parse_scribble
 from .cfp.trace_parser import parse_trace
 from .commitments import LifecycleState, commitment_states, parse_cupid
-from .filters import BsplBackend, CfpBackend, FilterState, HapnBackend, on_delivery, request_emission
+from .filters import BsplBackend, CfpBackend, FilterState, HapnBackend, Rejection, on_delivery, request_emission
 from .hapn import HapnEvent, conforms, hapn_integrity_check, parse_hapn
-from .netsim import BsplAgent, Delivery, InstanceScript, SimPolicy, explore, history_key
+from .netsim import BsplAgent, Delivery, ExplorationResult, InstanceScript, SimPolicy, explore, history_key
 from .realizability import CommConfig, Interpretation, check_realizability, language_preset
 
 LANGUAGES = ("Scribble", "TraceC", "TraceF", "HAPN", "BSPL")
 CRITERIA = ("Instances", "Integrity", "SocialMeaning", "Concurrency", "Extensibility", "Asynchrony", "Unordering")
+CFP_LANGUAGES = ("Scribble", "TraceC", "TraceF")
 
 SCHEMA_VERSION = "1"
+
+# parser by fixture extension, by name: it is looked up in the module at
+# call time, so a wrapper installed on the module attribute sees the call
+_PARSERS = {
+    "bspl": "parse_bspl",
+    "cupid": "parse_cupid",
+    "hapn": "parse_hapn",
+    "scr": "parse_scribble",
+    "trace": "parse_trace",
+}
 
 
 def fixture_text(name: str) -> str:
     return resources.files("protolab.fixtures").joinpath(name).read_text()
 
 
-def load_bspl(name: str) -> InfoProtocol:
-    return parse_bspl(fixture_text(name))
+@cache
+def _load(name: str):
+    """The fixture `name` parsed by its extension, once per process; every
+    parsed form is immutable."""
+    return globals()[_PARSERS[name.rsplit(".", 1)[1]]](fixture_text(name))
 
 
 @dataclass(frozen=True)
@@ -154,38 +165,16 @@ def _sync_feasible(events) -> bool:
     return True
 
 
-def _local_sequence(events, agent: str) -> list[tuple[str, str, str]]:
-    out = []
-    for kind, mid in events:
-        sender, receiver, name, _ = _MSG[mid]
-        if kind == "E" and sender == agent:
-            out.append((receiver, "!", name))
-        elif kind == "R" and receiver == agent:
-            out.append((sender, "?", name))
-    return out
-
-
-def _fsm_conforms(fsm: TypeLevelFsm, sequence: list[tuple[str, str, str]]) -> bool:
-    """Walk the machine resolving moves by peer, direction, and name; the
-    machines are value-blind so bindings never participate."""
-    state = fsm.initial
-    for peer, direction, name in sequence:
-        state = fsm.move(state, peer, direction, name)
-        if state is None:
-            return False
-    return True
-
-
 @cache
 def _pricing_fsms(language: str) -> dict[str, TypeLevelFsm]:
     """Buyer's and Seller's pricing machines, built once for every cell."""
     if language == "Scribble":
-        body = parse_scribble(fixture_text("concurrent_pricing.scr"))
+        body = _load("concurrent_pricing.scr")
         return {r: extract_fsm(project_scribble(body, r)) for r in ("Buyer", "Seller")}
     if language == "TraceC":
-        expr = parse_trace(fixture_text("concurrent_pricing_star.trace"))
+        expr = _load("concurrent_pricing_star.trace")
         return {r: extract_fsm(project_trace_c(expr, r)) for r in ("Buyer", "Seller")}
-    expr = parse_trace(fixture_text("concurrent_pricing_rec.trace"))
+    expr = _load("concurrent_pricing_rec.trace")
     return {r: extract_fsm(project_trace_f(expr, r)) for r in ("Buyer", "Seller")}
 
 
@@ -196,6 +185,37 @@ def _pricing_msgs(protocol: InfoProtocol) -> dict[str, MessageInstance]:
     return out
 
 
+def _replay(steps, backends: dict) -> tuple[dict[str, FilterState], list[tuple[MessageInstance, Rejection]]]:
+    """Feed an enactment, in order, to one filter per role of `backends`: an
+    emission is requested of its sender's filter, a delivery handed to its
+    receiver's; steps of other roles are skipped.  Returns the filters and
+    every refused emission with its rejection."""
+    states = {role: FilterState(role, backend) for role, backend in backends.items()}
+    refused = []
+    for kind, mi in steps:
+        role = mi.schema.sender if kind == EMISSION else mi.schema.receiver
+        if role not in states:
+            continue
+        if kind == EMISSION:
+            states[role], rejection = request_emission(states[role], mi)
+            if rejection is not None:
+                refused.append((mi, rejection))
+        else:
+            states[role], _ = on_delivery(states[role], mi)
+    return states, refused
+
+
+def _accepted(f: FilterState) -> bool:
+    """Whether the filter refused no emission and flagged no reception."""
+    return not f.rejections and not f.diagnostics
+
+
+def _enactments(protocol: InfoProtocol, rows, delivery: Delivery) -> ExplorationResult:
+    """Every enactment, by one agent per role, of one instance per row."""
+    scripts = [InstanceScript.make(protocol, rows)]
+    return explore([BsplAgent(role, scripts) for role in protocol.roles], SimPolicy(delivery))
+
+
 # ---------------------------------------------------------------------------
 # criterion scenarios
 
@@ -203,22 +223,8 @@ def _pricing_msgs(protocol: InfoProtocol) -> dict[str, MessageInstance]:
 def instances_cell(language: str) -> CriterionReport:
     evidence = []
     accepted = 0
-    if language in ("Scribble", "TraceC", "TraceF"):
-        fsms = _pricing_fsms(language)
-        for name, events in PRICING_ENACTMENTS.items():
-            ok = _fifo_feasible(events) and all(
-                _fsm_conforms(fsms[r], _local_sequence(events, r)) for r in ("Buyer", "Seller")
-            )
-            accepted += ok
-            evidence.append(
-                Evidence(
-                    f"pricing-enactment-{name}",
-                    "accepted" if ok else "rejected",
-                    "local machines and FIFO assumption" if ok else _reject_reason_cfp(fsms, events),
-                )
-            )
-    elif language == "HAPN":
-        machine = parse_hapn(fixture_text("concurrent_pricing.hapn"))
+    if language == "HAPN":
+        machine = _load("concurrent_pricing.hapn")
         for name, events in PRICING_ENACTMENTS.items():
             feasible = _sync_feasible(events)
             seq = [_hapn_event_for(mid) for kind, mid in events if kind == "E"]
@@ -232,32 +238,31 @@ def instances_cell(language: str) -> CriterionReport:
                 )
             )
     else:
-        protocol = load_bspl("pricing.bspl")
+        protocol = _load("pricing.bspl")
         msgs = _pricing_msgs(protocol)
-        reachable = _bspl_reachable_enactments(protocol)
+        if language == "BSPL":
+            backends = {role: BsplBackend((protocol,)) for role in protocol.roles}
+            rows = [{"ID": "1", "item": "fig", "price": "$5"}, {"ID": "2", "item": "jam", "price": "$6"}]
+            explored = _enactments(protocol, rows, Delivery.UNORDERED)
+            reachable = {tuple(map(history_key, vec)) for vec in explored.enactments}
+        else:
+            backends = {role: CfpBackend(fsm) for role, fsm in _pricing_fsms(language).items()}
         for name, events in PRICING_ENACTMENTS.items():
-            compliant = _bspl_replay_compliant(protocol, msgs, events)
-            seen = _vector_signature(msgs, events) in reachable
-            ok = compliant and seen
+            states, _ = _replay([(kind, msgs[mid]) for kind, mid in events], backends)
+            rejecting = [role for role, f in states.items() if not _accepted(f)]
+            if language == "BSPL":
+                ok = not rejecting and tuple(history_key(f.history) for f in states.values()) in reachable
+                detail = "compliant and reachable under unordered delivery" if ok else "replay failed"
+            elif not _fifo_feasible(events):
+                ok, detail = False, "violates the FIFO delivery assumption"
+            elif rejecting:
+                ok, detail = False, f"{rejecting[0]}'s local machine rejects its event order"
+            else:
+                ok, detail = True, "local machines and FIFO assumption"
             accepted += ok
-            evidence.append(
-                Evidence(
-                    f"pricing-enactment-{name}",
-                    "accepted" if ok else "rejected",
-                    "compliant and reachable under unordered delivery" if ok else "replay failed",
-                )
-            )
+            evidence.append(Evidence(f"pricing-enactment-{name}", "accepted" if ok else "rejected", detail))
     verdict = "Yes" if accepted == len(PRICING_ENACTMENTS) else ("Partial" if accepted else "No")
     return CriterionReport(language, "Instances", verdict, tuple(evidence))
-
-
-def _reject_reason_cfp(fsms, events) -> str:
-    if not _fifo_feasible(events):
-        return "violates the FIFO delivery assumption"
-    for r in ("Buyer", "Seller"):
-        if not _fsm_conforms(fsms[r], _local_sequence(events, r)):
-            return f"{r}'s local machine rejects its event order"
-    return ""
 
 
 def _hapn_event_for(mid: str) -> HapnEvent:
@@ -265,89 +270,52 @@ def _hapn_event_for(mid: str) -> HapnEvent:
     return HapnEvent.make(sender, receiver, name, **bindings)
 
 
-def _bspl_replay_compliant(protocol: InfoProtocol, msgs, events) -> bool:
-    histories: dict[str, History] = {r: History(r) for r in protocol.roles}
-    for kind, mid in events:
-        mi = msgs[mid]
-        if kind == "E":
-            sender = mi.schema.sender
-            if check_emission(histories[sender], mi, protocol) is not None:
-                return False
-            histories[sender] = observe(histories[sender], EMISSION, mi)
-        else:
-            receiver = mi.schema.receiver
-            histories[receiver] = observe(histories[receiver], RECEPTION, mi)
-    return True
-
-
-def _pricing_scripts(protocol: InfoProtocol) -> list[InstanceScript]:
-    rows = [{"ID": "1", "item": "fig", "price": "$5"}, {"ID": "2", "item": "jam", "price": "$6"}]
-    return [InstanceScript.make(protocol, rows)]
-
-
-def _bspl_reachable_enactments(protocol: InfoProtocol) -> set:
-    scripts = _pricing_scripts(protocol)
-    agents = [BsplAgent("Buyer", scripts), BsplAgent("Seller", scripts)]
-    result = explore(agents, SimPolicy(Delivery.UNORDERED))
-    out = set()
-    for vec in result.enactments:
-        out.add(tuple(history_key(h) for h in vec))
-    return out
-
-
-def _vector_signature(msgs, events):
-    agents: dict[str, list] = {}
-    for kind, mid in events:
-        mi = msgs[mid]
-        agent = mi.schema.sender if kind == "E" else mi.schema.receiver
-        agents.setdefault(agent, []).append((kind, mi.schema.name, mi.bindings))
-    return tuple((a, tuple(seq)) for a, seq in sorted(agents.items()))
+# what each control-flow language's fig/jam run shows
+_TYPE_RUN_DETAIL = {
+    "Scribble": "labels carry data types only; the conflicting item values never appear",
+    "TraceC": "message contents are opaque",
+    "TraceF": "trace semantics ignore payloads",
+}
 
 
 def integrity_cell(language: str) -> CriterionReport:
     evidence = []
-    if language == "Scribble":
-        body = parse_scribble(fixture_text("alt_pricing.scr"))
-        fsm = extract_fsm(project_scribble(body, "Seller"))
-        accepted = _fsm_conforms(fsm, [("Buyer", "?", "Request"), ("Buyer", "!", "Offer")])
-        evidence.append(
-            Evidence(
-                "fig-jam-type-run",
-                "accepted" if accepted else "rejected",
-                "labels carry data types only; the conflicting item values never appear",
-            )
-        )
+    protocol = _load("purchase.bspl")
+    # the seller receives a fig request, then offers jam under the same ID
+    fig_jam = (
+        (RECEPTION, MessageInstance.make(protocol.message("Request"), {"ID": "1", "item": "fig"})),
+        (EMISSION, MessageInstance.make(protocol.message("Offer"), {"ID": "1", "item": "jam", "price": "$5"})),
+    )
+    if language in CFP_LANGUAGES:
+        if language == "Scribble":
+            fsm = extract_fsm(project_scribble(_load("alt_pricing.scr"), "Seller"))
+        else:
+            fsm = _pricing_fsms(language)["Seller"]
+        states, _ = _replay(fig_jam, {"Seller": CfpBackend(fsm)})
+        accepted = _accepted(states["Seller"])
+        evidence.append(Evidence("fig-jam-type-run", "accepted" if accepted else "rejected", _TYPE_RUN_DETAIL[language]))
         verdict = "No" if accepted else "Yes"
-    elif language == "TraceC":
-        fsm = _pricing_fsms(language)["Seller"]
-        accepted = _fsm_conforms(fsm, [("Buyer", "?", "Request"), ("Buyer", "!", "Offer")])
-        evidence.append(
-            Evidence("fig-jam-type-run", "accepted" if accepted else "rejected", "message contents are opaque")
-        )
-        verdict = "No" if accepted else "Yes"
-    elif language == "TraceF":
-        fsm = _pricing_fsms(language)["Seller"]
-        accepted = _fsm_conforms(fsm, [("Buyer", "?", "Request"), ("Buyer", "!", "Offer")])
-        scoped_rejects = _fresh_scope_conflict("ID", [[{"ID": "1"}, {"ID": "2"}]])
-        unscoped_accepts = not _fresh_scope_conflict("ID", [[{"ID": "1", "item": "fig"}, {"ID": "1", "item": "jam"}]])
-        evidence.append(Evidence("fig-jam-type-run", "accepted" if accepted else "rejected", "trace semantics ignore payloads"))
-        evidence.append(
-            Evidence(
-                "scoped-binding-probe",
-                "rejected" if scoped_rejects else "accepted",
-                "a fresh-binding scope pins the scoped parameter for the whole iteration",
+        if language == "TraceF":
+            scoped_rejects = _fresh_scope_conflict("ID", [[{"ID": "1"}, {"ID": "2"}]])
+            unscoped_accepts = not _fresh_scope_conflict("ID", [[{"ID": "1", "item": "fig"}, {"ID": "1", "item": "jam"}]])
+            evidence.append(
+                Evidence(
+                    "scoped-binding-probe",
+                    "rejected" if scoped_rejects else "accepted",
+                    "a fresh-binding scope pins the scoped parameter for the whole iteration",
+                )
             )
-        )
-        evidence.append(
-            Evidence(
-                "unscoped-conflict-probe",
-                "accepted" if unscoped_accepts else "rejected",
-                "parameters outside the scope mechanism stay unchecked",
+            evidence.append(
+                Evidence(
+                    "unscoped-conflict-probe",
+                    "accepted" if unscoped_accepts else "rejected",
+                    "parameters outside the scope mechanism stay unchecked",
+                )
             )
-        )
-        verdict = "Partial" if accepted and scoped_rejects and unscoped_accepts else ("Yes" if not accepted else "No")
+            if accepted and scoped_rejects and unscoped_accepts:
+                verdict = "Partial"
     elif language == "HAPN":
-        machine = parse_hapn(fixture_text("concurrent_pricing.hapn"))
+        machine = _load("concurrent_pricing.hapn")
         run = [
             HapnEvent.make("Buyer", "Seller", "Request", ID="1", item="fig"),
             HapnEvent.make("Seller", "Buyer", "Offer", ID="1", price="$5"),
@@ -365,19 +333,16 @@ def integrity_cell(language: str) -> CriterionReport:
         evidence.append(Evidence("native-assumptions", "synchronous", "detection relies on a shared synchronous store"))
         verdict = "Partial" if conflict else "No"
     else:
-        protocol = load_bspl("purchase.bspl")
-        seller = History("Seller")
-        seller = observe(seller, RECEPTION, MessageInstance.make(protocol.message("Request"), {"ID": "1", "item": "fig"}))
-        offer = MessageInstance.make(protocol.message("Offer"), {"ID": "1", "item": "jam", "price": "$5"})
-        error = check_emission(seller, offer, protocol)
+        _, refused = _replay(fig_jam, {"Seller": BsplBackend((protocol,))})
+        rejection = refused[0][1] if refused else None
         evidence.append(
             Evidence(
                 "fig-jam-emission",
-                "rejected" if error else "accepted",
-                str(error) if error else "",
+                "rejected" if rejection else "accepted",
+                rejection.detail if rejection else "",
             )
         )
-        verdict = "Yes" if error is not None and error.code in ("IntegrityConflict", "AlreadyBound") else "No"
+        verdict = "Yes" if rejection is not None and rejection.code in ("IntegrityConflict", "AlreadyBound") else "No"
     return CriterionReport(language, "Integrity", verdict, tuple(evidence))
 
 
@@ -415,8 +380,8 @@ def social_meaning_cell(language: str, instances: str, integrity: str) -> Criter
 
 
 def _bspl_commitment_demo() -> LifecycleState:
-    protocol = load_bspl("purchase.bspl")
-    spec = parse_cupid(fixture_text("deliver_payment.cupid"))
+    protocol = _load("purchase.bspl")
+    spec = _load("deliver_payment.cupid")
     msg = lambda name, **vals: MessageInstance.make(protocol.message(name), vals)
     request = msg("Request", ID="1", item="fig")
     offer = msg("Offer", ID="1", item="fig", price="$5")
@@ -447,10 +412,8 @@ def _bspl_commitment_demo() -> LifecycleState:
 
 def concurrency_cell(language: str) -> CriterionReport:
     evidence = []
-    if language in ("Scribble", "TraceC", "TraceF"):
-        expr = parse_trace(fixture_text("flexible_purchase.trace"))
-        cfg = _preset_for(language)
-        verdict_obj = check_realizability(expr, cfg)
+    if language in CFP_LANGUAGES:
+        verdict_obj = check_realizability(_load("flexible_purchase.trace"), _preset_for(language))
         evidence.append(
             Evidence(
                 "flexible-purchase-realizability",
@@ -460,7 +423,7 @@ def concurrency_cell(language: str) -> CriterionReport:
         )
         verdict = "Yes" if verdict_obj.realizable else "No"
     elif language == "HAPN":
-        machine = parse_hapn(fixture_text("flexible_purchase.hapn"))
+        machine = _load("flexible_purchase.hapn")
         serial_ok = all(
             conforms(machine, [_flex_event(n) for n in order])
             for order in (("Request", "Payment", "Shipment"), ("Request", "Shipment", "Payment"))
@@ -484,11 +447,9 @@ def concurrency_cell(language: str) -> CriterionReport:
         )
         verdict = "Yes" if serial_ok and feasible else "No"
     else:
-        protocol = load_bspl("flexible_purchase.bspl")
-        scripts = [InstanceScript.make(protocol, [{"ID": "1", "item": "fig", "shipped": "T", "paid": "T"}])]
-        agents = [BsplAgent("Buyer", scripts), BsplAgent("Seller", scripts)]
-        result = explore(agents, SimPolicy(Delivery.UNORDERED))
-        signatures = {tuple(history_key(h) for h in vec) for vec in result.enactments}
+        rows = [{"ID": "1", "item": "fig", "shipped": "T", "paid": "T"}]
+        explored = _enactments(_load("flexible_purchase.bspl"), rows, Delivery.UNORDERED)
+        signatures = {tuple(map(history_key, vec)) for vec in explored.enactments}
         targets = {
             "shipment-first": (
                 ("Buyer", (("E", "Request"), ("R", "Shipment"), ("E", "Payment"))),
@@ -523,50 +484,27 @@ def _flex_event(name: str) -> HapnEvent:
 
 
 def extensibility_cell(language: str) -> CriterionReport:
-    pricing = load_bspl("pricing.bspl")
-    catalog = load_bspl("catalog.bspl")
+    pricing = _load("pricing.bspl")
+    catalog = _load("catalog.bspl")
     request = MessageInstance.make(pricing.message("Request"), {"ID": "1", "item": "fig"})
     offer = MessageInstance.make(pricing.message("Offer"), {"ID": "1", "price": "$5"})
     query = MessageInstance.make(catalog.message("Query"), {"qID": "q1", "req": "specials"})
     newest = MessageInstance.make(catalog.message("Newest"), {"qID": "q1", "req": "specials", "products": "jam"})
-    evidence = []
     if language == "BSPL":
-        state = FilterState("Seller", BsplBackend((pricing, catalog)))
-        steps = [("emit", query), ("recv", request), ("emit", offer), ("recv", newest)]
-        ok = True
-        for kind, mi in steps:
-            if kind == "emit":
-                state, rejection = request_emission(state, mi)
-                if rejection is not None:
-                    ok = False
-                    evidence.append(Evidence(f"seller-{mi.schema.name}", "rejected", str(rejection)))
-                    break
-            else:
-                state, _ = on_delivery(state, mi)
-        if ok:
-            evidence.append(Evidence("interleaved-pricing-catalog", "accepted", "all four observations recorded"))
-        verdict = "Yes" if ok else "No"
+        backend = BsplBackend((pricing, catalog))
     elif language == "HAPN":
-        machine = parse_hapn(fixture_text("concurrent_pricing.hapn"))
-        state = FilterState("Seller", HapnBackend(machine))
-        state, rejection = request_emission(state, query)
-        evidence.append(
-            Evidence("seller-Query", "rejected" if rejection else "accepted", str(rejection) if rejection else "")
-        )
-        verdict = "No" if rejection else "Yes"
+        backend = HapnBackend(_load("concurrent_pricing.hapn"))
     else:
-        fsm = _pricing_fsms(language)["Seller"]
-        state = FilterState("Seller", CfpBackend(fsm))
-        state, rejection = request_emission(state, query)
-        evidence.append(
-            Evidence(
-                "seller-Query",
-                "rejected" if rejection else "accepted",
-                "a fitting agent observes no message outside the protocol" if rejection else "",
-            )
-        )
-        verdict = "No" if rejection else "Yes"
-    return CriterionReport(language, "Extensibility", verdict, tuple(evidence))
+        backend = CfpBackend(_pricing_fsms(language)["Seller"])
+    steps = ((EMISSION, query), (RECEPTION, request), (EMISSION, offer), (RECEPTION, newest))
+    _, refused = _replay(steps, {"Seller": backend})
+    if refused:
+        mi, rejection = refused[0]
+        detail = "a fitting agent observes no message outside the protocol" if language in CFP_LANGUAGES else str(rejection)
+        evidence = Evidence(f"seller-{mi.schema.name}", "rejected", detail)
+    else:
+        evidence = Evidence("interleaved-pricing-catalog", "accepted", "all four observations recorded")
+    return CriterionReport(language, "Extensibility", "No" if refused else "Yes", (evidence,))
 
 
 def asynchrony_cell(language: str) -> CriterionReport:
@@ -599,7 +537,7 @@ def unordering_cell(language: str) -> CriterionReport:
                 [{"ID": "1", "item": "fig", "price": "$5", "decision": "deal", "instruction": "wire", "OK": "paid"}],
             ),
         ]:
-            protocol = load_bspl(fixture)
+            protocol = _load(fixture)
             verdicts = {}
             for delivery in (Delivery.FIFO_PAIRWISE, Delivery.UNORDERED):
                 verdicts[delivery] = _bspl_enactable(protocol, rows, delivery)
@@ -614,7 +552,7 @@ def unordering_cell(language: str) -> CriterionReport:
     cfg = _preset_for(language)
     same = True
     for fixture in ("want_willpay", "indirect_payment"):
-        expr = _cfp_fixture(language, fixture)
+        expr = _load(f"{fixture}.scr" if language == "Scribble" else f"{fixture}.trace")
         with_fifo = check_realizability(expr, cfg.with_(delivery=Delivery.FIFO_PAIRWISE))
         without = check_realizability(expr, cfg.with_(delivery=Delivery.UNORDERED))
         evidence.append(
@@ -627,16 +565,8 @@ def unordering_cell(language: str) -> CriterionReport:
     return CriterionReport(language, "Unordering", "Yes" if same else "No", tuple(evidence))
 
 
-def _cfp_fixture(language: str, name: str) -> CfpExpr:
-    if language == "Scribble":
-        return parse_scribble(fixture_text(f"{name}.scr"))
-    return parse_trace(fixture_text(f"{name}.trace"))
-
-
 def _bspl_enactable(protocol: InfoProtocol, rows, delivery: Delivery) -> bool:
-    scripts = [InstanceScript.make(protocol, rows)]
-    agents = [BsplAgent(role, scripts) for role in protocol.roles]
-    result = explore(agents, SimPolicy(delivery))
+    result = _enactments(protocol, rows, delivery)
     if result.bound_exceeded or not result.enactments:
         return False
     for vec in result.enactments:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .cfp.ast import CfpExpr, Choice, OccAtom, Rec, Seq, Shuffle, finals, initials, roles as expr_roles
+from .cfp.ast import CfpExpr, Choice, OccAtom, Rec, Seq, Shuffle, atoms, finals, initials, roles as expr_roles
 from .cfp.projection import (
     LocalExpr,
     MergeFailure,
@@ -374,12 +374,14 @@ def _infer_deciders(e, done: dict[int, CfpExpr]):
     unique sender of the branch-initial events, or fail the merge.  `done`
     maps each node object already rewritten (by id) to its rewrite, so a
     shared subterm stays one object."""
-    if not isinstance(e, (Choice, Seq, Shuffle)):
+    if not isinstance(e, (Choice, Seq, Shuffle, Rec)):
         return e
     out = done.get(id(e))
     if out is not None:
         return out
-    if isinstance(e, Choice):
+    if isinstance(e, Rec):
+        out = Rec(e.var, _infer_deciders(e.body, done))
+    elif isinstance(e, Choice):
         branches = tuple(_infer_deciders(b, done) for b in e.branches)
         decider = e.decider
         if decider is None:
@@ -409,20 +411,10 @@ def _repeated_schema_on_channel(traces):
 
 def _label_at_two_atoms(expanded) -> bool:
     """Whether two atom occurrences of an expanded expression share a
-    label (sender, receiver, schema)."""
-    labels: set[tuple[str, str, str]] = set()
-    stack = [expanded]
-    while stack:
-        e = stack.pop()
-        if isinstance(e, OccAtom):
-            if e.label in labels:
-                return True
-            labels.add(e.label)
-        elif isinstance(e, (Seq, Shuffle)):
-            stack += (e.left, e.right)
-        elif isinstance(e, Choice):
-            stack += e.branches
-    return False
+    label (sender, receiver, schema).  `atoms` reads a shared compound node
+    once, which is exact here: `expand` shares none."""
+    labels = [a.label for a in atoms(expanded)]
+    return len(set(labels)) < len(labels)
 
 
 def _check_constraints(expanded, cfg: CommConfig, graph: CompositionGraph) -> tuple[str | None, tuple]:

@@ -191,6 +191,19 @@ def test_project_command(capsys):
     assert "Seller!Request" in out
 
 
+def test_project_under_scribble_infers_deciders(capsys):
+    # as `realizability --preset scribble` does, also inside recursion bodies
+    code, out, _ = run(capsys, "project", str(FIXDIR / "purchase.trace"), "Buyer", "--doctrine", "scribble")
+    assert code == 0
+    assert out == "Seller!Request ; Seller?Offer ; (Seller!Accept ; Seller?Deliver ; Seller!Payment (+) Seller!Reject)\n"
+    code, out, _ = run(capsys, "project", str(FIXDIR / "concurrent_pricing_star.trace"), "Buyer", "--doctrine", "scribble")
+    assert code == 0
+    assert out == "rec _star0 (((Seller!Request ; Seller?Offer) ; _star0 (+) eps))\n"
+    code, _, err = run(capsys, "project", str(FIXDIR / "concurrent_pricing_star.trace"), "Seller", "--doctrine", "scribble")
+    assert code == 1
+    assert err == "projection failed: role Seller cannot distinguish the branches of a choice at Buyer\n"
+
+
 def test_project_fsm_output(capsys):
     code, out, _ = run(capsys, "project", str(FIXDIR / "book_journey.scr"), "C", "--fsm")
     assert code == 0

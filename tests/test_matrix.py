@@ -3,12 +3,16 @@ from pathlib import Path
 
 import pytest
 
+import protolab.matrix as matrix
+from protolab.bspl.enactment import RECEPTION
+from protolab.filters import CfpBackend
 from protolab.matrix import (
     CRITERIA,
     LANGUAGES,
     PRICING_ENACTMENTS,
     _fifo_feasible,
     _sync_feasible,
+    fixture_text,
     matches_golden,
     matrix_verdicts,
     render_matrix,
@@ -81,3 +85,28 @@ def test_report_deterministic():
 
 def test_report_bytes_pinned(report):
     assert json.dumps(report, indent=2, sort_keys=True) + "\n" == REPORT.read_text()
+
+
+def test_each_fixture_read_once_per_process(monkeypatch):
+    reads = []
+
+    def counting(name):
+        reads.append(name)
+        return fixture_text(name)
+
+    monkeypatch.setattr(matrix, "fixture_text", counting)
+    matrix._load.cache_clear()
+    matrix._pricing_fsms.cache_clear()
+    run_matrix()
+    assert len(reads) == len(set(reads)) == 18
+    reads.clear()
+    run_matrix()
+    assert reads == []
+
+
+def test_replay_counts_a_deviating_reception_against_acceptance():
+    # a filter never refuses a reception; it flags one its machine does not expect
+    offer = matrix._pricing_msgs(matrix._load("pricing.bspl"))["O1"]
+    buyer = CfpBackend(matrix._pricing_fsms("TraceC")["Buyer"])
+    states, refused = matrix._replay([(RECEPTION, offer)], {"Buyer": buyer})
+    assert refused == [] and not matrix._accepted(states["Buyer"])

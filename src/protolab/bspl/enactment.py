@@ -28,6 +28,17 @@ class MessageInstance:
     schema: MessageSchema
     bindings: tuple[tuple[str, str], ...]  # in schema parameter order
 
+    def __hash__(self) -> int:
+        # Cached like History's: equal instances share a schema name and
+        # bindings, so this agrees with equality at one tuple hash.
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = self.__dict__["_hash"] = hash((self.schema.name, self.bindings))
+        return cached
+
+    def __getstate__(self) -> dict:
+        return {"schema": self.schema, "bindings": self.bindings}
+
     @classmethod
     def make(cls, schema: MessageSchema, values: dict[str, str]) -> "MessageInstance":
         missing = [p for p in schema.param_names() if p not in values]
@@ -72,10 +83,13 @@ class History:
     def __hash__(self) -> int:
         # Cached outside the fields, so repr, equality and records are as
         # if it were not there.  String hashes are salted per process, so
-        # a pickle leaves it out.
+        # a pickle leaves it out.  Each observation is hashed on its kind,
+        # schema name, bindings, tick and day, not through the generated
+        # hashes of every nested dataclass down to each parameter's Enum.
         cached = self.__dict__.get("_hash")
         if cached is None:
-            cached = self.__dict__["_hash"] = hash((self.owner, self.observations))
+            observations = tuple((o.kind, o.instance.schema.name, o.instance.bindings, o.tick, o.day) for o in self.observations)
+            cached = self.__dict__["_hash"] = hash((self.owner, observations))
         return cached
 
     def __getstate__(self) -> dict:

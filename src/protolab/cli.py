@@ -16,6 +16,7 @@ from pathlib import Path
 
 from . import matrix as matrix_mod
 from .bspl.core import parse_bspl, parse_bspl_file, project_bspl, validate_bspl
+from .cfp.ast import has_shuffle
 from .cfp.fsm import export_fsm, extract_fsm
 from .cfp.projection import MergeFailure, print_local, project_scribble, project_trace_c, project_trace_f
 from .cfp.scribble_parser import parse_scribble
@@ -168,7 +169,10 @@ def cmd_project(args) -> int:
     expr = parse_scribble(text) if suffix == ".scr" else parse_trace(text)
     try:
         if doctrine == "scribble":
-            local = project_scribble(_infer_deciders(expr, {}), args.role)
+            # as realizability does, a shuffle becomes the choice of its
+            # orderings; a shuffle-free recursion stays folded
+            session = eliminate_shuffle(expr) if has_shuffle(expr) else expr
+            local = project_scribble(_infer_deciders(session, {}), args.role)
         elif doctrine == "trace-f":
             local = project_trace_f(expr, args.role)
         else:

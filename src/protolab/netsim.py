@@ -15,14 +15,28 @@ emissions are computed once per state number and its receptions once per
 (state, payload) number pair; each network's deliveries are listed once,
 and its send successors are found once.  A move is then a few table
 lookups.  Eager BSPL agents read each history's knowledge in one pass
-(`bspl.enactment.Knowledge`).
+(`bspl.enactment.Knowledge`), and keep their emissions by the set of
+observations a history holds: knowledge is a set, so histories that
+differ only in the order of the same observations emit the same payloads.
+
+Instances that differ only in their script row values are symmetric:
+renaming one row's values to another's maps reachable states to reachable
+states (Ip and Dill, "Better verification through symmetry", 1996).  The
+walk takes one representative per orbit of that row group, the least
+numbered state of the orbit, and counts each as its orbit's size.  Every
+number records its origin (the state or network it was first reached
+from, and by which step), so a permutation's image of a numbered state is
+found through the memoized steps and per-permutation tables, never by
+renaming and rehashing histories or networks (`_Orbits`).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import permutations
+from operator import getitem
 from typing import Any, Protocol
 
 from .bspl.core import Adornment, InfoProtocol, MessageSchema
@@ -135,7 +149,9 @@ class AgentExecutor(Protocol):
 
 @dataclass(frozen=True)
 class ExplorationStats:
-    """Counts of one exploration.  `local_states` is the number of distinct
+    """Counts of one exploration: those of the walk over every state, also
+    when `explore` takes one state per orbit, except where the state cap
+    stopped a walk part way.  `local_states` is the number of distinct
     states numbered for each agent, as (role, count) in role order;
     `networks` the number of distinct networks; `dedup_hits` the moves
     into a composite state already met."""
@@ -173,37 +189,61 @@ def explore(
     deliveries; an enactment is the history vector at a state with no moves.
 
     The walk is `graph.explore` over `_StateSpace.moves`, and a composite
-    state is a tuple of numbers: each agent's state, then the network.  A
-    state with a move that would put more than `queue_cap` messages on a
-    channel is left unexpanded, and the queue cap is reported as fired."""
+    state is a tuple of numbers: each agent's state, then the network.  It
+    takes one representative per orbit of the instance symmetry
+    (`_instance_group`), and every count is that of the whole space: a
+    representative stands for its orbit's size in states, and for its
+    moves times that size.  A state with a move that would put more than
+    `queue_cap` messages on a channel is left unexpanded, and the queue cap
+    is reported as fired.  The state cap fires when more than `state_cap`
+    states are reachable, and the walk then stops before the
+    representative that would take it past the cap."""
     space = _StateSpace(agents, policy)
+    orbits = _Orbits(space, _instance_group([steps.agent for steps in space.local]))
+    canonical = orbits.canonical if orbits.group.perms else None
+    sizes = orbits.sizes
     depths = space.depths
-    terminals: set[tuple[History, ...]] = set()
-    max_depth = 0
+    terminals: list[tuple[int, ...]] = []
+    max_depth = taken = moves = 0
+    capped = queued = False
 
     def successors(state):
-        nonlocal max_depth
+        nonlocal max_depth, taken, moves, capped, queued
+        size = sizes.get(state, 1)
+        if capped or taken + size > state_cap:
+            capped = True
+            return None
+        taken += size
         max_depth = max(max_depth, depths[state[-1]])
         nexts = [nxt for _event, nxt in space.moves(state)]
+        if canonical is not None:
+            nexts = [canonical(nxt) for nxt in nexts]
         if not nexts:
-            terminals.add(space.vector(state))
+            terminals.append(state)
         elif any(depths[nxt[-1]] > queue_cap for nxt in nexts):
+            queued = True
             return None
+        moves += size * len(nexts)
         return None, nexts
 
-    graph = walk(space.start, successors, state_cap)
-    keys = {h: history_key(h) for h in {h for vec in terminals for h in vec}}
-    enactments = tuple(sorted(terminals, key=lambda vec: tuple(keys[h] for h in vec)))
+    graph = walk(space.start, successors)
+    vectors = {space.vector(image) for state in terminals for image in orbits.orbit(state)}
+    keys = {h: history_key(h) for h in {h for vec in vectors for h in vec}}
+    enactments = tuple(sorted(vectors, key=lambda vec: tuple(keys[h] for h in vec)))
     local_states = tuple((steps.role, len(steps.states)) for steps in space.local)
-    stats = ExplorationStats(len(graph.labels), len(enactments), max_depth, local_states, len(space.networks), graph.dedup_hits)
-    return ExplorationResult(enactments, stats, graph.cap or ("queue" if graph.declined else None))
+    met = sum(sizes.get(state, 1) for state in graph.states)
+    states = state_cap if capped else taken
+    stats = ExplorationStats(states, len(enactments), max_depth, local_states, len(space.networks), moves - (met - 1))
+    return ExplorationResult(enactments, stats, "state" if capped else "queue" if queued else None)
 
 
 class _LocalSteps:
     """One agent's `emissions` and `receive` on numbered states, memoized
     for one exploration.  Both are pure (see AgentExecutor), so each
     distinct state is expanded once.  Payloads are numbered in a table the
-    agents share, and equal payloads are one object."""
+    agents share, and equal payloads are one object.  `origins[k]` is how
+    state k was first met: None for the initial state, else (parent state,
+    whether by emission, payload number)."""
 
     def __init__(self, agent: AgentExecutor, payloads: Numbering):
         self.role = agent.role
@@ -213,11 +253,13 @@ class _LocalSteps:
         self.states = self._number.values
         self._emissions: list[tuple[tuple[Any, int, int], ...] | None] = []
         self._receptions: dict[tuple[int, int], int] = {}
+        self.origins: list[tuple[int, bool, int] | None] = []
 
-    def number(self, state) -> int:
+    def number(self, state, origin: tuple[int, bool, int] | None = None) -> int:
         k = self._number(state)
         if k == len(self._emissions):
             self._emissions.append(None)
+            self.origins.append(origin)
         return k
 
     def emissions(self, k: int) -> tuple[tuple[Any, int, int], ...]:
@@ -227,15 +269,19 @@ class _LocalSteps:
             out = []
             for payload, nxt in self.agent.emissions(self.states[k]):
                 p = self.payloads(payload)
-                out.append((self.payloads.values[p], p, self.number(nxt)))
+                out.append((self.payloads.values[p], p, self.number(nxt, (k, True, p))))
             out = self._emissions[k] = tuple(out)
         return out
 
     def receive(self, k: int, p: int) -> int:
         nxt = self._receptions.get((k, p))
         if nxt is None:
-            nxt = self._receptions[k, p] = self.number(self.agent.receive(self.states[k], self.payloads.values[p]))
+            nxt = self._receptions[k, p] = self.number(self.agent.receive(self.states[k], self.payloads.values[p]), (k, False, p))
         return nxt
+
+    def emitted(self, k: int, p: int) -> int:
+        """The state that state k moves to by emitting payload number p."""
+        return next(nxt for _payload, q, nxt in self.emissions(k) if q == p)
 
 
 class _StateSpace:
@@ -245,8 +291,10 @@ class _StateSpace:
     A network's deliveries (each deliverable envelope with its receivers
     and the network left once it is taken) are listed on the network's
     first expansion, and its send successors are found on first use.
-    `moves` is the one successor function of both `explore` and
-    `run_one`."""
+    `net_origins[n]` is how network n was first met: None for the empty
+    network, (parent, agent index, payload number) for a send, and
+    (parent, send index) for a removal.  `moves` is the one successor
+    function of both `explore` and `run_one`."""
 
     def __init__(self, agents: list[AgentExecutor], policy: SimPolicy):
         agents = sorted(agents, key=lambda a: a.role)
@@ -256,37 +304,42 @@ class _StateSpace:
         self._network_number = Numbering()
         self.networks: list[Network] = self._network_number.values
         self.depths: list[int] = []
+        self.net_origins: list[tuple[int, ...] | None] = []
         self._deliveries: dict[int, tuple[tuple[Envelope, int, tuple[int, ...], int], ...]] = {}
         self._sends: dict[tuple[int, int, int], int] = {}
         self.start = tuple(steps.number(a.initial()) for steps, a in zip(self.local, agents)) + (self._network(Network()),)
 
-    def _network(self, net: Network) -> int:
+    def _network(self, net: Network, origin: tuple[int, ...] | None = None) -> int:
         n = self._network_number(net)
         if n == len(self.depths):
             self.depths.append(net.max_queue_depth())
+            self.net_origins.append(origin)
         return n
 
-    def _list_deliveries(self, n: int) -> tuple[tuple[Envelope, int, tuple[int, ...], int], ...]:
+    def deliveries(self, n: int) -> tuple[tuple[Envelope, int, tuple[int, ...], int], ...]:
         """(envelope, payload number, receiving agents, network after its
         removal) per deliverable envelope of network n, in send order."""
-        net = self.networks[n]
-        out = self._deliveries[n] = tuple(
-            (
-                env,
-                self.payloads(env.payload),
-                tuple(i for i, steps in enumerate(self.local) if steps.role == env.receiver),
-                self._network(net.remove(env)),
+        out = self._deliveries.get(n)
+        if out is None:
+            net = self.networks[n]
+            out = self._deliveries[n] = tuple(
+                (
+                    env,
+                    self.payloads(env.payload),
+                    tuple(i for i, steps in enumerate(self.local) if steps.role == env.receiver),
+                    self._network(net.remove(env), (n, env.send_index)),
+                )
+                for env in net.deliverable(self.policy)
             )
-            for env in net.deliverable(self.policy)
-        )
         return out
 
-    def _send(self, n: int, i: int, p: int) -> int:
+    def send(self, n: int, i: int, p: int) -> int:
+        """The network n leaves once agent i sends payload number p."""
         m = self._sends.get((n, i, p))
         if m is None:
             payload = self.payloads.values[p]
             net = self.networks[n].send(self.local[i].role, _receiver_of(payload), payload)
-            m = self._sends[n, i, p] = self._network(net)
+            m = self._sends[n, i, p] = self._network(net, (n, i, p))
         return m
 
     def moves(self, state: tuple[int, ...]) -> list[tuple[tuple[str, str, Any], tuple[int, ...]]]:
@@ -297,13 +350,13 @@ class _StateSpace:
         n = state[-1]
         deliveries = self._deliveries.get(n)
         if deliveries is None:
-            deliveries = self._list_deliveries(n)
+            deliveries = self.deliveries(n)
         moves = []
         if not (deliveries and self.policy.delivery is Delivery.SYNCHRONOUS):
             for i, steps in enumerate(self.local):
                 before, after = state[:i], state[i + 1 : -1]
                 for payload, p, nxt in steps.emissions(state[i]):
-                    moves.append(((steps.role, EMISSION, payload), (*before, nxt, *after, self._send(n, i, p))))
+                    moves.append(((steps.role, EMISSION, payload), (*before, nxt, *after, self.send(n, i, p))))
         for env, p, receivers, m in deliveries:
             for i in receivers:
                 nxt = self.local[i].receive(state[i], p)
@@ -315,6 +368,140 @@ class _StateSpace:
     def vector(self, state: tuple[int, ...]) -> tuple[History, ...]:
         """The agents' histories at a composite state."""
         return tuple(_history_of(steps.agent, steps.states[k]) for steps, k in zip(self.local, state[:-1]))
+
+
+@dataclass(frozen=True)
+class _RowGroup:
+    """Permutations of instance-script rows, each acting on a payload by
+    renaming its bindings: the value of a parameter in row j becomes that
+    parameter's value in row perm[j].  `perms` leaves out the identity;
+    `columns` maps each (parameter, value) of the rows to the parameter's
+    column of values and the value's row."""
+
+    perms: tuple[tuple[int, ...], ...] = ()
+    columns: dict[tuple[str, str], tuple[tuple[str, ...], int]] = field(default_factory=dict)
+
+    def rename(self, perm: tuple[int, ...], mi: MessageInstance) -> MessageInstance:
+        bindings = []
+        for name, value in mi.bindings:
+            found = self.columns.get((name, value))
+            bindings.append((name, value if found is None else found[0][perm[found[1]]]))
+        return MessageInstance(mi.schema, tuple(bindings))
+
+
+def _instance_group(agents: list[AgentExecutor]) -> _RowGroup:
+    """The row permutations under which the agents' moves commute with
+    renaming, so that a permuted reachable state is reachable with the same
+    moves, renamed.  They are all permutations of the rows when every agent
+    is a `BsplAgent` over the same scripts, every script has the same number
+    of rows, each with the same parameters, every parameter's values are
+    pairwise distinct across rows and name one row across all scripts, and
+    every schema an agent sends has a key.  Then `row_for` finds at most one
+    row for a key, and the renamed key finds the permuted row.  Otherwise
+    the group is trivial (no permutation but the identity).  Each state
+    met is mapped by every permutation, so beyond `_PERMUTED_ROWS` rows
+    only the first that many are permuted: a subgroup's orbits partition
+    the states as well, only into smaller parts."""
+    if not agents or not all(isinstance(a, BsplAgent) for a in agents):
+        return _RowGroup()
+    scripts = agents[0].scripts
+    if any(a.scripts != scripts for a in agents):
+        return _RowGroup()
+    if any(not sent.key_params for a in agents for plan in a._plans for sent in plan.sends):
+        return _RowGroup()
+    counts = {len(script.rows) for script in scripts}
+    if len(counts) != 1 or counts == {1}:
+        return _RowGroup()
+    columns: dict[tuple[str, str], tuple[tuple[str, ...], int]] = {}
+    for script in scripts:
+        rows = script.row_maps()
+        if any(row.keys() != rows[0].keys() for row in rows):
+            return _RowGroup()
+        for name in rows[0]:
+            column = tuple(row[name] for row in rows)
+            if len(set(column)) < len(column):
+                return _RowGroup()
+            for j, value in enumerate(column):
+                if columns.setdefault((name, value), (column, j)) != (column, j):
+                    return _RowGroup()
+    n = counts.pop()
+    k = min(n, _PERMUTED_ROWS)
+    return _RowGroup(tuple(perm + tuple(range(k, n)) for perm in permutations(range(k)))[1:], columns)
+
+
+_PERMUTED_ROWS = 6  # 720 permutations
+
+
+class _Orbits:
+    """Composite states up to a row group.  A permutation's image of a
+    numbered state is read through tables, one per component, that map
+    state numbers to the numbers of their images; a number missing from a
+    table is derived from its origin (see `_LocalSteps` and `_StateSpace`)
+    through the memoized steps: the image of a reception is the image
+    state's reception of the image payload, and likewise for emissions,
+    sends and removals.  No history or network is renamed or rehashed.
+    The representative of an orbit is its least state, and `sizes` keeps
+    the size of each orbit met that has more than one state."""
+
+    def __init__(self, space: _StateSpace, group: _RowGroup):
+        self.space = space
+        self.group = group
+        self.tables = [tuple({k: k} for k in space.start) for _ in group.perms]
+        self._payloads: list[dict[int, int]] = [{} for _ in group.perms]
+        self.sizes: dict[tuple[int, ...], int] = {}
+
+    def orbit(self, state: tuple[int, ...]) -> set[tuple[int, ...]]:
+        """The images of a state under every permutation, the identity's too."""
+        images = {state}
+        for g, tables in enumerate(self.tables):
+            try:
+                images.add(tuple(map(getitem, tables, state)))
+            except KeyError:
+                images.add(self._image(g, state))
+        return images
+
+    def canonical(self, state: tuple[int, ...]) -> tuple[int, ...]:
+        """The representative of the state's orbit."""
+        images = self.orbit(state)
+        least = min(images)
+        if len(images) > 1:
+            self.sizes[least] = len(images)
+        return least
+
+    def _image(self, g: int, state: tuple[int, ...]) -> tuple[int, ...]:
+        tables, space = self.tables[g], self.space
+        for steps, table, own in zip(space.local, tables, state):
+            for k in _unmapped(table, steps.origins, own):
+                parent, emitted, p = steps.origins[k]
+                q = self._payload(g, p)
+                table[k] = steps.emitted(table[parent], q) if emitted else steps.receive(table[parent], q)
+        table = tables[-1]
+        for n in _unmapped(table, space.net_origins, state[-1]):
+            parent, *step = space.net_origins[n]
+            if len(step) == 2:  # a send by agent i of payload p
+                i, p = step
+                table[n] = space.send(table[parent], i, self._payload(g, p))
+            else:  # a removal, of the envelope with this send index
+                table[n] = next(m for env, _p, _to, m in space.deliveries(table[parent]) if env.send_index == step[0])
+        return tuple(map(getitem, tables, state))
+
+    def _payload(self, g: int, p: int) -> int:
+        table = self._payloads[g]
+        q = table.get(p)
+        if q is None:
+            payloads = self.space.payloads
+            q = table[p] = payloads(self.group.rename(self.group.perms[g], payloads.values[p]))
+        return q
+
+
+def _unmapped(table: dict[int, int], origins: list, k: int) -> list[int]:
+    """k and the ancestors it was first reached from that `table` lacks,
+    oldest first."""
+    path = []
+    while k not in table:
+        path.append(k)
+        k = origins[k][0]
+    return path[::-1]
 
 
 def _history_of(agent, state) -> History:
@@ -394,6 +581,7 @@ class BsplAgent:
         self.role = role
         self.scripts = tuple(scripts)
         self._plans = tuple(_ScriptPlan(script, role) for script in self.scripts)
+        self._emitted: dict[frozenset[tuple[str, MessageInstance]], tuple[MessageInstance, ...]] = {}
 
     def initial(self) -> History:
         return History(self.role)
@@ -402,6 +590,16 @@ class BsplAgent:
         return state
 
     def emissions(self, h: History) -> tuple[tuple[MessageInstance, History], ...]:
+        seen = frozenset((o.kind, o.instance) for o in h.observations)
+        payloads = self._emitted.get(seen)
+        if payloads is None:
+            payloads = self._emitted[seen] = self._payloads(h)
+        return tuple((mi, observe(h, EMISSION, mi)) for mi in payloads)
+
+    def _payloads(self, h: History) -> tuple[MessageInstance, ...]:
+        """The correct emissions from h, sorted by schema name and bindings.
+        Knowledge is a set, so they depend only on which observations h
+        holds, not on their order: `emissions` keeps them by that set."""
         out = []
         for plan in self._plans:
             knowledge = Knowledge(h, plan.protocol)
@@ -409,11 +607,9 @@ class BsplAgent:
             for sent in plan.sends:
                 for key in self._candidate_keys(observed, sent):
                     mi = self._instantiate(knowledge, plan, sent, key)
-                    if mi is None:
-                        continue
-                    if knowledge.check_emission(mi) is None:
-                        out.append((mi, observe(h, EMISSION, mi)))
-        out.sort(key=lambda pair: (pair[0].schema.name, pair[0].bindings))
+                    if mi is not None and knowledge.check_emission(mi) is None:
+                        out.append(mi)
+        out.sort(key=lambda mi: (mi.schema.name, mi.bindings))
         return tuple(out)
 
     def receive(self, h: History, mi: MessageInstance) -> History:

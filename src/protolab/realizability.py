@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .cfp.ast import CfpExpr, Choice, OccAtom, Rec, Seq, Shuffle, atoms, finals, initials, roles as expr_roles
+from .cfp.ast import CfpExpr, Choice, OccAtom, Rec, Seq, Shuffle, Var, atoms, finals, initials, roles as expr_roles
 from .cfp.projection import (
     LocalExpr,
     MergeFailure,
@@ -369,23 +369,26 @@ def _project_all(working, cfg: CommConfig) -> dict[str, LocalExpr]:
     return behaviors
 
 
-def _infer_deciders(e, done: dict[int, CfpExpr]):
+def _infer_deciders(e, done: dict[int, CfpExpr], bodies: dict[str, CfpExpr] | None = None):
     """Session projection needs a decider on every choice; infer it as the
-    unique sender of the branch-initial events, or fail the merge.  `done`
-    maps each node object already rewritten (by id) to its rewrite, so a
+    unique sender of the branch-initial events, or fail the merge.  A
+    branch that is only a recursion variable begins as its bound body, as
+    in `cfp.projection._branch_polarity`.  `done` maps each node object
+    already rewritten (by id) outside any recursion to its rewrite, so a
     shared subterm stays one object."""
     if not isinstance(e, (Choice, Seq, Shuffle, Rec)):
         return e
+    bodies = bodies or {}
     out = done.get(id(e))
     if out is not None:
         return out
     if isinstance(e, Rec):
-        out = Rec(e.var, _infer_deciders(e.body, done))
+        out = Rec(e.var, _infer_deciders(e.body, done, {**bodies, e.var: e.body}))
     elif isinstance(e, Choice):
-        branches = tuple(_infer_deciders(b, done) for b in e.branches)
+        branches = tuple(_infer_deciders(b, done, bodies) for b in e.branches)
         decider = e.decider
         if decider is None:
-            senders = {a.sender for b in e.branches for a in initials(b)}
+            senders = {a.sender for b in e.branches for a in initials(bodies.get(b.var, b) if isinstance(b, Var) else b)}
             if len(senders) != 1:
                 raise MergeFailure(
                     "no single role initiates every branch (candidates: " + ", ".join(sorted(senders)) + ")"
@@ -393,8 +396,11 @@ def _infer_deciders(e, done: dict[int, CfpExpr]):
             decider = senders.pop()
         out = Choice(branches, decider)
     else:
-        out = type(e)(_infer_deciders(e.left, done), _infer_deciders(e.right, done))
-    done[id(e)] = out
+        out = type(e)(_infer_deciders(e.left, done, bodies), _infer_deciders(e.right, done, bodies))
+    # under a recursion a choice may read a variable's binding, which
+    # depends on where the node sits
+    if not bodies:
+        done[id(e)] = out
     return out
 
 

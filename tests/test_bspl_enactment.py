@@ -222,3 +222,16 @@ def test_instance_key_for_own_equal_and_foreign_schemas(purchase, pricing):
         for protocol in (purchase, pricing):
             assert m.key(protocol) == reference_key(m, protocol)
             assert protocol.message_keys(schema) == tuple(k for k, _ in reference_key(m, protocol))
+
+
+def test_message_instance_hash_is_cached_and_invisible(purchase):
+    hashed = mi(purchase, "Offer", ID="1", item="fig", price="$5")
+    hash(hashed)
+    fresh = mi(purchase, "Offer", ID="1", item="fig", price="$5")
+    assert hashed == fresh and hash(hashed) == hash(fresh)
+    assert hash(hashed) != hash(mi(purchase, "Offer", ID="2", item="fig", price="$5"))
+    assert repr(hashed) == repr(fresh)
+    assert dataclasses.asdict(hashed) == dataclasses.asdict(fresh)
+    never_hashed = mi(purchase, "Offer", ID="1", item="fig", price="$5")
+    copy = pickle.loads(pickle.dumps(hashed))
+    assert copy == hashed and vars(copy) == vars(never_hashed)

@@ -218,3 +218,31 @@ def test_too_deep_input_is_a_one_line_diagnostic(capsys, tmp_path):
     assert out == ""
     assert len(err.splitlines()) == 1 and "nested too deeply" in err
     assert "Traceback" not in err
+
+
+def test_project_under_scribble_eliminates_shuffles(capsys, tmp_path):
+    # as `realizability --preset scribble` does: the shuffle becomes a choice
+    # of its orderings, and the merge failure is the one realizability reports
+    path = str(FIXDIR / "flexible_purchase.trace")
+    code, _, err = run(capsys, "project", path, "Buyer", "--doctrine", "scribble")
+    assert (code, err) == (1, "projection failed: no single role initiates every branch (candidates: Buyer, Seller)\n")
+    code, out, _ = run(capsys, "realizability", path, "--preset", "scribble")
+    assert code == 1 and "no single role initiates every branch (candidates: Buyer, Seller)" in out
+    one_sender = tmp_path / "one_sender.trace"
+    one_sender.write_text("A -> B : x ; (A -> B : y /\\ A -> C : z)\n")
+    code, out, _ = run(capsys, "project", str(one_sender), "A", "--doctrine", "scribble")
+    assert (code, out) == (0, "B!x ; (B!y ; C!z (+) C!z ; B!y)\n")
+
+
+def test_project_under_scribble_reads_a_variable_branch_as_its_body(capsys, tmp_path):
+    # B sends n, A sends m by going round again: no single decider, as
+    # `realizability --preset scribble` finds after unrolling
+    path = tmp_path / "loop.trace"
+    path.write_text("rec X (A -> B : m ; (B -> A : n \\/ X))\n")
+    code, _, err = run(capsys, "project", str(path), "B", "--doctrine", "scribble")
+    assert (code, err) == (1, "projection failed: no single role initiates every branch (candidates: A, B)\n")
+    code, out, _ = run(capsys, "realizability", str(path), "--preset", "scribble")
+    assert code == 1 and "(candidates: A, B)" in out
+    path.write_text("rec X (A -> B : m ; (A -> B : n \\/ X))\n")
+    code, out, _ = run(capsys, "project", str(path), "A", "--doctrine", "scribble")
+    assert (code, out) == (0, "rec X (B!m ; (B!n (+) X))\n")

@@ -1,7 +1,10 @@
 import hashlib
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from protolab import netsim
 from protolab.bspl.core import parse_bspl_file
 from protolab.bspl.enactment import EMISSION, RECEPTION, instance_views, is_complete
 from protolab.cli import _auto_rows
@@ -12,6 +15,7 @@ from protolab.netsim import (
     InstanceScript,
     Network,
     SimPolicy,
+    _instance_group,
     explore,
     run_one,
 )
@@ -349,3 +353,115 @@ def test_state_cap_is_named_and_counts_only_expanded_states():
     result = explore(simulate_agents("want_willpay", 2), SimPolicy(Delivery.UNORDERED), state_cap=10)
     assert result.bound_exceeded and result.cap == "state"
     assert result.stats.states_explored == 10
+
+
+# ---------------------------------------------------------------------------
+# instance symmetry: the walk over one state per orbit of the row group
+# gives what the walk over every state gives
+
+
+def explore_every_state(agents, policy, **caps):
+    """`explore` with the trivial row group: no two states are identified."""
+    with mock.patch.object(netsim, "_instance_group", lambda agents: netsim._RowGroup()):
+        return explore(agents, policy, **caps)
+
+
+@pytest.mark.parametrize(
+    "name,instances,policy",
+    [c[:3] for c in PINNED_EXPLORATIONS],
+    ids=[f"{c[0]}-x{c[1]}-{c[2]}" for c in PINNED_EXPLORATIONS],
+)
+def test_orbit_walk_equals_the_walk_over_every_state(name, instances, policy):
+    agents = simulate_agents(name, instances)
+    assert len(_instance_group(agents).perms) == {1: 0, 2: 1, 3: 5}[instances]
+    reduced = explore(agents, SimPolicy(Delivery(policy)))
+    assert reduced == explore_every_state(simulate_agents(name, instances), SimPolicy(Delivery(policy)))
+
+
+FIXED = {"deadline": None, "database": None, "derandomize": True}  # same cases every run, no files written
+
+
+@st.composite
+def instance_rows(draw):
+    """Two or three rows of distinct values (an ID of one row may be the
+    item of another), then a few edits: a value replaced by a fresh one,
+    by another row's value of the same parameter, or dropped."""
+    n = draw(st.integers(2, 3))
+    rows = [{"ID": str(j + 1), "item": str(n - j), "price": f"${j}"} for j in range(n)]
+    for _ in range(draw(st.integers(0, 2))):
+        j, param = draw(st.integers(0, n - 1)), draw(st.sampled_from(sorted(rows[0])))
+        edit = draw(st.sampled_from(["fresh", "share", "drop"]))
+        if edit == "fresh":
+            rows[j][param] = f"new{j}"
+        elif edit == "share" and param in rows[(j + 1) % n]:
+            rows[j][param] = rows[(j + 1) % n][param]
+        else:
+            rows[j].pop(param, None)
+    return rows
+
+
+@settings(max_examples=60, **FIXED)
+@given(
+    name=st.sampled_from(["want_willpay", "pricing"]),
+    rows=instance_rows(),
+    delivery=st.sampled_from(list(Delivery)),
+    loss=st.booleans(),
+)
+def test_orbit_walk_equals_the_walk_over_every_state_on_generated_rows(name, rows, delivery, loss):
+    protocol = parse_bspl_file(fixture_text(f"{name}.bspl"))[0]
+    if len(rows) == 3 and (delivery is Delivery.UNORDERED or loss):
+        delivery, loss = Delivery.FIFO_PAIRWISE, False  # keeps the walk over every state small
+    policy = SimPolicy(delivery, loss)
+    agents = agent_pair(protocol, rows)
+    names = set(rows[0])
+    if any(set(row) != names for row in rows) or any(len({row[k] for row in rows}) < len(rows) for k in names):
+        # a parameter some rows lack, or a value two rows share: no symmetry
+        assert _instance_group(agents).perms == ()
+    else:
+        assert len(_instance_group(agents).perms) == {2: 1, 3: 5}[len(rows)]
+    assert explore(agents, policy) == explore_every_state(agent_pair(protocol, rows), policy)
+
+
+def test_emissions_are_kept_by_the_set_of_observations(pricing):
+    # the seller offers the same whichever request it received first, and
+    # each next history still extends its own history
+    rows = [{"ID": "1", "item": "fig", "price": "$5"}, {"ID": "2", "item": "jam", "price": "$6"}]
+    buyer, seller = agent_pair(pricing, rows)
+    requests = [mi for mi, _ in buyer.emissions(buyer.initial())]
+    one, other = seller.initial(), seller.initial()
+    for a, b in zip(requests, reversed(requests)):
+        one, other = seller.receive(one, a), seller.receive(other, b)
+    assert len(requests) == 2 and one != other
+    first, second = seller.emissions(one), seller.emissions(other)
+    assert [mi.schema.name for mi, _ in first] == ["Offer", "Offer"]
+    assert [mi for mi, _ in first] == [mi for mi, _ in second]
+    assert [h.observations[:-1] for _, h in first] == [one.observations] * 2
+    assert [h.observations[:-1] for _, h in second] == [other.observations] * 2
+
+
+def test_symmetry_needs_a_key_on_every_sent_schema(want_willpay):
+    unkeyed = parse_bspl_file(
+        "protocol P {\n  roles A, B\n  parameters out ID key, out x\n  A -> B: M[out x]\n  A -> B: N[out ID, in x]\n}\n"
+    )[0]
+    rows = [{"ID": "1", "x": "a"}, {"ID": "2", "x": "b"}]
+    assert _instance_group(agent_pair(unkeyed, rows)).perms == ()
+    keyed = [{"ID": "1", "item": "a", "price": "p"}, {"ID": "2", "item": "b", "price": "q"}]
+    assert _instance_group(agent_pair(want_willpay, keyed)).perms == ((1, 0),)
+
+
+def test_state_cap_counts_every_state_of_the_orbits_taken():
+    # want_willpay x2 unordered reaches 511 states in 256 orbits
+    agents = simulate_agents("want_willpay", 2)
+    policy = SimPolicy(Delivery.UNORDERED)
+    full = explore(agents, policy, state_cap=511)
+    assert (full.cap, full.stats.states_explored) == (None, 511)
+    capped = explore(agents, policy, state_cap=510)
+    assert (capped.cap, capped.stats.states_explored) == ("state", 510)
+    assert explore_every_state(agents, policy, state_cap=510).cap == "state"
+
+
+def test_state_cap_ends_a_walk_with_many_permutations():
+    agents = simulate_agents("want_willpay", 6)
+    assert len(_instance_group(agents).perms) == 719
+    result = explore(agents, SimPolicy(Delivery.UNORDERED), state_cap=10)
+    assert (result.cap, result.stats.states_explored, result.enactments) == ("state", 10, ())

@@ -102,13 +102,20 @@ class History:
 def apply_observation(h: History, o: Observation) -> History:
     """Append an observation.  Receptions are recorded unconditionally;
     only tick regression is rejected."""
-    if o.tick <= h.last_tick():
-        raise ValueError(f"tick regression: {o.tick} after {h.last_tick()}")
-    if o.kind == EMISSION and o.instance.schema.sender != h.owner:
-        raise ValueError(f"{h.owner} cannot emit {o.instance.schema.name} (sender is {o.instance.schema.sender})")
-    if o.kind == RECEPTION and o.instance.schema.receiver != h.owner:
-        raise ValueError(f"{h.owner} cannot receive {o.instance.schema.name} (receiver is {o.instance.schema.receiver})")
+    check_observation(h.owner, h.last_tick(), o)
     return History(h.owner, h.observations + (o,))
+
+
+def check_observation(owner: str, last_tick: int, o: Observation) -> None:
+    """Raise ValueError unless `o` may follow an observation at `last_tick`
+    in `owner`'s history: its tick is later, and `owner` is the sender of
+    what it emits and the receiver of what it receives."""
+    if o.tick <= last_tick:
+        raise ValueError(f"tick regression: {o.tick} after {last_tick}")
+    if o.kind == EMISSION and o.instance.schema.sender != owner:
+        raise ValueError(f"{owner} cannot emit {o.instance.schema.name} (sender is {o.instance.schema.sender})")
+    if o.kind == RECEPTION and o.instance.schema.receiver != owner:
+        raise ValueError(f"{owner} cannot receive {o.instance.schema.name} (receiver is {o.instance.schema.receiver})")
 
 
 def observe(h: History, kind: str, instance: MessageInstance, day: int | None = None) -> History:

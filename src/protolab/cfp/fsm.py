@@ -211,8 +211,14 @@ def determinize(nfa: Nfa, start: int) -> Graph:
 
 
 def _minimize(fsm: TypeLevelFsm) -> TypeLevelFsm:
-    """Hopcroft-style partition refinement (small machines only)."""
-    labels = sorted(fsm.alphabet())
+    """Partition refinement (Moore): states stay together while they agree
+    on finality and, label by label, on the blocks their moves reach.  A
+    state's signature lists only its own moves, by label: a label it lacks
+    differs from every block, as a move would."""
+    first: dict[int, dict[Label, int]] = {}
+    for a, lab, b in fsm.transitions:
+        first.setdefault(a, {}).setdefault(lab, b)  # the move `step` takes
+    moves = {a: sorted(out.items()) for a, out in first.items()}
     finals = set(fsm.finals)
     partition = {s: (s in finals) for s in fsm.states}
     changed = True
@@ -220,7 +226,7 @@ def _minimize(fsm: TypeLevelFsm) -> TypeLevelFsm:
         changed = False
         signature = {}
         for s in fsm.states:
-            signature[s] = (partition[s], tuple(partition.get(fsm.step(s, lab), None) for lab in labels))
+            signature[s] = (partition[s], tuple((lab, partition[t]) for lab, t in moves.get(s, ())))
         blocks: dict[tuple, list[int]] = {}
         for s in fsm.states:
             blocks.setdefault(signature[s], []).append(s)

@@ -236,6 +236,8 @@ def _auto_rows(protocol, count: int) -> list[dict[str, str]]:
 
 
 def cmd_simulate(args) -> int:
+    if args.instances < 1:
+        raise ValueError(f"--instances must be at least 1, not {args.instances}")
     protocols = []
     for path in args.paths:
         protocols.extend(parse_bspl_file(path.read_text()))

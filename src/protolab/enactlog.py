@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bspl.core import InfoProtocol
-from .bspl.enactment import EMISSION, RECEPTION, History, MessageInstance, Observation, apply_observation
+from .bspl.enactment import EMISSION, RECEPTION, History, MessageInstance, Observation, check_observation
 
 
 @dataclass(frozen=True)
@@ -74,15 +74,18 @@ def histories_from_log(entries: list[LogEntry], protocols: list[InfoProtocol]) -
     timestamp (several observations may share a day); an agent's
     observation order is its line order within equal timestamps."""
     schemas = {m.name: m for p in protocols for m in p.messages}
-    histories: dict[str, History] = {}
+    observed: dict[str, list[Observation]] = {}
     ordered = sorted(enumerate(entries), key=lambda pair: (pair[1].agent, pair[1].tick, pair[0]))
     for _, e in ordered:
         if e.kind == "X":
             continue
-        h = histories.setdefault(e.agent, History(e.agent))
+        observations = observed.setdefault(e.agent, [])
         mi = MessageInstance.make(schemas[e.message], dict(e.bindings))
-        histories[e.agent] = apply_observation(h, Observation(e.kind, mi, h.last_tick() + 1, day=e.tick))
-    return histories
+        o = Observation(e.kind, mi, len(observations) + 1, day=e.tick)
+        check_observation(e.agent, len(observations), o)
+        observations.append(o)
+    # one tuple per history: appending line by line would copy it per line
+    return {agent: History(agent, tuple(observations)) for agent, observations in observed.items()}
 
 
 def log_from_histories(histories: dict[str, History]) -> list[LogEntry]:

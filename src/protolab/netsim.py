@@ -27,7 +27,9 @@ numbered state of the orbit, and counts each as its orbit's size.  Every
 number records its origin (the state or network it was first reached
 from, and by which step), so a permutation's image of a numbered state is
 found through the memoized steps and per-permutation tables, never by
-renaming and rehashing histories or networks (`_Orbits`).
+renaming and rehashing histories or networks (`_Orbits`).  The number of
+enactments is the sum of the orbit sizes of the terminal representatives;
+the sorted history vectors are built only when a caller reads them.
 """
 
 from __future__ import annotations
@@ -35,9 +37,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import partial
 from itertools import permutations
 from operator import getitem
-from typing import Any, Protocol
+from typing import Any, Callable, Protocol
 
 from .bspl.core import Adornment, InfoProtocol, MessageSchema
 from .bspl.enactment import (
@@ -164,15 +167,35 @@ class ExplorationStats:
     dedup_hits: int
 
 
-@dataclass(frozen=True)
 class ExplorationResult:
-    enactments: tuple[tuple[History, ...], ...]  # sorted per-agent histories
-    stats: ExplorationStats
-    cap: str | None  # "state" or "queue" when that cap fired
+    """An exploration's enactments (sorted per-agent history vectors), its
+    stats and the cap that fired ("state" or "queue"), if any.  `explore`
+    may pass the enactments as a function that builds them: they are then
+    built on first read, and the function, with the walk's tables it
+    holds, is dropped.  Results are equal when all three are."""
+
+    def __init__(self, enactments: tuple | Callable[[], tuple], stats: ExplorationStats, cap: str | None):
+        self._enactments = enactments
+        self.stats = stats
+        self.cap = cap
+
+    @property
+    def enactments(self) -> tuple[tuple[History, ...], ...]:
+        if callable(self._enactments):
+            self._enactments = self._enactments()
+        return self._enactments
 
     @property
     def bound_exceeded(self) -> bool:
         return self.cap is not None
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ExplorationResult):
+            return NotImplemented
+        return (self.enactments, self.stats, self.cap) == (other.enactments, other.stats, other.cap)
+
+    def __repr__(self) -> str:
+        return f"ExplorationResult(enactments={self.enactments!r}, stats={self.stats!r}, cap={self.cap!r})"
 
 
 DEFAULT_STATE_CAP = 1_000_000
@@ -197,7 +220,12 @@ def explore(
     `queue_cap` messages on a channel is left unexpanded, and the queue cap
     is reported as fired.  The state cap fires when more than `state_cap`
     states are reachable, and the walk then stops before the
-    representative that would take it past the cap."""
+    representative that would take it past the cap.
+
+    `stats.enactments` is the sum of the orbit sizes of the terminal
+    representatives, and the result's enactments (each orbit's vectors,
+    sorted) are built on first read.  Where that sum could count one
+    vector twice, the vectors are built at once and counted."""
     space = _StateSpace(agents, policy)
     orbits = _Orbits(space, _instance_group([steps.agent for steps in space.local]))
     canonical = orbits.canonical if orbits.group.perms else None
@@ -227,14 +255,33 @@ def explore(
         return None, nexts
 
     graph = walk(space.start, successors)
-    vectors = {space.vector(image) for state in terminals for image in orbits.orbit(state)}
-    keys = {h: history_key(h) for h in {h for vec in vectors for h in vec}}
-    enactments = tuple(sorted(vectors, key=lambda vec: tuple(keys[h] for h in vec)))
+    enactments = partial(_enactments, space, orbits, terminals)
+    # Terminal states are distinct, so their orbits' sizes add up to the
+    # number of enactments when no two of them share a history vector: when
+    # every agent's state is its history, and no network left at a terminal
+    # holds a message (its queue depth is 0, and an empty network's send
+    # count is the vector's count of emissions).  A message to a role no
+    # agent plays stays in transit.
+    if all(isinstance(h, History) for steps in space.local for h in steps.states) and not any(
+        depths[state[-1]] for state in terminals
+    ):
+        count = sum(sizes.get(state, 1) for state in terminals)
+    else:
+        enactments = enactments()
+        count = len(enactments)
     local_states = tuple((steps.role, len(steps.states)) for steps in space.local)
     met = sum(sizes.get(state, 1) for state in graph.states)
     states = state_cap if capped else taken
-    stats = ExplorationStats(states, len(enactments), max_depth, local_states, len(space.networks), moves - (met - 1))
+    stats = ExplorationStats(states, count, max_depth, local_states, len(space.networks), moves - (met - 1))
     return ExplorationResult(enactments, stats, "state" if capped else "queue" if queued else None)
+
+
+def _enactments(space: "_StateSpace", orbits: "_Orbits", terminals: list[tuple[int, ...]]) -> tuple[tuple[History, ...], ...]:
+    """The distinct history vectors of the terminal states' orbits, sorted
+    by `history_key`."""
+    vectors = {space.vector(image) for state in terminals for image in orbits.orbit(state)}
+    keys = {h: history_key(h) for h in {h for vec in vectors for h in vec}}
+    return tuple(sorted(vectors, key=lambda vec: tuple(keys[h] for h in vec)))
 
 
 class _LocalSteps:
@@ -394,9 +441,9 @@ def _instance_group(agents: list[AgentExecutor]) -> _RowGroup:
     renaming, so that a permuted reachable state is reachable with the same
     moves, renamed.  They are all permutations of the rows when every agent
     is a `BsplAgent` over the same scripts, every script has the same number
-    of rows, each with the same parameters, every parameter's values are
-    pairwise distinct across rows and name one row across all scripts, and
-    every schema an agent sends has a key.  Then `row_for` finds at most one
+    of rows, at least two, each with the same parameters, every parameter's
+    values are pairwise distinct across rows and name one row across all
+    scripts, and every schema an agent sends has a key.  Then `row_for` finds at most one
     row for a key, and the renamed key finds the permuted row.  Otherwise
     the group is trivial (no permutation but the identity).  Each state
     met is mapped by every permutation, so beyond `_PERMUTED_ROWS` rows
@@ -410,7 +457,7 @@ def _instance_group(agents: list[AgentExecutor]) -> _RowGroup:
     if any(not sent.key_params for a in agents for plan in a._plans for sent in plan.sends):
         return _RowGroup()
     counts = {len(script.rows) for script in scripts}
-    if len(counts) != 1 or counts == {1}:
+    if len(counts) != 1 or min(counts) < 2:
         return _RowGroup()
     columns: dict[tuple[str, str], tuple[tuple[str, ...], int]] = {}
     for script in scripts:

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
+from unittest import mock
 
+from protolab import netsim
 from protolab.cli import main
 
 FIXDIR = Path(__file__).resolve().parents[1] / "src" / "protolab" / "fixtures"
@@ -105,6 +107,24 @@ def test_simulate_exhaustive_names_the_cap_that_fired(capsys):
     code, out, _ = run(capsys, *args, "--format", "json")
     record = json.loads(out)
     assert (code, record["cap"], record["bound_exceeded"], record["states_explored"]) == (0, "queue", True, 1300)
+
+
+def test_simulate_exhaustive_builds_no_history_vector(capsys):
+    def unread(self, state):
+        raise AssertionError("the count needs no history vector")
+
+    path = str(FIXDIR / "purchase.bspl")
+    with mock.patch.object(netsim._StateSpace, "vector", unread):
+        code, out, _ = run(capsys, "simulate", path, "--exhaustive", "--instances", "2", "--policy", "unordered")
+    assert (code, out) == (0, "12968 maximal enactments (69479 states explored)\n")
+
+
+def test_simulate_rejects_fewer_than_one_instance(capsys):
+    path = str(FIXDIR / "pricing.bspl")
+    for argv in (("--exhaustive", "--instances", "0"), ("--exhaustive", "--instances", "-2"), ("--instances", "0")):
+        code, out, err = run(capsys, "simulate", path, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: --instances must be at least 1, not {argv[-1]}\n"
 
 
 def test_commitments_command(capsys, tmp_path):

@@ -35,6 +35,13 @@ def test_unknown_message_rejected(pricing):
         parse_log("1 Buyer E Bogus ID=1", [pricing])
 
 
+def test_replay_rejects_an_agent_that_does_not_own_the_message(pricing):
+    with pytest.raises(ValueError, match=r"^Seller cannot emit Request \(sender is Buyer\)$"):
+        histories_from_log(parse_log("1 Seller E Request ID=1,item=fig", [pricing]), [pricing])
+    with pytest.raises(ValueError, match=r"^Buyer cannot receive Request \(receiver is Seller\)$"):
+        histories_from_log(parse_log("1 Buyer E Request ID=1,item=fig\n2 Buyer R Request ID=1,item=fig", [pricing]), [pricing])
+
+
 def test_replay_reproduces_views(want_willpay):
     scripts = [InstanceScript.make(want_willpay, [{"ID": "1", "item": "fig", "price": "$5"}])]
     agents = [BsplAgent(r, scripts) for r in want_willpay.roles]

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from protolab import netsim
 from protolab.bspl.core import parse_bspl_file
-from protolab.bspl.enactment import EMISSION, RECEPTION, instance_views, is_complete
+from protolab.bspl.enactment import EMISSION, RECEPTION, History, instance_views, is_complete, observe
 from protolab.cli import _auto_rows
 from protolab.matrix import fixture_text
 from protolab.netsim import (
@@ -419,7 +419,9 @@ def test_orbit_walk_equals_the_walk_over_every_state_on_generated_rows(name, row
         assert _instance_group(agents).perms == ()
     else:
         assert len(_instance_group(agents).perms) == {2: 1, 3: 5}[len(rows)]
-    assert explore(agents, policy) == explore_every_state(agent_pair(protocol, rows), policy)
+    reduced = explore(agents, policy)
+    assert reduced.stats.enactments == len(reduced.enactments)  # the count read off the orbit sizes
+    assert reduced == explore_every_state(agent_pair(protocol, rows), policy)
 
 
 def test_emissions_are_kept_by_the_set_of_observations(pricing):
@@ -465,3 +467,84 @@ def test_state_cap_ends_a_walk_with_many_permutations():
     assert len(_instance_group(agents).perms) == 719
     result = explore(agents, SimPolicy(Delivery.UNORDERED), state_cap=10)
     assert (result.cap, result.stats.states_explored, result.enactments) == ("state", 10, ())
+
+
+def test_scripts_without_rows_have_the_trivial_group(pricing):
+    agents = agent_pair(pricing, [])
+    assert _instance_group(agents).perms == ()
+    result = explore(agents, SimPolicy(Delivery.UNORDERED))
+    assert result.stats.enactments == len(result.enactments) == 1
+
+
+# ---------------------------------------------------------------------------
+# the enactment count is read off the walk, and the vectors are built on
+# first read
+
+
+def test_enactment_count_is_the_number_of_vectors_with_loss():
+    agents = simulate_agents("want_willpay", 2)
+    result = explore(agents, SimPolicy(Delivery.UNORDERED, loss_enabled=True))
+    assert len(_instance_group(agents).perms) == 1
+    assert result.stats.enactments == len(result.enactments) > 144  # more than without loss
+
+
+def test_messages_left_in_transit_are_counted_from_the_vectors():
+    # C has no agent, so both requests stay in transit, and the two send
+    # orders end in two states with one history vector between them
+    protocol = parse_bspl_file(
+        "protocol P {\n  roles A, B, C\n  parameters out ID key, out x, out y\n"
+        "  A -> C: M[out ID key, out x]\n  B -> C: N[out ID key, out y]\n}\n"
+    )[0]
+    scripts = [InstanceScript.make(protocol, [{"ID": "1", "x": "a", "y": "b"}])]
+    result = explore([BsplAgent("A", scripts), BsplAgent("B", scripts)], SimPolicy(Delivery.UNORDERED))
+    assert result.stats.enactments == len(result.enactments) == 1
+    assert [len(h.observations) for h in result.enactments[0]] == [1, 1]
+
+
+class TaggedBuyer:
+    """Sends one Request into either of two states that hold the same
+    history: a state that is not its own history."""
+
+    role = "Buyer"
+
+    def __init__(self, request):
+        self.request = request
+
+    def initial(self):
+        return (History("Buyer"), None)
+
+    def emissions(self, state):
+        h, tag = state
+        if tag is not None:
+            return ()
+        after = observe(h, EMISSION, self.request)
+        return ((self.request, (after, 0)), (self.request, (after, 1)))
+
+    def receive(self, state, payload):
+        return state
+
+    def history(self, state):
+        return state[0]
+
+
+def test_agent_states_that_share_a_history_are_counted_from_the_vectors(pricing):
+    scripts = [InstanceScript.make(pricing, [{"ID": "1", "item": "fig", "price": "$5"}])]
+    buyer, seller = BsplAgent("Buyer", scripts), BsplAgent("Seller", scripts)
+    (request, _), = buyer.emissions(buyer.initial())
+    result = explore([TaggedBuyer(request), seller], SimPolicy(Delivery.UNORDERED))
+    assert result.stats.enactments == len(result.enactments) == 1
+
+
+def test_enactment_vectors_are_built_on_first_read():
+    built = []
+    build = netsim._enactments
+
+    def counted(*args):
+        built.append(args)
+        return build(*args)
+
+    with mock.patch.object(netsim, "_enactments", counted):
+        result = explore(simulate_agents("want_willpay", 2), SimPolicy(Delivery.UNORDERED))
+        assert (result.stats.enactments, built) == (144, [])
+        assert len(result.enactments) == len(result.enactments) == 144  # read twice, built once
+    assert len(built) == 1

@@ -1,9 +1,11 @@
 import random
+from pathlib import Path
 
 import pytest
 
-from protolab.cfp.ast import Atom, Seq
-from protolab.cfp.fsm import export_fsm, extract_fsm
+import protolab.cfp.fsm as fsm_module
+from protolab.cfp.ast import Atom, Seq, roles
+from protolab.cfp.fsm import TypeLevelFsm, export_fsm, extract_fsm
 from protolab.cfp.projection import (
     RECV,
     SEND,
@@ -23,6 +25,7 @@ from protolab.cfp.projection import (
 from protolab.cfp.scribble_parser import parse_scribble
 from protolab.cfp.trace_parser import parse_trace
 from protolab.cfp.transforms import eliminate_shuffle
+from protolab.cli import main
 from protolab.matrix import fixture_text
 
 from generators import random_cfp
@@ -220,6 +223,72 @@ def test_extract_fsm_purchase_buyer_accepts_both_paths():
     assert fsm.accepts(reject_path)
     assert not fsm.accepts(accept_path[:3])
     assert not fsm.accepts([accept_path[1]])
+
+
+def reference_minimize(fsm: TypeLevelFsm) -> TypeLevelFsm:
+    """`_minimize` as it read every label of the alphabet for every state."""
+    labels = sorted(fsm.alphabet())
+    finals = set(fsm.finals)
+    partition = {s: (s in finals) for s in fsm.states}
+    changed = True
+    while changed:
+        changed = False
+        signature = {}
+        for s in fsm.states:
+            signature[s] = (partition[s], tuple(partition.get(fsm.step(s, lab), None) for lab in labels))
+        blocks: dict[tuple, list[int]] = {}
+        for s in fsm.states:
+            blocks.setdefault(signature[s], []).append(s)
+        new_partition = {}
+        for i, key in enumerate(sorted(blocks, key=lambda k: min(blocks[k]))):
+            for s in blocks[key]:
+                new_partition[s] = i
+        if new_partition != partition:
+            partition = new_partition
+            changed = True
+    transitions = sorted({(partition[a], lab, partition[b]) for a, lab, b in fsm.transitions})
+    states = tuple(sorted(set(partition.values())))
+    finals2 = tuple(sorted({partition[s] for s in fsm.finals}))
+    return TypeLevelFsm(states, partition[fsm.initial], finals2, tuple(transitions))
+
+
+def scribble_sequence(n: int, choice_every: int) -> str:
+    """n statements over roles A, B, C in turn, every `choice_every`-th a
+    two-branch choice."""
+    lines = ["global protocol Big(role A, role B, role C) {"]
+    for i in range(n):
+        sender, receiver = "ABC"[i % 3], "ABC"[(i + 1) % 3]
+        if choice_every and i % choice_every == choice_every - 1:
+            lines.append(f"  choice at {sender} {{ X{i}() from {sender} to {receiver}; }} or {{ Y{i}() from {sender} to {receiver}; }}")
+        else:
+            lines.append(f"  M{i}(x: Int) from {sender} to {receiver};")
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def test_minimize_equals_the_reference_on_every_projected_machine(monkeypatch, tmp_path, capsys):
+    machines = []
+    minimize = fsm_module._minimize
+
+    def recorded(machine):
+        machines.append(machine)
+        return minimize(machine)
+
+    monkeypatch.setattr(fsm_module, "_minimize", recorded)
+    fixtures = Path(__file__).resolve().parents[1] / "src" / "protolab" / "fixtures"
+    runs = []
+    for f in sorted(fixtures.glob("*.trace")) + sorted(fixtures.glob("*.scr")):
+        parse = parse_scribble if f.suffix == ".scr" else parse_trace
+        runs += [(f, role, doctrine) for role in roles(parse(f.read_text())) for doctrine in ("trace-c", "trace-f", "scribble")]
+    for n, choice_every in ((20, 0), (61, 3), (300, 10)):
+        path = tmp_path / f"sequence{n}.scr"
+        path.write_text(scribble_sequence(n, choice_every))
+        runs += [(path, role, "scribble") for role in "ABC"]
+    for path, role, doctrine in runs:
+        main(["project", str(path), role, "--doctrine", doctrine, "--fsm"])
+    capsys.readouterr()
+    assert len(machines) > 80 and max(len(m.states) for m in machines) > 150
+    for machine in machines:
+        assert export_fsm(minimize(machine)) == export_fsm(reference_minimize(machine))
 
 
 def test_erasure_soundness_every_local_atom_involves_role():

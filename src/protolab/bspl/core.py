@@ -42,7 +42,15 @@ class MessageSchema:
         return None
 
     def param_names(self) -> tuple[str, ...]:
+        return self._param_names
+
+    @cached_property
+    def _param_names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.params)
+
+    @cached_property
+    def param_name_set(self) -> frozenset[str]:
+        return frozenset(self._param_names)
 
     def ins(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.params if p.adornment is Adornment.IN)
@@ -113,8 +121,7 @@ def parse_bspl(text: str) -> InfoProtocol:
     ts = TokenStream(text)
     protocol = _parse_protocol(ts)
     if not ts.done():
-        tok = ts.peek()
-        raise ParseError("trailing input after protocol", tok.line, tok.column)
+        raise ts.error("trailing input after protocol")
     return protocol
 
 
@@ -129,71 +136,60 @@ def parse_bspl_file(text: str) -> list[InfoProtocol]:
 
 def _parse_protocol(ts: TokenStream) -> InfoProtocol:
     ts.expect("protocol")
-    name = ts.expect_kind("id").text
+    name = ts.expect_kind("id")
     ts.expect("{")
     ts.expect("roles")
     roles: list[str] = []
     while True:
-        tok = ts.expect_kind("id")
-        if tok.text in roles:
-            raise ParseError(f"duplicate role {tok.text!r}", tok.line, tok.column)
-        roles.append(tok.text)
+        role = ts.expect_kind("id")
+        if role in roles:
+            raise ts.error(f"duplicate role {role!r}", ts.index - 1)
+        roles.append(role)
         if not ts.maybe(","):
             break
     ts.expect("parameters")
-    params = _parse_param_list(ts, stop={"}"}, message_scope=False)
+    params = _parse_param_list(ts, stop="}")
     messages: list[MessageSchema] = []
     seen_names: set[str] = set()
     while not ts.at("}"):
+        start = ts.index
         msg = _parse_message(ts)
         if msg.name in seen_names:
-            # same schema name twice is a redeclaration, not two schemas
-            tok = ts.peek()
-            raise ParseError(f"duplicate message {msg.name!r}", tok.line if tok else 0, tok.column if tok else 0)
+            # same schema name twice is a redeclaration, not two schemas;
+            # the name is the fifth token of `S -> R: Name[...]`
+            raise ts.error(f"duplicate message {msg.name!r}", start + 4)
         seen_names.add(msg.name)
         messages.append(msg)
     ts.expect("}")
     return InfoProtocol(name, tuple(roles), tuple(params), tuple(messages))
 
 
-def _parse_param_list(ts: TokenStream, stop: set[str], message_scope: bool) -> list[ParamDecl]:
+def _parse_param_list(ts: TokenStream, stop: str) -> list[ParamDecl]:
     params: list[ParamDecl] = []
     seen: set[str] = set()
-    while True:
-        tok = ts.peek()
-        if tok is None or tok.text in stop:
-            break
-        adorn_tok = ts.expect_kind("id")
-        if adorn_tok.text not in ("in", "out"):
-            raise ParseError(f"expected adornment 'in' or 'out', found {adorn_tok.text!r}", adorn_tok.line, adorn_tok.column)
-        name_tok = ts.expect_kind("id")
-        if name_tok.text in seen:
-            raise ParseError(f"duplicate parameter {name_tok.text!r}", name_tok.line, name_tok.column)
-        seen.add(name_tok.text)
-        is_key = False
-        if ts.at("key"):
-            ts.next()
-            is_key = True
-        params.append(ParamDecl(name_tok.text, Adornment(adorn_tok.text), is_key))
+    while not ts.done() and not ts.at(stop):
+        adornment = ts.expect_kind("id")
+        if adornment not in ("in", "out"):
+            raise ts.error(f"expected adornment 'in' or 'out', found {adornment!r}", ts.index - 1)
+        name = ts.expect_kind("id")
+        if name in seen:
+            raise ts.error(f"duplicate parameter {name!r}", ts.index - 1)
+        seen.add(name)
+        params.append(ParamDecl(name, Adornment(adornment), ts.maybe("key")))
         if not ts.maybe(","):
             # a message line or closing brace follows
-            if message_scope:
-                break
-            nxt = ts.peek()
-            if nxt is not None and nxt.text not in stop:
-                break
             break
     return params
 
 
 def _parse_message(ts: TokenStream) -> MessageSchema:
-    sender = ts.expect_kind("id").text
+    sender = ts.expect_kind("id")
     ts.expect("->")
-    receiver = ts.expect_kind("id").text
+    receiver = ts.expect_kind("id")
     ts.expect(":")
-    name = ts.expect_kind("id").text
+    name = ts.expect_kind("id")
     ts.expect("[")
-    params = _parse_param_list(ts, stop={"]"}, message_scope=True)
+    params = _parse_param_list(ts, stop="]")
     ts.expect("]")
     return MessageSchema(sender, receiver, name, tuple(params))
 

@@ -41,11 +41,12 @@ class MessageInstance:
 
     @classmethod
     def make(cls, schema: MessageSchema, values: dict[str, str]) -> "MessageInstance":
-        missing = [p for p in schema.param_names() if p not in values]
-        extra = [p for p in values if schema.param(p) is None]
-        if missing or extra:
+        names = schema.param_names()
+        if values.keys() != schema.param_name_set:
+            missing = [p for p in names if p not in values]
+            extra = [p for p in values if p not in schema.param_name_set]
             raise ValueError(f"{schema.name}: bindings must cover exactly the schema parameters (missing {missing}, extra {extra})")
-        return cls(schema, tuple((p, str(values[p])) for p in schema.param_names()))
+        return cls(schema, tuple([(p, str(values[p])) for p in names]))
 
     def binding_map(self) -> dict[str, str]:
         return dict(self.bindings)
@@ -237,23 +238,29 @@ class InstanceView:
 def instance_views(histories: list[History], p: InfoProtocol) -> tuple[InstanceView, ...]:
     """The conceptual vector: one view per distinct key tuple, with bindings
     unioned over every agent's observations."""
-    instances: dict[Key, list[MessageInstance]] = {}
+    # each key's distinct instances in first-seen order (dicts as ordered sets)
+    instances: dict[Key, dict[MessageInstance, None]] = {}
     for h in histories:
         for obs in h.observations:
-            key = obs.instance.key(p)
-            instances.setdefault(key, [])
-            if obs.instance not in instances[key]:
-                instances[key].append(obs.instance)
+            mi = obs.instance
+            instances.setdefault(mi.key(p), {})[mi] = None
     views = []
     for key in sorted(instances):
-        bound: dict[str, str] = {}
-        for mi in instances[key]:
-            for param, value in mi.bindings:
-                if param in bound and bound[param] != value:
-                    raise IntegrityConflict(param, bound[param], value, key)
-                bound[param] = value
+        bound = union_bindings(key, instances[key])
         views.append(InstanceView(key, tuple(sorted(bound.items())), tuple(instances[key])))
     return tuple(views)
+
+
+def union_bindings(key: Key, instances) -> dict[str, str]:
+    """The union of the instances' bindings, read in order.  Raises
+    IntegrityConflict at the first parameter bound to a second value:
+    the integrity rule of the conceptual vector."""
+    bound: dict[str, str] = {}
+    for mi in instances:
+        for param, value in mi.bindings:
+            if bound.setdefault(param, value) != value:
+                raise IntegrityConflict(param, bound[param], value, key)
+    return bound
 
 
 def is_complete(v: InstanceView, p: InfoProtocol) -> bool:

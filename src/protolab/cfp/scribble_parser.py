@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .._lexer import TokenStream
-from ..diagnostics import ParseError
 from .ast import Atom, CfpExpr, Choice, Epsilon, Rec, Seq, Var, initials
 
 _REC_VAR = "_self"
@@ -32,23 +31,22 @@ def parse_scribble_protocol(text: str) -> ScribbleProtocol:
     ts = TokenStream(text)
     ts.expect("global")
     ts.expect("protocol")
-    name = ts.expect_kind("id").text
+    name = ts.expect_kind("id")
     ts.expect("(")
     roles: list[str] = []
     while not ts.at(")"):
         ts.expect("role")
-        tok = ts.expect_kind("id")
-        if tok.text in roles:
-            raise ParseError(f"duplicate role {tok.text!r}", tok.line, tok.column)
-        roles.append(tok.text)
+        role = ts.expect_kind("id")
+        if role in roles:
+            raise ts.error(f"duplicate role {role!r}", ts.index - 1)
+        roles.append(role)
         if not ts.at(")"):
             ts.expect(",")
     ts.expect(")")
     parser = _ScribbleParser(ts, name, tuple(roles))
     body = parser.parse_block()
     if not ts.done():
-        tok = ts.peek()
-        raise ParseError("trailing input after protocol", tok.line, tok.column)
+        raise ts.error("trailing input after protocol")
     if parser.recursive:
         body = Rec(_REC_VAR, body)
     return ScribbleProtocol(name, tuple(roles), body)
@@ -74,50 +72,44 @@ class _ScribbleParser:
         return expr
 
     def _statement(self) -> CfpExpr:
-        tok = self.ts.peek()
-        if tok is None:
-            raise ParseError("unexpected end of protocol", 0, 0)
-        if tok.text == "choice":
+        if self.ts.done():
+            # reported at the last token, like an unexpected end of input
+            raise self.ts.error("unexpected end of protocol")
+        if self.ts.at("choice"):
             return self._choice()
-        if tok.text == "do":
+        if self.ts.at("do"):
             return self._do()
         return self._transfer()
 
     def _choice(self) -> CfpExpr:
-        kw = self.ts.expect("choice")
+        kw = self.ts.index
+        self.ts.expect("choice")
         self.ts.expect("at")
-        decider = self.ts.expect_kind("id").text
+        decider = self.ts.expect_kind("id")
         if decider not in self.roles:
-            raise ParseError(f"unknown decider role {decider!r}", kw.line, kw.column)
+            raise self.ts.error(f"unknown decider role {decider!r}", kw)
         branches = [self.parse_block()]
         while self.ts.at("or"):
             self.ts.next()
             branches.append(self.parse_block())
         if len(branches) < 2:
-            raise ParseError("choice needs at least two branches", kw.line, kw.column)
+            raise self.ts.error("choice needs at least two branches", kw)
         seen_firsts: set[tuple[str, str, str]] = set()
         for branch in branches:
             for atom in initials(branch):
                 if atom.sender != decider:
-                    raise ParseError(
-                        f"decider {decider} is not the sender of branch-initial message {atom.name}",
-                        kw.line,
-                        kw.column,
-                    )
+                    raise self.ts.error(f"decider {decider} is not the sender of branch-initial message {atom.name}", kw)
                 if atom.label in seen_firsts:
-                    raise ParseError(
-                        f"two branches start with the same message {atom.name}; the choice is not deterministic",
-                        kw.line,
-                        kw.column,
-                    )
+                    raise self.ts.error(f"two branches start with the same message {atom.name}; the choice is not deterministic", kw)
                 seen_firsts.add(atom.label)
         return Choice(tuple(branches), decider)
 
     def _do(self) -> CfpExpr:
-        kw = self.ts.expect("do")
-        target = self.ts.expect_kind("id").text
+        kw = self.ts.index
+        self.ts.expect("do")
+        target = self.ts.expect_kind("id")
         if target != self.name:
-            raise ParseError(f"'do {target}' does not reference the enclosing protocol {self.name}", kw.line, kw.column)
+            raise self.ts.error(f"'do {target}' does not reference the enclosing protocol {self.name}", kw)
         self.ts.expect("(")
         while not self.ts.at(")"):
             self.ts.next()
@@ -127,13 +119,13 @@ class _ScribbleParser:
         return Var(_REC_VAR)
 
     def _transfer(self) -> CfpExpr:
-        name_tok = self.ts.expect_kind("id")
+        name = self.ts.expect_kind("id")
         payload: list[tuple[str | None, str | None]] = []
         self.ts.expect("(")
         while not self.ts.at(")"):
-            first = self.ts.expect_kind("id").text
+            first = self.ts.expect_kind("id")
             if self.ts.maybe(":"):
-                ptype = self.ts.expect_kind("id").text
+                ptype = self.ts.expect_kind("id")
                 self.declared_payload[first] = ptype
                 payload.append((first, ptype))
             elif first in self.declared_payload:
@@ -150,13 +142,13 @@ class _ScribbleParser:
         self.ts.expect("to")
         receiver = self._role()
         self.ts.expect(";")
-        return Atom(sender, receiver, name_tok.text, tuple(payload))
+        return Atom(sender, receiver, name, tuple(payload))
 
     def _role(self) -> str:
-        tok = self.ts.expect_kind("id")
-        if tok.text not in self.roles:
-            raise ParseError(f"unknown role {tok.text!r}", tok.line, tok.column)
-        return tok.text
+        role = self.ts.expect_kind("id")
+        if role not in self.roles:
+            raise self.ts.error(f"unknown role {role!r}", self.ts.index - 1)
+        return role
 
 
 def print_scribble(p: ScribbleProtocol) -> str:

@@ -32,15 +32,14 @@ class _TraceParser:
         order: list[str] = []
         while not self.ts.done():
             if self._at_definition():
-                name = self.ts.next().text
+                name = self.ts.next()
                 self.ts.expect("=")
                 body = self._shuffle(bound={name})
                 self.defs[name] = Rec(name, body) if self._uses(body, name) else body
                 order.append(name)
             else:
                 if root is not None:
-                    tok = self.ts.peek()
-                    raise ParseError("multiple root expressions", tok.line, tok.column)
+                    raise self.ts.error("multiple root expressions")
                 root = self._shuffle(bound=set())
         if root is None:
             if not order:
@@ -49,9 +48,8 @@ class _TraceParser:
         return root
 
     def _at_definition(self) -> bool:
-        tok = self.ts.peek()
-        nxt = self.ts.tokens[self.ts.index + 1] if self.ts.index + 1 < len(self.ts.tokens) else None
-        return tok is not None and tok.kind == "id" and nxt is not None and nxt.text == "="
+        ts = self.ts
+        return ts.at_kind("id") and ts.index + 1 < len(ts.tokens) and ts.tokens[ts.index + 1] == "="
 
     @staticmethod
     def _uses(e: CfpExpr, name: str) -> bool:
@@ -107,33 +105,33 @@ class _TraceParser:
             self.ts.expect(")")
             return e
         tok = self.ts.expect_kind("id")
-        if tok.text == "eps":
+        if tok == "eps":
             return Epsilon()
-        if tok.text == "rec" and self.ts.at_kind("id"):
-            var = self.ts.expect_kind("id").text
+        if tok == "rec" and self.ts.at_kind("id"):
+            var = self.ts.expect_kind("id")
             self.ts.expect("(")
             body = self._shuffle(bound | {var})
             self.ts.expect(")")
             return Rec(var, body)
         if self.ts.at("->"):
-            return self._atom_tail(tok.text)
-        if tok.text in bound:
-            return Var(tok.text)
-        if tok.text in self.defs:
-            return self.defs[tok.text]
-        raise ParseError(f"unbound recursion variable {tok.text!r}", tok.line, tok.column)
+            return self._atom_tail(tok)
+        if tok in bound:
+            return Var(tok)
+        if tok in self.defs:
+            return self.defs[tok]
+        raise self.ts.error(f"unbound recursion variable {tok!r}", self.ts.index - 1)
 
     def _atom_tail(self, sender: str) -> CfpExpr:
         self.ts.expect("->")
-        receiver = self.ts.expect_kind("id").text
+        receiver = self.ts.expect_kind("id")
         self.ts.expect(":")
-        name = self.ts.expect_kind("id").text
+        name = self.ts.expect_kind("id")
         payload: list[tuple[str | None, str | None]] = []
         if self.ts.maybe("("):
             while not self.ts.at(")"):
-                first = self.ts.expect_kind("id").text
+                first = self.ts.expect_kind("id")
                 if self.ts.maybe(":"):
-                    ptype = self.ts.expect_kind("id").text
+                    ptype = self.ts.expect_kind("id")
                     payload.append((first, ptype))
                 else:
                     payload.append((first, None))

@@ -238,6 +238,8 @@ def _auto_rows(protocol, count: int) -> list[dict[str, str]]:
 def cmd_simulate(args) -> int:
     if args.instances < 1:
         raise ValueError(f"--instances must be at least 1, not {args.instances}")
+    if args.format == "json" and not args.exhaustive:
+        raise ValueError("--format json needs --exhaustive: a seeded run prints its log as text")
     protocols = []
     for path in args.paths:
         protocols.extend(parse_bspl_file(path.read_text()))

@@ -14,8 +14,7 @@ from enum import Enum
 
 from ._lexer import TokenStream
 from .bspl.core import InfoProtocol
-from .bspl.enactment import History, instance_views
-from .diagnostics import ParseError
+from .bspl.enactment import History, MessageInstance, union_bindings
 
 
 class LifecycleState(str, Enum):
@@ -112,10 +111,23 @@ def commitment_states(
     now: int,
 ) -> tuple[CommitmentInstance, ...]:
     """One instance per protocol-instance key with a create event observed
-    by day `now`; lifecycle computed from correlated events in windows."""
-    views = instance_views(histories, protocol)  # raises IntegrityConflict on unsound input
-    del views
-    event_days = _event_days(histories, protocol, now)
+    by day `now`; lifecycle computed from correlated events in windows.
+    Raises IntegrityConflict on unsound input, as `instance_views` does."""
+    instances: dict[tuple, dict[MessageInstance, None]] = {}
+    event_days: dict[tuple, dict[str, int]] = {}  # per key, each message's earliest day up to `now`
+    for h in histories:
+        for obs in h.observations:
+            mi = obs.instance
+            key = mi.key(protocol)
+            instances.setdefault(key, {})[mi] = None
+            day = obs.logical_day
+            if day <= now:
+                days = event_days.setdefault(key, {})
+                name = mi.schema.name
+                if days.get(name, day) >= day:
+                    days[name] = day
+    for key in sorted(instances):
+        union_bindings(key, instances[key])
     out = []
     for key in sorted(event_days):
         days = event_days[key]
@@ -123,22 +135,6 @@ def commitment_states(
             continue
         out.append(_evaluate(spec, key, days, now))
     return tuple(out)
-
-
-def _event_days(histories: list[History], protocol: InfoProtocol, now: int) -> dict[tuple, dict[str, int]]:
-    """Per instance key, the earliest observed day of each message, over all
-    agents' observations up to `now`."""
-    by_key: dict[tuple, dict[str, int]] = {}
-    for h in histories:
-        for obs in h.observations:
-            if obs.logical_day > now:
-                continue
-            key = obs.instance.key(protocol)
-            days = by_key.setdefault(key, {})
-            name = obs.instance.schema.name
-            if name not in days or obs.logical_day < days[name]:
-                days[name] = obs.logical_day
-    return by_key
 
 
 def _evaluate(spec: CommitmentSpec, key, days: dict[str, int], now: int) -> CommitmentInstance:
@@ -186,24 +182,23 @@ def _freeze(stamps: dict[str, int]) -> tuple[tuple[str, int], ...]:
 def parse_cupid(text: str) -> CommitmentSpec:
     ts = TokenStream(text)
     ts.expect("commitment")
-    name = ts.expect_kind("id").text
-    debtor = ts.expect_kind("id").text
+    name = ts.expect_kind("id")
+    debtor = ts.expect_kind("id")
     ts.expect("to")
-    creditor = ts.expect_kind("id").text
+    creditor = ts.expect_kind("id")
     ts.expect("create")
-    create = ts.expect_kind("id").text
+    create = ts.expect_kind("id")
     ts.expect("detach")
     detach, detach_window = _parse_clause(ts)
     ts.expect("discharge")
     discharge, discharge_window = _parse_clause(ts)
     if not ts.done():
-        tok = ts.peek()
-        raise ParseError("trailing input after commitment", tok.line, tok.column)
+        raise ts.error("trailing input after commitment")
     return CommitmentSpec(name, debtor, creditor, create, detach, detach_window, discharge, discharge_window)
 
 
 def _parse_clause(ts: TokenStream) -> tuple[str, Window]:
-    event = ts.expect_kind("id").text
+    event = ts.expect_kind("id")
     if not ts.at("["):
         return event, OPEN_WINDOW
     ts.next()
@@ -218,12 +213,12 @@ def _parse_bound(ts: TokenStream, stop: str) -> tuple[str | None, int | None]:
     if ts.at(stop):
         return None, None
     if ts.at_kind("num"):
-        return None, int(ts.next().text)
-    ref = ts.expect_kind("id").text
+        return None, int(ts.next())
+    ref = ts.expect_kind("id")
     offset = 0
     if ts.at("+") or ts.at("-"):
-        sign = 1 if ts.next().text == "+" else -1
-        offset = sign * int(ts.expect_kind("num").text)
+        sign = 1 if ts.next() == "+" else -1
+        offset = sign * int(ts.expect_kind("num"))
     return ref, offset
 
 

@@ -4,11 +4,17 @@
 
 Rejected emission attempts are recorded as `X` lines carrying the reason
 instead of bindings.  Logs serve replay and golden tests.
+
+Replay reads each line once.  `histories_from_log` builds one
+`MessageInstance` per distinct message and bindings, so an emission and
+its receptions share it, and `MessageInstance.make` checks the bindings
+against the schema's cached parameter names in one comparison.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .bspl.core import InfoProtocol
 from .bspl.enactment import EMISSION, RECEPTION, History, MessageInstance, Observation, check_observation
@@ -51,21 +57,16 @@ def parse_log(text: str, protocols: list[InfoProtocol]) -> list[LogEntry]:
         if len(parts) < 4:
             raise ValueError(f"malformed log line: {line!r}")
         tick, agent, kind, message = int(parts[0]), parts[1], parts[2], parts[3]
+        rest = parts[4] if len(parts) > 4 else ""
         if kind == "X":
-            entries.append(LogEntry(tick, agent, kind, message, (), parts[4] if len(parts) > 4 else ""))
+            entries.append(LogEntry(tick, agent, kind, message, (), rest))
             continue
         if kind not in (EMISSION, RECEPTION):
             raise ValueError(f"unknown event kind {kind!r} in line {line!r}")
         if message not in schemas:
             raise ValueError(f"unknown message {message!r}")
-        bindings: list[tuple[str, str]] = []
-        if len(parts) > 4:
-            for item in parts[4].split(","):
-                if not item:
-                    continue
-                k, _, v = item.partition("=")
-                bindings.append((k, v))
-        entries.append(LogEntry(tick, agent, kind, message, tuple(bindings)))
+        bindings = tuple([item.partition("=")[::2] for item in rest.split(",") if item])
+        entries.append(LogEntry(tick, agent, kind, message, bindings))
     return entries
 
 
@@ -74,13 +75,16 @@ def histories_from_log(entries: list[LogEntry], protocols: list[InfoProtocol]) -
     timestamp (several observations may share a day); an agent's
     observation order is its line order within equal timestamps."""
     schemas = {m.name: m for p in protocols for m in p.messages}
+    # one instance per distinct line body: an emission and its receptions share it
+    instances: dict[tuple[str, tuple[tuple[str, str], ...]], MessageInstance] = {}
     observed: dict[str, list[Observation]] = {}
-    ordered = sorted(enumerate(entries), key=lambda pair: (pair[1].agent, pair[1].tick, pair[0]))
-    for _, e in ordered:
+    for e in sorted(entries, key=attrgetter("agent", "tick")):  # stable: line order within a tick
         if e.kind == "X":
             continue
         observations = observed.setdefault(e.agent, [])
-        mi = MessageInstance.make(schemas[e.message], dict(e.bindings))
+        mi = instances.get((e.message, e.bindings))
+        if mi is None:
+            mi = instances[e.message, e.bindings] = MessageInstance.make(schemas[e.message], dict(e.bindings))
         o = Observation(e.kind, mi, len(observations) + 1, day=e.tick)
         check_observation(e.agent, len(observations), o)
         observations.append(o)

@@ -240,59 +240,62 @@ def parse_hapn(text: str) -> HapnMachine:
     finals: list[str] = []
     variables: list[str] = []
     transitions: list[Transition] = []
+    transition_at: list[int] = []  # the index of each transition's source token
     while not ts.done():
-        tok = ts.expect_kind("id")
-        if tok.text == "machine":
-            name = ts.expect_kind("id").text
-        elif tok.text == "var":
+        at = ts.index
+        keyword = ts.expect_kind("id")
+        if keyword == "machine":
+            name = ts.expect_kind("id")
+        elif keyword == "var":
             while True:
-                variables.append(ts.expect_kind("id").text)
+                variables.append(ts.expect_kind("id"))
                 if not ts.maybe(","):
                     break
-        elif tok.text == "state":
-            sname = ts.expect_kind("id").text
+        elif keyword == "state":
+            sname = ts.expect_kind("id")
             if sname in states:
-                raise ParseError(f"duplicate state {sname!r}", tok.line, tok.column)
+                raise ts.error(f"duplicate state {sname!r}", at)
             states.append(sname)
             while ts.at("initial") or ts.at("final"):
-                mark = ts.next().text
-                if mark == "initial":
+                if ts.next() == "initial":
                     if initial is not None:
-                        raise ParseError("two initial states", tok.line, tok.column)
+                        raise ts.error("two initial states", at)
                     initial = sname
                 else:
                     finals.append(sname)
-        elif tok.text == "trans":
+        elif keyword == "trans":
+            transition_at.append(ts.index)
             transitions.append(_parse_transition(ts))
         else:
-            raise ParseError(f"unexpected keyword {tok.text!r}", tok.line, tok.column)
+            raise ts.error(f"unexpected keyword {keyword!r}", at)
         ts.maybe(";")
     if initial is None:
         raise ParseError("no initial state", 1, 1)
-    for t in transitions:
-        for s in (t.source, t.target):
+    for t, at in zip(transitions, transition_at):
+        # `source -> target`: the target is two tokens after the source
+        for s, s_at in ((t.source, at), (t.target, at + 2)):
             if s not in states:
-                raise ParseError(f"transition uses undeclared state {s!r}", 1, 1)
+                raise ts.error(f"transition uses undeclared state {s!r}", s_at)
     return HapnMachine(name, tuple(states), initial, tuple(finals), tuple(variables), tuple(transitions))
 
 
 def _parse_transition(ts: TokenStream) -> Transition:
-    source = ts.expect_kind("id").text
+    source = ts.expect_kind("id")
     ts.expect("->")
-    target = ts.expect_kind("id").text
+    target = ts.expect_kind("id")
     label = None
     params: tuple[str, ...] = ()
     if ts.at("on"):
         ts.next()
-        sender = ts.expect_kind("id").text
+        sender = ts.expect_kind("id")
         ts.expect("->")
-        receiver = ts.expect_kind("id").text
+        receiver = ts.expect_kind("id")
         ts.expect(":")
-        mname = ts.expect_kind("id").text
+        mname = ts.expect_kind("id")
         plist: list[str] = []
         ts.expect("(")
         while not ts.at(")"):
-            plist.append(ts.expect_kind("id").text)
+            plist.append(ts.expect_kind("id"))
             if not ts.at(")"):
                 ts.expect(",")
         ts.expect(")")
@@ -315,16 +318,16 @@ def _parse_transition(ts: TokenStream) -> Transition:
 def _parse_guard(ts: TokenStream) -> Guard:
     literals: list[tuple[str, bool]] = []
     while True:
-        tok = ts.expect_kind("id")
-        if tok.text == "true":
+        literal = ts.expect_kind("id")
+        if literal == "true":
             pass
-        elif tok.text in ("bound", "unbound"):
+        elif literal in ("bound", "unbound"):
             ts.expect("(")
-            var = ts.expect_kind("id").text
+            var = ts.expect_kind("id")
             ts.expect(")")
-            literals.append((var, tok.text == "bound"))
+            literals.append((var, literal == "bound"))
         else:
-            raise ParseError(f"expected guard literal, found {tok.text!r}", tok.line, tok.column)
+            raise ts.error(f"expected guard literal, found {literal!r}", ts.index - 1)
         if ts.at("and"):
             ts.next()
             continue
@@ -333,24 +336,24 @@ def _parse_guard(ts: TokenStream) -> Guard:
 
 
 def _parse_action(ts: TokenStream) -> Action:
-    tok = ts.expect_kind("id")
-    if tok.text == "unbind":
+    verb = ts.expect_kind("id")
+    if verb == "unbind":
         ts.expect("(")
-        var = ts.expect_kind("id").text
+        var = ts.expect_kind("id")
         ts.expect(")")
         return Action("unbind", var)
-    if tok.text != "bind":
-        raise ParseError(f"expected bind or unbind, found {tok.text!r}", tok.line, tok.column)
+    if verb != "bind":
+        raise ts.error(f"expected bind or unbind, found {verb!r}", ts.index - 1)
     ts.expect("(")
-    var = ts.expect_kind("id").text
+    var = ts.expect_kind("id")
     ts.expect(",")
     if ts.at_kind("string"):
-        value = ts.next().text.strip('"')
+        value = ts.next().strip('"')
     else:
-        value = ts.expect_kind("id").text
+        value = ts.expect_kind("id")
         if value == "arg":
             ts.expect(".")
-            value = "arg." + ts.expect_kind("id").text
+            value = "arg." + ts.expect_kind("id")
     ts.expect(")")
     return Action("bind", var, value)
 

@@ -98,6 +98,36 @@ def test_syntax_error_carries_position():
     assert err.value.line == 4
 
 
+PRELUDE = "protocol P {\n roles A, B\n parameters out ID key, out x\n A -> B: M[out ID]\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("protocol P { roles A, A parameters out ID key A -> B: M[out ID] }", "duplicate role 'A' (line 1, column 23)"),
+        (
+            "protocol P { roles A, B parameters out ID key, out ID A -> B: M[out ID] }",
+            "duplicate parameter 'ID' (line 1, column 52)",
+        ),
+        (
+            "protocol P { roles A, B parameters out ID key A -> B: M[inout ID] }",
+            "expected adornment 'in' or 'out', found 'inout' (line 1, column 57)",
+        ),
+        # a duplicate message is reported at its name, whatever follows it
+        (PRELUDE + " B -> A: M[in ID, out x]\n}", "duplicate message 'M' (line 5, column 10)"),
+        (PRELUDE + " B -> A: M[in ID, out x]", "duplicate message 'M' (line 5, column 10)"),
+        (PRELUDE + " B -> A: N[in ID, out x \u00e9]\n}", "unexpected character '\u00e9' (line 5, column 25)"),
+        (PRELUDE + " B -> A: N[in ID, out x", "expected ']', found end of input (line 5, column 23)"),
+        (PRELUDE + "} }", "trailing input after protocol (line 5, column 3)"),
+        ("", "expected 'protocol', found end of input (line 1, column 1)"),
+    ],
+)
+def test_parse_errors_name_their_position(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_bspl(text)
+    assert str(err.value) == message
+
+
 def test_multi_protocol_file():
     protocols = parse_bspl_file(fixture_text("pricing.bspl") + "\n" + fixture_text("catalog.bspl"))
     assert [p.name for p in protocols] == ["Pricing", "Catalog"]

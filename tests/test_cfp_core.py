@@ -308,6 +308,24 @@ def test_scribble_rejects_branches_sharing_first_event():
         parse_scribble(bad)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "global protocol P(role A, role B) {\n  M() from A to B;\n  choice at A {\n    N() from A to B;\n",
+            "unexpected end of protocol (line 4, column 20)",
+        ),
+        ("global protocol P(role A, role B) {", "unexpected end of protocol (line 1, column 35)"),
+        ("global protocol P(role A, role B) {\n  M() from A to C;\n}", "unknown role 'C' (line 2, column 17)"),
+    ],
+)
+def test_scribble_errors_name_their_position(text, message):
+    # a truncated block is reported at its last token, as the end of input is
+    with pytest.raises(ParseError) as err:
+        parse_scribble(text)
+    assert str(err.value) == message
+
+
 def test_eliminate_shuffle_size_within_factorial_bound():
     import math
 

@@ -127,6 +127,15 @@ def test_simulate_rejects_fewer_than_one_instance(capsys):
         assert err == f"error: --instances must be at least 1, not {argv[-1]}\n"
 
 
+def test_simulate_rejects_json_without_exhaustive(capsys):
+    path = str(FIXDIR / "pricing.bspl")
+    code, out, err = run(capsys, "simulate", path, "--format", "json")
+    assert (code, out) == (2, "")
+    assert err == "error: --format json needs --exhaustive: a seeded run prints its log as text\n"
+    code, out, _ = run(capsys, "simulate", path, "--format", "text", "--seed", "3")
+    assert code == 0 and out.startswith("1 Buyer E Request ")
+
+
 def test_commitments_command(capsys, tmp_path):
     log = tmp_path / "run.log"
     log.write_text(

@@ -24,6 +24,7 @@ from protolab.hapn import (
     print_hapn,
     step_hapn,
 )
+from protolab.diagnostics import ParseError
 from protolab.matrix import fixture_text
 
 from generators import random_hapn
@@ -372,3 +373,25 @@ def test_pruned_walker_matches_the_unpruned_one():
             conflicts += want.startswith("variable")
     # 1,728 compared, 45 of them with a conflict, 32 left unfinished
     assert compared > 1_500 and conflicts > 40 and unfinished > 0
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "machine M\nstate s0 initial\nstate s1 final\ntrans s0 -> s1\ntrans s1 -> s2\ntrans s2 -> s0\n",
+            "transition uses undeclared state 's2' (line 5, column 13)",
+        ),
+        (
+            "machine M\nstate s0 initial\ntrans s0 -> s0\ntrans s9 -> s0 on A -> B : m()\ntrans s0 -> s9\n",
+            "transition uses undeclared state 's9' (line 4, column 7)",
+        ),
+        ("machine M\nstate s0\n", "no initial state (line 1, column 1)"),
+        ("machine M\nstate s0 initial\nstate s0\n", "duplicate state 's0' (line 3, column 1)"),
+    ],
+)
+def test_parse_errors_name_their_position(text, message):
+    # an undeclared state is reported at its token in the first transition naming it
+    with pytest.raises(ParseError) as err:
+        parse_hapn(text)
+    assert str(err.value) == message

@@ -1,5 +1,6 @@
 """Structural transforms: bounded recursion unrolling, occurrence tagging,
-exact trace enumeration, and shuffle elimination.
+trace enumeration, walks that find a first trace without it, and shuffle
+elimination.
 
 Occurrences give every atom position in the (unrolled) expression a stable
 identity so that executions, traces, and ordering constraints can be aligned
@@ -8,7 +9,9 @@ even when several positions carry the same message label.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from collections import Counter
+from itertools import combinations, count, islice
+from typing import Iterator
 
 from .ast import (
     Atom,
@@ -21,6 +24,7 @@ from .ast import (
     Seq,
     Shuffle,
     Var,
+    atoms,
     choice,
     has_rec,
     initials,
@@ -67,31 +71,22 @@ def analyze(e: CfpExpr) -> list:
     return out
 
 
-class _Counter:
-    def __init__(self):
-        self.n = 0
-
-    def next(self) -> int:
-        self.n += 1
-        return self.n
-
-
 def expand(e: CfpExpr, unroll_bound: int = DEFAULT_UNROLL) -> CfpExpr:
     """Unroll every recursion up to `unroll_bound` times and tag atoms with
     occurrence ids.  A back-reference at exhausted budget becomes Epsilon.
     The result is recursion-free, with OccAtom leaves."""
     if unroll_bound < 0:
         raise ValueError("unroll bound must be >= 0")
-    return _expand(e, {}, unroll_bound, _Counter())
+    return _expand(e, {}, unroll_bound, count(1))
 
 
-def _expand(e: CfpExpr, env: dict[str, tuple[Rec, int]], bound: int, counter: _Counter) -> CfpExpr:
+def _expand(e: CfpExpr, env: dict[str, tuple[Rec, int]], bound: int, counter: Iterator[int]) -> CfpExpr:
     if isinstance(e, Epsilon):
         return e
     if isinstance(e, Atom):
-        return OccAtom(e, counter.next())
+        return OccAtom(e, next(counter))
     if isinstance(e, OccAtom):
-        return OccAtom(e.atom, counter.next())
+        return OccAtom(e.atom, next(counter))
     if isinstance(e, Seq):
         return Seq(_expand(e.left, env, bound, counter), _expand(e.right, env, bound, counter))
     if isinstance(e, Shuffle):
@@ -114,90 +109,111 @@ def _expand(e: CfpExpr, env: dict[str, tuple[Rec, int]], bound: int, counter: _C
 
 
 def occ_traces(expanded: CfpExpr) -> tuple[tuple[OccAtom, ...], ...]:
-    """All occurrence-level traces of a recursion-free expression, in the
-    order of `iter_occ_traces`."""
-    return tuple(iter_occ_traces(expanded))
-
-
-def iter_occ_traces(expanded: CfpExpr) -> Iterator[tuple[OccAtom, ...]]:
-    """The occurrence-level traces, produced lazily, so a reader that stops
-    at the first hit enumerates no further.  Order: a sequence pairs each
-    left trace with every right trace; a choice takes its branches in turn;
-    a shuffle interleaves each left trace with every right trace, left
-    atoms first.  A trace met again is skipped."""
+    """Every occurrence-level trace of a recursion-free expression, once
+    each: a sequence pairs each left trace with every right trace, a choice
+    takes its branches in turn, a shuffle merges each left trace with every
+    right one, left heads first.  Exponential; no verdict reads it."""
     if isinstance(expanded, Epsilon):
-        yield ()
-    elif isinstance(expanded, OccAtom):
-        yield (expanded,)
-    elif isinstance(expanded, Atom):
-        raise TypeError("expression must be expanded before enumeration")
-    elif isinstance(expanded, Seq):
-        rights = _Replay(iter_occ_traces(expanded.right))
-        for l in iter_occ_traces(expanded.left):
-            for r in rights:
-                yield l + r
-    elif isinstance(expanded, Choice):
-        yield from _unique(t for b in expanded.branches for t in iter_occ_traces(b))
-    elif isinstance(expanded, Shuffle):
-        rights = _Replay(iter_occ_traces(expanded.right))
-        yield from _unique(m for l in iter_occ_traces(expanded.left) for r in rights for m in interleave(l, r))
+        return ((),)
+    if isinstance(expanded, OccAtom):
+        return ((expanded,),)
+    if isinstance(expanded, Choice):
+        return tuple(dict.fromkeys(t for b in expanded.branches for t in occ_traces(b)))
+    if not isinstance(expanded, (Seq, Shuffle)):
+        raise TypeError(f"expected an expanded expression, got {type(expanded).__name__}")
+    found = []
+    rights = occ_traces(expanded.right)
+    for l in occ_traces(expanded.left):
+        for r in rights:
+            # a merge puts l's atoms at `picks`; the first merge is l + r
+            merges = combinations(range(len(l) + len(r)), len(l))
+            for picks in islice(merges, 1) if isinstance(expanded, Seq) else merges:
+                left, right = iter(l), iter(r)
+                found.append(tuple(next(left) if i in picks else next(right) for i in range(len(l) + len(r))))
+    return tuple(dict.fromkeys(found))
+
+
+def first_trace(expanded: CfpExpr) -> tuple[OccAtom, ...]:
+    """The first trace of `occ_traces`: both operands of a sequence or
+    shuffle in turn, and the first branch of a choice."""
+    return _leftmost(expanded, {}, {}, 1)[0]
+
+
+def first_repeat(expanded: CfpExpr) -> tuple[tuple[OccAtom, ...], tuple[str, str, str]] | None:
+    """The first trace, in `occ_traces` order, that takes some label twice,
+    with that label; None when no trace does.  `expanded` comes from
+    `expand`, which shares no node.
+
+    No expression denotes the empty language (a choice has two branches
+    or more, and an exhausted variable expands to Epsilon), so two atoms
+    share a trace iff they sit in different operands of one sequence or
+    shuffle.  A label at two atoms or more gets a bit; a node's bits
+    (`_gather`) are its labels' bits, and bit 0 when it can repeat one.
+    A shuffle's first repeating trace is its operands' traces in turn:
+    whether a merge repeats a label does not depend on the merge."""
+    counts = Counter([a.label for a in atoms(expanded)])
+    bits = {label: 2 << i for i, label in enumerate(label for label, n in counts.items() if n > 1)}
+    below: dict[int, int] = {}
+    if not bits or not _gather(expanded, bits, below) & 1:
+        return None
+    return _leftmost(expanded, bits, below, 0)
+
+
+def _leftmost(expanded: CfpExpr, bits: dict, below: dict[int, int], later: int) -> tuple:
+    """The trace built left to right, each choice taking its first branch
+    after which a label can still repeat, and the first label it repeats.
+    `later` holds the bits of what follows `expanded`; bit 0 there makes
+    every choice take its first branch."""
+    trace: list[OccAtom] = []
+    seen = 0
+    repeated = None
+    stack = [(expanded, later)]
+    while stack:
+        x, later = stack.pop()
+        if isinstance(x, OccAtom):
+            trace.append(x)
+            bit = bits.get(x.label, 0)
+            if repeated is None and seen & bit:
+                repeated = x.label
+            seen |= bit
+        elif isinstance(x, (Seq, Shuffle)):
+            stack += ((x.right, later), (x.left, _join(below.get(id(x.right), 0), later)))
+        elif isinstance(x, Choice):
+            for b in x.branches:
+                if repeated or _join(_join(seen, below.get(id(b), 0)), later) & 1:
+                    stack.append((b, later))
+                    break
+    return tuple(trace), repeated
+
+
+def _join(a: int, b: int) -> int:
+    """The bits of two nodes on one trace: bit 0 when either can repeat a
+    label or they share one."""
+    return a | b | (a & b != 0)
+
+
+def _gather(x: CfpExpr, bits: dict, below: dict[int, int]) -> int:
+    """The bits of `x` (see `first_repeat`), also kept in `below` for each
+    subterm; recurses as deep as `expand` does."""
+    if isinstance(x, OccAtom):
+        out = bits.get(x.label, 0)
+    elif isinstance(x, (Seq, Shuffle)):
+        out = _join(_gather(x.left, bits, below), _gather(x.right, bits, below))
+    elif isinstance(x, Choice):
+        out = 0
+        for b in x.branches:
+            out |= _gather(b, bits, below)
     else:
-        raise TypeError(type(expanded))
-
-
-class _Replay:
-    """Iterable any number of times over one iterator's items, pulling each
-    item once, when first needed."""
-
-    def __init__(self, items: Iterator):
-        self._items = items
-        self._pulled: list = []
-
-    def __iter__(self):
-        i = 0
-        while True:
-            if i == len(self._pulled):
-                try:
-                    self._pulled.append(next(self._items))
-                except StopIteration:
-                    return
-            yield self._pulled[i]
-            i += 1
-
-
-def _unique(items: Iterable) -> Iterator:
-    seen: set = set()
-    for item in items:
-        if item not in seen:
-            seen.add(item)
-            yield item
-
-
-def interleave(a: tuple, b: tuple):
-    """Every merge of two sequences that keeps each one's order, those
-    taking `a`'s head first before those taking `b`'s."""
-    if not a:
-        yield b
-        return
-    if not b:
-        yield a
-        return
-    for rest in interleave(a[1:], b):
-        yield (a[0],) + rest
-    for rest in interleave(a, b[1:]):
-        yield (b[0],) + rest
+        out = 0
+    below[id(x)] = out
+    return out
 
 
 def enumerate_traces(e: CfpExpr, unroll_bound: int = DEFAULT_UNROLL) -> tuple[GlobalTrace, ...]:
     """The exact trace set with each recursion unrolled at most
     `unroll_bound` times, in a deterministic order."""
-    expanded = expand(e, unroll_bound)
-    seen: dict[tuple, GlobalTrace] = {}
-    for t in occ_traces(expanded):
-        labels = tuple(o.label for o in t)
-        if labels not in seen:
-            seen[labels] = GlobalTrace(labels)
-    return tuple(seen[k] for k in sorted(seen))
+    labels = {tuple(o.label for o in t) for t in occ_traces(expand(e, unroll_bound))}
+    return tuple(GlobalTrace(t) for t in sorted(labels))
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ def parse_log(text: str, protocols: list[InfoProtocol]) -> list[LogEntry]:
         if not line or line.startswith("//"):
             continue
         parts = line.split(None, 4)
-        if len(parts) < 4:
+        if len(parts) < 4 or not parts[0].isdecimal():
             raise ValueError(f"malformed log line: {line!r}")
         tick, agent, kind, message = int(parts[0]), parts[1], parts[2], parts[3]
         rest = parts[4] if len(parts) > 4 else ""
@@ -65,8 +65,10 @@ def parse_log(text: str, protocols: list[InfoProtocol]) -> list[LogEntry]:
             raise ValueError(f"unknown event kind {kind!r} in line {line!r}")
         if message not in schemas:
             raise ValueError(f"unknown message {message!r}")
-        bindings = tuple([item.partition("=")[::2] for item in rest.split(",") if item])
-        entries.append(LogEntry(tick, agent, kind, message, bindings))
+        items = [item.partition("=") for item in rest.split(",") if item]
+        if not all(equals for _, equals, _ in items):
+            raise ValueError(f"binding without '=' in log line: {line!r}")
+        entries.append(LogEntry(tick, agent, kind, message, tuple((key, value) for key, _, value in items)))
     return entries
 
 

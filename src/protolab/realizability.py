@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .cfp.ast import CfpExpr, Choice, OccAtom, Rec, Seq, Shuffle, Var, atoms, finals, initials, roles as expr_roles
+from .cfp.ast import CfpExpr, Choice, OccAtom, Rec, Seq, Shuffle, Var, finals, initials, roles as expr_roles
 from .cfp.projection import (
     LocalExpr,
     MergeFailure,
@@ -30,7 +30,8 @@ from .cfp.transforms import (
     accepts_empty,
     eliminate_shuffle,
     expand,
-    iter_occ_traces,
+    first_repeat,
+    first_trace,
     label_derivatives,
     language_state,
 )
@@ -257,11 +258,10 @@ def check_realizability(e: CfpExpr, cfg: CommConfig, bound: int = DEFAULT_UNROLL
     expanded = expand(e, bound)
 
     # correlation ambiguity: unordered delivery cannot keep same-schema
-    # occurrences on one channel apart, and type-level reception hides it.
-    # A trace takes each atom at most once, so unless two atoms share a
-    # label no trace can repeat one, and no trace is read.
-    if cfg.delivery is Delivery.UNORDERED and cfg.reception is Reception.ANYTIME and _label_at_two_atoms(expanded):
-        dup = _repeated_schema_on_channel(iter_occ_traces(expanded))
+    # occurrences on one channel apart, and type-level reception hides it;
+    # the first trace repeating a label is found without listing traces.
+    if cfg.delivery is Delivery.UNORDERED and cfg.reception is Reception.ANYTIME:
+        dup = first_repeat(expanded)
         if dup is not None:
             trace, label = dup
             reasons.append(Reason.ORDER_VIOLATION)
@@ -332,7 +332,7 @@ def _trace_witness(trace) -> tuple:
 
 
 def _first_trace_witness(expanded) -> tuple:
-    return _trace_witness(next(iter_occ_traces(expanded)))
+    return _trace_witness(first_trace(expanded))
 
 
 def _fmt_labels(labels: tuple) -> str:
@@ -402,25 +402,6 @@ def _infer_deciders(e, done: dict[int, CfpExpr], bodies: dict[str, CfpExpr] | No
     if not bodies:
         done[id(e)] = out
     return out
-
-
-def _repeated_schema_on_channel(traces):
-    for t in traces:
-        seen: set[tuple[str, str, str]] = set()
-        for occ in t:
-            label = occ.label
-            if label in seen:
-                return t, label
-            seen.add(label)
-    return None
-
-
-def _label_at_two_atoms(expanded) -> bool:
-    """Whether two atom occurrences of an expanded expression share a
-    label (sender, receiver, schema).  `atoms` reads a shared compound node
-    once, which is exact here: `expand` shares none."""
-    labels = [a.label for a in atoms(expanded)]
-    return len(set(labels)) < len(labels)
 
 
 def _check_constraints(expanded, cfg: CommConfig, graph: CompositionGraph) -> tuple[str | None, tuple]:

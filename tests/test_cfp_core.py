@@ -19,7 +19,7 @@ from protolab.cfp.ast import (
 )
 from protolab.cfp.scribble_parser import parse_scribble, parse_scribble_protocol, print_scribble
 from protolab.cfp.trace_parser import parse_trace
-from protolab.cfp.transforms import eliminate_shuffle, enumerate_traces, expand, expand_plain, iter_occ_traces
+from protolab.cfp.transforms import eliminate_shuffle, enumerate_traces, expand, expand_plain, occ_traces
 from protolab.diagnostics import ParseError
 from protolab.matrix import fixture_text
 
@@ -159,14 +159,16 @@ def test_structural_helpers_match_trace_semantics_random():
     """On every subterm of an expanded expression and of its shuffle-free
     form (where one occurrence can end several branches), `nullable`,
     `initials` and `finals` agree with its occurrence-level traces, and the
-    atom lists hold no duplicate."""
+    atom lists hold no duplicate.  Every subterm has a trace: no expression
+    denotes the empty language, which `first_repeat` relies on."""
     rng = random.Random(29)
     checked = 0
     for case in range(300):
         e = random_cfp(rng, 3) if case % 2 else random_shuffle_expr(rng)
         expanded = expand(e, 2)
         for x in dict.fromkeys(_subterms(expanded) + _subterms(eliminate_shuffle(expanded))):
-            traces = set(iter_occ_traces(x))
+            traces = set(occ_traces(x))
+            assert traces
             firsts, lasts = initials(x), finals(x)
             assert nullable(x) == (() in traces)
             assert set(firsts) == {t[0] for t in traces if t}

@@ -9,15 +9,15 @@ included) and witness.
 """
 
 import random
+import sys
 
 import pytest
 
-import protolab.realizability as realizability
 from generators import random_cfp, random_shuffle_expr
 from protolab.cfp.ast import Atom, Choice, Epsilon, Rec, Seq, Shuffle, Var
 from protolab.cfp.projection import MergeFailure
 from protolab.cfp.trace_parser import parse_trace
-from protolab.cfp.transforms import OccAtom, eliminate_shuffle, expand, iter_occ_traces, occ_traces
+from protolab.cfp.transforms import OccAtom, eliminate_shuffle, expand, first_repeat, first_trace, occ_traces
 from protolab.netsim import Delivery, Reception
 from protolab.realizability import (
     CommConfig,
@@ -27,15 +27,14 @@ from protolab.realizability import (
     Reason,
     Verdict,
     _order_reasons,
-    _label_at_two_atoms,
     _project_all,
-    _repeated_schema_on_channel,
     check_realizability,
     detect_nonlocal_choice,
     language_preset,
     sequence_constraints,
 )
 from protolab.runtime import Composer, compose
+from test_acceptance import _golden_cases
 
 CONFIGS = (
     [language_preset("trace-c")]
@@ -78,6 +77,17 @@ def _interleave(a, b):
     if not a or not b:
         return [a + b]
     return [(a[0],) + rest for rest in _interleave(a[1:], b)] + [(b[0],) + rest for rest in _interleave(a, b[1:])]
+
+
+def repeated_label(traces):
+    """The first trace that takes a label twice, with that label, or None."""
+    for t in traces:
+        seen = set()
+        for occ in t:
+            if occ.label in seen:
+                return t, occ.label
+            seen.add(occ.label)
+    return None
 
 
 def _labels(events):
@@ -127,7 +137,7 @@ def oracle_verdict(e, cfg, bound=2):
     traces = list_occ_traces(expanded)
     first = tuple(("E", o.occ, *o.label) for o in traces[0])
     if cfg.delivery is Delivery.UNORDERED and cfg.reception is Reception.ANYTIME:
-        dup = _repeated_schema_on_channel(traces)
+        dup = repeated_label(traces)
         if dup is not None:
             trace, label = dup
             reasons.append(Reason.ORDER_VIOLATION)
@@ -248,42 +258,72 @@ def test_occ_traces_keep_the_list_based_order():
         e = expand(random_shuffle_expr(rng) if i % 2 else random_cfp(rng, 3), 2)
         expected = list_occ_traces(e)
         assert occ_traces(e) == expected
-        assert next(iter_occ_traces(e)) == expected[0]
+        assert first_trace(e) == expected[0]
 
 
 def test_occ_traces_skip_repeated_empty_traces():
     e = expand(Rec("X", Choice((Var("X"), Epsilon()))), 1)
     assert occ_traces(e) == ((),)
+    assert first_trace(e) == () and first_repeat(e) is None
 
 
-def test_first_trace_read_lazily():
-    # 2^40 traces: only the first is built
+def test_first_trace_walks_the_structure():
+    # 2^40 traces: none is listed
     e = expand(parse_trace(" | ".join(f"A -> B : m{i}" for i in range(41))), 2)
-    first = next(iter_occ_traces(e))
+    first = first_trace(e)
     assert [o.name for o in first] == [f"m{i}" for i in range(41)]
 
 
-def test_repeated_labels_need_two_atoms_with_one_label():
+def test_first_repeat_and_first_trace_equal_the_enumeration():
     rng = random.Random(11)
     shared = 0
     for i in range(400):
         e = expand(random_shuffle_expr(rng) if i % 2 else random_cfp(rng, 3), 2)
-        if _label_at_two_atoms(e):
-            shared += 1
-        else:
-            assert _repeated_schema_on_channel(list_occ_traces(e)) is None
+        traces = list_occ_traces(e)
+        expected = repeated_label(traces)
+        assert first_repeat(e) == expected, e
+        assert first_trace(e) == traces[0]
+        shared += expected is not None
     assert 0 < shared < 400
 
 
-def test_unordered_check_reads_no_trace_when_labels_are_distinct(monkeypatch):
-    # disjoint k=5 has 113,400 traces and no label twice
-    def no_traces(traces):
-        raise AssertionError("traces read")
-
-    monkeypatch.setattr(realizability, "_repeated_schema_on_channel", no_traces)
+def test_thirty_round_ack_chain_finds_its_repeat_without_listing():
+    # the first trace repeating b1 comes after 2^29 traces that do not
+    rounds = " ; ".join(f"(A -> B : a{i} \\/ A -> B : b{i}) ; B -> A : k{i}" for i in range(1, 31))
     cfg = CommConfig(Delivery.UNORDERED, Reception.ANYTIME, Interpretation.RR, Doctrine.TRACE_F)
-    verdict = check_realizability(parse_trace(disjoint_pairs(5)), cfg)
-    assert (verdict.outcome, verdict.reasons) == (Outcome.UNREALIZABLE, (Reason.NONLOCAL_CHOICE,))
+    verdict = check_realizability(parse_trace(rounds + " ; A -> B : b1"), cfg)
+    assert (verdict.outcome, verdict.reasons) == (Outcome.UNREALIZABLE, (Reason.ORDER_VIOLATION,))
+    assert verdict.notes[0] == (
+        "unordered delivery can cross occurrences of b1 on channel A->B; "
+        "the receiver consumes by type and cannot detect the crossed correlation"
+    )
+    names = [name for _, _, _, _, name in verdict.witness]
+    assert len(names) == 61 and names[:3] == ["b1", "k1", "a2"] and names[-1] == "b1"
+
+
+def test_no_verdict_path_lists_traces(monkeypatch):
+    """The golden cases, under their own configuration and under trace-f
+    unordered RR (where the correlation check runs), and disjoint k=5
+    (113,400 traces, no label twice) decide alike with every binding of
+    `occ_traces` raising."""
+    unordered = CommConfig(Delivery.UNORDERED, Reception.ANYTIME, Interpretation.RR, Doctrine.TRACE_F)
+    runs = [(case_id, expr, cfg) for case_id, expr, cfg, _, _ in _golden_cases()]
+    distinct = {id(expr): (case_id, expr) for case_id, expr, _ in runs}
+    runs += [(f"{case_id} (unordered RR)", expr, unordered) for case_id, expr in distinct.values()]
+    runs.append(("disjoint k=5", parse_trace(disjoint_pairs(5)), unordered))
+    expected = [check_realizability(expr, cfg) for _, expr, cfg in runs]
+
+    def no_traces(expanded):
+        raise AssertionError("traces listed")
+
+    for name, module in list(sys.modules.items()):
+        if name == "protolab" or name.startswith("protolab."):
+            for key, value in list(vars(module).items()):
+                if value is occ_traces:
+                    monkeypatch.setattr(module, key, no_traces)
+    for (case_id, expr, cfg), verdict in zip(runs, expected):
+        assert check_realizability(expr, cfg) == verdict, case_id
+    assert expected[-1].reasons == (Reason.NONLOCAL_CHOICE,)
 
 
 # ---------------------------------------------------------------------------

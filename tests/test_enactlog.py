@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import pytest
 
 from protolab.bspl.enactment import instance_views
+from protolab.cli import main
 from protolab.enactlog import (
     LogEntry,
     format_log,
@@ -10,6 +13,8 @@ from protolab.enactlog import (
     parse_log,
 )
 from protolab.netsim import BsplAgent, Delivery, InstanceScript, SimPolicy, run_one
+
+FIXDIR = Path(__file__).resolve().parents[1] / "src" / "protolab" / "fixtures"
 
 
 def test_log_roundtrip(pricing):
@@ -33,6 +38,24 @@ def test_rejection_lines_roundtrip(pricing):
 def test_unknown_message_rejected(pricing):
     with pytest.raises(ValueError):
         parse_log("1 Buyer E Bogus ID=1", [pricing])
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("1 Buyer E Request ID,item=fig", "binding without '=' in log line: '1 Buyer E Request ID,item=fig'"),
+        ("x Seller R Request ID=1,item=fig", "malformed log line: 'x Seller R Request ID=1,item=fig'"),
+    ],
+)
+def test_malformed_line_is_quoted_in_a_one_line_error(purchase, tmp_path, capsys, line, message):
+    with pytest.raises(ValueError) as err:
+        parse_log(line, [purchase])
+    assert str(err.value) == message
+    log = tmp_path / "bad.log"
+    log.write_text(line + "\n")
+    argv = ["commitments", "--protocol", str(FIXDIR / "purchase.bspl"), "--cupid", str(FIXDIR / "deliver_payment.cupid")]
+    assert main([*argv, "--log", str(log), "--now", "5"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_replay_rejects_an_agent_that_does_not_own_the_message(pricing):

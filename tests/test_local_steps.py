@@ -34,7 +34,7 @@ from protolab.cfp.projection import (
     lshuffle,
     project_trace_f,
 )
-from protolab.cfp.transforms import eliminate_shuffle, expand, interleave
+from protolab.cfp.transforms import eliminate_shuffle, expand
 from protolab.cli import main
 from protolab.realizability import Doctrine, _project_all, language_preset
 from protolab.runtime import commit_steps
@@ -198,9 +198,17 @@ def _linearize(e):
         out = []
         for l in _linearize(e.left):
             for r in _linearize(e.right):
-                out.extend(interleave(l, r))
+                out.extend(_interleave(l, r))
         return out
     raise TypeError(f"cannot linearize {type(e).__name__} inside a shuffle")
+
+
+def _interleave(a, b):
+    """Every merge of two sequences that keeps each one's order, those
+    taking `a`'s head first before those taking `b`'s."""
+    if not a or not b:
+        return [a + b]
+    return [(a[0],) + rest for rest in _interleave(a[1:], b)] + [(b[0],) + rest for rest in _interleave(a, b[1:])]
 
 
 # ---------------------------------------------------------------------------

@@ -154,7 +154,8 @@ def check_emission(h: History, m: MessageInstance, p: InfoProtocol) -> EmissionE
 class Knowledge:
     """What one history knows under one protocol, read in one pass: each
     observation's key is computed once, and the known bindings for a key
-    are built once, when first asked for.  `known_bindings` and
+    are built once, when first asked for.  `emitted` holds the (schema
+    name, key) of every emission in the history.  `known_bindings` and
     `check_emission` read a fresh one; a caller with many questions about
     one history builds one and asks it each of them."""
 
@@ -162,8 +163,10 @@ class Knowledge:
         self.history = h
         self.protocol = protocol
         self.keys: tuple[Key, ...] = tuple(obs.instance.key(protocol) for obs in h.observations)
+        self.emitted: set[tuple[str, Key]] = {
+            (obs.instance.schema.name, key) for obs, key in zip(h.observations, self.keys) if obs.kind == EMISSION
+        }
         self._bindings: dict[Key, dict[str, str] | IntegrityConflict] = {}
-        self._emitted: set[tuple[str, Key]] | None = None
 
     def bindings(self, key: Key) -> dict[str, str]:
         """`known_bindings(self.history, key, self.protocol)`.  The dict is
@@ -214,13 +217,7 @@ class Knowledge:
             else:
                 if q.name in known:
                     return EmissionError("AlreadyBound", q.name, f"'out' parameter {q.name} already bound to {known[q.name]!r}")
-        if self._emitted is None:
-            self._emitted = {
-                (obs.instance.schema.name, obs_key)
-                for obs, obs_key in zip(h.observations, self.keys)
-                if obs.kind == EMISSION
-            }
-        if (m.schema.name, key) in self._emitted:
+        if (m.schema.name, key) in self.emitted:
             return EmissionError("DuplicateMessage", None, f"{m.schema.name} already emitted for key {dict(key)}")
         return None
 

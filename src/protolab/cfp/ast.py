@@ -11,12 +11,14 @@ The structural helpers every language's analysis rests on live here, once:
 whether an expression accepts the empty trace (`nullable`), which atoms can
 begin or end a trace (`initials`, `finals`; the nullable and first sets of
 Brzozowski, JACM 1964), the smart constructors `seq`, `choice` and
-`shuffle`, and `untag`, which turns occurrences back into atoms.
+`shuffle`, `untag`, which turns occurrences back into atoms, and `same`,
+structural equality walked without recursion, by which `choice` drops
+repeated branches.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 class HashedNode:
@@ -181,13 +183,43 @@ def shuffle(left: CfpExpr, right: CfpExpr) -> CfpExpr:
 
 
 def choice(branches: list[CfpExpr], decider: str | None = None) -> CfpExpr:
-    seen: list[CfpExpr] = []
+    """A choice among the distinct branches, in order of first occurrence,
+    or the one branch left.  Only branches with equal cached hashes are
+    compared, and by `same`: no branch is compared by recursion."""
+    buckets: dict[int, list[CfpExpr]] = {}
+    distinct = []
     for b in branches:
-        if b not in seen:
-            seen.append(b)
-    if len(seen) == 1:
-        return seen[0]
-    return Choice(tuple(seen), decider)
+        bucket = buckets.setdefault(hash(b), [])
+        if not any(same(b, c) for c in bucket):
+            bucket.append(b)
+            distinct.append(b)
+    if len(distinct) == 1:
+        return distinct[0]
+    return Choice(tuple(distinct), decider)
+
+
+def same(a, b) -> bool:
+    """`a == b` for expressions, walked with a stack instead of the
+    recursive dataclass equality, so a deep expression costs no Python
+    stack.  Nodes whose cached hashes differ are unequal at once."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x is y:
+            continue
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, HashedNode):
+            if hash(x) != hash(y):
+                return False
+            stack.extend((getattr(x, f.name), getattr(y, f.name)) for f in fields(x))
+        elif isinstance(x, tuple):
+            if len(x) != len(y):
+                return False
+            stack.extend(zip(x, y))
+        elif x != y:
+            return False
+    return True
 
 
 def untag(e: CfpExpr) -> CfpExpr:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .._lexer import TokenStream
 from ..diagnostics import ParseError
-from .ast import Atom, CfpExpr, Choice, Epsilon, Rec, Seq, Shuffle, Var
+from .ast import Atom, CfpExpr, Choice, Epsilon, Rec, Seq, Shuffle, Var, choice
 
 
 def parse_trace(text: str) -> CfpExpr:
@@ -76,13 +76,7 @@ class _TraceParser:
         while self.ts.at_kind("choice"):
             self.ts.next()
             branches.append(self._seq(bound))
-        if len(branches) == 1:
-            return branches[0]
-        deduped: list[CfpExpr] = []
-        for b in branches:
-            if b not in deduped:
-                deduped.append(b)
-        return deduped[0] if len(deduped) == 1 else Choice(tuple(deduped))
+        return choice(branches)
 
     def _seq(self, bound: set[str]) -> CfpExpr:
         left = self._postfix(bound)

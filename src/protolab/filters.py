@@ -10,7 +10,7 @@ on reception is recorded and flagged as peer noncompliance, never refused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .bspl.core import InfoProtocol
 from .bspl.enactment import (
@@ -102,18 +102,18 @@ def request_emission(f: FilterState, mi: MessageInstance) -> tuple[FilterState, 
         nxt = f.backend.fsm.move(f.fsm_state, mi.schema.receiver, "!", mi.schema.name)
         if nxt is None:
             return _reject(f, mi, Rejection("NotInProtocol", f"the local machine has no send of {mi.schema.name} here"))
-        return _record(replace(f, fsm_state=nxt), EMISSION, mi), None
+        return _record(_step(f, fsm_state=nxt), EMISSION, mi), None
     machine = f.backend.machine
     event = _hapn_event(mi)
     try:
         successors = step_hapn(f.hapn_config, machine, event)
     except NoTransition:
         return _reject(f, mi, Rejection("NotInProtocol", f"no machine transition for {mi.schema.name}"))
-    return _record(replace(f, hapn_config=successors[0]), EMISSION, mi), None
+    return _record(_step(f, hapn_config=successors[0]), EMISSION, mi), None
 
 
 def _reject(f: FilterState, mi: MessageInstance, rejection: Rejection) -> tuple[FilterState, Rejection]:
-    logged = replace(f, rejections=f.rejections + ((mi.schema.name, str(rejection)),))
+    logged = _step(f, rejections=f.rejections + ((mi.schema.name, str(rejection)),))
     return logged, rejection
 
 
@@ -143,7 +143,7 @@ def on_delivery(f: FilterState, mi: MessageInstance) -> tuple[FilterState, list[
     # machine currently expects
     row = dict(f.pending)
     row[mi.schema.sender] = row.get(mi.schema.sender, ()) + (mi,)
-    state = replace(f, pending=tuple(sorted(row.items())))
+    state = _step(f, pending=tuple(sorted(row.items())))
     return _drain(state)
 
 
@@ -161,7 +161,7 @@ def _drain(f: FilterState) -> tuple[FilterState, list[MessageInstance]]:
             nxt = f.backend.fsm.move(f.fsm_state, peer, "?", head.schema.name)
             if _expects_channel(f.backend.fsm, f.fsm_state, peer):
                 if nxt is None:
-                    f = replace(
+                    f = _step(
                         f,
                         diagnostics=f.diagnostics
                         + (
@@ -173,11 +173,11 @@ def _drain(f: FilterState) -> tuple[FilterState, list[MessageInstance]]:
                         ),
                     )
                     row[peer] = queue[1:]
-                    f = replace(f, pending=_prune(row))
+                    f = _step(f, pending=_prune(row))
                     progress = True
                     break
                 row[peer] = queue[1:]
-                f = replace(f, pending=_prune(row), fsm_state=nxt)
+                f = _step(f, pending=_prune(row), fsm_state=nxt)
                 f = _record(f, RECEPTION, head)
                 surfaced.append(head)
                 progress = True
@@ -201,13 +201,13 @@ def _receive_now(f: FilterState, mi: MessageInstance) -> FilterState:
             try:
                 known_bindings(f.history, mi.key(protocol), protocol)
             except IntegrityConflict as conflict:
-                f = replace(
+                f = _step(
                     f,
                     diagnostics=f.diagnostics
                     + (Diagnostic("IntegrityConflict", str(conflict), Severity.WARNING, subject=f.owner),),
                 )
         else:
-            f = replace(
+            f = _step(
                 f,
                 diagnostics=f.diagnostics
                 + (Diagnostic("UnknownMessage", f"{mi.schema.name} is not in any loaded protocol", Severity.WARNING),),
@@ -215,19 +215,19 @@ def _receive_now(f: FilterState, mi: MessageInstance) -> FilterState:
     elif isinstance(f.backend, CfpBackend):
         nxt = f.backend.fsm.move(f.fsm_state, mi.schema.sender, "?", mi.schema.name)
         if nxt is None:
-            f = replace(
+            f = _step(
                 f,
                 diagnostics=f.diagnostics
                 + (Diagnostic("NotInProtocol", f"reception of {mi.schema.name} deviates from the local machine", Severity.WARNING),),
             )
         else:
-            f = replace(f, fsm_state=nxt)
+            f = _step(f, fsm_state=nxt)
     elif isinstance(f.backend, HapnBackend):
         try:
             successors = step_hapn(f.hapn_config, f.backend.machine, _hapn_event(mi))
-            f = replace(f, hapn_config=successors[0])
+            f = _step(f, hapn_config=successors[0])
         except NoTransition:
-            f = replace(
+            f = _step(
                 f,
                 diagnostics=f.diagnostics
                 + (Diagnostic("NotInProtocol", f"no machine transition for {mi.schema.name}", Severity.WARNING),),
@@ -235,8 +235,17 @@ def _receive_now(f: FilterState, mi: MessageInstance) -> FilterState:
     return f
 
 
+def _step(f: FilterState, **changes) -> FilterState:
+    """`dataclasses.replace(f, **changes)` without its field scan and
+    `__init__` run: a copy of f's fields with the changes made.  f's
+    fields are complete already, so `__post_init__` would change none."""
+    stepped = object.__new__(FilterState)
+    stepped.__dict__.update(f.__dict__, **changes)
+    return stepped
+
+
 def _record(f: FilterState, kind: str, mi: MessageInstance) -> FilterState:
-    return replace(f, history=observe(f.history, kind, mi))
+    return _step(f, history=observe(f.history, kind, mi))
 
 
 def _hapn_event(mi: MessageInstance) -> HapnEvent:

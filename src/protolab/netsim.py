@@ -15,9 +15,13 @@ emissions are computed once per state number and its receptions once per
 (state, payload) number pair; each network's deliveries are listed once,
 and its send successors are found once.  A move is then a few table
 lookups.  Eager BSPL agents read each history's knowledge in one pass
-(`bspl.enactment.Knowledge`), and keep their emissions by the set of
-observations a history holds: knowledge is a set, so histories that
-differ only in the order of the same observations emit the same payloads.
+(`bspl.enactment.Knowledge`).  They find their emissions by one enabling
+test per (sent schema, candidate key) on parameter names: the schema's
+'in' names are known for the key, its other names are not, and it was not
+emitted for the key.  Only enabled instances are built.  Agents keep their
+emissions by the set of observations a history holds: knowledge is a set,
+so histories that differ only in the order of the same observations emit
+the same payloads.
 
 Instances that differ only in their script row values are symmetric:
 renaming one row's values to another's maps reachable states to reachable
@@ -42,7 +46,7 @@ from itertools import permutations
 from operator import getitem
 from typing import Any, Callable, Protocol
 
-from .bspl.core import Adornment, InfoProtocol, MessageSchema
+from .bspl.core import InfoProtocol, MessageSchema
 from .bspl.enactment import (
     EMISSION,
     RECEPTION,
@@ -622,7 +626,9 @@ class InstanceScript:
 
 class BsplAgent:
     """Eager protocol-driven agent: offers every correct emission available
-    from its history, with out-parameter values drawn from instance scripts."""
+    from its history, with out-parameter values drawn from instance scripts,
+    found by one enabling test per (script, sent schema, candidate key) on
+    parameter names (`_ScriptPlan.emissions`)."""
 
     def __init__(self, role: str, scripts: list[InstanceScript]):
         self.role = role
@@ -647,73 +653,35 @@ class BsplAgent:
         """The correct emissions from h, sorted by schema name and bindings.
         Knowledge is a set, so they depend only on which observations h
         holds, not on their order: `emissions` keeps them by that set."""
-        out = []
-        for plan in self._plans:
-            knowledge = Knowledge(h, plan.protocol)
-            observed = plan.observed_keys(knowledge)
-            for sent in plan.sends:
-                for key in self._candidate_keys(observed, sent):
-                    mi = self._instantiate(knowledge, plan, sent, key)
-                    if mi is not None and knowledge.check_emission(mi) is None:
-                        out.append(mi)
+        out = [mi for plan in self._plans for mi in plan.emissions(h)]
         out.sort(key=lambda mi: (mi.schema.name, mi.bindings))
         return tuple(out)
 
     def receive(self, h: History, mi: MessageInstance) -> History:
         return observe(h, RECEPTION, mi)
 
-    @staticmethod
-    def _candidate_keys(observed: list[dict[str, str]], sent: "_Send") -> list[Key]:
-        """Keys to try for a schema: each observed key that binds all of the
-        schema's key parameters, then, when the schema originates its key,
-        each script row's key, without repeats, in that order."""
-        key_params = sent.key_params
-        keys = dict.fromkeys(tuple((k, known[k]) for k in key_params) for known in observed if all(k in known for k in key_params))
-        keys.update(dict.fromkeys(sent.row_keys))
-        return list(keys)
-
-    @staticmethod
-    def _instantiate(knowledge: Knowledge, plan: "_ScriptPlan", sent: "_Send", key: Key) -> MessageInstance | None:
-        """The schema's instance for a key: key parameters from the key,
-        'in' parameters from what is known for it, 'out' parameters from
-        the key's script row; None when some value is missing."""
-        try:
-            known = knowledge.bindings(key)
-        except IntegrityConflict:
-            return None
-        row = plan.row_for(key)
-        key_map = dict(key)
-        bindings = []
-        for q in sent.schema.params:
-            if q.name in key_map:
-                value = key_map[q.name]
-            elif q.adornment is Adornment.IN:
-                if q.name not in known:
-                    return None
-                value = known[q.name]
-            else:
-                if row is None or q.name not in row:
-                    return None
-                value = row[q.name]
-            bindings.append((q.name, value))
-        return MessageInstance(sent.schema, tuple(bindings))
-
 
 @dataclass(frozen=True)
 class _Send:
-    """A schema an agent sends, with its key parameters and, when every
-    key parameter is 'out' (the schema originates its key), the keys of
-    the script rows that bind them all."""
+    """A schema an agent sends, with the names its enabling test reads:
+    its key parameters, its 'in' names and its other names (`outs`), those
+    of `outs` outside the key (their values come from the script row)
+    and, when no key parameter is 'in' (the schema originates its key),
+    the distinct keys of the script rows that bind them all."""
 
     schema: MessageSchema
     key_params: tuple[str, ...]
+    ins: frozenset[str]
+    outs: frozenset[str]
+    row_outs: frozenset[str]
     row_keys: tuple[Key, ...]
 
 
 class _ScriptPlan:
     """What an agent reads of one instance script, computed once: its
-    rows, the schemas the agent sends and the names of the protocol's
-    schemas.  Rows are looked up by key on first use."""
+    rows, the schemas the agent sends (`_Send`) and the names of the
+    protocol's schemas.  Rows are looked up by key on first use.
+    `emissions` runs the enabling tests on one history."""
 
     def __init__(self, script: InstanceScript, role: str):
         p = script.protocol
@@ -725,12 +693,63 @@ class _ScriptPlan:
 
     def _send(self, schema: MessageSchema) -> _Send:
         key_params = self.protocol.message_keys(schema)
+        ins = frozenset(schema.ins())
+        outs = schema.param_name_set - ins
         row_keys: tuple[Key, ...] = ()
-        if all(schema.param(k) and schema.param(k).adornment.value == "out" for k in key_params):
-            row_keys = tuple(
-                tuple((k, row[k]) for k in key_params) for row in self.rows if all(k in row for k in key_params)
-            )
-        return _Send(schema, key_params, row_keys)
+        if not ins.intersection(key_params):
+            rows = (row for row in self.rows if all(k in row for k in key_params))
+            row_keys = tuple(dict.fromkeys(tuple((k, row[k]) for k in key_params) for row in rows))
+        return _Send(schema, key_params, ins, outs, outs.difference(key_params), row_keys)
+
+    def emissions(self, h: History) -> list[MessageInstance]:
+        """The instances of the sent schemas that h enables.  A schema's
+        candidate keys are the distinct keys of h's observations of this
+        protocol's schemas that bind all of its key parameters, in order of
+        first observation, then its row keys.  The schema is enabled for a
+        key when all of these hold:
+
+        - what h knows for the key has no conflict;
+        - it binds every 'in' name, each 'in' key parameter to its value in
+          the key;
+        - it binds none of the schema's other names;
+        - the key's script row holds every non-key 'out' name;
+        - h has not emitted the schema for the key.
+
+        That is the rule `Knowledge.check_emission` checks on one instance,
+        tested here on names, so that only enabled instances are built."""
+        knowledge = Knowledge(h, self.protocol)
+        observed = self.observed_keys(knowledge)
+        emitted = knowledge.emitted
+        keys_by_params: dict[tuple[str, ...], dict[Key, None]] = {}
+        out = []
+        for sent in self.sends:
+            key_params = sent.key_params
+            keys = keys_by_params.get(key_params)
+            if keys is None:
+                keys = keys_by_params[key_params] = dict.fromkeys(
+                    tuple((k, known[k]) for k in key_params) for known in observed if all(k in known for k in key_params)
+                )
+            if sent.row_keys:
+                keys = (*keys, *(key for key in sent.row_keys if key not in keys))
+            name = sent.schema.name
+            for key in keys:
+                if (name, key) in emitted:
+                    continue
+                try:
+                    known = knowledge.bindings(key)
+                except IntegrityConflict:
+                    continue
+                names = known.keys()
+                if not (names >= sent.ins and names.isdisjoint(sent.outs)):
+                    continue
+                if any(known[k] != v for k, v in key if k in sent.ins):
+                    continue
+                row = self.row_for(key) if sent.row_outs else {}
+                if row is None or not row.keys() >= sent.row_outs:
+                    continue
+                values = {**row, **dict(key), **known}
+                out.append(MessageInstance(sent.schema, tuple((q, values[q]) for q in sent.schema.param_names())))
+        return out
 
     def observed_keys(self, knowledge: Knowledge) -> list[dict[str, str]]:
         """The distinct keys of the history's observations of this

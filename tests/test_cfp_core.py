@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -11,11 +12,13 @@ from protolab.cfp.ast import (
     Seq,
     Shuffle,
     Var,
+    choice,
     finals,
     initials,
     nullable,
     print_cfp,
     roles,
+    same,
 )
 from protolab.cfp.scribble_parser import parse_scribble, parse_scribble_protocol, print_scribble
 from protolab.cfp.trace_parser import parse_trace
@@ -340,3 +343,40 @@ def test_eliminate_shuffle_size_within_factorial_bound():
     ]:
         eliminated = eliminate_shuffle(expr)
         assert len(atoms(eliminated)) <= math.factorial(n) * n
+
+
+def test_same_is_structural_equality():
+    rng = random.Random(7)
+    pool = [random_cfp(rng, depth=2) for _ in range(60)]
+    pool += [expand(e, 2) for e in pool[:20]]  # occurrence leaves
+    pool += [copy.deepcopy(e) for e in pool[:40]]  # equal, not identical, hash not cached
+    for a in pool:
+        for b in pool:
+            assert same(a, b) == (a == b)
+
+
+def test_choice_drops_repeated_branches_in_first_occurrence_order():
+    rng = random.Random(11)
+    for _ in range(300):
+        branches = [random_cfp(rng, depth=rng.randint(0, 2)) for _ in range(rng.randint(1, 5))]
+        branches += [copy.deepcopy(b) for b in rng.sample(branches, rng.randint(0, len(branches)))]
+        rng.shuffle(branches)
+        distinct = []
+        for b in branches:
+            if b not in distinct:
+                distinct.append(b)
+        assert choice(branches, "A") == (distinct[0] if len(distinct) == 1 else Choice(tuple(distinct), "A"))
+
+
+def test_choice_between_deep_chains_compares_without_recursion():
+    def chain(last: str):
+        e = Atom("A", "B", last)
+        for i in range(5000):
+            e = Seq(Atom("A", "B", f"m{i}"), e)
+        return e
+
+    first, again, other = chain("z"), chain("z"), chain("y")
+    assert same(first, again) and not same(first, other)
+    deduped = choice([first, again, other, first])
+    assert isinstance(deduped, Choice) and len(deduped.branches) == 2
+    assert deduped.branches[0] is first and deduped.branches[1] is other

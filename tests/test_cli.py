@@ -2,6 +2,8 @@ import json
 from pathlib import Path
 from unittest import mock
 
+import pytest
+
 from protolab import netsim
 from protolab.cli import main
 
@@ -247,6 +249,33 @@ def test_too_deep_input_is_a_one_line_diagnostic(capsys, tmp_path):
     assert out == ""
     assert len(err.splitlines()) == 1 and "nested too deeply" in err
     assert "Traceback" not in err
+
+
+def chain(names) -> str:
+    return " ; ".join(f"A -> B : {name}" for name in names)
+
+
+CHAIN = [f"M{i}" for i in range(350)]
+# a choice between two 350-atom chains: the same one twice, and two that
+# differ only in their last name; (command, input) -> exit code
+DEEP_CHOICES = {
+    "same": f"({chain(CHAIN)}) \\/ ({chain(CHAIN)})\n",
+    "last name changed": f"({chain(CHAIN)}) \\/ ({chain(CHAIN[:-1] + ['Z'])})\n",
+}
+DEEP_CHOICE_EXITS = {
+    ("check", "same"): 0,
+    ("check", "last name changed"): 0,
+    ("realizability", "same"): 0,
+    ("realizability", "last name changed"): 1,  # OrderViolation
+}
+
+
+@pytest.mark.parametrize("command,name", sorted(DEEP_CHOICE_EXITS))
+def test_a_choice_between_deep_chains_is_decided(capsys, tmp_path, command, name):
+    path = tmp_path / "choice.trace"
+    path.write_text(DEEP_CHOICES[name])
+    code, _out, err = run(capsys, command, str(path))
+    assert (code, err) == (DEEP_CHOICE_EXITS[command, name], "")
 
 
 def test_project_under_scribble_eliminates_shuffles(capsys, tmp_path):

@@ -184,15 +184,11 @@ class Knowledge:
 
     def _read(self, key: Key) -> dict[str, str] | IntegrityConflict:
         query = set(key)
-        known: dict[str, str] = {}
-        for obs, obs_key in zip(self.history.observations, self.keys):
-            if not query.issuperset(obs_key):
-                continue
-            for param, value in obs.instance.bindings:
-                if param in known and known[param] != value:
-                    return IntegrityConflict(param, known[param], value, key)
-                known[param] = value
-        return known
+        instances = [obs.instance for obs, obs_key in zip(self.history.observations, self.keys) if query.issuperset(obs_key)]
+        try:
+            return union_bindings(key, instances)
+        except IntegrityConflict as conflict:
+            return conflict.with_traceback(None)
 
     def check_emission(self, m: MessageInstance) -> EmissionError | None:
         """`check_emission(self.history, m, self.protocol)`."""

@@ -11,9 +11,10 @@ The structural helpers every language's analysis rests on live here, once:
 whether an expression accepts the empty trace (`nullable`), which atoms can
 begin or end a trace (`initials`, `finals`; the nullable and first sets of
 Brzozowski, JACM 1964), the smart constructors `seq`, `choice` and
-`shuffle`, `untag`, which turns occurrences back into atoms, and `same`,
-structural equality walked without recursion, by which `choice` drops
-repeated branches.
+`shuffle`, `untag`, which turns occurrences back into atoms, `same`,
+structural equality walked without recursion, `distinct`, by which global
+and local choices drop repeated branches, and `has_node`, the one walker
+that asks whether some node of a global or local expression exists.
 """
 
 from __future__ import annotations
@@ -183,19 +184,23 @@ def shuffle(left: CfpExpr, right: CfpExpr) -> CfpExpr:
 
 
 def choice(branches: list[CfpExpr], decider: str | None = None) -> CfpExpr:
-    """A choice among the distinct branches, in order of first occurrence,
-    or the one branch left.  Only branches with equal cached hashes are
-    compared, and by `same`: no branch is compared by recursion."""
-    buckets: dict[int, list[CfpExpr]] = {}
-    distinct = []
-    for b in branches:
-        bucket = buckets.setdefault(hash(b), [])
-        if not any(same(b, c) for c in bucket):
-            bucket.append(b)
-            distinct.append(b)
-    if len(distinct) == 1:
-        return distinct[0]
-    return Choice(tuple(distinct), decider)
+    """A choice among the `distinct` branches, or the one branch left."""
+    kept = distinct(branches)
+    return kept[0] if len(kept) == 1 else Choice(tuple(kept), decider)
+
+
+def distinct(nodes) -> list:
+    """The nodes, global or local, without repeats, in order of first
+    occurrence.  Only nodes with equal cached hashes are compared, and by
+    `same`: no node is compared by recursion."""
+    buckets: dict[int, list] = {}
+    out = []
+    for x in nodes:
+        bucket = buckets.setdefault(hash(x), [])
+        if not any(same(x, y) for y in bucket):
+            bucket.append(x)
+            out.append(x)
+    return out
 
 
 def same(a, b) -> bool:
@@ -323,26 +328,46 @@ def roles(e: CfpExpr) -> tuple[str, ...]:
     return tuple(dict.fromkeys(r for a in atoms(e) for r in (a.sender, a.receiver)))
 
 
-def has_shuffle(e: CfpExpr) -> bool:
-    if isinstance(e, Shuffle):
-        return True
-    if isinstance(e, Seq):
-        return has_shuffle(e.left) or has_shuffle(e.right)
-    if isinstance(e, Choice):
-        return any(has_shuffle(b) for b in e.branches)
-    if isinstance(e, Rec):
-        return has_shuffle(e.body)
+def has_node(e, hit, enter=None) -> bool:
+    """Whether `hit` holds at some node of `e`, global or local.  The walk
+    reads the operands both kinds name alike (`left`, `right`, `branches`,
+    `body`) with a stack, enters each node object once, and does not enter
+    a node at which `enter` is false."""
+    entered: set[int] = set()
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        if hit(x):
+            return True
+        fields = vars(x)
+        if "left" in fields:
+            operands = (fields["right"], fields["left"])
+        elif "branches" in fields:
+            operands = fields["branches"][::-1]
+        elif "body" in fields:
+            operands = (fields["body"],)
+        else:
+            continue
+        if id(x) not in entered and (enter is None or enter(x)):
+            entered.add(id(x))
+            stack += operands
     return False
+
+
+def has_shuffle(e: CfpExpr) -> bool:
+    return has_node(e, lambda x: isinstance(x, Shuffle))
 
 
 def has_rec(e: CfpExpr) -> bool:
-    if isinstance(e, Rec):
-        return True
-    if isinstance(e, (Seq, Shuffle)):
-        return has_rec(e.left) or has_rec(e.right)
-    if isinstance(e, Choice):
-        return any(has_rec(b) for b in e.branches)
-    return False
+    return has_node(e, lambda x: isinstance(x, Rec))
+
+
+def occurs_free(e, var: str) -> bool:
+    """Whether the recursion variable `var` occurs free in `e`, global or
+    local: a variable named `var` outside every recursion that binds it."""
+    return has_node(
+        e, lambda x: getattr(x, "var", None) == var and not hasattr(x, "body"), lambda x: getattr(x, "var", None) != var
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@ signature; parameter names and values are deliberately absent, which is
 what makes these machines value-blind.  A shuffle is compiled from its
 residuals: the remainders that the one first-step walk
 (`projection.local_steps`) reaches, one state each, rather than from a
-list of its interleavings.  `determinize` is the subset construction on
-the exploration core (`graph.explore`); realizability also uses it to
-read a composition's emitted traces.
+list of its interleavings.  That walk and `determinize`, the subset
+construction that realizability also uses to read a composition's
+emitted traces, run on the exploration core (`graph.explore`).
 """
 
 from __future__ import annotations
@@ -124,16 +124,13 @@ def _build(nfa: Nfa, e: LocalExpr, start: int, end: int, env: dict[str, int]) ->
     elif isinstance(e, LShuffle):
         # one NFA state per residual the shuffle's first steps reach, the
         # shuffle itself at `start`
-        number, todo = {e: start}, [e]
-        while todo:
-            r = todo.pop()
-            for atom, rest in local_steps(r):
-                if rest not in number:
-                    number[rest] = nfa.new_state()
-                    todo.append(rest)
-                nfa.add_edge(number[r], _label(atom), number[rest])
+        residuals = explore(e, _first_steps)
+        number = [start] + [nfa.new_state() for _ in residuals.states[1:]]
+        for n, r in enumerate(residuals.states):
+            for label, t in residuals.successors(n):
+                nfa.add_edge(number[n], label, number[t])
             if accepting(r):
-                nfa.add_eps(number[r], end)
+                nfa.add_eps(number[n], end)
     elif isinstance(e, LRec):
         entry = nfa.new_state()
         nfa.add_eps(start, entry)
@@ -142,6 +139,13 @@ def _build(nfa: Nfa, e: LocalExpr, start: int, end: int, env: dict[str, int]) ->
         nfa.add_eps(start, env[e.var])
     else:
         raise TypeError(type(e))
+
+
+def _first_steps(e: LocalExpr) -> tuple[list[Label], list[LocalExpr]]:
+    """The moves of a residual, for `explore`: each first step's label and
+    the remainder it leaves."""
+    steps = local_steps(e)
+    return [_label(atom) for atom, _ in steps], [rest for _, rest in steps]
 
 
 def _all_tail(e: LocalExpr) -> bool:

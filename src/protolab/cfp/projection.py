@@ -23,7 +23,7 @@ from __future__ import annotations
 from enum import Enum
 from functools import partial
 
-from .ast import Atom, CfpExpr, Choice, Epsilon, HashedNode, OccAtom, Rec, Seq, Shuffle, Var, initials, node
+from .ast import Atom, CfpExpr, Choice, Epsilon, HashedNode, OccAtom, Rec, Seq, Shuffle, Var, distinct, initials, node, occurs_free
 
 SEND = "!"
 RECV = "?"
@@ -207,7 +207,7 @@ def _project(e: CfpExpr, role: str, choice_rule, shuffle_rule) -> LocalExpr:
             out = build(walk(x.left, bodies), walk(x.right, bodies))
         elif isinstance(x, Rec):
             body = walk(x.body, {**bodies, x.var: x.body})
-            out = LRec(x.var, body) if _uses_var(body, x.var) else body
+            out = LRec(x.var, body) if occurs_free(body, x.var) else body
         elif isinstance(x, Var):
             out = LVar(x.var)
         else:
@@ -271,7 +271,7 @@ def _session_choice(branches: tuple[LocalExpr, ...], decider: str, role: str) ->
     otherwise each begin with a distinct reception."""
     if decider == role:
         return _collapse_choice(branches, ChoiceKind.INTERNAL, None)
-    if len(set(branches)) == 1:
+    if len(distinct(branches)) == 1:
         return branches[0]
     heads = []
     for b in branches:
@@ -285,13 +285,8 @@ def _session_choice(branches: tuple[LocalExpr, ...], decider: str, role: str) ->
 
 
 def _collapse_choice(branches: tuple[LocalExpr, ...], kind: ChoiceKind, lean) -> LocalExpr:
-    distinct: list[LocalExpr] = []
-    for b in branches:
-        if b not in distinct:
-            distinct.append(b)
-    if len(distinct) == 1:
-        return distinct[0]
-    return LChoice(tuple(distinct), kind, lean)
+    kept = distinct(branches)
+    return kept[0] if len(kept) == 1 else LChoice(tuple(kept), kind, lean)
 
 
 def _first_local(e: LocalExpr) -> LAtom | None:
@@ -310,18 +305,6 @@ def _first_local(e: LocalExpr) -> LAtom | None:
     if isinstance(e, LRec):
         return _first_local(e.body)
     return None
-
-
-def _uses_var(e: LocalExpr, var: str) -> bool:
-    if isinstance(e, LVar):
-        return e.var == var
-    if isinstance(e, (LSeq, LShuffle)):
-        return _uses_var(e.left, var) or _uses_var(e.right, var)
-    if isinstance(e, LChoice):
-        return any(_uses_var(b, var) for b in e.branches)
-    if isinstance(e, LRec):
-        return e.var != var and _uses_var(e.body, var)
-    return False
 
 
 def print_local(e: LocalExpr) -> str:

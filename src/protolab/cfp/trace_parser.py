@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .._lexer import TokenStream
 from ..diagnostics import ParseError
-from .ast import Atom, CfpExpr, Choice, Epsilon, Rec, Seq, Shuffle, Var, choice
+from .ast import Atom, CfpExpr, Choice, Epsilon, Rec, Seq, Shuffle, Var, choice, occurs_free
 
 
 def parse_trace(text: str) -> CfpExpr:
@@ -35,7 +35,7 @@ class _TraceParser:
                 name = self.ts.next()
                 self.ts.expect("=")
                 body = self._shuffle(bound={name})
-                self.defs[name] = Rec(name, body) if self._uses(body, name) else body
+                self.defs[name] = Rec(name, body) if occurs_free(body, name) else body
                 order.append(name)
             else:
                 if root is not None:
@@ -50,18 +50,6 @@ class _TraceParser:
     def _at_definition(self) -> bool:
         ts = self.ts
         return ts.at_kind("id") and ts.index + 1 < len(ts.tokens) and ts.tokens[ts.index + 1] == "="
-
-    @staticmethod
-    def _uses(e: CfpExpr, name: str) -> bool:
-        if isinstance(e, Var):
-            return e.var == name
-        if isinstance(e, (Seq, Shuffle)):
-            return _TraceParser._uses(e.left, name) or _TraceParser._uses(e.right, name)
-        if isinstance(e, Choice):
-            return any(_TraceParser._uses(b, name) for b in e.branches)
-        if isinstance(e, Rec):
-            return e.var != name and _TraceParser._uses(e.body, name)
-        return False
 
     # precedence: shuffle < choice < seq
     def _shuffle(self, bound: set[str]) -> CfpExpr:

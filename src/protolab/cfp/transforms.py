@@ -1,6 +1,8 @@
 """Structural transforms: bounded recursion unrolling, occurrence tagging,
 trace enumeration, walks that find a first trace without it, and shuffle
-elimination.
+elimination.  Shuffle elimination and the moves of the protocol automaton
+both read one walk, `derivatives`, that gives an expression's derivative
+by every atom that can begin it.
 
 Occurrences give every atom position in the (unrolled) expression a stable
 identity so that executions, traces, and ordering constraints can be aligned
@@ -27,7 +29,6 @@ from .ast import (
     atoms,
     choice,
     has_rec,
-    initials,
     nullable,
     seq,
     shuffle,
@@ -219,9 +220,6 @@ def enumerate_traces(e: CfpExpr, unroll_bound: int = DEFAULT_UNROLL) -> tuple[Gl
 # ---------------------------------------------------------------------------
 # shuffle elimination
 
-_EMPTY = ("_empty",)  # sentinel for the empty language
-
-
 def eliminate_shuffle(e: CfpExpr) -> CfpExpr:
     """Rewrite an expression into a shuffle-free choice of orderings with
     exactly the same bounded trace set.  Recursion is bound-expanded first.
@@ -247,11 +245,7 @@ def eliminate_shuffle(e: CfpExpr) -> CfpExpr:
         elif isinstance(x, Choice):
             out = choice([walk(b) for b in x.branches], x.decider)
         elif isinstance(x, Shuffle):
-            alternatives: list[CfpExpr] = []
-            for head in initials(x):
-                residual = _derivative(x, head)
-                if residual is not _EMPTY:
-                    alternatives.append(seq(head, walk(residual)))
+            alternatives = [seq(head, walk(residual)) for head, residual in derivatives(x).items()]
             if nullable(x):
                 alternatives.append(Epsilon())
             out = choice(alternatives) if alternatives else Epsilon()
@@ -268,41 +262,32 @@ def expand_plain(e: CfpExpr, unroll_bound: int = DEFAULT_UNROLL) -> CfpExpr:
     return untag(expand(e, unroll_bound))
 
 
-def _derivative(e: CfpExpr, head) -> CfpExpr | tuple:
-    """The language of `e` after consuming the specific atom node `head`."""
+def derivatives(e: CfpExpr) -> dict:
+    """The derivative of a recursion-free `e` by each atom that can begin
+    it, in `initials` order, from one walk (Brzozowski, JACM 1964).  Each
+    is the `choice` of the ways to consume the atom, operands in order: a
+    sequence's left derivative then its right operand, and its right
+    derivative when the left is nullable; a shuffle's left derivative
+    beside its right operand, then the reverse; a choice's branches'."""
     if isinstance(e, (Atom, OccAtom)):
-        return Epsilon() if e == head else _EMPTY
+        return {e: Epsilon()}
     if isinstance(e, Epsilon):
-        return _EMPTY
+        return {}
     if isinstance(e, Seq):
-        first = _derivative(e.left, head)
-        options: list[CfpExpr] = []
-        if first is not _EMPTY:
-            options.append(seq(first, e.right))
+        parts = [(e.left, lambda d: seq(d, e.right))]
         if nullable(e.left):
-            rest = _derivative(e.right, head)
-            if rest is not _EMPTY:
-                options.append(rest)
-        if not options:
-            return _EMPTY
-        return choice(options)
-    if isinstance(e, Choice):
-        options = [d for d in (_derivative(b, head) for b in e.branches) if d is not _EMPTY]
-        if not options:
-            return _EMPTY
-        return choice(options)
-    if isinstance(e, Shuffle):
-        options = []
-        left = _derivative(e.left, head)
-        if left is not _EMPTY:
-            options.append(shuffle(left, e.right))
-        right = _derivative(e.right, head)
-        if right is not _EMPTY:
-            options.append(shuffle(e.left, right))
-        if not options:
-            return _EMPTY
-        return choice(options)
-    raise TypeError(type(e))
+            parts.append((e.right, None))
+    elif isinstance(e, Shuffle):
+        parts = [(e.left, lambda d: shuffle(d, e.right)), (e.right, lambda d: shuffle(e.left, d))]
+    elif isinstance(e, Choice):
+        parts = [(b, None) for b in e.branches]
+    else:
+        raise TypeError(type(e))
+    ways: dict = {}
+    for operand, wrap in parts:
+        for head, d in derivatives(operand).items():
+            ways.setdefault(head, []).append(wrap(d) if wrap else d)
+    return {head: choice(options) for head, options in ways.items()}
 
 
 def language_state(e: CfpExpr) -> frozenset:
@@ -318,10 +303,8 @@ def label_derivatives(state: frozenset) -> dict[tuple[str, str, str], frozenset]
     into their branches."""
     out: dict[tuple[str, str, str], set] = {}
     for e in state:
-        for head in initials(e):
-            d = _derivative(e, head)
-            if d is not _EMPTY:
-                out.setdefault(head.label, set()).update(_branches(d))
+        for head, d in derivatives(e).items():
+            out.setdefault(head.label, set()).update(_branches(d))
     return {label: frozenset(ds) for label, ds in out.items()}
 
 

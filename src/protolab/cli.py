@@ -159,6 +159,8 @@ def cmd_check(args) -> int:
 
 def cmd_project(args) -> int:
     suffix = args.path.suffix
+    if suffix in (".hapn", ".cupid"):
+        raise ValueError(f"project reads .trace, .scr and .bspl files, not {suffix}")
     text = args.path.read_text()
     doctrine = args.doctrine or {"": "trace-c", ".trace": "trace-c", ".scr": "scribble", ".bspl": "bspl"}.get(suffix, "trace-c")
     if suffix == ".bspl" or doctrine == "bspl":
@@ -189,6 +191,8 @@ def cmd_project(args) -> int:
 
 def cmd_realizability(args) -> int:
     suffix = args.path.suffix
+    if suffix == ".cupid":
+        raise ValueError("realizability reads .trace, .scr, .hapn and .bspl files, not .cupid")
     text = args.path.read_text()
     if suffix == ".bspl":
         protocol = parse_bspl(text)

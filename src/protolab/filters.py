@@ -26,7 +26,7 @@ from .bspl.enactment import (
 from .cfp.fsm import TypeLevelFsm
 from .diagnostics import Diagnostic, Severity
 from .hapn import HapnConfigState, HapnEvent, HapnMachine, NoTransition, step_hapn
-from .netsim import Reception
+from .netsim import Reception, dequeue, enqueue
 
 
 @dataclass(frozen=True)
@@ -141,52 +141,27 @@ def on_delivery(f: FilterState, mi: MessageInstance) -> tuple[FilterState, list[
         return _receive_now(f, mi), [mi]
     # blocking selector: queue per sending peer, then drain whatever the
     # machine currently expects
-    row = dict(f.pending)
-    row[mi.schema.sender] = row.get(mi.schema.sender, ()) + (mi,)
-    state = _step(f, pending=tuple(sorted(row.items())))
-    return _drain(state)
+    return _drain(_step(f, pending=enqueue(f.pending, mi.schema.sender, mi)))
 
 
 def _drain(f: FilterState) -> tuple[FilterState, list[MessageInstance]]:
+    """Take the head of each queue the machine expects, first peer first,
+    until it expects none; a head that does not fit is dropped and noted."""
     surfaced: list[MessageInstance] = []
-    progress = True
-    while progress:
-        progress = False
-        row = dict(f.pending)
-        for peer in sorted(row):
-            queue = row[peer]
-            if not queue:
-                continue
-            head = queue[0]
-            nxt = f.backend.fsm.move(f.fsm_state, peer, "?", head.schema.name)
-            if _expects_channel(f.backend.fsm, f.fsm_state, peer):
-                if nxt is None:
-                    f = _step(
-                        f,
-                        diagnostics=f.diagnostics
-                        + (
-                            Diagnostic(
-                                "UnexpectedMessage",
-                                f"{head.schema.name} arrived on the expected channel from {peer} but does not fit",
-                                subject=f.owner,
-                            ),
-                        ),
-                    )
-                    row[peer] = queue[1:]
-                    f = _step(f, pending=_prune(row))
-                    progress = True
-                    break
-                row[peer] = queue[1:]
-                f = _step(f, pending=_prune(row), fsm_state=nxt)
-                f = _record(f, RECEPTION, head)
-                surfaced.append(head)
-                progress = True
-                break
-    return f, surfaced
-
-
-def _prune(row: dict) -> tuple:
-    return tuple(sorted((peer, queue) for peer, queue in row.items() if queue))
+    while True:
+        fsm, state = f.backend.fsm, f.fsm_state
+        ready = next(((peer, queue[0]) for peer, queue in f.pending if _expects_channel(fsm, state, peer)), None)
+        if ready is None:
+            return f, surfaced
+        peer, head = ready
+        nxt = fsm.move(state, peer, "?", head.schema.name)
+        f = _step(f, pending=dequeue(f.pending, peer, 0))
+        if nxt is None:
+            text = f"{head.schema.name} arrived on the expected channel from {peer} but does not fit"
+            f = _step(f, diagnostics=f.diagnostics + (Diagnostic("UnexpectedMessage", text, subject=f.owner),))
+        else:
+            f = _record(_step(f, fsm_state=nxt), RECEPTION, head)
+            surfaced.append(head)
 
 
 def _expects_channel(fsm: TypeLevelFsm, state: int, peer: str) -> bool:

@@ -1,8 +1,9 @@
 """The exploration core: one breadth-first walk that numbers the states a
 successor function reaches, and the passes over the graphs it builds.
 BSPL enactments (`netsim.explore`), CFP compositions (`runtime.compose`),
-subset construction (`cfp.fsm.determinize`) and the trace-set product of
-realizability all run on `explore`.
+the residuals of a local shuffle and the subset construction of a type-
+level machine (`cfp.fsm`), and the trace-set product of realizability all
+run on `explore`.
 """
 
 from __future__ import annotations

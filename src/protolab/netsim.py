@@ -2,7 +2,10 @@
 exhaustive interleaving exploration.
 
 The network is noncreative (delivers only what was sent, uncorrupted) and
-imposes no order beyond what the policy guarantees.  Exploration is a
+imposes no order beyond what the policy guarantees.  Its channels form a
+queue table, a tuple of (key, items) pairs sorted by key, no queue empty;
+`enqueue` and `dequeue` change such a table, here and for the queues of
+the composition runtime and the per-agent filters.  Exploration is a
 breadth-first walk on the exploration core (`graph.explore`) over a
 canonical move ordering with memoized composite states; seeds only
 influence single-run sampling.
@@ -102,36 +105,39 @@ class Network:
 
     def send(self, sender: str, receiver: str, payload: Any) -> "Network":
         env = Envelope(sender, receiver, payload, self.sent_count)
-        chan = (sender, receiver)
-        channels = dict(self.channels)
-        channels[chan] = channels.get(chan, ()) + (env,)
-        return Network(tuple(sorted(channels.items())), self.sent_count + 1)
+        return Network(enqueue(self.channels, env.channel, env), self.sent_count + 1)
 
     def deliverable(self, policy: SimPolicy) -> tuple[Envelope, ...]:
-        out: list[Envelope] = []
-        for _, queue in self.channels:
-            if not queue:
-                continue
-            if policy.delivery is Delivery.FIFO_PAIRWISE:
-                out.append(queue[0])
-            else:
-                out.extend(queue)
+        fifo = policy.delivery is Delivery.FIFO_PAIRWISE
+        out = [env for _, queue in self.channels for env in (queue[:1] if fifo else queue)]
         return tuple(sorted(out, key=lambda e: e.send_index))
 
     def remove(self, env: Envelope) -> "Network":
-        channels = []
-        for chan, queue in self.channels:
-            if chan == env.channel:
-                queue = tuple(e for e in queue if e != env)
-            if queue:
-                channels.append((chan, queue))
-        return Network(tuple(channels), self.sent_count)
+        index = dict(self.channels)[env.channel].index(env)
+        return Network(dequeue(self.channels, env.channel, index), self.sent_count)
 
     def empty(self) -> bool:
         return not any(queue for _, queue in self.channels)
 
     def max_queue_depth(self) -> int:
         return max((len(q) for _, q in self.channels), default=0)
+
+
+def enqueue(queues: tuple, key, item) -> tuple:
+    """The queue table with `item` appended to `key`'s queue."""
+    table = dict(queues)
+    table[key] = table.get(key, ()) + (item,)
+    return tuple(sorted(table.items()))
+
+
+def dequeue(queues: tuple, key, index: int) -> tuple:
+    """The queue table with the item at `index` of `key`'s queue taken
+    out; a queue left empty goes."""
+    table = dict(queues)
+    queue = table.pop(key)
+    if len(queue) > 1:
+        table[key] = queue[:index] + queue[index + 1 :]
+    return tuple(sorted(table.items()))
 
 
 class AgentExecutor(Protocol):

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .cfp.ast import CfpExpr, Choice, OccAtom, Rec, Seq, Shuffle, Var, finals, initials, roles as expr_roles
+from .cfp.ast import CfpExpr, Choice, OccAtom, Rec, Seq, Shuffle, Var, finals, has_node, initials, roles as expr_roles
 from .cfp.projection import (
     LocalExpr,
     MergeFailure,
@@ -107,20 +107,10 @@ def sequence_constraints(e: CfpExpr, interpretation: Interpretation, unroll_boun
     """One ordering constraint per sequence-adjacent atom pair: for every
     sequence node, each final atom of the left operand against each initial
     atom of the right operand, typed by the interpretation."""
-    expanded = e if _is_expanded(e) else expand(e, unroll_bound)
+    expanded = e if has_node(e, lambda x: isinstance(x, OccAtom)) else expand(e, unroll_bound)
     out: list[Constraint] = []
     _collect_constraints(expanded, interpretation, out)
     return tuple(out)
-
-
-def _is_expanded(e) -> bool:
-    if isinstance(e, OccAtom):
-        return True
-    if isinstance(e, (Seq, Shuffle)):
-        return _is_expanded(e.left) or _is_expanded(e.right)
-    if isinstance(e, Choice):
-        return any(_is_expanded(b) for b in e.branches)
-    return False
 
 
 def _collect_constraints(e, interpretation: Interpretation, out: list[Constraint]) -> None:

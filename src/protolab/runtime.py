@@ -42,7 +42,7 @@ from .cfp.projection import (
     lshuffle,
 )
 from .graph import Graph, Numbering, explore, least_path, topological
-from .netsim import Delivery, Reception
+from .netsim import Delivery, Reception, dequeue, enqueue
 
 # ---------------------------------------------------------------------------
 # single-agent small-step semantics
@@ -141,7 +141,7 @@ class Composer:
         key = (net, channel, payload)
         after = self._sent.get(key)
         if after is None:
-            after = self._sent[key] = self._number(_enqueue(self._items[net], channel, payload))
+            after = self._sent[key] = self._number(enqueue(self._items[net], channel, payload))
         return after
 
     def _delivered(self, net: int) -> list[tuple]:
@@ -151,7 +151,7 @@ class Composer:
         if out is None:
             queues = self._items[net]
             out = self._deliveries[net] = [
-                (sender, receiver, occ, name, self._number(_dequeue(queues, (sender, receiver), i)))
+                (sender, receiver, occ, name, self._number(dequeue(queues, (sender, receiver), i)))
                 for (sender, receiver), queue in queues
                 for i, (occ, name) in enumerate(queue[:1] if self.delivery is Delivery.FIFO_PAIRWISE else queue)
             ]
@@ -195,7 +195,7 @@ class Composer:
                 # deliver into the per-peer arrival queue; observation happens
                 # only when the behavior reads that channel
                 events.append(None)
-                nexts.append((locals_, after, _put(pending, i, _enqueue(pending[i], sender, (occ, name)))))
+                nexts.append((locals_, after, _put(pending, i, enqueue(pending[i], sender, (occ, name)))))
         if self.reception is Reception.BLOCKING_SELECTOR:
             for i, role in enumerate(self.roles):
                 row = dict(pending[i])
@@ -210,7 +210,7 @@ class Composer:
                         violations.append(
                             ("selector-type", f"{role} expected a different message on the channel from {peer}, found {name}", event)
                         )
-                    new_pending = _put(pending, i, _dequeue(pending[i], peer, 0))
+                    new_pending = _put(pending, i, dequeue(pending[i], peer, 0))
                     for rest in alternatives:
                         events.append(event)
                         nexts.append((_put(locals_, i, rest), net, new_pending))
@@ -219,22 +219,6 @@ class Composer:
 
 def _put(row: tuple, i: int, value) -> tuple:
     return row[:i] + (value,) + row[i + 1 :]
-
-
-def _enqueue(queues: tuple, key, payload) -> tuple:
-    table = dict(queues)
-    table[key] = table.get(key, ()) + (payload,)
-    return tuple(sorted(table.items()))
-
-
-def _dequeue(queues: tuple, key, index: int) -> tuple:
-    table = dict(queues)
-    queue = table[key][:index] + table[key][index + 1 :]
-    if queue:
-        table[key] = queue
-    else:
-        del table[key]
-    return tuple(sorted(table.items()))
 
 
 @dataclass

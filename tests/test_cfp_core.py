@@ -14,12 +14,16 @@ from protolab.cfp.ast import (
     Var,
     choice,
     finals,
+    has_rec,
+    has_shuffle,
     initials,
     nullable,
+    occurs_free,
     print_cfp,
     roles,
     same,
 )
+from protolab.cfp.projection import LAtom, LRec, LSeq, LVar, SEND
 from protolab.cfp.scribble_parser import parse_scribble, parse_scribble_protocol, print_scribble
 from protolab.cfp.trace_parser import parse_trace
 from protolab.cfp.transforms import eliminate_shuffle, enumerate_traces, expand, expand_plain, occ_traces
@@ -200,6 +204,30 @@ def test_structural_helpers_on_recursion():
     assert not nullable(Var("X")) and initials(Var("X")) == ()
     # an inner recursion reusing the outer one's variable starts with its own body
     assert initials(Rec("X", Rec("X", Seq(b, Var("X"))))) == (b,)
+
+
+def deep_chain(n, last):
+    """`n` atoms in a right-nested sequence ending with `last`, built
+    without the parser."""
+    e = last
+    for i in range(n):
+        e = Seq(atom("A", "B", f"m{i}"), e)
+    return e
+
+
+def test_tree_queries_walk_a_10000_deep_chain():
+    plain = deep_chain(10_000, atom("B", "A", "end"))
+    assert not has_rec(plain) and not has_shuffle(plain) and not occurs_free(plain, "X")
+    loop = deep_chain(10_000, Var("X"))
+    assert occurs_free(loop, "X") and not occurs_free(loop, "Y")
+    assert has_rec(Rec("X", loop)) and not occurs_free(Rec("X", loop), "X")
+    assert has_rec(deep_chain(10_000, Rec("X", loop))) and not has_shuffle(loop)
+    assert has_shuffle(deep_chain(10_000, Shuffle(atom("A", "B", "a"), atom("B", "A", "b"))))
+    # the local form, whose nodes name their operands alike
+    local = LVar("X")
+    for i in range(10_000):
+        local = LSeq(LAtom("B", f"m{i}", SEND), local)
+    assert occurs_free(local, "X") and not occurs_free(LRec("X", local), "X")
 
 
 def test_finals_refuses_recursion():

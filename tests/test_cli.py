@@ -262,11 +262,13 @@ DEEP_CHOICES = {
     "same": f"({chain(CHAIN)}) \\/ ({chain(CHAIN)})\n",
     "last name changed": f"({chain(CHAIN)}) \\/ ({chain(CHAIN[:-1] + ['Z'])})\n",
 }
+# (command, input) -> exit code and first line printed; the line tells a
+# verdict from a capped one, which exits 1 with an empty stderr too
 DEEP_CHOICE_EXITS = {
-    ("check", "same"): 0,
-    ("check", "last name changed"): 0,
-    ("realizability", "same"): 0,
-    ("realizability", "last name changed"): 1,  # OrderViolation
+    ("check", "same"): (0, "ok"),
+    ("check", "last name changed"): (0, "ok"),
+    ("realizability", "same"): (0, "Realizable"),
+    ("realizability", "last name changed"): (1, "Unrealizable (OrderViolation)"),
 }
 
 
@@ -274,8 +276,19 @@ DEEP_CHOICE_EXITS = {
 def test_a_choice_between_deep_chains_is_decided(capsys, tmp_path, command, name):
     path = tmp_path / "choice.trace"
     path.write_text(DEEP_CHOICES[name])
-    code, _out, err = run(capsys, command, str(path))
-    assert (code, err) == (DEEP_CHOICE_EXITS[command, name], "")
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out.splitlines()[0], err) == (*DEEP_CHOICE_EXITS[command, name], "")
+
+
+@pytest.mark.parametrize(
+    "command,fixture",
+    [("project", "deliver_payment.cupid"), ("project", "concurrent_pricing.hapn"), ("realizability", "deliver_payment.cupid")],
+)
+def test_a_format_a_command_does_not_read_is_a_one_line_diagnostic(capsys, command, fixture):
+    # read as a trace expression, these gave "unbound recursion variable"
+    code, out, err = run(capsys, command, str(FIXDIR / fixture), *(["Buyer"] if command == "project" else []))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and err.rstrip().endswith(f"not {Path(fixture).suffix}")
 
 
 def test_project_under_scribble_eliminates_shuffles(capsys, tmp_path):

@@ -3,18 +3,19 @@
 `projection.local_steps` gives every event a local behavior can perform
 first, with the remainder it leaves.  The runtime reads its sends,
 receptions and expected peers from it, and `extract_fsm` numbers the
-residuals of a shuffle with it.  These tests check both readers against
-the walkers and the shuffle builder they replaced, kept below verbatim as
-the reference, and pin the machine of shuffles too large to linearize.
+residuals of a shuffle with it, on the exploration core.  These tests
+check both readers against the walkers and the shuffle builders they
+replaced, kept below verbatim as the reference, and pin the machine of
+shuffles too large to linearize.
 """
 
 import random
 
 import protolab.cfp.fsm as fsm
 import test_acceptance
-from generators import random_cfp
+from generators import random_cfp, random_shuffle_expr
 from protolab.cfp.ast import Atom, Choice, Rec, Seq, Shuffle, Var, roles
-from protolab.cfp.fsm import export_fsm, extract_fsm
+from protolab.cfp.fsm import Nfa, _label, export_fsm, extract_fsm
 from protolab.cfp.projection import (
     RECV,
     SEND,
@@ -27,6 +28,7 @@ from protolab.cfp.projection import (
     LShuffle,
     LVar,
     L_EPSILON,
+    LocalExpr,
     MergeFailure,
     accepting,
     local_steps,
@@ -165,6 +167,45 @@ def reference_build(nfa, e, start, end, env):
         entry = nfa.new_state()
         nfa.add_eps(start, entry)
         reference_build(nfa, e.body, entry, end, {**env, e.var: entry})
+    elif isinstance(e, LVar):
+        nfa.add_eps(start, env[e.var])
+    else:
+        raise TypeError(type(e))
+
+
+# the reference: `extract_fsm`'s builder before the residuals of a shuffle
+# ran on `graph.explore`, numbering them with its own stack loop
+
+
+def _build(nfa: Nfa, e: LocalExpr, start: int, end: int, env: dict[str, int]) -> None:
+    if isinstance(e, LEps):
+        nfa.add_eps(start, end)
+    elif isinstance(e, LAtom):
+        nfa.add_edge(start, _label(e), end)
+    elif isinstance(e, LSeq):
+        mid = nfa.new_state()
+        _build(nfa, e.left, start, mid, env)
+        _build(nfa, e.right, mid, end, env)
+    elif isinstance(e, LChoice):
+        for b in e.branches:
+            _build(nfa, b, start, end, env)
+    elif isinstance(e, LShuffle):
+        # one NFA state per residual the shuffle's first steps reach, the
+        # shuffle itself at `start`
+        number, todo = {e: start}, [e]
+        while todo:
+            r = todo.pop()
+            for atom, rest in local_steps(r):
+                if rest not in number:
+                    number[rest] = nfa.new_state()
+                    todo.append(rest)
+                nfa.add_edge(number[r], _label(atom), number[rest])
+            if accepting(r):
+                nfa.add_eps(number[r], end)
+    elif isinstance(e, LRec):
+        entry = nfa.new_state()
+        nfa.add_eps(start, entry)
+        _build(nfa, e.body, entry, end, {**env, e.var: entry})
     elif isinstance(e, LVar):
         nfa.add_eps(start, env[e.var])
     else:
@@ -336,6 +377,20 @@ def test_shuffle_machines_equal_the_linearized_ones(monkeypatch):
     assert len(inputs) > 200
     for local in inputs:
         assert export_fsm(extract_fsm(local)) == export_fsm(_reference_fsm(local, monkeypatch))
+
+
+def test_residuals_on_the_core_equal_the_stack_loop(monkeypatch):
+    rng = random.Random(911)
+    inputs = _fsm_inputs()
+    for _ in range(400):
+        e = random_shuffle_expr(rng)
+        inputs += [project_trace_f(x, role) for x in (e, expand(e, 2)) for role in roles(e)]
+    assert sum(_shuffle_atoms(local) > 0 for local in inputs) > 1_000
+    for local in inputs:
+        with monkeypatch.context() as patch:
+            patch.setattr(fsm, "_build", _build)
+            loop = extract_fsm(local)
+        assert export_fsm(extract_fsm(local)) == export_fsm(loop)
 
 
 def test_unrolled_choice_inside_a_shuffle_keeps_every_branch(monkeypatch):

@@ -32,7 +32,6 @@ from protolab.cfp.projection import (
     MergeFailure,
     _project_atom,
     _session_choice,
-    _uses_var,
     lseq,
     lshuffle,
     project_scribble,
@@ -180,6 +179,18 @@ def reference_scribble(e, role):
         return out
 
     return walk(e)
+
+
+def _uses_var(e: LocalExpr, var: str) -> bool:
+    if isinstance(e, LVar):
+        return e.var == var
+    if isinstance(e, (LSeq, LShuffle)):
+        return _uses_var(e.left, var) or _uses_var(e.right, var)
+    if isinstance(e, LChoice):
+        return any(_uses_var(b, var) for b in e.branches)
+    if isinstance(e, LRec):
+        return e.var != var and _uses_var(e.body, var)
+    return False
 
 
 def _collapse_choice(branches, kind, lean, plain=False):

@@ -1,11 +1,14 @@
-"""Shuffle elimination as a DAG of shared residuals.
+"""Shuffle elimination as a DAG of shared residuals, and the one
+derivative walk it reads.
 
 `eliminate_shuffle` expands each distinct residual shuffle once, so equal
 subterms of its result are one object.  These tests check it against the
 tree-building recursion it replaced (kept below as the reference), pin
 the verdicts and notes it makes reachable, pin its size as a count of
 node objects, and check that every projection keeps a shared residual
-one object.
+one object.  `derivatives` gives the derivative by every first atom from
+one walk; it is checked against the walk per atom it replaced
+(`_derivative`, kept below verbatim as the reference).
 """
 
 import random
@@ -15,6 +18,7 @@ import pytest
 from generators import random_cfp, random_shuffle_expr
 from protolab.cfp.ast import (
     Atom,
+    CfpExpr,
     Choice,
     Epsilon,
     OccAtom,
@@ -27,13 +31,57 @@ from protolab.cfp.ast import (
     initials,
     nullable,
     roles,
+    same,
     seq,
+    shuffle,
 )
 from protolab.cfp.projection import LChoice, project_scribble, project_trace_c, project_trace_f
 from protolab.cfp.trace_parser import parse_trace
-from protolab.cfp.transforms import _EMPTY, _derivative, eliminate_shuffle, expand, expand_plain
+from protolab.cfp.transforms import derivatives, eliminate_shuffle, expand, expand_plain, label_derivatives, language_state
 from protolab.realizability import Outcome, Reason, check_realizability, language_preset
 from test_realize_table import TABLE, config_from_flags, expression
+
+
+# the reference: the derivative by one atom, one walk per atom
+
+_EMPTY = ("_empty",)  # sentinel for the empty language
+
+
+def _derivative(e: CfpExpr, head) -> CfpExpr | tuple:
+    """The language of `e` after consuming the specific atom node `head`."""
+    if isinstance(e, (Atom, OccAtom)):
+        return Epsilon() if e == head else _EMPTY
+    if isinstance(e, Epsilon):
+        return _EMPTY
+    if isinstance(e, Seq):
+        first = _derivative(e.left, head)
+        options: list[CfpExpr] = []
+        if first is not _EMPTY:
+            options.append(seq(first, e.right))
+        if nullable(e.left):
+            rest = _derivative(e.right, head)
+            if rest is not _EMPTY:
+                options.append(rest)
+        if not options:
+            return _EMPTY
+        return choice(options)
+    if isinstance(e, Choice):
+        options = [d for d in (_derivative(b, head) for b in e.branches) if d is not _EMPTY]
+        if not options:
+            return _EMPTY
+        return choice(options)
+    if isinstance(e, Shuffle):
+        options = []
+        left = _derivative(e.left, head)
+        if left is not _EMPTY:
+            options.append(shuffle(left, e.right))
+        right = _derivative(e.right, head)
+        if right is not _EMPTY:
+            options.append(shuffle(e.left, right))
+        if not options:
+            return _EMPTY
+        return choice(options)
+    raise TypeError(type(e))
 
 
 def tree_elimination(e):
@@ -208,3 +256,58 @@ def test_disjoint_pairs_fail_the_session_merge(k):
     assert (verdict.outcome, verdict.reasons) == (Outcome.UNREALIZABLE, (Reason.NONLOCAL_CHOICE, Reason.MERGE_FAILURE))
     assert verdict.notes == nonlocal_notes(k) + (f"no single role initiates every branch (candidates: B{k - 1}, B{k})",)
     assert verdict.witness[:2] == (("E", 1, "A1", "B1", "Req1"), ("E", 2, "B1", "A1", "Rep1"))
+
+
+# ---------------------------------------------------------------------------
+# one derivative walk
+
+
+def assert_derivatives_per_head(e):
+    """`derivatives(e)` takes the heads `initials(e)` gives, in that order,
+    each to a residual `same` as the walk for that head alone."""
+    found = derivatives(e)
+    assert list(found) == list(initials(e)), e
+    for head, residual in found.items():
+        assert same(residual, _derivative(e, head)), (e, head)
+
+
+def automaton_members(e, bound, cap=100):
+    """The members of the protocol-automaton states reached first from the
+    expanded `e`, at most `cap` states."""
+    start = language_state(expand(e, bound))
+    seen, todo = {start}, [start]
+    while todo and len(seen) < cap:
+        for state in label_derivatives(todo.pop(0)).values():
+            if state not in seen and len(seen) < cap:
+                seen.add(state)
+                todo.append(state)
+    return {member for state in seen for member in state}
+
+
+def test_one_walk_derivatives_equal_the_walk_per_head_on_the_realize_table():
+    import test_acceptance
+
+    golden = {case_id: expr for case_id, expr, *_ in test_acceptance._golden_cases()}
+    inputs = {}
+    for entry in TABLE:
+        # the longest chains do not parse
+        source = entry["source"] or ""
+        if not (source.startswith("chain:") and int(source[len("chain:"):]) > 200):
+            inputs.setdefault((expression(entry, golden), config_from_flags(entry["flags"])[1]), None)
+    assert len(inputs) > 3_000
+    members = set()
+    for e, bound in inputs:
+        members |= automaton_members(e, bound)
+    assert len(members) > 14_000
+    for member in members:
+        assert_derivatives_per_head(member)
+
+
+def test_one_walk_derivatives_equal_the_walk_per_head_on_generated_expressions():
+    rng = random.Random(47)
+    for _ in range(500):
+        e = random_shuffle_expr(rng)
+        for x in (e, expand(e, 2)):
+            assert_derivatives_per_head(x)
+            for member in automaton_members(x, 2):
+                assert_derivatives_per_head(member)

@@ -13,8 +13,8 @@ begin or end a trace (`initials`, `finals`; the nullable and first sets of
 Brzozowski, JACM 1964), the smart constructors `seq`, `choice` and
 `shuffle`, `untag`, which turns occurrences back into atoms, `same`,
 structural equality walked without recursion, `distinct`, by which global
-and local choices drop repeated branches, and `has_node`, the one walker
-that asks whether some node of a global or local expression exists.
+and local choices drop repeated branches, and `nodes`, the one walk over
+the nodes of a global or local expression, which every node query reads.
 """
 
 from __future__ import annotations
@@ -298,28 +298,11 @@ def _ends(e: CfpExpr, out: list, first: bool) -> None:
 
 
 def atoms(e: CfpExpr) -> list[Atom]:
-    """The atoms of `e` in order, an occurrence as its atom.  The walk is
-    pre-order and enters each compound node object once, so a subterm
-    shared by several parents (see `eliminate_shuffle`) is read once; the
-    first occurrences come in the order the unfolded tree gives them."""
-    out: list[Atom] = []
-    entered: set[int] = set()
-    stack = [e]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, (Atom, OccAtom)):
-            out.append(x.atom if isinstance(x, OccAtom) else x)
-            continue
-        if id(x) in entered:
-            continue
-        entered.add(id(x))
-        if isinstance(x, (Seq, Shuffle)):
-            stack += (x.right, x.left)
-        elif isinstance(x, Choice):
-            stack += reversed(x.branches)
-        elif isinstance(x, Rec):
-            stack.append(x.body)
-    return out
+    """The atoms of `e` in order, an occurrence as its atom, read from
+    `nodes`: a subterm shared by several parents (see `eliminate_shuffle`)
+    is read once, and the first occurrences come in the order the unfolded
+    tree gives them."""
+    return [x.atom if isinstance(x, OccAtom) else x for x in nodes(e) if isinstance(x, (Atom, OccAtom))]
 
 
 def roles(e: CfpExpr) -> tuple[str, ...]:
@@ -328,17 +311,17 @@ def roles(e: CfpExpr) -> tuple[str, ...]:
     return tuple(dict.fromkeys(r for a in atoms(e) for r in (a.sender, a.receiver)))
 
 
-def has_node(e, hit, enter=None) -> bool:
-    """Whether `hit` holds at some node of `e`, global or local.  The walk
-    reads the operands both kinds name alike (`left`, `right`, `branches`,
-    `body`) with a stack, enters each node object once, and does not enter
-    a node at which `enter` is false."""
+def nodes(e, enter=None):
+    """Every node of `e`, global or local, in pre-order, left operand first.
+    The walk reads the operands both kinds name alike (`left`, `right`,
+    `branches`, `body`) with a stack and enters each node object once: a
+    node met again is yielded but not entered.  It does not enter a node at
+    which `enter` is false."""
     entered: set[int] = set()
     stack = [e]
     while stack:
         x = stack.pop()
-        if hit(x):
-            return True
+        yield x
         fields = vars(x)
         if "left" in fields:
             operands = (fields["right"], fields["left"])
@@ -351,22 +334,22 @@ def has_node(e, hit, enter=None) -> bool:
         if id(x) not in entered and (enter is None or enter(x)):
             entered.add(id(x))
             stack += operands
-    return False
 
 
 def has_shuffle(e: CfpExpr) -> bool:
-    return has_node(e, lambda x: isinstance(x, Shuffle))
+    return any(isinstance(x, Shuffle) for x in nodes(e))
 
 
 def has_rec(e: CfpExpr) -> bool:
-    return has_node(e, lambda x: isinstance(x, Rec))
+    return any(isinstance(x, Rec) for x in nodes(e))
 
 
 def occurs_free(e, var: str) -> bool:
     """Whether the recursion variable `var` occurs free in `e`, global or
     local: a variable named `var` outside every recursion that binds it."""
-    return has_node(
-        e, lambda x: getattr(x, "var", None) == var and not hasattr(x, "body"), lambda x: getattr(x, "var", None) != var
+    return any(
+        getattr(x, "var", None) == var and not hasattr(x, "body")
+        for x in nodes(e, lambda x: getattr(x, "var", None) != var)
     )
 
 

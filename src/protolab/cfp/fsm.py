@@ -142,9 +142,9 @@ def _build(nfa: Nfa, e: LocalExpr, start: int, end: int, env: dict[str, int]) ->
 
 
 def _first_steps(e: LocalExpr) -> tuple[list[Label], list[LocalExpr]]:
-    """The moves of a residual, for `explore`: each first step's label and
-    the remainder it leaves."""
-    steps = local_steps(e)
+    """The moves of a residual, for `explore`: each first event's label and
+    the remainder it leaves (silent commitments are not moves here)."""
+    steps = [(atom, rest) for atom, rest in local_steps(e) if atom is not None]
     return [_label(atom) for atom, _ in steps], [rest for _, rest in steps]
 
 

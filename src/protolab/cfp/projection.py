@@ -23,7 +23,7 @@ from __future__ import annotations
 from enum import Enum
 from functools import partial
 
-from .ast import Atom, CfpExpr, Choice, Epsilon, HashedNode, OccAtom, Rec, Seq, Shuffle, Var, distinct, initials, node, occurs_free
+from .ast import Atom, CfpExpr, Choice, Epsilon, HashedNode, OccAtom, Rec, Seq, Shuffle, Var, distinct, initials, node, nodes, occurs_free
 
 SEND = "!"
 RECV = "?"
@@ -131,12 +131,18 @@ def accepting(e: LocalExpr) -> bool:
     raise TypeError(type(e))
 
 
-def local_steps(e: LocalExpr) -> list[tuple[LAtom, LocalExpr]]:
-    """Every event a recursion-free local behavior can perform first, with
-    the remainder it leaves, left to right (its derivatives: Brzozowski,
-    JACM 1964; Antimirov, TCS 1996).  Entering a branch commits its choice;
-    an external choice is entered only through a reception, so a role that
-    waits on its peers never commits by sending."""
+def local_steps(e: LocalExpr) -> list[tuple[LAtom | None, LocalExpr]]:
+    """Every step a recursion-free local behavior can take first, with the
+    remainder it leaves, left to right (its derivatives: Brzozowski, JACM
+    1964; Antimirov, TCS 1996).  Entering a branch commits its choice; an
+    external choice is entered only through a reception, so a role that
+    waits on its peers never commits by sending.
+
+    A step whose atom is None is a silent commitment: a mixed choice may
+    resolve to waiting on its branches whose first events are not all
+    sends, when some but not all of them are.  A choice takes no silent
+    step of its branches, as a commitment nested in a branch is not a move
+    of the choice."""
     if isinstance(e, LAtom):
         return [(e, L_EPSILON)]
     if isinstance(e, LEps):
@@ -148,7 +154,15 @@ def local_steps(e: LocalExpr) -> list[tuple[LAtom, LocalExpr]]:
         return out
     if isinstance(e, LChoice):
         external = e.kind is ChoiceKind.EXTERNAL
-        return [step for b in e.branches for step in local_steps(b) if not (external and step[0].direction == SEND)]
+        out, waitable = [], []
+        for b in e.branches:
+            steps = [(a, rest) for a, rest in local_steps(b) if a is not None and not (external and a.direction == SEND)]
+            out += steps
+            if e.kind is ChoiceKind.MIXED and {a.direction for a, _ in steps} != {SEND}:
+                waitable.append(b)
+        if 0 < len(waitable) < len(e.branches):
+            out.append((None, waitable[0] if len(waitable) == 1 else LChoice(tuple(waitable), ChoiceKind.EXTERNAL)))
+        return out
     if isinstance(e, LShuffle):
         out = [(a, lshuffle(rest, e.right)) for a, rest in local_steps(e.left)]
         out.extend((a, lshuffle(e.left, rest)) for a, rest in local_steps(e.right))
@@ -275,7 +289,7 @@ def _session_choice(branches: tuple[LocalExpr, ...], decider: str, role: str) ->
         return branches[0]
     heads = []
     for b in branches:
-        first = _first_local(b)
+        first = next((x for x in nodes(b) if isinstance(x, LAtom)), None)
         if first is None or first.direction != RECV:
             raise MergeFailure(f"role {role} cannot distinguish the branches of a choice at {decider}")
         heads.append((first.peer, first.name))
@@ -287,24 +301,6 @@ def _session_choice(branches: tuple[LocalExpr, ...], decider: str, role: str) ->
 def _collapse_choice(branches: tuple[LocalExpr, ...], kind: ChoiceKind, lean) -> LocalExpr:
     kept = distinct(branches)
     return kept[0] if len(kept) == 1 else LChoice(tuple(kept), kind, lean)
-
-
-def _first_local(e: LocalExpr) -> LAtom | None:
-    if isinstance(e, LAtom):
-        return e
-    if isinstance(e, LSeq):
-        return _first_local(e.left) or _first_local(e.right)
-    if isinstance(e, (LChoice,)):
-        for b in e.branches:
-            found = _first_local(b)
-            if found:
-                return found
-        return None
-    if isinstance(e, LShuffle):
-        return _first_local(e.left) or _first_local(e.right)
-    if isinstance(e, LRec):
-        return _first_local(e.body)
-    return None
 
 
 def print_local(e: LocalExpr) -> str:

@@ -162,7 +162,7 @@ def _event_in_window(name: str, window: Window, days: dict[str, int]) -> int | N
     day = days[name]
     lo = window.lo(days)
     hi = window.hi(days)
-    if window.hi_ref is not None and window.hi_ref not in days:
+    if any(ref is not None and ref not in days for ref in (window.lo_ref, window.hi_ref)):
         return None  # window anchored to an event that has not happened
     if lo is not None and day < lo:
         return None

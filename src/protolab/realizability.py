@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .cfp.ast import CfpExpr, Choice, OccAtom, Rec, Seq, Shuffle, Var, finals, has_node, initials, roles as expr_roles
+from .cfp.ast import CfpExpr, Choice, OccAtom, Rec, Seq, Shuffle, Var, finals, initials, nodes, roles as expr_roles
 from .cfp.projection import (
     LocalExpr,
     MergeFailure,
@@ -105,27 +105,16 @@ class Constraint:
 
 def sequence_constraints(e: CfpExpr, interpretation: Interpretation, unroll_bound: int = DEFAULT_UNROLL) -> tuple[Constraint, ...]:
     """One ordering constraint per sequence-adjacent atom pair: for every
-    sequence node, each final atom of the left operand against each initial
-    atom of the right operand, typed by the interpretation."""
-    expanded = e if has_node(e, lambda x: isinstance(x, OccAtom)) else expand(e, unroll_bound)
-    out: list[Constraint] = []
-    _collect_constraints(expanded, interpretation, out)
-    return tuple(out)
-
-
-def _collect_constraints(e, interpretation: Interpretation, out: list[Constraint]) -> None:
-    if isinstance(e, Seq):
-        for a in finals(e.left):
-            for b in initials(e.right):
-                out.append(Constraint(interpretation, a, b))
-        _collect_constraints(e.left, interpretation, out)
-        _collect_constraints(e.right, interpretation, out)
-    elif isinstance(e, Shuffle):
-        _collect_constraints(e.left, interpretation, out)
-        _collect_constraints(e.right, interpretation, out)
-    elif isinstance(e, Choice):
-        for b in e.branches:
-            _collect_constraints(b, interpretation, out)
+    sequence node in pre-order, each final atom of the left operand against
+    each initial atom of the right operand, typed by the interpretation."""
+    expanded = e if any(isinstance(x, OccAtom) for x in nodes(e)) else expand(e, unroll_bound)
+    return tuple(
+        Constraint(interpretation, a, b)
+        for x in nodes(expanded)
+        if isinstance(x, Seq)
+        for a in finals(x.left)
+        for b in initials(x.right)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -186,11 +175,14 @@ class Outcome(str, Enum):
 
 
 class Reason(str, Enum):
-    DEADLOCK = "Deadlock"
+    """Why a protocol is unrealizable, declared in the order a verdict
+    lists its reasons."""
+
     NONLOCAL_CHOICE = "NonlocalChoice"
-    TRACE_MISMATCH = "TraceMismatch"
-    ORDER_VIOLATION = "OrderViolation"
     MERGE_FAILURE = "MergeFailure"
+    DEADLOCK = "Deadlock"
+    ORDER_VIOLATION = "OrderViolation"
+    TRACE_MISMATCH = "TraceMismatch"
 
 
 @dataclass(frozen=True)
@@ -330,18 +322,7 @@ def _fmt_labels(labels: tuple) -> str:
 
 
 def _order_reasons(reasons: list[Reason]) -> tuple[Reason, ...]:
-    rank = {
-        Reason.MERGE_FAILURE: 1,
-        Reason.NONLOCAL_CHOICE: 0,
-        Reason.DEADLOCK: 2,
-        Reason.ORDER_VIOLATION: 3,
-        Reason.TRACE_MISMATCH: 4,
-    }
-    out: list[Reason] = []
-    for r in sorted(reasons, key=lambda r: rank[r]):
-        if r not in out:
-            out.append(r)
-    return tuple(out)
+    return tuple(r for r in Reason if r in reasons)
 
 
 def _project_all(working, cfg: CommConfig) -> dict[str, LocalExpr]:

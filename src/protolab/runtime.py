@@ -2,14 +2,15 @@
 
 Each agent holds the remainder of its local expression.  What it can do
 next is read from one walk of its first steps (`projection.local_steps`):
-each send or reception with the remainder it leaves.  Emissions commit a
-choice atomically (commit-by-sending), and an external choice is entered
-only through a reception; a mixed choice may also silently commit to its
-reception-initiated branches, which is what makes genuinely stuck states
-reachable when a choice is nonlocal.  Under anytime reception
-an agent observes a message the moment it is delivered, and a delivery its
-behavior cannot accept is an ordering violation; under the channel selector
-arrivals wait in per-peer queues until the behavior expects that channel.
+each send, reception or silent commitment with the remainder it leaves.
+Emissions commit a choice atomically (commit-by-sending), and an external
+choice is entered only through a reception; a mixed choice may also
+silently commit to its reception-initiated branches, which is what makes
+genuinely stuck states reachable when a choice is nonlocal.  Under anytime
+reception an agent observes a message the moment it is delivered, and a
+delivery its behavior cannot accept is an ordering violation; under the
+channel selector arrivals wait in per-peer queues until the behavior
+expects that channel.
 
 `compose` explores the composition as a graph of states, not of paths, on
 the exploration core (`graph.explore`) with `Composer.moves` as the
@@ -27,52 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .cfp.projection import (
-    SEND,
-    ChoiceKind,
-    LAtom,
-    LChoice,
-    LEps,
-    LSeq,
-    LShuffle,
-    LocalExpr,
-    accepting,
-    local_steps,
-    lseq,
-    lshuffle,
-)
+from .cfp.projection import SEND, LocalExpr, accepting, local_steps
 from .graph import Graph, Numbering, explore, least_path, topological
 from .netsim import Delivery, Reception, dequeue, enqueue
-
-# ---------------------------------------------------------------------------
-# single-agent small-step semantics
-
-
-def commit_steps(e: LocalExpr) -> list[LocalExpr]:
-    """Silent commitments available at the frontier: a mixed choice may
-    resolve to waiting on its reception-initiated branches."""
-    if isinstance(e, (LAtom, LEps)):
-        return []
-    if isinstance(e, LSeq):
-        out = [lseq(left, e.right) for left in commit_steps(e.left)]
-        if accepting(e.left):
-            out.extend(commit_steps(e.right))
-        return list(dict.fromkeys(out))
-    if isinstance(e, LChoice):
-        if e.kind is not ChoiceKind.MIXED:
-            return []
-        waitable = tuple(b for b in e.branches if {a.direction for a, _ in local_steps(b)} != {SEND})
-        if not waitable or len(waitable) == len(e.branches):
-            return []
-        if len(waitable) == 1:
-            return [waitable[0]]
-        return [LChoice(waitable, ChoiceKind.EXTERNAL)]
-    if isinstance(e, LShuffle):
-        out = [lshuffle(left, e.right) for left in commit_steps(e.left)]
-        out.extend(lshuffle(e.left, right) for right in commit_steps(e.right))
-        return list(dict.fromkeys(out))
-    raise TypeError(type(e))
-
 
 # ---------------------------------------------------------------------------
 # composition
@@ -124,16 +82,18 @@ class Composer:
         local = self._steps.get(n)
         if local is None:
             e = self._items[n]
-            sends, receptions = [], {}
+            sends, receptions, commits = [], {}, []
             for a, rest in local_steps(e):
                 r = self._number(rest)
-                if a.direction == SEND:
+                if a is None:
+                    if r not in commits:
+                        commits.append(r)
+                elif a.direction == SEND:
                     sends.append((a.peer, a.occ or 0, a.name, r))
                 else:
                     rests = receptions.setdefault((a.peer, a.name), [])
                     if r not in rests:
                         rests.append(r)
-            commits = [self._number(r) for r in commit_steps(e)]
             local = self._steps[n] = (sends, receptions, commits, accepting(e), sorted({peer for peer, _ in receptions}))
         return local
 

@@ -119,7 +119,14 @@ def _retick(observations, offset):
 
 
 def test_monotone_in_now(spec, purchase):
-    histories = purchase_histories(purchase, accept_day=0, deliver_day=2, payment_day=4)
+    # the second window opens at Deliver (day 3), after the Payment (day 1)
+    # it would detach on: until Deliver happens, Payment is not yet known
+    # to be in the window, and once it is, it is known to be outside it
+    late_lower = parse_cupid("commitment C Buyer to Seller create Accept detach Payment [Deliver, 10] discharge Reject")
+    cases = [
+        (spec, purchase_histories(purchase, accept_day=0, deliver_day=2, payment_day=4)),
+        (late_lower, purchase_histories(purchase, accept_day=0, deliver_day=3, payment_day=1)),
+    ]
     order = {
         LifecycleState.NULL: 0,
         LifecycleState.ACTIVE: 1,
@@ -128,15 +135,17 @@ def test_monotone_in_now(spec, purchase):
         LifecycleState.EXPIRED: 3,
         LifecycleState.VIOLATED: 3,
     }
-    last = 0
-    for now in range(0, 9):
-        state = commitment_states(spec, histories, purchase, now=now)[0].state
-        assert order[state] >= last
-        last = order[state]
-        if state is LifecycleState.DISCHARGED:
-            for later in range(now, now + 3):
-                assert commitment_states(spec, histories, purchase, now=later)[0].state is LifecycleState.DISCHARGED
-            break
+    for case_spec, histories in cases:
+        last = 0
+        for now in range(0, 9):
+            state = commitment_states(case_spec, histories, purchase, now=now)[0].state
+            assert order[state] >= last
+            last = order[state]
+            if state is LifecycleState.DISCHARGED:
+                for later in range(now, now + 3):
+                    assert commitment_states(case_spec, histories, purchase, now=later)[0].state is LifecycleState.DISCHARGED
+                break
+    assert {commitment_states(late_lower, cases[1][1], purchase, now=now)[0].state for now in range(11)} == {LifecycleState.ACTIVE}
 
 
 def test_integrity_conflict_propagates(spec, purchase):

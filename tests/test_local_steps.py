@@ -1,12 +1,12 @@
 """One first-step walk for local behaviors.
 
 `projection.local_steps` gives every event a local behavior can perform
-first, with the remainder it leaves.  The runtime reads its sends,
-receptions and expected peers from it, and `extract_fsm` numbers the
-residuals of a shuffle with it, on the exploration core.  These tests
-check both readers against the walkers and the shuffle builders they
-replaced, kept below verbatim as the reference, and pin the machine of
-shuffles too large to linearize.
+first, and every silent commitment, with the remainder it leaves.  The
+runtime reads its sends, receptions, commitments and expected peers from
+it, and `extract_fsm` numbers the residuals of a shuffle with it, on the
+exploration core.  These tests check both readers against the walkers and
+the shuffle builders they replaced, kept below verbatim as the reference,
+and pin the machine of shuffles too large to linearize.
 """
 
 import random
@@ -39,7 +39,6 @@ from protolab.cfp.projection import (
 from protolab.cfp.transforms import eliminate_shuffle, expand
 from protolab.cli import main
 from protolab.realizability import Doctrine, _project_all, language_preset
-from protolab.runtime import commit_steps
 
 # ---------------------------------------------------------------------------
 # the reference: the runtime's walkers before `local_steps`
@@ -196,6 +195,8 @@ def _build(nfa: Nfa, e: LocalExpr, start: int, end: int, env: dict[str, int]) ->
         while todo:
             r = todo.pop()
             for atom, rest in local_steps(r):
+                if atom is None:
+                    continue
                 if rest not in number:
                     number[rest] = nfa.new_state()
                     todo.append(rest)
@@ -311,13 +312,13 @@ def test_runtime_inputs_cover_every_choice_kind():
 
 def test_local_steps_equal_the_old_walkers():
     for e in RUNTIME_INPUTS:
-        steps = local_steps(e)
+        steps = [(a, rest) for a, rest in local_steps(e) if a is not None]
         assert [(a, rest) for a, rest in steps if a.direction == SEND] == send_steps(e)
         receptions = [(a, rest) for a, rest in steps if a.direction == RECV]
         assert [(a.peer, a.name) for a, _ in receptions] == _recv_candidates(e)
         for peer, name in dict.fromkeys((a.peer, a.name) for a, _ in receptions):
             assert _dedup(rest for a, rest in receptions if (a.peer, a.name) == (peer, name)) == consume(e, peer, name)
-        assert commit_steps(e) == reference_commit_steps(e)
+        assert _dedup(rest for a, rest in local_steps(e) if a is None) == reference_commit_steps(e)
 
 
 def test_an_external_choice_is_entered_only_through_a_reception():

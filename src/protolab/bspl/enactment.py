@@ -52,8 +52,15 @@ class MessageInstance:
         return dict(self.bindings)
 
     def key(self, protocol: InfoProtocol) -> Key:
+        # Cached for the protocol last asked, outside the fields like
+        # `_hash`, so equality and pickles are as if it were not there.
+        cached = self.__dict__.get("_key")
+        if cached is not None and cached[0] is protocol:
+            return cached[1]
         bindings = self.bindings
-        return tuple([bindings[i] for i in protocol.key_positions(self.schema)])
+        key = tuple([bindings[i] for i in protocol.key_positions(self.schema)])
+        self.__dict__["_key"] = (protocol, key)
+        return key
 
     def __str__(self) -> str:
         inner = ",".join(f"{k}={v}" for k, v in self.bindings)

@@ -16,10 +16,10 @@ from pathlib import Path
 
 from . import matrix as matrix_mod
 from .bspl.core import parse_bspl, parse_bspl_file, project_bspl, validate_bspl
-from .cfp.ast import has_shuffle
+from .cfp.ast import has_shuffle, roles
 from .cfp.fsm import export_fsm, extract_fsm
 from .cfp.projection import MergeFailure, print_local, project_scribble, project_trace_c, project_trace_f
-from .cfp.scribble_parser import parse_scribble
+from .cfp.scribble_parser import parse_scribble, parse_scribble_protocol
 from .cfp.trace_parser import parse_trace
 from .cfp.transforms import DEFAULT_UNROLL, eliminate_shuffle
 from .commitments import bind_spec, commitment_states, parse_cupid
@@ -168,7 +168,14 @@ def cmd_project(args) -> int:
         for local in project_bspl(protocol, args.role):
             print(f"{local.direction} {local.schema.name} ({'to' if local.direction == 'send' else 'from'} {local.peer})")
         return 0
-    expr = parse_scribble(text) if suffix == ".scr" else parse_trace(text)
+    if suffix == ".scr":
+        session = parse_scribble_protocol(text)
+        name, declared, expr = session.name, session.roles, session.body
+    else:
+        expr = parse_trace(text)
+        name, declared = args.path.stem, roles(expr)
+    if args.role not in declared:
+        raise KeyError(f"unknown role {args.role!r} in protocol {name}")
     try:
         if doctrine == "scribble":
             # as realizability does, a shuffle becomes the choice of its

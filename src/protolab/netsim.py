@@ -16,8 +16,8 @@ agent's distinct states, the payloads and the networks are numbered by
 equality, and a composite state is a tuple of those numbers.  Each agent's
 emissions are computed once per state number and its receptions once per
 (state, payload) number pair; each network's deliveries are listed once,
-and its send successors are found once.  A move is then a few table
-lookups.  Eager BSPL agents read each history's knowledge in one pass
+and its send and removal successors are found once.  A move is then a few
+table lookups.  Eager BSPL agents read each history's knowledge in one pass
 (`bspl.enactment.Knowledge`).  They find their emissions by one enabling
 test per (sent schema, candidate key) on parameter names: the schema's
 'in' names are known for the key, its other names are not, and it was not
@@ -33,10 +33,13 @@ walk takes one representative per orbit of that row group, the least
 numbered state of the orbit, and counts each as its orbit's size.  Every
 number records its origin (the state or network it was first reached
 from, and by which step), so a permutation's image of a numbered state is
-found through the memoized steps and per-permutation tables, never by
-renaming and rehashing histories or networks (`_Orbits`).  The number of
-enactments is the sum of the orbit sizes of the terminal representatives;
-the sorted history vectors are built only when a caller reads them.
+found step by step along those origins, each step one table lookup: an
+emission or reception by (state, payload), a send by (network, agent,
+payload), a removal by (network, send index).  No history or network is
+renamed or rehashed, and no image has its moves listed (`_Orbits`).  The
+number of enactments is the sum of the orbit sizes of the terminal
+representatives; the sorted history vectors are built only when a caller
+reads them.
 """
 
 from __future__ import annotations
@@ -166,8 +169,8 @@ class ExplorationStats:
     when `explore` takes one state per orbit, except where the state cap
     stopped a walk part way.  `local_states` is the number of distinct
     states numbered for each agent, as (role, count) in role order;
-    `networks` the number of distinct networks; `dedup_hits` the moves
-    into a composite state already met."""
+    `networks` the number of distinct networks of the states met;
+    `dedup_hits` the moves into a composite state already met."""
 
     states_explored: int
     enactments: int
@@ -253,9 +256,9 @@ def explore(
             return None
         taken += size
         max_depth = max(max_depth, depths[state[-1]])
-        nexts = [nxt for _event, nxt in space.moves(state)]
+        _events, nexts = space.moves(state)
         if canonical is not None:
-            nexts = [canonical(nxt) for nxt in nexts]
+            nexts = list(map(canonical, nexts))
         if not nexts:
             terminals.append(state)
         elif any(depths[nxt[-1]] > queue_cap for nxt in nexts):
@@ -308,7 +311,8 @@ class _LocalSteps:
         self.payloads = payloads
         self._number = Numbering()
         self.states = self._number.values
-        self._emissions: list[tuple[tuple[Any, int, int], ...] | None] = []
+        self._emissions: list[tuple[tuple[tuple[str, str, Any], int, int], ...] | None] = []
+        self._emitted: dict[tuple[int, int], int] = {}
         self._receptions: dict[tuple[int, int], int] = {}
         self.origins: list[tuple[int, bool, int] | None] = []
 
@@ -319,14 +323,17 @@ class _LocalSteps:
             self.origins.append(origin)
         return k
 
-    def emissions(self, k: int) -> tuple[tuple[Any, int, int], ...]:
-        """(payload, payload number, next state number) per emission."""
+    def emissions(self, k: int) -> tuple[tuple[tuple[str, str, Any], int, int], ...]:
+        """(event, payload number, next state number) per emission, the
+        event (role, EMISSION, payload) built once."""
         out = self._emissions[k]
         if out is None:
             out = []
             for payload, nxt in self.agent.emissions(self.states[k]):
                 p = self.payloads(payload)
-                out.append((self.payloads.values[p], p, self.number(nxt, (k, True, p))))
+                m = self.number(nxt, (k, True, p))
+                self._emitted.setdefault((k, p), m)
+                out.append(((self.role, EMISSION, self.payloads.values[p]), p, m))
             out = self._emissions[k] = tuple(out)
         return out
 
@@ -337,20 +344,27 @@ class _LocalSteps:
         return nxt
 
     def emitted(self, k: int, p: int) -> int:
-        """The state that state k moves to by emitting payload number p."""
-        return next(nxt for _payload, q, nxt in self.emissions(k) if q == p)
+        """The state that state k moves to by emitting payload number p,
+        one of its emissions.  Found by the agent's `emit` when state k was
+        not expanded: only `_Orbits` asks, and only of `BsplAgent`s."""
+        nxt = self._emitted.get((k, p))
+        if nxt is None:
+            nxt = self._emitted[k, p] = self.number(self.agent.emit(self.states[k], self.payloads.values[p]), (k, True, p))
+        return nxt
 
 
 class _StateSpace:
     """The composite states of some agents under a policy, numbered: a
     state is a tuple of each agent's state number (agents in role order)
     followed by its network's number.  Networks are numbered by equality.
-    A network's deliveries (each deliverable envelope with its receivers
-    and the network left once it is taken) are listed on the network's
-    first expansion, and its send successors are found on first use.
-    `net_origins[n]` is how network n was first met: None for the empty
-    network, (parent, agent index, payload number) for a send, and
-    (parent, send index) for a removal.  `moves` is the one successor
+    A network's deliveries (each deliverable envelope's reception event,
+    payload number and receivers, and the network left once it is taken)
+    are listed on the network's first expansion; its send successors and
+    each removal, by send index, are found once, on first use.  A removal
+    that no move takes (no agent receives the envelope and loss is off) is
+    not made.  `net_origins[n]` is how network n was first met: None for
+    the empty network, (parent, agent index, payload number) for a send,
+    and (parent, send index) for a removal.  `moves` is the one successor
     function of both `explore` and `run_one`."""
 
     def __init__(self, agents: list[AgentExecutor], policy: SimPolicy):
@@ -362,8 +376,9 @@ class _StateSpace:
         self.networks: list[Network] = self._network_number.values
         self.depths: list[int] = []
         self.net_origins: list[tuple[int, ...] | None] = []
-        self._deliveries: dict[int, tuple[tuple[Envelope, int, tuple[int, ...], int], ...]] = {}
+        self._deliveries: dict[int, tuple[tuple[tuple[str, str, Any], int, tuple[int, ...], int | None], ...]] = {}
         self._sends: dict[tuple[int, int, int], int] = {}
+        self._removals: dict[tuple[int, int], int] = {}
         self.start = tuple(steps.number(a.initial()) for steps, a in zip(self.local, agents)) + (self._network(Network()),)
 
     def _network(self, net: Network, origin: tuple[int, ...] | None = None) -> int:
@@ -373,21 +388,19 @@ class _StateSpace:
             self.net_origins.append(origin)
         return n
 
-    def deliveries(self, n: int) -> tuple[tuple[Envelope, int, tuple[int, ...], int], ...]:
-        """(envelope, payload number, receiving agents, network after its
-        removal) per deliverable envelope of network n, in send order."""
+    def deliveries(self, n: int) -> tuple[tuple[tuple[str, str, Any], int, tuple[int, ...], int | None], ...]:
+        """(reception event, payload number, receiving agents, network
+        after its removal) per deliverable envelope of network n, in send
+        order; the network is None when no move takes the envelope."""
         out = self._deliveries.get(n)
         if out is None:
-            net = self.networks[n]
-            out = self._deliveries[n] = tuple(
-                (
-                    env,
-                    self.payloads(env.payload),
-                    tuple(i for i, steps in enumerate(self.local) if steps.role == env.receiver),
-                    self._network(net.remove(env), (n, env.send_index)),
-                )
-                for env in net.deliverable(self.policy)
-            )
+            out = []
+            for env in self.networks[n].deliverable(self.policy):
+                p = self.payloads(env.payload)
+                receivers = tuple(i for i, steps in enumerate(self.local) if steps.role == env.receiver)
+                m = self.remove(n, env.send_index) if receivers or self.policy.loss_enabled else None
+                out.append(((env.receiver, RECEPTION, self.payloads.values[p]), p, receivers, m))
+            out = self._deliveries[n] = tuple(out)
         return out
 
     def send(self, n: int, i: int, p: int) -> int:
@@ -399,28 +412,56 @@ class _StateSpace:
             m = self._sends[n, i, p] = self._network(net, (n, i, p))
         return m
 
-    def moves(self, state: tuple[int, ...]) -> list[tuple[tuple[str, str, Any], tuple[int, ...]]]:
-        """Every move from a composite state in canonical order, as (event,
-        next state) with event (role, kind, payload): emissions by role
-        unless a synchronous delivery is due, then each deliverable
-        envelope's reception, followed by its loss when loss is enabled."""
+    def remove(self, n: int, s: int) -> int:
+        """The network n leaves once the envelope with send index s is
+        taken out of it."""
+        m = self._removals.get((n, s))
+        if m is None:
+            net = self.networks[n]
+            env = next(env for _, queue in net.channels for env in queue if env.send_index == s)
+            m = self._removals[n, s] = self._network(net.remove(env), (n, s))
+        return m
+
+    def moves(self, state: tuple[int, ...]) -> tuple[list[tuple[str, str, Any]], list[tuple[int, ...]]]:
+        """Every move from a composite state in canonical order, as two
+        parallel lists of events and next states, an event (role, kind,
+        payload): emissions by role unless a synchronous delivery is due,
+        then each deliverable envelope's reception, followed by its loss
+        when loss is enabled.  Each event is built once, with the table
+        entry it labels, and the memo tables are read inline."""
         n = state[-1]
         deliveries = self._deliveries.get(n)
         if deliveries is None:
             deliveries = self.deliveries(n)
-        moves = []
+        events: list[tuple[str, str, Any]] = []
+        nexts: list[tuple[int, ...]] = []
         if not (deliveries and self.policy.delivery is Delivery.SYNCHRONOUS):
+            sends = self._sends
             for i, steps in enumerate(self.local):
+                emissions = steps._emissions[state[i]]
+                if emissions is None:
+                    emissions = steps.emissions(state[i])
+                if not emissions:
+                    continue
                 before, after = state[:i], state[i + 1 : -1]
-                for payload, p, nxt in steps.emissions(state[i]):
-                    moves.append(((steps.role, EMISSION, payload), (*before, nxt, *after, self.send(n, i, p))))
-        for env, p, receivers, m in deliveries:
+                for event, p, nxt in emissions:
+                    m = sends.get((n, i, p))
+                    if m is None:
+                        m = self.send(n, i, p)
+                    events.append(event)
+                    nexts.append((*before, nxt, *after, m))
+        for event, p, receivers, m in deliveries:
             for i in receivers:
-                nxt = self.local[i].receive(state[i], p)
-                moves.append(((env.receiver, RECEPTION, env.payload), (*state[:i], nxt, *state[i + 1 : -1], m)))
+                steps = self.local[i]
+                nxt = steps._receptions.get((state[i], p))
+                if nxt is None:
+                    nxt = steps.receive(state[i], p)
+                events.append(event)
+                nexts.append((*state[:i], nxt, *state[i + 1 : -1], m))
             if self.policy.loss_enabled:
-                moves.append(((env.receiver, LOSS, env.payload), (*state[:-1], m)))
-        return moves
+                events.append((event[0], LOSS, event[2]))
+                nexts.append((*state[:-1], m))
+        return events, nexts
 
     def vector(self, state: tuple[int, ...]) -> tuple[History, ...]:
         """The agents' histories at a composite state."""
@@ -494,11 +535,14 @@ class _Orbits:
     numbered state is read through tables, one per component, that map
     state numbers to the numbers of their images; a number missing from a
     table is derived from its origin (see `_LocalSteps` and `_StateSpace`)
-    through the memoized steps: the image of a reception is the image
-    state's reception of the image payload, and likewise for emissions,
-    sends and removals.  No history or network is renamed or rehashed.
-    The representative of an orbit is its least state, and `sizes` keeps
-    the size of each orbit met that has more than one state."""
+    one step at a time, each step one lookup in a memo table: the image of
+    a reception is the image state's reception of the image payload, by
+    (state, payload), and likewise an emission's by (state, payload), a
+    send's by (network, agent, payload) and a removal's by (network, send
+    index).  No history or network is renamed or rehashed, and no image
+    state or network has its moves listed.  The representative of an
+    orbit is its least state, and `sizes` keeps the size of each orbit met
+    that has more than one state."""
 
     def __init__(self, space: _StateSpace, group: _RowGroup):
         self.space = space
@@ -509,20 +553,24 @@ class _Orbits:
 
     def orbit(self, state: tuple[int, ...]) -> set[tuple[int, ...]]:
         """The images of a state under every permutation, the identity's too."""
-        images = {state}
-        for g, tables in enumerate(self.tables):
-            try:
-                images.add(tuple(map(getitem, tables, state)))
-            except KeyError:
-                images.add(self._image(g, state))
-        return images
+        return {state, *(self._image(g, state) for g in range(len(self.tables)))}
 
     def canonical(self, state: tuple[int, ...]) -> tuple[int, ...]:
-        """The representative of the state's orbit."""
-        images = self.orbit(state)
-        least = min(images)
-        if len(images) > 1:
-            self.sizes[least] = len(images)
+        """The representative of the state's orbit.  The permutations and
+        the identity form a group, so the orbit's size is the group's
+        order over the number of its elements that fix the state."""
+        least, fixed = state, 1
+        for g, tables in enumerate(self.tables):
+            try:
+                image = tuple(map(getitem, tables, state))
+            except KeyError:
+                image = self._image(g, state)
+            if image < least:
+                least = image
+            elif image == state:
+                fixed += 1
+        if fixed <= len(self.tables):
+            self.sizes[least] = (len(self.tables) + 1) // fixed
         return least
 
     def _image(self, g: int, state: tuple[int, ...]) -> tuple[int, ...]:
@@ -539,7 +587,7 @@ class _Orbits:
                 i, p = step
                 table[n] = space.send(table[parent], i, self._payload(g, p))
             else:  # a removal, of the envelope with this send index
-                table[n] = next(m for env, _p, _to, m in space.deliveries(table[parent]) if env.send_index == step[0])
+                table[n] = space.remove(table[parent], step[0])
         return tuple(map(getitem, tables, state))
 
     def _payload(self, g: int, p: int) -> int:
@@ -597,17 +645,17 @@ def run_one(
     script = list(choice_script) if choice_script is not None else None
     log: list[tuple[str, str, Any]] = []
     while True:
-        labelled = space.moves(state)
-        if not labelled:
+        events, nexts = space.moves(state)
+        if not nexts:
             return space.vector(state), log
         if script is not None:
             if not script:
                 raise RuntimeError("choice script exhausted")
-            index = script.pop(0) % len(labelled)
+            index = script.pop(0) % len(nexts)
         else:
-            index = rng.randrange(len(labelled))
-        event, state = labelled[index]
-        log.append(event)
+            index = rng.randrange(len(nexts))
+        log.append(events[index])
+        state = nexts[index]
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +701,11 @@ class BsplAgent:
         payloads = self._emitted.get(seen)
         if payloads is None:
             payloads = self._emitted[seen] = self._payloads(h)
-        return tuple((mi, observe(h, EMISSION, mi)) for mi in payloads)
+        return tuple((mi, self.emit(h, mi)) for mi in payloads)
+
+    def emit(self, h: History, mi: MessageInstance) -> History:
+        """The history after emitting `mi`, one of `emissions(h)`."""
+        return observe(h, EMISSION, mi)
 
     def _payloads(self, h: History) -> tuple[MessageInstance, ...]:
         """The correct emissions from h, sorted by schema name and bindings.

@@ -235,3 +235,17 @@ def test_message_instance_hash_is_cached_and_invisible(purchase):
     never_hashed = mi(purchase, "Offer", ID="1", item="fig", price="$5")
     copy = pickle.loads(pickle.dumps(hashed))
     assert copy == hashed and vars(copy) == vars(never_hashed)
+
+
+def test_message_instance_key_is_cached_per_protocol(purchase, pricing):
+    # Request has the same parameters in both protocols, keyed on ID in
+    # purchase; a protocol with no key names keys it on nothing
+    unkeyed = parse_bspl("protocol U {\n  roles Buyer, Seller\n  parameters out ID, out item\n  Buyer -> Seller: Request[out ID, out item]\n}\n")
+    m = mi(purchase, "Request", ID="1", item="fig")
+    for protocol in (purchase, unkeyed, purchase, pricing, unkeyed):
+        assert m.key(protocol) == reference_key(m, protocol)
+    assert m.key(purchase) == (("ID", "1"),) and m.key(unkeyed) == ()
+    copy = pickle.loads(pickle.dumps(m))
+    assert "_key" not in vars(copy) and copy == m and hash(copy) == hash(m)
+    assert copy.key(purchase) == m.key(purchase) and copy.key(unkeyed) == ()
+    assert m == mi(purchase, "Request", ID="1", item="fig")

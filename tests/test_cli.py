@@ -235,6 +235,23 @@ def test_project_under_scribble_infers_deciders(capsys):
     assert err == "projection failed: role Seller cannot distinguish the branches of a choice at Buyer\n"
 
 
+@pytest.mark.parametrize("fixture,protocol", [("purchase.bspl", "Purchase"), ("purchase.trace", "purchase"), ("purchase.scr", "Purchase")])
+@pytest.mark.parametrize("doctrine", [(), ("--doctrine", "trace-f"), ("--doctrine", "scribble"), ("--fsm",)])
+def test_project_names_an_unknown_role(capsys, fixture, protocol, doctrine):
+    code, out, err = run(capsys, "project", str(FIXDIR / fixture), "Nobody", *doctrine)
+    assert (code, out, err) == (2, "", f"error: \"unknown role 'Nobody' in protocol {protocol}\"\n")
+
+
+def test_project_reads_the_declared_roles_of_a_scribble_header(capsys, tmp_path):
+    # a role the header declares but no message names projects to eps
+    path = tmp_path / "idle.scr"
+    path.write_text("global protocol P(role A, role B, role C) {\n  M() from A to B;\n}\n")
+    code, out, _ = run(capsys, "project", str(path), "C")
+    assert (code, out) == (0, "eps\n")
+    code, _, err = run(capsys, "project", str(path), "D")
+    assert (code, err) == (2, "error: \"unknown role 'D' in protocol P\"\n")
+
+
 def test_project_fsm_output(capsys):
     code, out, _ = run(capsys, "project", str(FIXDIR / "book_journey.scr"), "C", "--fsm")
     assert code == 0

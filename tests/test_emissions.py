@@ -139,11 +139,8 @@ class RecordingAgent(BsplAgent):
     def initial(self):
         return self._reach(super().initial())
 
-    def emissions(self, h):
-        out = super().emissions(h)
-        for _mi, nxt in out:
-            self._reach(nxt)
-        return out
+    def emit(self, h, mi):
+        return self._reach(super().emit(h, mi))
 
     def receive(self, h, mi):
         return self._reach(super().receive(h, mi))

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -378,6 +379,46 @@ def test_orbit_walk_equals_the_walk_over_every_state(name, instances, policy):
     assert reduced == explore_every_state(simulate_agents(name, instances), SimPolicy(Delivery(policy)))
 
 
+def renamed_history(group, perm, h):
+    return History(h.owner, tuple(replace(o, instance=group.rename(perm, o.instance)) for o in h.observations))
+
+
+def renamed_network(group, perm, net):
+    channels = tuple((ch, tuple(replace(env, payload=group.rename(perm, env.payload)) for env in queue)) for ch, queue in net.channels)
+    return Network(channels, net.sent_count)
+
+
+@pytest.mark.parametrize(
+    "name,instances,policy",
+    [c[:3] for c in PINNED_EXPLORATIONS if c[1] > 1],
+    ids=[f"{c[0]}-x{c[1]}-{c[2]}" for c in PINNED_EXPLORATIONS if c[1] > 1],
+)
+def test_every_table_image_is_the_component_renamed(name, instances, policy):
+    made = []
+
+    class Recorded(netsim._Orbits):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    with mock.patch.object(netsim, "_Orbits", Recorded):
+        explore(simulate_agents(name, instances), SimPolicy(Delivery(policy)))
+    (orbits,) = made
+    space, group = orbits.space, orbits.group
+    assert group.perms
+    images = 0
+    for perm, tables, payloads in zip(group.perms, orbits.tables, orbits._payloads):
+        for p, q in payloads.items():
+            assert space.payloads.values[q] == group.rename(perm, space.payloads.values[p])
+        for steps, table in zip(space.local, tables):
+            for k, image in table.items():
+                assert steps.states[image] == renamed_history(group, perm, steps.states[k])
+        for n, image in tables[-1].items():
+            assert space.networks[image] == renamed_network(group, perm, space.networks[n])
+        images += sum(map(len, tables))
+    assert images > len(space.start) * len(group.perms)  # more than the start state's
+
+
 FIXED = {"deadline": None, "database": None, "derandomize": True}  # same cases every run, no files written
 
 
@@ -422,6 +463,22 @@ def test_orbit_walk_equals_the_walk_over_every_state_on_generated_rows(name, row
     reduced = explore(agents, policy)
     assert reduced.stats.enactments == len(reduced.enactments)  # the count read off the orbit sizes
     assert reduced == explore_every_state(agent_pair(protocol, rows), policy)
+
+
+@pytest.mark.parametrize("delivery", list(Delivery))
+@pytest.mark.parametrize("loss", [False, True])
+def test_orbit_walk_equals_the_walk_over_every_state_with_a_role_no_agent_plays(delivery, loss):
+    # C has no agent, so what is sent to C stays in transit: no move takes
+    # it out, and neither walk makes the network it would leave
+    protocol = parse_bspl_file(
+        "protocol P {\n  roles A, B, C\n  parameters out ID key, out x, out y\n  A -> B: M[out ID key, out x]\n"
+        "  B -> C: N[in ID key, in x, out y]\n  A -> C: K[in ID key, in x]\n}\n"
+    )[0]
+    scripts = [InstanceScript.make(protocol, [{"ID": "1", "x": "a", "y": "b"}, {"ID": "2", "x": "c", "y": "d"}])]
+    assert len(_instance_group([BsplAgent("A", scripts), BsplAgent("B", scripts)]).perms) == 1
+    policy = SimPolicy(delivery, loss)
+    reduced = explore([BsplAgent("A", scripts), BsplAgent("B", scripts)], policy)
+    assert reduced == explore_every_state([BsplAgent("A", scripts), BsplAgent("B", scripts)], policy)
 
 
 def test_emissions_are_kept_by_the_set_of_observations(pricing):

@@ -32,14 +32,14 @@ states (Ip and Dill, "Better verification through symmetry", 1996).  The
 walk takes one representative per orbit of that row group, the least
 numbered state of the orbit, and counts each as its orbit's size.  Every
 number records its origin (the state or network it was first reached
-from, and by which step), so a permutation's image of a numbered state is
-found step by step along those origins, each step one table lookup: an
-emission or reception by (state, payload), a send by (network, agent,
-payload), a removal by (network, send index).  No history or network is
-renamed or rehashed, and no image has its moves listed (`_Orbits`).  The
-number of enactments is the sum of the orbit sizes of the terminal
-representatives; the sorted history vectors are built only when a caller
-reads them.
+from, and by which step) and has an image row, its images under every
+permutation, filled at once from its origin's row by one table lookup per
+permutation: an emission or reception by (state, payload), a send by
+(network, agent, payload), a removal by (network, send index).  No history
+or network is renamed or rehashed, and no image has its moves listed
+(`_Orbits`).  The number of enactments is the sum of the orbit sizes of
+the terminal representatives; the sorted history vectors are built only
+when a caller reads them.
 """
 
 from __future__ import annotations
@@ -48,9 +48,9 @@ import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import partial
-from itertools import permutations
+from itertools import permutations, repeat
 from operator import getitem
-from typing import Any, Callable, Protocol
+from typing import Any, Callable, Iterator, Protocol
 
 from .bspl.core import InfoProtocol, MessageSchema
 from .bspl.enactment import (
@@ -255,13 +255,15 @@ def explore(
             capped = True
             return None
         taken += size
-        max_depth = max(max_depth, depths[state[-1]])
+        depth = depths[state[-1]]
+        max_depth = max(max_depth, depth)
         _events, nexts = space.moves(state)
         if canonical is not None:
             nexts = list(map(canonical, nexts))
         if not nexts:
             terminals.append(state)
-        elif any(depths[nxt[-1]] > queue_cap for nxt in nexts):
+        # a move adds at most one message, so only a state at the cap can pass it
+        elif depth >= queue_cap and any(depths[nxt[-1]] > queue_cap for nxt in nexts):
             queued = True
             return None
         moves += size * len(nexts)
@@ -497,9 +499,9 @@ def _instance_group(agents: list[AgentExecutor]) -> _RowGroup:
     scripts, and every schema an agent sends has a key.  Then `row_for` finds at most one
     row for a key, and the renamed key finds the permuted row.  Otherwise
     the group is trivial (no permutation but the identity).  Each state
-    met is mapped by every permutation, so beyond `_PERMUTED_ROWS` rows
-    only the first that many are permuted: a subgroup's orbits partition
-    the states as well, only into smaller parts."""
+    met has its image by every permutation in its rows, so beyond
+    `_PERMUTED_ROWS` rows only the first that many are permuted: a
+    subgroup's orbits partition the states as well, only smaller."""
     if not agents or not all(isinstance(a, BsplAgent) for a in agents):
         return _RowGroup()
     scripts = agents[0].scripts
@@ -527,81 +529,79 @@ def _instance_group(agents: list[AgentExecutor]) -> _RowGroup:
     return _RowGroup(tuple(perm + tuple(range(k, n)) for perm in permutations(range(k)))[1:], columns)
 
 
-_PERMUTED_ROWS = 6  # 720 permutations
+_PERMUTED_ROWS = 6  # 720 permutations: an image row of 719 numbers per numbered state
 
 
 class _Orbits:
-    """Composite states up to a row group.  A permutation's image of a
-    numbered state is read through tables, one per component, that map
-    state numbers to the numbers of their images; a number missing from a
-    table is derived from its origin (see `_LocalSteps` and `_StateSpace`)
-    one step at a time, each step one lookup in a memo table: the image of
-    a reception is the image state's reception of the image payload, by
-    (state, payload), and likewise an emission's by (state, payload), a
-    send's by (network, agent, payload) and a removal's by (network, send
-    index).  No history or network is renamed or rehashed, and no image
-    state or network has its moves listed.  The representative of an
-    orbit is its least state, and `sizes` keeps the size of each orbit met
-    that has more than one state."""
+    """Composite states up to a row group.  `rows` maps each component's
+    numbers (each agent's states, then the networks) to image rows, the
+    numbers of its images under the permutations in group order; payloads
+    have rows too.  A number without a row gets one from its origin (see
+    `_LocalSteps` and `_StateSpace`) by one memo lookup per permutation:
+    the image of a reception is the image state's reception of the image
+    payload, and likewise for emissions, sends and removals.  No history
+    or network is renamed or rehashed, and no image has its moves listed.
+    The least of a state and its images represents the orbit, and `sizes`
+    keeps the size of each orbit met that has more than one state."""
 
     def __init__(self, space: _StateSpace, group: _RowGroup):
-        self.space = space
-        self.group = group
-        self.tables = [tuple({k: k} for k in space.start) for _ in group.perms]
-        self._payloads: list[dict[int, int]] = [{} for _ in group.perms]
+        self.space, self.group, self.order = space, group, len(group.perms) + 1
+        self.rows = [{k: (k,) * len(group.perms)} for k in space.start]
+        self._payload_rows: dict[int, tuple[int, ...]] = {}
         self.sizes: dict[tuple[int, ...], int] = {}
 
     def orbit(self, state: tuple[int, ...]) -> set[tuple[int, ...]]:
         """The images of a state under every permutation, the identity's too."""
-        return {state, *(self._image(g, state) for g in range(len(self.tables)))}
+        return {state, *self._images(state)} if self.group.perms else {state}
 
     def canonical(self, state: tuple[int, ...]) -> tuple[int, ...]:
-        """The representative of the state's orbit.  The permutations and
-        the identity form a group, so the orbit's size is the group's
-        order over the number of its elements that fix the state."""
+        """The representative of the state's orbit; `sizes` holds only
+        representatives.  The orbit's size is the group's order over the
+        number of the group's elements that fix the state."""
+        if state in self.sizes:
+            return state
+        try:
+            images = zip(*map(getitem, self.rows, state))
+        except KeyError:
+            images = self._images(state)
         least, fixed = state, 1
-        for g, tables in enumerate(self.tables):
-            try:
-                image = tuple(map(getitem, tables, state))
-            except KeyError:
-                image = self._image(g, state)
+        for image in images:
             if image < least:
                 least = image
             elif image == state:
                 fixed += 1
-        if fixed <= len(self.tables):
-            self.sizes[least] = (len(self.tables) + 1) // fixed
+        if fixed < self.order:
+            self.sizes[least] = self.order // fixed
         return least
 
-    def _image(self, g: int, state: tuple[int, ...]) -> tuple[int, ...]:
-        tables, space = self.tables[g], self.space
-        for steps, table, own in zip(space.local, tables, state):
+    def _images(self, state: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        """The state's images, its components' rows zipped, each row filled first where missing."""
+        space, rows, one = self.space, self.rows, self.order == 2  # one permutation: direct calls cost less than map
+        for steps, table, own in zip(space.local, rows, state):
             for k in _unmapped(table, steps.origins, own):
                 parent, emitted, p = steps.origins[k]
-                q = self._payload(g, p)
-                table[k] = steps.emitted(table[parent], q) if emitted else steps.receive(table[parent], q)
-        table = tables[-1]
+                step, row, qs = steps.emitted if emitted else steps.receive, table[parent], self._payload_row(p)
+                table[k] = (step(row[0], qs[0]),) if one else tuple(map(step, row, qs))
+        table = rows[-1]
         for n in _unmapped(table, space.net_origins, state[-1]):
-            parent, *step = space.net_origins[n]
-            if len(step) == 2:  # a send by agent i of payload p
-                i, p = step
-                table[n] = space.send(table[parent], i, self._payload(g, p))
-            else:  # a removal, of the envelope with this send index
-                table[n] = space.remove(table[parent], step[0])
-        return tuple(map(getitem, tables, state))
+            row, step = table[space.net_origins[n][0]], space.net_origins[n][1:]
+            if len(step) == 2:  # a send, by (agent, payload)
+                i, qs = step[0], self._payload_row(step[1])
+                table[n] = (space.send(row[0], i, qs[0]),) if one else tuple(map(space.send, row, repeat(i), qs))
+            else:  # a removal, by the envelope's send index
+                table[n] = (space.remove(row[0], step[0]),) if one else tuple(map(space.remove, row, repeat(step[0])))
+        return zip(*map(getitem, rows, state))
 
-    def _payload(self, g: int, p: int) -> int:
-        table = self._payloads[g]
-        q = table.get(p)
-        if q is None:
-            payloads = self.space.payloads
-            q = table[p] = payloads(self.group.rename(self.group.perms[g], payloads.values[p]))
-        return q
+    def _payload_row(self, p: int) -> tuple[int, ...]:
+        row = self._payload_rows.get(p)
+        if row is None:
+            payloads, group = self.space.payloads, self.group
+            row = self._payload_rows[p] = tuple(map(payloads, map(group.rename, group.perms, repeat(payloads.values[p]))))
+        return row
 
 
-def _unmapped(table: dict[int, int], origins: list, k: int) -> list[int]:
-    """k and the ancestors it was first reached from that `table` lacks,
-    oldest first."""
+def _unmapped(table: dict[int, tuple[int, ...]], origins: list, k: int) -> list[int]:
+    """k and the ancestors it was first reached from that `table` lacks, oldest first."""
     path = []
     while k not in table:
         path.append(k)

@@ -288,6 +288,18 @@ def test_exploration_pinned(name, instances, policy, states, enactments, depth, 
     assert (stats.local_states, stats.networks, stats.dedup_hits) == PINNED_COUNTS[(name, instances, policy)]
 
 
+def test_exploration_pinned_with_23_permutations():
+    # pricing x4 FIFO: the largest group of a pinned run, with no cap firing
+    agents = simulate_agents("pricing", 4)
+    assert len(_instance_group(agents).perms) == 23
+    result = explore(agents, SimPolicy(Delivery.FIFO_PAIRWISE))
+    stats = result.stats
+    assert (stats.states_explored, stats.enactments, stats.max_queue_depth, result.cap) == (134657, 8880, 4, None)
+    assert (stats.local_states, stats.networks, stats.dedup_hits) == ((("Buyer", 7365), ("Seller", 7365)), 3317, 79752)
+    assert len(result.enactments) == 8880
+    assert repr_digest(result.enactments) == "3845f1a76ed8cf6388aafbb6cf2a13c08157a5b72030692d63d22951dd52bb4c"
+
+
 def test_repr_digest_matches_repr():
     enactments = explore(simulate_agents("want_willpay", 2), SimPolicy(Delivery.UNORDERED)).enactments
     for items in ((), enactments[:1], enactments[:1] + ((),), enactments):
@@ -406,16 +418,17 @@ def test_every_table_image_is_the_component_renamed(name, instances, policy):
     (orbits,) = made
     space, group = orbits.space, orbits.group
     assert group.perms
-    images = 0
-    for perm, tables, payloads in zip(group.perms, orbits.tables, orbits._payloads):
-        for p, q in payloads.items():
+    for p, row in orbits._payload_rows.items():
+        for perm, q in zip(group.perms, row, strict=True):
             assert space.payloads.values[q] == group.rename(perm, space.payloads.values[p])
-        for steps, table in zip(space.local, tables):
-            for k, image in table.items():
+    for steps, rows in zip(space.local, orbits.rows):
+        for k, row in rows.items():
+            for perm, image in zip(group.perms, row, strict=True):
                 assert steps.states[image] == renamed_history(group, perm, steps.states[k])
-        for n, image in tables[-1].items():
+    for n, row in orbits.rows[-1].items():
+        for perm, image in zip(group.perms, row, strict=True):
             assert space.networks[image] == renamed_network(group, perm, space.networks[n])
-        images += sum(map(len, tables))
+    images = sum(len(row) for rows in orbits.rows for row in rows.values())
     assert images > len(space.start) * len(group.perms)  # more than the start state's
 
 

@@ -12,19 +12,25 @@ influence single-run sampling.
 
 What an agent may do next follows from its own state alone, so one
 exploration expands each distinct agent state once.  Within a call, each
-agent's distinct states, the payloads and the networks are numbered by
-equality, and a composite state is a tuple of those numbers.  Each agent's
-emissions are computed once per state number and its receptions once per
-(state, payload) number pair; each network's deliveries are listed once,
-and its send and removal successors are found once.  A move is then a few
-table lookups.  Eager BSPL agents read each history's knowledge in one pass
-(`bspl.enactment.Knowledge`).  They find their emissions by one enabling
-test per (sent schema, candidate key) on parameter names: the schema's
-'in' names are known for the key, its other names are not, and it was not
-emitted for the key.  Only enabled instances are built.  Agents keep their
-emissions by the set of observations a history holds: knowledge is a set,
-so histories that differ only in the order of the same observations emit
-the same payloads.
+agent's distinct states, the payloads and the networks are numbered, and a
+composite state is a tuple of those numbers.  Payloads and networks are
+numbered by equality.  A BSPL agent's history is numbered by its origin:
+the history that the emission or reception of payload number p leads to
+from state k gets the next free number once per (k, kind, p), and is built
+only then, so the walk never hashes or compares a history (the index
+tables of SPIN's COLLAPSE mode, Holzmann 1997; hash-consing, Filliatre and
+Conchon 2006).  Other agents' states are numbered by equality.  Each
+agent's emissions are computed once per state number and its receptions
+once per (state, payload) number pair; each network's deliveries are
+listed once, and its send and removal successors are found once.  A move
+is then a few table lookups.  Eager BSPL agents read each history's
+knowledge in one pass (`bspl.enactment.Knowledge`).  They find their
+emissions by one enabling test per (sent schema, candidate key) on
+parameter names: the schema's 'in' names are known for the key, its other
+names are not, and it was not emitted for the key.  Only enabled instances
+are built.  Agents keep their emissions by the set of observations a
+history holds: knowledge is a set, so histories that differ only in the
+order of the same observations emit the same payloads.
 
 Instances that differ only in their script row values are symmetric:
 renaming one row's values to another's maps reachable states to reachable
@@ -169,8 +175,10 @@ class ExplorationStats:
     when `explore` takes one state per orbit, except where the state cap
     stopped a walk part way.  `local_states` is the number of distinct
     states numbered for each agent, as (role, count) in role order;
-    `networks` the number of distinct networks of the states met;
-    `dedup_hits` the moves into a composite state already met."""
+    `networks` the number of distinct networks numbered: those of the
+    states met, and those that the moves out of a state the queue cap left
+    unexpanded lead to; `dedup_hits` the moves into a composite state
+    already met."""
 
     states_explored: int
     enactments: int
@@ -305,21 +313,38 @@ class _LocalSteps:
     distinct state is expanded once.  Payloads are numbered in a table the
     agents share, and equal payloads are one object.  `origins[k]` is how
     state k was first met: None for the initial state, else (parent state,
-    whether by emission, payload number)."""
+    whether by emission, payload number).
+
+    A `BsplAgent`'s states are numbered by origin: the emission of payload
+    number p from state k gets the next free number once, kept by (k, p)
+    in `_emitted`, and its reception likewise in `_receptions`.  The next
+    history is built only then, and no history is hashed or compared.  This
+    is exact, because `emit` and `receive` each append one observation: a
+    history determines its parent and its last step, so distinct (state,
+    kind, payload) keys give distinct histories, met in the order equality
+    would number them.  Other agents' states are numbered by equality: two
+    of their states may share a history, and one payload may lead to
+    either."""
 
     def __init__(self, agent: AgentExecutor, payloads: Numbering):
         self.role = agent.role
         self.agent = agent
         self.payloads = payloads
-        self._number = Numbering()
-        self.states = self._number.values
+        self._number = None if isinstance(agent, BsplAgent) else Numbering()
+        self.states: list = [] if self._number is None else self._number.values
         self._emissions: list[tuple[tuple[tuple[str, str, Any], int, int], ...] | None] = []
         self._emitted: dict[tuple[int, int], int] = {}
         self._receptions: dict[tuple[int, int], int] = {}
         self.origins: list[tuple[int, bool, int] | None] = []
 
     def number(self, state, origin: tuple[int, bool, int] | None = None) -> int:
-        k = self._number(state)
+        """The state's number: the next free one for a `BsplAgent`, whose
+        callers number each origin once; else that of an equal state."""
+        if self._number is None:
+            k = len(self.states)
+            self.states.append(state)
+        else:
+            k = self._number(state)
         if k == len(self._emissions):
             self._emissions.append(None)
             self.origins.append(origin)
@@ -327,15 +352,20 @@ class _LocalSteps:
 
     def emissions(self, k: int) -> tuple[tuple[tuple[str, str, Any], int, int], ...]:
         """(event, payload number, next state number) per emission, the
-        event (role, EMISSION, payload) built once."""
+        event (role, EMISSION, payload) built once.  A `BsplAgent` lists its
+        payloads, and a next history is built only for an emission that
+        `emitted` has not numbered (as an orbit image) already."""
         out = self._emissions[k]
         if out is None:
-            out = []
-            for payload, nxt in self.agent.emissions(self.states[k]):
-                p = self.payloads(payload)
-                m = self.number(nxt, (k, True, p))
-                self._emitted.setdefault((k, p), m)
-                out.append(((self.role, EMISSION, self.payloads.values[p]), p, m))
+            values = self.payloads.values
+            if self._number is None:
+                ps = map(self.payloads, self.agent.payloads(self.states[k]))
+                out = [((self.role, EMISSION, values[p]), p, self.emitted(k, p)) for p in ps]
+            else:
+                out = []
+                for payload, nxt in self.agent.emissions(self.states[k]):
+                    p = self.payloads(payload)
+                    out.append(((self.role, EMISSION, values[p]), p, self.number(nxt, (k, True, p))))
             out = self._emissions[k] = tuple(out)
         return out
 
@@ -347,8 +377,9 @@ class _LocalSteps:
 
     def emitted(self, k: int, p: int) -> int:
         """The state that state k moves to by emitting payload number p,
-        one of its emissions.  Found by the agent's `emit` when state k was
-        not expanded: only `_Orbits` asks, and only of `BsplAgent`s."""
+        one of its emissions, built by the agent's `emit` when first asked.
+        Only `BsplAgent`s are asked: by `emissions`, and by `_Orbits` for
+        states that may never be expanded."""
         nxt = self._emitted.get((k, p))
         if nxt is None:
             nxt = self._emitted[k, p] = self.number(self.agent.emit(self.states[k], self.payloads.values[p]), (k, True, p))
@@ -682,7 +713,10 @@ class BsplAgent:
     """Eager protocol-driven agent: offers every correct emission available
     from its history, with out-parameter values drawn from instance scripts,
     found by one enabling test per (script, sent schema, candidate key) on
-    parameter names (`_ScriptPlan.emissions`)."""
+    parameter names (`_ScriptPlan.emissions`).  Its state is its history,
+    and `emit` and `receive` each append one observation to it: `explore`
+    numbers its histories by that origin (`_LocalSteps`), and a subclass
+    must keep to it."""
 
     def __init__(self, role: str, scripts: list[InstanceScript]):
         self.role = role
@@ -697,11 +731,15 @@ class BsplAgent:
         return state
 
     def emissions(self, h: History) -> tuple[tuple[MessageInstance, History], ...]:
+        return tuple((mi, self.emit(h, mi)) for mi in self.payloads(h))
+
+    def payloads(self, h: History) -> tuple[MessageInstance, ...]:
+        """`_payloads(h)`, kept by the set of observations h holds."""
         seen = frozenset((o.kind, o.instance) for o in h.observations)
         payloads = self._emitted.get(seen)
         if payloads is None:
             payloads = self._emitted[seen] = self._payloads(h)
-        return tuple((mi, self.emit(h, mi)) for mi in payloads)
+        return payloads
 
     def emit(self, h: History, mi: MessageInstance) -> History:
         """The history after emitting `mi`, one of `emissions(h)`."""

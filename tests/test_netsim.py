@@ -300,6 +300,34 @@ def test_exploration_pinned_with_23_permutations():
     assert repr_digest(result.enactments) == "3845f1a76ed8cf6388aafbb6cf2a13c08157a5b72030692d63d22951dd52bb4c"
 
 
+# pricing x4 FIFO as pinned above, with its (local states, networks, dedup hits)
+PRICING_X4 = ("pricing", 4, "fifo", 134657, 8880, 4, False, "3845f1a76ed8cf6388aafbb6cf2a13c08157a5b72030692d63d22951dd52bb4c")
+PRICING_X4_COUNTS = ((("Buyer", 7365), ("Seller", 7365)), 3317, 79752)
+
+
+def refuse(*args):
+    raise AssertionError("a History was hashed or compared")
+
+
+@pytest.mark.parametrize(
+    "name,instances,policy,states,enactments,depth,exceeded,digest",
+    PINNED_EXPLORATIONS + [PRICING_X4],
+    ids=[f"{c[0]}-x{c[1]}-{c[2]}" for c in PINNED_EXPLORATIONS + [PRICING_X4]],
+)
+def test_the_walk_hashes_and_compares_no_history(name, instances, policy, states, enactments, depth, exceeded, digest):
+    # a BsplAgent's histories are numbered by origin (state, step), so the
+    # walk neither hashes nor compares one; the vectors are built after it
+    with mock.patch.object(History, "__hash__", refuse), mock.patch.object(History, "__eq__", refuse):
+        result = explore(simulate_agents(name, instances), SimPolicy(Delivery(policy)))
+        stats = result.stats
+        read = (stats.states_explored, stats.enactments, stats.max_queue_depth, result.bound_exceeded)
+        counts = (stats.local_states, stats.networks, stats.dedup_hits)
+    assert read == (states, enactments, depth, exceeded)
+    assert counts == {**PINNED_COUNTS, PRICING_X4[:3]: PRICING_X4_COUNTS}[(name, instances, policy)]
+    assert len(result.enactments) == enactments
+    assert repr_digest(result.enactments) == digest
+
+
 def test_repr_digest_matches_repr():
     enactments = explore(simulate_agents("want_willpay", 2), SimPolicy(Delivery.UNORDERED)).enactments
     for items in ((), enactments[:1], enactments[:1] + ((),), enactments):

@@ -164,8 +164,10 @@ def cmd_project(args) -> int:
     text = args.path.read_text()
     doctrine = args.doctrine or {"": "trace-c", ".trace": "trace-c", ".scr": "scribble", ".bspl": "bspl"}.get(suffix, "trace-c")
     if suffix == ".bspl" or doctrine == "bspl":
-        protocol = parse_bspl(text)
-        for local in project_bspl(protocol, args.role):
+        projection = project_bspl(parse_bspl(text), args.role)
+        if args.fsm:
+            raise ValueError("--fsm needs a .trace or .scr protocol: a BSPL projection is a list of messages")
+        for local in projection:
             print(f"{local.direction} {local.schema.name} ({'to' if local.direction == 'send' else 'from'} {local.peer})")
         return 0
     if suffix == ".scr":
@@ -200,6 +202,8 @@ def cmd_realizability(args) -> int:
     suffix = args.path.suffix
     if suffix == ".cupid":
         raise ValueError("realizability reads .trace, .scr, .hapn and .bspl files, not .cupid")
+    if suffix in (".bspl", ".hapn") and args.format == "json":
+        raise ValueError(f"--format json needs a .trace or .scr protocol: a {suffix} verdict is one line of text")
     text = args.path.read_text()
     if suffix == ".bspl":
         protocol = parse_bspl(text)

@@ -10,20 +10,19 @@ breadth-first walk on the exploration core (`graph.explore`) over a
 canonical move ordering with memoized composite states; seeds only
 influence single-run sampling.
 
-What an agent may do next follows from its own state alone, so one
-exploration expands each distinct agent state once.  Within a call, each
-agent's distinct states, the payloads and the networks are numbered, and a
-composite state is a tuple of those numbers.  Payloads and networks are
-numbered by equality.  A BSPL agent's history is numbered by its origin:
-the history that the emission or reception of payload number p leads to
-from state k gets the next free number once per (k, kind, p), and is built
-only then, so the walk never hashes or compares a history (the index
-tables of SPIN's COLLAPSE mode, Holzmann 1997; hash-consing, Filliatre and
-Conchon 2006).  Other agents' states are numbered by equality.  Each
-agent's emissions are computed once per state number and its receptions
-once per (state, payload) number pair; each network's deliveries are
-listed once, and its send and removal successors are found once.  A move
-is then a few table lookups.  Eager BSPL agents read each history's
+Every agent is a `BsplAgent`, and its state is its history: what it may
+do next follows from that history alone, so one exploration expands each
+distinct history once.  Within a call, each agent's histories, the
+payloads and the networks are numbered, and a composite state is a tuple
+of those numbers.  Payloads and networks are numbered by equality.  A
+history is numbered by its origin: the history that the emission or
+reception of payload number p leads to from history k gets the next free
+number once per (k, kind, p), and is built only then, so the walk never
+hashes or compares a history (the index tables of SPIN's COLLAPSE mode,
+Holzmann 1997; hash-consing, Filliatre and Conchon 2006).  Each agent's
+emissions are computed once per history number; each network's
+deliveries are listed once, and its send and removal successors are found
+once.  A move is then a few table lookups.  Agents read each history's
 knowledge in one pass (`bspl.enactment.Knowledge`).  They find their
 emissions by one enabling test per (sent schema, candidate key) on
 parameter names: the schema's 'in' names are known for the key, its other
@@ -37,10 +36,10 @@ renaming one row's values to another's maps reachable states to reachable
 states (Ip and Dill, "Better verification through symmetry", 1996).  The
 walk takes one representative per orbit of that row group, the least
 numbered state of the orbit, and counts each as its orbit's size.  Every
-number records its origin (the state or network it was first reached
+number records its origin (the history or network it was first reached
 from, and by which step) and has an image row, its images under every
 permutation, filled at once from its origin's row by one table lookup per
-permutation: an emission or reception by (state, payload), a send by
+permutation: an emission or reception by (history, payload), a send by
 (network, agent, payload), a removal by (network, send index).  No history
 or network is renamed or rehashed, and no image has its moves listed
 (`_Orbits`).  The number of enactments is the sum of the orbit sizes of
@@ -56,7 +55,7 @@ from enum import Enum
 from functools import partial
 from itertools import permutations, repeat
 from operator import getitem
-from typing import Any, Callable, Iterator, Protocol
+from typing import Any, Callable, Iterator
 
 from .bspl.core import InfoProtocol, MessageSchema
 from .bspl.enactment import (
@@ -149,26 +148,6 @@ def dequeue(queues: tuple, key, index: int) -> tuple:
     return tuple(sorted(table.items()))
 
 
-class AgentExecutor(Protocol):
-    """An agent driven by the simulator.
-
-    `emissions` and `receive` must be pure functions of their arguments:
-    the same state (and payload) always gives equal results, and neither
-    changes the agent.  `explore` relies on this to call each at most once
-    per distinct argument within one exploration.  States must be hashable
-    and immutable."""
-
-    role: str
-
-    def initial(self) -> Any: ...
-
-    def emissions(self, state: Any) -> tuple[tuple[Any, Any], ...]:
-        """Candidate correct emissions as (payload, next_state) pairs."""
-        ...
-
-    def receive(self, state: Any, payload: Any) -> Any: ...
-
-
 @dataclass(frozen=True)
 class ExplorationStats:
     """Counts of one exploration: those of the walk over every state, also
@@ -224,7 +203,7 @@ DEFAULT_QUEUE_CAP = 4
 
 
 def explore(
-    agents: list[AgentExecutor],
+    agents: list[BsplAgent],
     policy: SimPolicy,
     state_cap: int = DEFAULT_STATE_CAP,
     queue_cap: int = DEFAULT_QUEUE_CAP,
@@ -281,13 +260,10 @@ def explore(
     enactments = partial(_enactments, space, orbits, terminals)
     # Terminal states are distinct, so their orbits' sizes add up to the
     # number of enactments when no two of them share a history vector: when
-    # every agent's state is its history, and no network left at a terminal
-    # holds a message (its queue depth is 0, and an empty network's send
-    # count is the vector's count of emissions).  A message to a role no
-    # agent plays stays in transit.
-    if all(isinstance(h, History) for steps in space.local for h in steps.states) and not any(
-        depths[state[-1]] for state in terminals
-    ):
+    # no network left at a terminal holds a message (its queue depth is 0,
+    # and an empty network's send count is the vector's count of
+    # emissions).  A message to a role no agent plays stays in transit.
+    if not any(depths[state[-1]] for state in terminals):
         count = sum(sizes.get(state, 1) for state in terminals)
     else:
         enactments = enactments()
@@ -308,87 +284,59 @@ def _enactments(space: "_StateSpace", orbits: "_Orbits", terminals: list[tuple[i
 
 
 class _LocalSteps:
-    """One agent's `emissions` and `receive` on numbered states, memoized
-    for one exploration.  Both are pure (see AgentExecutor), so each
-    distinct state is expanded once.  Payloads are numbered in a table the
-    agents share, and equal payloads are one object.  `origins[k]` is how
-    state k was first met: None for the initial state, else (parent state,
-    whether by emission, payload number).
+    """One agent's steps on numbered histories, memoized for one
+    exploration.  The agent's steps are pure (see `BsplAgent`), so each
+    distinct history is expanded once.  Payloads are numbered in a table
+    the agents share, and equal payloads are one object.
 
-    A `BsplAgent`'s states are numbered by origin: the emission of payload
-    number p from state k gets the next free number once, kept by (k, p)
-    in `_emitted`, and its reception likewise in `_receptions`.  The next
-    history is built only then, and no history is hashed or compared.  This
-    is exact, because `emit` and `receive` each append one observation: a
-    history determines its parent and its last step, so distinct (state,
-    kind, payload) keys give distinct histories, met in the order equality
-    would number them.  Other agents' states are numbered by equality: two
-    of their states may share a history, and one payload may lead to
-    either."""
+    Histories are numbered by origin, in one `Numbering` whose values are
+    the origins: `origins[0]` is None, the initial history, and
+    `origins[k]` is otherwise (parent history, whether by emission, payload
+    number).  `step` numbers an origin once and builds its history only
+    then (`states[k]`), so no history is hashed or compared.  This is
+    exact, because `emit` and `receive` each append one observation: a
+    history determines its parent and its last step, so distinct origins
+    give distinct histories, met in the order equality would number them."""
 
-    def __init__(self, agent: AgentExecutor, payloads: Numbering):
+    def __init__(self, agent: BsplAgent, payloads: Numbering):
         self.role = agent.role
         self.agent = agent
         self.payloads = payloads
-        self._number = None if isinstance(agent, BsplAgent) else Numbering()
-        self.states: list = [] if self._number is None else self._number.values
-        self._emissions: list[tuple[tuple[tuple[str, str, Any], int, int], ...] | None] = []
-        self._emitted: dict[tuple[int, int], int] = {}
-        self._receptions: dict[tuple[int, int], int] = {}
-        self.origins: list[tuple[int, bool, int] | None] = []
-
-    def number(self, state, origin: tuple[int, bool, int] | None = None) -> int:
-        """The state's number: the next free one for a `BsplAgent`, whose
-        callers number each origin once; else that of an equal state."""
-        if self._number is None:
-            k = len(self.states)
-            self.states.append(state)
-        else:
-            k = self._number(state)
-        if k == len(self._emissions):
-            self._emissions.append(None)
-            self.origins.append(origin)
-        return k
+        self._number = Numbering()
+        self.origins: list[tuple[int, bool, int] | None] = self._number.values
+        self._number(None)
+        self.states: list[History] = [agent.initial()]
+        self._emissions: list[tuple[tuple[tuple[str, str, Any], int, int], ...] | None] = [None]
 
     def emissions(self, k: int) -> tuple[tuple[tuple[str, str, Any], int, int], ...]:
-        """(event, payload number, next state number) per emission, the
-        event (role, EMISSION, payload) built once.  A `BsplAgent` lists its
-        payloads, and a next history is built only for an emission that
-        `emitted` has not numbered (as an orbit image) already."""
+        """(event, payload number, next history number) per emission of
+        history k, the event (role, EMISSION, payload) built once.  A next
+        history is built only for an emission that `step` has not numbered
+        (as an orbit image) already."""
         out = self._emissions[k]
         if out is None:
-            values = self.payloads.values
-            if self._number is None:
-                ps = map(self.payloads, self.agent.payloads(self.states[k]))
-                out = [((self.role, EMISSION, values[p]), p, self.emitted(k, p)) for p in ps]
-            else:
-                out = []
-                for payload, nxt in self.agent.emissions(self.states[k]):
-                    p = self.payloads(payload)
-                    out.append(((self.role, EMISSION, values[p]), p, self.number(nxt, (k, True, p))))
-            out = self._emissions[k] = tuple(out)
+            values, step = self.payloads.values, self.step
+            ps = map(self.payloads, self.agent.payloads(self.states[k]))
+            out = self._emissions[k] = tuple(((self.role, EMISSION, values[p]), p, step(k, True, p)) for p in ps)
         return out
 
-    def receive(self, k: int, p: int) -> int:
-        nxt = self._receptions.get((k, p))
-        if nxt is None:
-            nxt = self._receptions[k, p] = self.number(self.agent.receive(self.states[k], self.payloads.values[p]), (k, False, p))
-        return nxt
-
-    def emitted(self, k: int, p: int) -> int:
-        """The state that state k moves to by emitting payload number p,
-        one of its emissions, built by the agent's `emit` when first asked.
-        Only `BsplAgent`s are asked: by `emissions`, and by `_Orbits` for
-        states that may never be expanded."""
-        nxt = self._emitted.get((k, p))
-        if nxt is None:
-            nxt = self._emitted[k, p] = self.number(self.agent.emit(self.states[k], self.payloads.values[p]), (k, True, p))
+    def step(self, k: int, emitted: bool, p: int) -> int:
+        """The number of the history that history k moves to by emitting
+        (or else receiving) payload number p, built by the agent's `emit`
+        or `receive` when first asked: by `emissions`, by the walk's
+        receptions, and by `_Orbits` for histories that may never be
+        expanded."""
+        nxt = self._number((k, emitted, p))
+        if nxt == len(self.states):
+            h, payload = self.states[k], self.payloads.values[p]
+            self.states.append(self.agent.emit(h, payload) if emitted else self.agent.receive(h, payload))
+            self._emissions.append(None)
         return nxt
 
 
 class _StateSpace:
     """The composite states of some agents under a policy, numbered: a
-    state is a tuple of each agent's state number (agents in role order)
+    state is a tuple of each agent's history number (agents in role order)
     followed by its network's number.  Networks are numbered by equality.
     A network's deliveries (each deliverable envelope's reception event,
     payload number and receivers, and the network left once it is taken)
@@ -400,11 +348,10 @@ class _StateSpace:
     and (parent, send index) for a removal.  `moves` is the one successor
     function of both `explore` and `run_one`."""
 
-    def __init__(self, agents: list[AgentExecutor], policy: SimPolicy):
-        agents = sorted(agents, key=lambda a: a.role)
+    def __init__(self, agents: list[BsplAgent], policy: SimPolicy):
         self.policy = policy
         self.payloads = Numbering()
-        self.local = [_LocalSteps(a, self.payloads) for a in agents]
+        self.local = [_LocalSteps(a, self.payloads) for a in sorted(agents, key=lambda a: a.role)]
         self._network_number = Numbering()
         self.networks: list[Network] = self._network_number.values
         self.depths: list[int] = []
@@ -412,7 +359,7 @@ class _StateSpace:
         self._deliveries: dict[int, tuple[tuple[tuple[str, str, Any], int, tuple[int, ...], int | None], ...]] = {}
         self._sends: dict[tuple[int, int, int], int] = {}
         self._removals: dict[tuple[int, int], int] = {}
-        self.start = tuple(steps.number(a.initial()) for steps, a in zip(self.local, agents)) + (self._network(Network()),)
+        self.start = (0,) * len(self.local) + (self._network(Network()),)
 
     def _network(self, net: Network, origin: tuple[int, ...] | None = None) -> int:
         n = self._network_number(net)
@@ -441,7 +388,7 @@ class _StateSpace:
         m = self._sends.get((n, i, p))
         if m is None:
             payload = self.payloads.values[p]
-            net = self.networks[n].send(self.local[i].role, _receiver_of(payload), payload)
+            net = self.networks[n].send(self.local[i].role, payload.schema.receiver, payload)
             m = self._sends[n, i, p] = self._network(net, (n, i, p))
         return m
 
@@ -485,12 +432,8 @@ class _StateSpace:
                     nexts.append((*before, nxt, *after, m))
         for event, p, receivers, m in deliveries:
             for i in receivers:
-                steps = self.local[i]
-                nxt = steps._receptions.get((state[i], p))
-                if nxt is None:
-                    nxt = steps.receive(state[i], p)
                 events.append(event)
-                nexts.append((*state[:i], nxt, *state[i + 1 : -1], m))
+                nexts.append((*state[:i], self.local[i].step(state[i], False, p), *state[i + 1 : -1], m))
             if self.policy.loss_enabled:
                 events.append((event[0], LOSS, event[2]))
                 nexts.append((*state[:-1], m))
@@ -498,7 +441,7 @@ class _StateSpace:
 
     def vector(self, state: tuple[int, ...]) -> tuple[History, ...]:
         """The agents' histories at a composite state."""
-        return tuple(_history_of(steps.agent, steps.states[k]) for steps, k in zip(self.local, state[:-1]))
+        return tuple(steps.states[k] for steps, k in zip(self.local, state[:-1]))
 
 
 @dataclass(frozen=True)
@@ -520,11 +463,11 @@ class _RowGroup:
         return MessageInstance(mi.schema, tuple(bindings))
 
 
-def _instance_group(agents: list[AgentExecutor]) -> _RowGroup:
+def _instance_group(agents: list[BsplAgent]) -> _RowGroup:
     """The row permutations under which the agents' moves commute with
     renaming, so that a permuted reachable state is reachable with the same
     moves, renamed.  They are all permutations of the rows when every agent
-    is a `BsplAgent` over the same scripts, every script has the same number
+    runs over the same scripts, every script has the same number
     of rows, at least two, each with the same parameters, every parameter's
     values are pairwise distinct across rows and name one row across all
     scripts, and every schema an agent sends has a key.  Then `row_for` finds at most one
@@ -533,7 +476,7 @@ def _instance_group(agents: list[AgentExecutor]) -> _RowGroup:
     met has its image by every permutation in its rows, so beyond
     `_PERMUTED_ROWS` rows only the first that many are permuted: a
     subgroup's orbits partition the states as well, only smaller."""
-    if not agents or not all(isinstance(a, BsplAgent) for a in agents):
+    if not agents:
         return _RowGroup()
     scripts = agents[0].scripts
     if any(a.scripts != scripts for a in agents):
@@ -611,8 +554,8 @@ class _Orbits:
         for steps, table, own in zip(space.local, rows, state):
             for k in _unmapped(table, steps.origins, own):
                 parent, emitted, p = steps.origins[k]
-                step, row, qs = steps.emitted if emitted else steps.receive, table[parent], self._payload_row(p)
-                table[k] = (step(row[0], qs[0]),) if one else tuple(map(step, row, qs))
+                row, qs = table[parent], self._payload_row(p)
+                table[k] = (steps.step(row[0], emitted, qs[0]),) if one else tuple(map(steps.step, row, repeat(emitted), qs))
         table = rows[-1]
         for n in _unmapped(table, space.net_origins, state[-1]):
             row, step = table[space.net_origins[n][0]], space.net_origins[n][1:]
@@ -640,10 +583,6 @@ def _unmapped(table: dict[int, tuple[int, ...]], origins: list, k: int) -> list[
     return path[::-1]
 
 
-def _history_of(agent, state) -> History:
-    return state if isinstance(state, History) else agent.history(state)
-
-
 def history_key(h: History):
     """A history's part of the enactment order: its owner and each
     observation's kind, schema name and bindings."""
@@ -653,14 +592,8 @@ def history_key(h: History):
 LOSS = "L"
 
 
-def _receiver_of(payload) -> str:
-    if isinstance(payload, MessageInstance):
-        return payload.schema.receiver
-    return payload.receiver
-
-
 def run_one(
-    agents: list[AgentExecutor],
+    agents: list[BsplAgent],
     policy: SimPolicy,
     seed: int = 0,
     choice_script: list[int] | None = None,
@@ -710,13 +643,19 @@ class InstanceScript:
 
 
 class BsplAgent:
-    """Eager protocol-driven agent: offers every correct emission available
-    from its history, with out-parameter values drawn from instance scripts,
-    found by one enabling test per (script, sent schema, candidate key) on
-    parameter names (`_ScriptPlan.emissions`).  Its state is its history,
-    and `emit` and `receive` each append one observation to it: `explore`
-    numbers its histories by that origin (`_LocalSteps`), and a subclass
-    must keep to it."""
+    """Eager protocol-driven agent, the one kind of agent the simulator
+    drives: offers every correct emission available from its history,
+    with out-parameter values drawn from instance scripts, found by one
+    enabling test per (script, sent schema, candidate key) on parameter
+    names (`_ScriptPlan.emissions`).  Its state is its history, and `emit`
+    and `receive` each append one observation to it: `explore` numbers its
+    histories by that origin (`_LocalSteps`).
+
+    `payloads`, `emit` and `receive` must be pure functions of their
+    arguments: the same history (and payload) always gives equal results,
+    and none changes the agent.  `explore` relies on this to call each at
+    most once per distinct argument within one exploration.  A subclass
+    must keep to both rules."""
 
     def __init__(self, role: str, scripts: list[InstanceScript]):
         self.role = role
@@ -727,10 +666,9 @@ class BsplAgent:
     def initial(self) -> History:
         return History(self.role)
 
-    def history(self, state: History) -> History:
-        return state
-
     def emissions(self, h: History) -> tuple[tuple[MessageInstance, History], ...]:
+        """(payload, next history) per correct emission from h; the
+        walk reads `payloads` and builds a next history with `emit`."""
         return tuple((mi, self.emit(h, mi)) for mi in self.payloads(h))
 
     def payloads(self, h: History) -> tuple[MessageInstance, ...]:
@@ -748,7 +686,7 @@ class BsplAgent:
     def _payloads(self, h: History) -> tuple[MessageInstance, ...]:
         """The correct emissions from h, sorted by schema name and bindings.
         Knowledge is a set, so they depend only on which observations h
-        holds, not on their order: `emissions` keeps them by that set."""
+        holds, not on their order: `payloads` keeps them by that set."""
         out = [mi for plan in self._plans for mi in plan.emissions(h)]
         out.sort(key=lambda mi: (mi.schema.name, mi.bindings))
         return tuple(out)

@@ -242,6 +242,27 @@ def test_project_names_an_unknown_role(capsys, fixture, protocol, doctrine):
     assert (code, out, err) == (2, "", f"error: \"unknown role 'Nobody' in protocol {protocol}\"\n")
 
 
+def test_project_rejects_fsm_for_a_bspl_protocol(capsys):
+    path = str(FIXDIR / "purchase.bspl")
+    for argv in (("--fsm",), ("--fsm", "--doctrine", "bspl")):
+        code, out, err = run(capsys, "project", path, "Buyer", *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: --fsm needs a .trace or .scr protocol: a BSPL projection is a list of messages\n"
+    code, out, _ = run(capsys, "project", path, "Buyer")
+    assert (code, out.splitlines()[0]) == (0, "send Request (to Seller)")
+
+
+@pytest.mark.parametrize("fixture,verdict", [("purchase.bspl", "Realizable (information"), ("purchase.hapn", "Realizable (state machine")])
+def test_realizability_rejects_json_for_bspl_and_hapn(capsys, fixture, verdict):
+    path = str(FIXDIR / fixture)
+    suffix = Path(fixture).suffix
+    code, out, err = run(capsys, "realizability", path, "--format", "json")
+    assert (code, out) == (2, "")
+    assert err == f"error: --format json needs a .trace or .scr protocol: a {suffix} verdict is one line of text\n"
+    code, out, _ = run(capsys, "realizability", path, "--format", "text")
+    assert code == 0 and out.startswith(verdict)
+
+
 def test_project_reads_the_declared_roles_of_a_scribble_header(capsys, tmp_path):
     # a role the header declares but no message names projects to eps
     path = tmp_path / "idle.scr"

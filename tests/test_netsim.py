@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from protolab import netsim
 from protolab.bspl.core import parse_bspl_file
-from protolab.bspl.enactment import EMISSION, RECEPTION, History, instance_views, is_complete, observe
+from protolab.bspl.enactment import EMISSION, RECEPTION, History, instance_views, is_complete
 from protolab.cli import _auto_rows
 from protolab.matrix import fixture_text
 from protolab.netsim import (
@@ -286,6 +286,39 @@ def test_exploration_pinned(name, instances, policy, states, enactments, depth, 
     assert repr_digest(result.enactments) == digest
     stats = result.stats
     assert (stats.local_states, stats.networks, stats.dedup_hits) == PINNED_COUNTS[(name, instances, policy)]
+
+
+# every fixture at one and two instances under synchronous delivery, which
+# lists no emission while a delivery is due: as in PINNED_EXPLORATIONS, then
+# the local states per role, distinct networks and dedup hits
+PINNED_SYNCHRONOUS = [
+    ("catalog", 1, 5, 1, 1, False, "c01bbce5f02cf21a5d5a4f93f1181838fac56d5eeb9f9d56da0845f301ab2616", (("Provider", 3), ("Seller", 3)), 5, 0),
+    ("flexible_purchase", 1, 11, 2, 1, False, "722c0e703955e6ac8e1423ebe0624a489ad5c5d024f01c5e5fefba2a48354a25", (("Buyer", 6), ("Seller", 6)), 9, 0),
+    ("indirect_payment", 1, 9, 1, 1, False, "421729be9656ee88dfb642a0081668093914e8a817579f9bed76ae5dfd3b6b34", (("Bank", 3), ("Buyer", 4), ("Seller", 4)), 9, 0),
+    ("pricing", 1, 5, 1, 1, False, "e315b4b23d00942550d03d529756a2ea4509b5c9978c27d48eacdc6c8b4b0108", (("Buyer", 3), ("Seller", 3)), 5, 0),
+    ("purchase", 1, 13, 2, 1, False, "9af4c8df3a9250e2291ca2cfb262972346e3fdf0012cd920da60178e8c783997", (("Buyer", 7), ("Seller", 7)), 12, 0),
+    ("want_willpay", 1, 5, 1, 1, False, "c9ff7e40810317f8040ff7ab38031e935a795f47e6bc6379d2e792c79295fd4f", (("Buyer", 3), ("Seller", 3)), 5, 0),
+    ("catalog", 2, 37, 6, 1, False, "08c5790a24f0c1887f0af25fa6649c81b4b6e6e4e64347f48fa92893eaa28b33", (("Provider", 19), ("Seller", 19)), 17, 0),
+    ("flexible_purchase", 2, 449, 80, 1, False, "8d36427b6dee19736e5e31757e3eb7f9a1e72828241130ce7c79d16f4e132743", (("Buyer", 225), ("Seller", 225)), 35, 0),
+    ("indirect_payment", 2, 501, 70, 1, False, "a5d3ff9235b1eff60efc7449475f59fb32d161495d31884175da7ba515daedfc", (("Bank", 19), ("Buyer", 69), ("Seller", 69)), 49, 0),
+    ("pricing", 2, 37, 6, 1, False, "9c38489835c75295be6841450607b3102f54043ce1f5ee12df07b8f197d8cbcf", (("Buyer", 19), ("Seller", 19)), 17, 0),
+    ("purchase", 2, 2389, 384, 1, False, "1551b67b955feda985d2ae8b77ac16712f02e5239c9272d48668f4540b736454", (("Buyer", 1195), ("Seller", 1195)), 83, 0),
+    ("want_willpay", 2, 37, 6, 1, False, "e308b38e2b0f6427644bf57420be47e16756a0f9db7b950998804bf9e8767b5e", (("Buyer", 19), ("Seller", 19)), 17, 0),
+]
+
+
+@pytest.mark.parametrize(
+    "name,instances,states,enactments,depth,exceeded,digest,local_states,networks,dedup_hits",
+    PINNED_SYNCHRONOUS,
+    ids=[f"{c[0]}-x{c[1]}-synchronous" for c in PINNED_SYNCHRONOUS],
+)
+def test_synchronous_exploration_pinned(name, instances, states, enactments, depth, exceeded, digest, local_states, networks, dedup_hits):
+    result = explore(simulate_agents(name, instances), SimPolicy(Delivery.SYNCHRONOUS))
+    stats = result.stats
+    assert (stats.states_explored, stats.enactments, stats.max_queue_depth, result.bound_exceeded) == (states, enactments, depth, exceeded)
+    assert (stats.local_states, stats.networks, stats.dedup_hits) == (local_states, networks, dedup_hits)
+    assert len(result.enactments) == enactments
+    assert repr_digest(result.enactments) == digest
 
 
 def test_exploration_pinned_with_23_permutations():
@@ -597,40 +630,6 @@ def test_messages_left_in_transit_are_counted_from_the_vectors():
     result = explore([BsplAgent("A", scripts), BsplAgent("B", scripts)], SimPolicy(Delivery.UNORDERED))
     assert result.stats.enactments == len(result.enactments) == 1
     assert [len(h.observations) for h in result.enactments[0]] == [1, 1]
-
-
-class TaggedBuyer:
-    """Sends one Request into either of two states that hold the same
-    history: a state that is not its own history."""
-
-    role = "Buyer"
-
-    def __init__(self, request):
-        self.request = request
-
-    def initial(self):
-        return (History("Buyer"), None)
-
-    def emissions(self, state):
-        h, tag = state
-        if tag is not None:
-            return ()
-        after = observe(h, EMISSION, self.request)
-        return ((self.request, (after, 0)), (self.request, (after, 1)))
-
-    def receive(self, state, payload):
-        return state
-
-    def history(self, state):
-        return state[0]
-
-
-def test_agent_states_that_share_a_history_are_counted_from_the_vectors(pricing):
-    scripts = [InstanceScript.make(pricing, [{"ID": "1", "item": "fig", "price": "$5"}])]
-    buyer, seller = BsplAgent("Buyer", scripts), BsplAgent("Seller", scripts)
-    (request, _), = buyer.emissions(buyer.initial())
-    result = explore([TaggedBuyer(request), seller], SimPolicy(Delivery.UNORDERED))
-    assert result.stats.enactments == len(result.enactments) == 1
 
 
 def test_enactment_vectors_are_built_on_first_read():

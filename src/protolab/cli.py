@@ -97,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     realizability.add_argument("--preset", choices=["trace-c", "trace-f", "scribble", "hapn"])
     realizability.add_argument("--delivery", choices=[d.value for d in Delivery])
     realizability.add_argument("--interpretation", choices=[i.value for i in Interpretation])
-    realizability.add_argument("--bound", type=int, default=DEFAULT_UNROLL)
+    realizability.add_argument("--bound", type=int)
     realizability.add_argument("--format", choices=["text", "json"], default="text")
     realizability.set_defaults(func=cmd_realizability)
 
@@ -165,6 +165,8 @@ def cmd_project(args) -> int:
     doctrine = args.doctrine or {"": "trace-c", ".trace": "trace-c", ".scr": "scribble", ".bspl": "bspl"}.get(suffix, "trace-c")
     if suffix == ".bspl" or doctrine == "bspl":
         projection = project_bspl(parse_bspl(text), args.role)
+        if doctrine != "bspl":
+            raise ValueError(f"--doctrine {doctrine} needs a .trace or .scr protocol: a BSPL projection is a list of messages")
         if args.fsm:
             raise ValueError("--fsm needs a .trace or .scr protocol: a BSPL projection is a list of messages")
         for local in projection:
@@ -202,8 +204,14 @@ def cmd_realizability(args) -> int:
     suffix = args.path.suffix
     if suffix == ".cupid":
         raise ValueError("realizability reads .trace, .scr, .hapn and .bspl files, not .cupid")
-    if suffix in (".bspl", ".hapn") and args.format == "json":
-        raise ValueError(f"--format json needs a .trace or .scr protocol: a {suffix} verdict is one line of text")
+    if suffix in (".bspl", ".hapn"):
+        if args.format == "json":
+            raise ValueError(f"--format json needs a .trace or .scr protocol: a {suffix} verdict is one line of text")
+        given = [f"--{name} {getattr(args, name)}" for name in ("preset", "delivery", "interpretation", "bound") if getattr(args, name) is not None]
+        if suffix == ".hapn" and args.preset == "hapn":
+            given.remove("--preset hapn")  # the synchronous stepping a .hapn verdict assumes
+        if given:
+            raise ValueError(f"{', '.join(given)} {'applies' if len(given) == 1 else 'apply'} to .trace and .scr protocols, not to a {suffix} verdict")
     text = args.path.read_text()
     if suffix == ".bspl":
         protocol = parse_bspl(text)
@@ -229,7 +237,7 @@ def cmd_realizability(args) -> int:
             cfg = cfg.with_(delivery=Delivery.FIFO_PAIRWISE)
         if cfg.interpretation is None:
             cfg = cfg.with_(interpretation=Interpretation.RR)
-    verdict = check_realizability(expr, cfg, bound=args.bound)
+    verdict = check_realizability(expr, cfg, bound=DEFAULT_UNROLL if args.bound is None else args.bound)
     record = verdict.to_record(str(args.path), cfg)
     if args.format == "json":
         record["schema_version"] = SCHEMA_VERSION

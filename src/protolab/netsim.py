@@ -14,13 +14,18 @@ Every agent is a `BsplAgent`, and its state is its history: what it may
 do next follows from that history alone, so one exploration expands each
 distinct history once.  Within a call, each agent's histories, the
 payloads and the networks are numbered, and a composite state is a tuple
-of those numbers.  Payloads and networks are numbered by equality.  A
-history is numbered by its origin: the history that the emission or
-reception of payload number p leads to from history k gets the next free
-number once per (k, kind, p), and is built only then, so the walk never
-hashes or compares a history (the index tables of SPIN's COLLAPSE mode,
-Holzmann 1997; hash-consing, Filliatre and Conchon 2006).  Each agent's
-emissions are computed once per history number; each network's
+of those numbers.  Payloads are numbered by equality.  A history is
+numbered by its origin: the history that the emission or reception of
+payload number p leads to from history k gets the next free number once
+per (k, kind, p), and is built only then, so the walk never hashes or
+compares a history (the index tables of SPIN's COLLAPSE mode, Holzmann
+1997; hash-consing, Filliatre and Conchon 2006).  A network is numbered
+by a flat key of its in-transit sends, (sent count, ((send index, sender
+role, payload number), ...)) in send order.  The key is exact: a message
+carries its send index, its receiver is its payload schema's, and payload
+numbers stand for equal payloads, so two keys are equal exactly when the
+`Network`s they stand for are, and the walk builds no `Network`.  Each
+agent's emissions are computed once per history number; each network's
 deliveries are listed once, and its send and removal successors are found
 once.  A move is then a few table lookups.  Agents read each history's
 knowledge in one pass (`bspl.enactment.Knowledge`).  They find their
@@ -106,7 +111,9 @@ class Envelope:
 @dataclass(frozen=True)
 class Network:
     """In-transit state: per-channel tuples preserve send order so FIFO can
-    deliver heads while unordered delivery may pick any element."""
+    deliver heads while unordered delivery may pick any element.  The walk
+    numbers networks by a flat key instead (`_StateSpace`), which stands
+    for exactly one `Network`."""
 
     channels: tuple[tuple[tuple[str, str], tuple[Envelope, ...]], ...] = ()
     sent_count: int = 0
@@ -337,49 +344,69 @@ class _LocalSteps:
 class _StateSpace:
     """The composite states of some agents under a policy, numbered: a
     state is a tuple of each agent's history number (agents in role order)
-    followed by its network's number.  Networks are numbered by equality.
-    A network's deliveries (each deliverable envelope's reception event,
-    payload number and receivers, and the network left once it is taken)
-    are listed on the network's first expansion; its send successors and
-    each removal, by send index, are found once, on first use.  A removal
-    that no move takes (no agent receives the envelope and loss is off) is
-    not made.  `net_origins[n]` is how network n was first met: None for
-    the empty network, (parent, agent index, payload number) for a send,
-    and (parent, send index) for a removal.  `moves` is the one successor
-    function of both `explore` and `run_one`."""
+    followed by its network's number.  A network is numbered by one flat
+    key, (sent count, ((send index, sender role, payload number), ...)),
+    its in-transit sends in send order.  Two keys are equal exactly when
+    the `Network`s they stand for are: an envelope's receiver is its
+    payload schema's, it carries its send index, and payloads are numbered
+    by equality.  So no `Network` or `Envelope` is built or hashed, and
+    networks are numbered in the order equality would number them.
+    `depths[n]` is network n's largest count of messages on one channel
+    (sender role, receiver).  A network's deliveries (each deliverable
+    send's reception event, payload number and receivers, and the network
+    left once it is taken) are listed on the network's first expansion;
+    its send successors and each removal, by send index, are found once,
+    on first use.  A removal that no move takes (no agent receives the
+    message and loss is off) is not made.  `net_origins[n]` is how network
+    n was first met: None for the empty network, (parent, agent index,
+    payload number) for a send, and (parent, send index) for a removal.
+    `moves` is the one successor function of both `explore` and
+    `run_one`."""
 
     def __init__(self, agents: list[BsplAgent], policy: SimPolicy):
         self.policy = policy
         self.payloads = Numbering()
         self.local = [_LocalSteps(a, self.payloads) for a in sorted(agents, key=lambda a: a.role)]
         self._network_number = Numbering()
-        self.networks: list[Network] = self._network_number.values
+        self.networks: list[tuple[int, tuple[tuple[int, str, int], ...]]] = self._network_number.values
         self.depths: list[int] = []
         self.net_origins: list[tuple[int, ...] | None] = []
         self._deliveries: dict[int, tuple[tuple[tuple[str, str, Any], int, tuple[int, ...], int | None], ...]] = {}
         self._sends: dict[tuple[int, int, int], int] = {}
         self._removals: dict[tuple[int, int], int] = {}
-        self.start = (0,) * len(self.local) + (self._network(Network()),)
+        self.start = (0,) * len(self.local) + (self._network((0, ())),)
 
-    def _network(self, net: Network, origin: tuple[int, ...] | None = None) -> int:
-        n = self._network_number(net)
+    def _network(self, key: tuple[int, tuple[tuple[int, str, int], ...]], origin: tuple[int, ...] | None = None) -> int:
+        n = self._network_number(key)
         if n == len(self.depths):
-            self.depths.append(net.max_queue_depth())
+            values, depths = self.payloads.values, {}
+            for _, sender, p in key[1]:
+                channel = (sender, values[p].schema.receiver)
+                depths[channel] = depths.get(channel, 0) + 1
+            self.depths.append(max(depths.values(), default=0))
             self.net_origins.append(origin)
         return n
 
     def deliveries(self, n: int) -> tuple[tuple[tuple[str, str, Any], int, tuple[int, ...], int | None], ...]:
         """(reception event, payload number, receiving agents, network
-        after its removal) per deliverable envelope of network n, in send
-        order; the network is None when no move takes the envelope."""
+        after its removal) per deliverable send of network n, in send
+        order: under FIFO the first send on each channel, else every send.
+        The network is None when no move takes the message."""
         out = self._deliveries.get(n)
         if out is None:
+            values, fifo = self.payloads.values, self.policy.delivery is Delivery.FIFO_PAIRWISE
+            heads: set[tuple[str, str]] = set()
             out = []
-            for env in self.networks[n].deliverable(self.policy):
-                p = self.payloads(env.payload)
-                receivers = tuple(i for i, steps in enumerate(self.local) if steps.role == env.receiver)
-                m = self.remove(n, env.send_index) if receivers or self.policy.loss_enabled else None
-                out.append(((env.receiver, RECEPTION, self.payloads.values[p]), p, receivers, m))
+            for s, sender, p in self.networks[n][1]:
+                payload = values[p]
+                receiver = payload.schema.receiver
+                if fifo:
+                    if (sender, receiver) in heads:
+                        continue
+                    heads.add((sender, receiver))
+                receivers = tuple(i for i, steps in enumerate(self.local) if steps.role == receiver)
+                m = self.remove(n, s) if receivers or self.policy.loss_enabled else None
+                out.append(((receiver, RECEPTION, payload), p, receivers, m))
             out = self._deliveries[n] = tuple(out)
         return out
 
@@ -387,19 +414,17 @@ class _StateSpace:
         """The network n leaves once agent i sends payload number p."""
         m = self._sends.get((n, i, p))
         if m is None:
-            payload = self.payloads.values[p]
-            net = self.networks[n].send(self.local[i].role, payload.schema.receiver, payload)
-            m = self._sends[n, i, p] = self._network(net, (n, i, p))
+            count, sends = self.networks[n]
+            m = self._sends[n, i, p] = self._network((count + 1, (*sends, (count, self.local[i].role, p))), (n, i, p))
         return m
 
     def remove(self, n: int, s: int) -> int:
-        """The network n leaves once the envelope with send index s is
+        """The network n leaves once the message with send index s is
         taken out of it."""
         m = self._removals.get((n, s))
         if m is None:
-            net = self.networks[n]
-            env = next(env for _, queue in net.channels for env in queue if env.send_index == s)
-            m = self._removals[n, s] = self._network(net.remove(env), (n, s))
+            count, sends = self.networks[n]
+            m = self._removals[n, s] = self._network((count, tuple(e for e in sends if e[0] != s)), (n, s))
         return m
 
     def moves(self, state: tuple[int, ...]) -> tuple[list[tuple[str, str, Any]], list[tuple[int, ...]]]:

@@ -252,6 +252,40 @@ def test_project_rejects_fsm_for_a_bspl_protocol(capsys):
     assert (code, out.splitlines()[0]) == (0, "send Request (to Seller)")
 
 
+@pytest.mark.parametrize("doctrine", ["trace-c", "trace-f", "scribble"])
+def test_project_rejects_a_cfp_doctrine_for_a_bspl_protocol(capsys, doctrine):
+    code, out, err = run(capsys, "project", str(FIXDIR / "purchase.bspl"), "Buyer", "--doctrine", doctrine)
+    assert (code, out) == (2, "")
+    assert err == f"error: --doctrine {doctrine} needs a .trace or .scr protocol: a BSPL projection is a list of messages\n"
+
+
+@pytest.mark.parametrize("fixture", ["purchase.bspl", "purchase.hapn"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--preset", "trace-c"),
+        ("--preset", "trace-f"),
+        ("--preset", "scribble"),
+        ("--delivery", "unordered"),
+        ("--interpretation", "RR"),
+        ("--bound", "3"),
+    ],
+)
+def test_realizability_rejects_cfp_options_for_bspl_and_hapn(capsys, fixture, argv):
+    code, out, err = run(capsys, "realizability", str(FIXDIR / fixture), *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {' '.join(argv)} applies to .trace and .scr protocols, not to a {Path(fixture).suffix} verdict\n"
+
+
+def test_realizability_takes_the_hapn_preset_only_for_a_hapn_machine(capsys):
+    code, out, _ = run(capsys, "realizability", str(FIXDIR / "purchase.hapn"), "--preset", "hapn")
+    assert (code, out) == (0, "Realizable (state machine under synchronous stepping)\n")
+    code, out, err = run(capsys, "realizability", str(FIXDIR / "purchase.bspl"), "--preset", "hapn")
+    assert (code, out, err) == (2, "", "error: --preset hapn applies to .trace and .scr protocols, not to a .bspl verdict\n")
+    code, out, err = run(capsys, "realizability", str(FIXDIR / "purchase.hapn"), "--preset", "hapn", "--bound", "2", "--delivery", "fifo")
+    assert (code, out, err) == (2, "", "error: --delivery fifo, --bound 2 apply to .trace and .scr protocols, not to a .hapn verdict\n")
+
+
 @pytest.mark.parametrize("fixture,verdict", [("purchase.bspl", "Realizable (information"), ("purchase.hapn", "Realizable (state machine")])
 def test_realizability_rejects_json_for_bspl_and_hapn(capsys, fixture, verdict):
     path = str(FIXDIR / fixture)

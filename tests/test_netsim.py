@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 from dataclasses import replace
 from unittest import mock
@@ -13,6 +14,7 @@ from protolab.matrix import fixture_text
 from protolab.netsim import (
     BsplAgent,
     Delivery,
+    Envelope,
     InstanceScript,
     Network,
     SimPolicy,
@@ -361,6 +363,87 @@ def test_the_walk_hashes_and_compares_no_history(name, instances, policy, states
     assert repr_digest(result.enactments) == digest
 
 
+def refuse_network(*args, **kwargs):
+    raise AssertionError("a Network was built, hashed or stepped")
+
+
+@pytest.mark.parametrize(
+    "name,instances,policy,states,enactments,depth,exceeded,digest",
+    PINNED_EXPLORATIONS + [PRICING_X4],
+    ids=[f"{c[0]}-x{c[1]}-{c[2]}" for c in PINNED_EXPLORATIONS + [PRICING_X4]],
+)
+def test_the_walk_builds_no_network(name, instances, policy, states, enactments, depth, exceeded, digest):
+    # networks are numbered by a flat key of their in-transit sends, so the
+    # walk neither builds nor hashes a Network or an Envelope
+    patches = [(Network, attr) for attr in ("__init__", "__hash__", "send", "remove", "deliverable")] + [(Envelope, "__hash__")]
+    with contextlib.ExitStack() as stack:
+        for cls, attr in patches:
+            stack.enter_context(mock.patch.object(cls, attr, refuse_network))
+        result = explore(simulate_agents(name, instances), SimPolicy(Delivery(policy)))
+        stats = result.stats
+        assert (stats.states_explored, stats.enactments, stats.max_queue_depth, result.bound_exceeded) == (states, enactments, depth, exceeded)
+        assert (stats.local_states, stats.networks, stats.dedup_hits) == {**PINNED_COUNTS, PRICING_X4[:3]: PRICING_X4_COUNTS}[(name, instances, policy)]
+        assert len(result.enactments) == enactments
+        assert repr_digest(result.enactments) == digest
+
+
+def rebuilt_networks(space):
+    """Each network `space` numbered, as a `Network`, rebuilt by replaying
+    its `net_origins` through `Network.send` and `Network.remove`."""
+    nets = []
+    for origin in space.net_origins:
+        if origin is None:
+            nets.append(Network())
+        elif len(origin) == 3:  # a send, by (agent, payload)
+            parent, i, p = origin
+            payload = space.payloads.values[p]
+            nets.append(nets[parent].send(space.local[i].role, payload.schema.receiver, payload))
+        else:  # a removal, by send index
+            parent, s = origin
+            net = nets[parent]
+            nets.append(net.remove(next(env for _, queue in net.channels for env in queue if env.send_index == s)))
+    return nets
+
+
+def recorded_orbits(name, instances, policy):
+    """The `_Orbits` (and through it the `_StateSpace`) of one exploration."""
+    made = []
+
+    class Recorded(netsim._Orbits):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    with mock.patch.object(netsim, "_Orbits", Recorded):
+        explore(simulate_agents(name, instances), SimPolicy(Delivery(policy)))
+    (orbits,) = made
+    return orbits
+
+
+@pytest.mark.parametrize(
+    "name,instances,policy",
+    [c[:3] for c in PINNED_EXPLORATIONS],
+    ids=[f"{c[0]}-x{c[1]}-{c[2]}" for c in PINNED_EXPLORATIONS],
+)
+def test_network_keys_agree_with_networks(name, instances, policy):
+    # the flat keys, against the Networks they stand for: one key per
+    # distinct network, the same queue depth and the same deliveries, in
+    # the same order, each leading to the network with that envelope removed
+    space = recorded_orbits(name, instances, policy).space
+    deliveries = [space.deliveries(n) for n in range(len(space.networks))]
+    nets = rebuilt_networks(space)
+    assert len(nets) == len(space.networks) == len(set(nets))
+    for n, net in enumerate(nets):
+        assert space.depths[n] == net.max_queue_depth()
+    for net, listed in zip(nets, deliveries):
+        envelopes = net.deliverable(space.policy)
+        assert len(listed) == len(envelopes)
+        for (event, p, receivers, m), env in zip(listed, envelopes):
+            assert (event, space.payloads.values[p]) == ((env.receiver, RECEPTION, env.payload), env.payload)
+            assert receivers == tuple(i for i, steps in enumerate(space.local) if steps.role == env.receiver)
+            assert m is not None and nets[m] == net.remove(env)
+
+
 def test_repr_digest_matches_repr():
     enactments = explore(simulate_agents("want_willpay", 2), SimPolicy(Delivery.UNORDERED)).enactments
     for items in ((), enactments[:1], enactments[:1] + ((),), enactments):
@@ -467,16 +550,7 @@ def renamed_network(group, perm, net):
     ids=[f"{c[0]}-x{c[1]}-{c[2]}" for c in PINNED_EXPLORATIONS if c[1] > 1],
 )
 def test_every_table_image_is_the_component_renamed(name, instances, policy):
-    made = []
-
-    class Recorded(netsim._Orbits):
-        def __init__(self, *args):
-            super().__init__(*args)
-            made.append(self)
-
-    with mock.patch.object(netsim, "_Orbits", Recorded):
-        explore(simulate_agents(name, instances), SimPolicy(Delivery(policy)))
-    (orbits,) = made
+    orbits = recorded_orbits(name, instances, policy)
     space, group = orbits.space, orbits.group
     assert group.perms
     for p, row in orbits._payload_rows.items():
@@ -486,9 +560,10 @@ def test_every_table_image_is_the_component_renamed(name, instances, policy):
         for k, row in rows.items():
             for perm, image in zip(group.perms, row, strict=True):
                 assert steps.states[image] == renamed_history(group, perm, steps.states[k])
+    nets = rebuilt_networks(space)
     for n, row in orbits.rows[-1].items():
         for perm, image in zip(group.perms, row, strict=True):
-            assert space.networks[image] == renamed_network(group, perm, space.networks[n])
+            assert nets[image] == renamed_network(group, perm, nets[n])
     images = sum(len(row) for rows in orbits.rows for row in rows.values())
     assert images > len(space.start) * len(group.perms)  # more than the start state's
 

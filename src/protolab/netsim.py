@@ -17,24 +17,27 @@ payloads and the networks are numbered, and a composite state is a tuple
 of those numbers.  Payloads are numbered by equality.  A history is
 numbered by its origin: the history that the emission or reception of
 payload number p leads to from history k gets the next free number once
-per (k, kind, p), and is built only then, so the walk never hashes or
-compares a history (the index tables of SPIN's COLLAPSE mode, Holzmann
-1997; hash-consing, Filliatre and Conchon 2006).  A network is numbered
-by a flat key of its in-transit sends, (sent count, ((send index, sender
-role, payload number), ...)) in send order.  The key is exact: a message
-carries its send index, its receiver is its payload schema's, and payload
-numbers stand for equal payloads, so two keys are equal exactly when the
+per (k, kind, p).  A history is built on read, from its nearest built
+ancestor, so the walk never hashes or compares a history (the index
+tables of SPIN's COLLAPSE mode, Holzmann 1997; hash-consing, Filliatre
+and Conchon 2006).  A network is numbered by a flat key of its
+in-transit sends, (sent count, ((send index, sender role, payload
+number), ...)) in send order.  The key is exact: a message carries its
+send index, its receiver is its payload schema's, and payload numbers
+stand for equal payloads, so two keys are equal exactly when the
 `Network`s they stand for are, and the walk builds no `Network`.  Each
-agent's emissions are computed once per history number; each network's
-deliveries are listed once, and its send and removal successors are found
-once.  A move is then a few table lookups.  Agents read each history's
-knowledge in one pass (`bspl.enactment.Knowledge`).  They find their
-emissions by one enabling test per (sent schema, candidate key) on
+history number also has a knowledge-set number, the set of its
+(emitted, payload number) pairs numbered by equality: knowledge is a set,
+so histories that hold the same observations in another order emit the
+same payloads.  Emissions are kept per numbered knowledge set, and the
+walk builds a history only for a set it meets for the first time, with
+the ancestors it is replayed from.  Each network's deliveries are listed
+once, and its send and removal successors are found once.  A move is then a few table lookups.  Agents read each
+history's knowledge in one pass (`bspl.enactment.Knowledge`).  They find
+their emissions by one enabling test per (sent schema, candidate key) on
 parameter names: the schema's 'in' names are known for the key, its other
 names are not, and it was not emitted for the key.  Only enabled instances
-are built.  Agents keep their emissions by the set of observations a
-history holds: knowledge is a set, so histories that differ only in the
-order of the same observations emit the same payloads.
+are built.
 
 Instances that differ only in their script row values are symmetric:
 renaming one row's values to another's maps reachable states to reachable
@@ -275,7 +278,7 @@ def explore(
     else:
         enactments = enactments()
         count = len(enactments)
-    local_states = tuple((steps.role, len(steps.states)) for steps in space.local)
+    local_states = tuple((steps.role, len(steps.origins)) for steps in space.local)
     met = sum(sizes.get(state, 1) for state in graph.states)
     states = state_cap if capped else taken
     stats = ExplorationStats(states, count, max_depth, local_states, len(space.networks), moves - (met - 1))
@@ -299,11 +302,19 @@ class _LocalSteps:
     Histories are numbered by origin, in one `Numbering` whose values are
     the origins: `origins[0]` is None, the initial history, and
     `origins[k]` is otherwise (parent history, whether by emission, payload
-    number).  `step` numbers an origin once and builds its history only
-    then (`states[k]`), so no history is hashed or compared.  This is
-    exact, because `emit` and `receive` each append one observation: a
-    history determines its parent and its last step, so distinct origins
-    give distinct histories, met in the order equality would number them."""
+    number).  `step` only numbers an origin, so no history is hashed or
+    compared.  This is exact, because `emit` and `receive` each append one
+    observation: a history determines its parent and its last step, so
+    distinct origins give distinct histories, met in the order equality
+    would number them.  A history is built when first read (`history`).
+
+    Each history number has a knowledge-set number, `set_of[k]`: the set
+    of its (emitted, payload number) pairs, numbered by equality, the
+    initial history's empty.  A new
+    history's set is found from its parent's set and the step, in a memo.
+    Knowledge is a set, so what an agent may emit depends only on that
+    set: its emissions are kept per set number, and the agent's enabling
+    test runs once per set, on the first history read with it."""
 
     def __init__(self, agent: BsplAgent, payloads: Numbering):
         self.role = agent.role
@@ -312,32 +323,53 @@ class _LocalSteps:
         self._number = Numbering()
         self.origins: list[tuple[int, bool, int] | None] = self._number.values
         self._number(None)
-        self.states: list[History] = [agent.initial()]
+        self._built: dict[int, History] = {0: agent.initial()}
         self._emissions: list[tuple[tuple[tuple[str, str, Any], int, int], ...] | None] = [None]
+        self._sets = Numbering()
+        self.set_of: list[int] = [self._sets(frozenset())]
+        self._set_steps: dict[tuple[int, bool, int], int] = {}
+        self._offered: dict[int, tuple[tuple[tuple[str, str, Any], int], ...]] = {}
+
+    def history(self, k: int) -> History:
+        """History k, built on first read from its nearest built ancestor by
+        replaying the steps down from it; each history built is kept."""
+        built, origins, values = self._built, self.origins, self.payloads.values
+        for j in _unmapped(built, origins, k):
+            parent, emitted, p = origins[j]
+            h = built[parent]
+            built[j] = self.agent.emit(h, values[p]) if emitted else self.agent.receive(h, values[p])
+        return built[k]
 
     def emissions(self, k: int) -> tuple[tuple[tuple[str, str, Any], int, int], ...]:
         """(event, payload number, next history number) per emission of
-        history k, the event (role, EMISSION, payload) built once.  A next
-        history is built only for an emission that `step` has not numbered
-        (as an orbit image) already."""
+        history k.  The events (role, EMISSION, payload) and payload
+        numbers are kept per knowledge set, found by the agent on the
+        first history read with that set."""
         out = self._emissions[k]
         if out is None:
-            values, step = self.payloads.values, self.step
-            ps = map(self.payloads, self.agent.payloads(self.states[k]))
-            out = self._emissions[k] = tuple(((self.role, EMISSION, values[p]), p, step(k, True, p)) for p in ps)
+            s = self.set_of[k]
+            offered = self._offered.get(s)
+            if offered is None:
+                values = self.payloads.values
+                ps = map(self.payloads, self.agent._payloads(self.history(k)))
+                offered = self._offered[s] = tuple(((self.role, EMISSION, values[p]), p) for p in ps)
+            step = self.step
+            out = self._emissions[k] = tuple((event, p, step(k, True, p)) for event, p in offered)
         return out
 
     def step(self, k: int, emitted: bool, p: int) -> int:
         """The number of the history that history k moves to by emitting
-        (or else receiving) payload number p, built by the agent's `emit`
-        or `receive` when first asked: by `emissions`, by the walk's
-        receptions, and by `_Orbits` for histories that may never be
-        expanded."""
+        (or else receiving) payload number p, numbered when first asked:
+        by `emissions`, by the walk's receptions, and by `_Orbits` for
+        histories that may never be expanded."""
         nxt = self._number((k, emitted, p))
-        if nxt == len(self.states):
-            h, payload = self.states[k], self.payloads.values[p]
-            self.states.append(self.agent.emit(h, payload) if emitted else self.agent.receive(h, payload))
+        if nxt == len(self.set_of):
             self._emissions.append(None)
+            s = self.set_of[k]
+            t = self._set_steps.get((s, emitted, p))
+            if t is None:
+                t = self._set_steps[s, emitted, p] = self._sets(self._sets.values[s] | {(emitted, p)})
+            self.set_of.append(t)
         return nxt
 
 
@@ -466,7 +498,7 @@ class _StateSpace:
 
     def vector(self, state: tuple[int, ...]) -> tuple[History, ...]:
         """The agents' histories at a composite state."""
-        return tuple(steps.states[k] for steps, k in zip(self.local, state[:-1]))
+        return tuple(steps.history(k) for steps, k in zip(self.local, state[:-1]))
 
 
 @dataclass(frozen=True)
@@ -676,33 +708,27 @@ class BsplAgent:
     and `receive` each append one observation to it: `explore` numbers its
     histories by that origin (`_LocalSteps`).
 
-    `payloads`, `emit` and `receive` must be pure functions of their
+    `_payloads`, `emit` and `receive` must be pure functions of their
     arguments: the same history (and payload) always gives equal results,
-    and none changes the agent.  `explore` relies on this to call each at
-    most once per distinct argument within one exploration.  A subclass
-    must keep to both rules."""
+    and none changes the agent.  `_payloads` must moreover depend only on
+    the set of observations a history holds, each as (kind, instance), not
+    on their order or ticks.  `explore` relies on this to call `emit` and
+    `receive` at most once per distinct argument, and `_payloads` once per
+    distinct set, within one exploration.  A subclass must keep to these
+    rules."""
 
     def __init__(self, role: str, scripts: list[InstanceScript]):
         self.role = role
         self.scripts = tuple(scripts)
         self._plans = tuple(_ScriptPlan(script, role) for script in self.scripts)
-        self._emitted: dict[frozenset[tuple[str, MessageInstance]], tuple[MessageInstance, ...]] = {}
 
     def initial(self) -> History:
         return History(self.role)
 
     def emissions(self, h: History) -> tuple[tuple[MessageInstance, History], ...]:
         """(payload, next history) per correct emission from h; the
-        walk reads `payloads` and builds a next history with `emit`."""
-        return tuple((mi, self.emit(h, mi)) for mi in self.payloads(h))
-
-    def payloads(self, h: History) -> tuple[MessageInstance, ...]:
-        """`_payloads(h)`, kept by the set of observations h holds."""
-        seen = frozenset((o.kind, o.instance) for o in h.observations)
-        payloads = self._emitted.get(seen)
-        if payloads is None:
-            payloads = self._emitted[seen] = self._payloads(h)
-        return payloads
+        walk reads `_payloads` and builds a next history with `emit`."""
+        return tuple((mi, self.emit(h, mi)) for mi in self._payloads(h))
 
     def emit(self, h: History, mi: MessageInstance) -> History:
         """The history after emitting `mi`, one of `emissions(h)`."""
@@ -711,7 +737,7 @@ class BsplAgent:
     def _payloads(self, h: History) -> tuple[MessageInstance, ...]:
         """The correct emissions from h, sorted by schema name and bindings.
         Knowledge is a set, so they depend only on which observations h
-        holds, not on their order: `payloads` keeps them by that set."""
+        holds, not on their order: `explore` keeps them by that set."""
         out = [mi for plan in self._plans for mi in plan.emissions(h)]
         out.sort(key=lambda mi: (mi.schema.name, mi.bindings))
         return tuple(out)

@@ -15,9 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from protolab.bspl.core import Adornment, InfoProtocol, MessageSchema, parse_bspl
 from protolab.bspl.enactment import EMISSION, RECEPTION, IntegrityConflict, Key, Knowledge, MessageInstance
-from protolab.netsim import BsplAgent, Delivery, InstanceScript, SimPolicy, explore
+from protolab.netsim import BsplAgent, InstanceScript
 from test_knowledge import LAB, OTHER, VALUES, history, msg
-from test_netsim import PINNED_COUNTS, PINNED_EXPLORATIONS, simulate_agents
+from test_netsim import PINNED_COUNTS, PINNED_EXPLORATIONS, recorded_orbits
 
 # LAB's Step has a key that mixes 'in' and 'out'.  MIX's Step has the key
 # (ID, sub), sub being a key of Step alone, and both 'in'.  Open's key
@@ -128,40 +128,24 @@ def payloads(role: str, scripts: list[InstanceScript], h) -> tuple[MessageInstan
 # every local state of the pinned explorations
 
 
-class RecordingAgent(BsplAgent):
-    """A `BsplAgent` that keeps every history it starts from, emits to or
-    receives into: each local state an exploration numbers."""
-
-    def __init__(self, role: str, scripts: list[InstanceScript]):
-        super().__init__(role, scripts)
-        self.reached: dict = {}
-
-    def initial(self):
-        return self._reach(super().initial())
-
-    def emit(self, h, mi):
-        return self._reach(super().emit(h, mi))
-
-    def receive(self, h, mi):
-        return self._reach(super().receive(h, mi))
-
-    def _reach(self, h):
-        self.reached[h] = None
-        return h
-
-
 @pytest.mark.parametrize(
     "name,instances,policy",
     [c[:3] for c in PINNED_EXPLORATIONS],
     ids=[f"{c[0]}-x{c[1]}-{c[2]}" for c in PINNED_EXPLORATIONS],
 )
 def test_every_local_state_of_a_pinned_exploration_emits_what_the_oracle_does(name, instances, policy):
-    agents = [RecordingAgent(a.role, a.scripts) for a in simulate_agents(name, instances)]
-    explore(agents, SimPolicy(Delivery(policy)))
-    assert tuple((a.role, len(a.reached)) for a in agents) == PINNED_COUNTS[(name, instances, policy)][0]
-    for agent in agents:
-        for h in agent.reached:
-            assert payloads(agent.role, agent.scripts, h) == oracle_payloads(agent.role, agent.scripts, h)
+    # every history the walk numbers, built from its origin, whether or
+    # not the walk read it
+    space = recorded_orbits(name, instances, policy).space
+    counts = []
+    for steps in space.local:
+        histories = [steps.history(k) for k in range(len(steps.origins))]
+        assert len(set(histories)) == len(histories)
+        counts.append((steps.role, len(histories)))
+        scripts = steps.agent.scripts
+        for h in histories:
+            assert payloads(steps.role, scripts, h) == oracle_payloads(steps.role, scripts, h)
+    assert tuple(counts) == PINNED_COUNTS[(name, instances, policy)][0]
 
 
 # ---------------------------------------------------------------------------

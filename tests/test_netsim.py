@@ -387,6 +387,69 @@ def test_the_walk_builds_no_network(name, instances, policy, states, enactments,
         assert repr_digest(result.enactments) == digest
 
 
+# observe calls while explore walks pricing x4 FIFO (it numbers 14,728
+# histories, most of them orbit images that no move reads)
+PRICING_X4_OBSERVED = 60
+
+
+def lineage(origins, k):
+    """History k and the histories it was first reached from."""
+    while k:
+        yield k
+        k = origins[k][0]
+    yield 0
+
+
+@pytest.mark.parametrize(
+    "name,instances,policy,states,enactments,depth,exceeded,digest",
+    PINNED_EXPLORATIONS + [PRICING_X4],
+    ids=[f"{c[0]}-x{c[1]}-{c[2]}" for c in PINNED_EXPLORATIONS + [PRICING_X4]],
+)
+def test_the_walk_builds_only_the_histories_it_reads(name, instances, policy, states, enactments, depth, exceeded, digest):
+    # the walk builds a history only to find the emissions of a knowledge
+    # set it meets for the first time, with the ancestors it is replayed
+    # from, and builds each once; the vectors are built when read
+    observed, read = [], []
+    observe, payloads = netsim.observe, BsplAgent._payloads
+
+    def counted(*args):
+        observed.append(args)
+        return observe(*args)
+
+    def recorded(agent, h):
+        read.append(h)
+        return payloads(agent, h)
+
+    with mock.patch.object(netsim, "observe", counted), mock.patch.object(BsplAgent, "_payloads", recorded):
+        result, orbits = recorded_exploration(name, instances, policy)
+    local = orbits.space.local
+    firsts = {id(h) for h in read}
+    for steps in local:
+        built = steps._built
+        first = [k for k, h in built.items() if id(h) in firsts]
+        assert len({steps.set_of[k] for k in first}) == len(first) == len(steps._offered)
+        assert {j for k in first for j in lineage(steps.origins, k)} == set(built)
+    assert len(read) == len(firsts)
+    assert len(observed) == sum(len(steps._built) - 1 for steps in local)
+    if (name, instances, policy) == PRICING_X4[:3]:
+        assert len(observed) == PRICING_X4_OBSERVED
+    assert (result.stats.states_explored, len(result.enactments), repr_digest(result.enactments)) == (states, enactments, digest)
+
+
+@pytest.mark.parametrize(
+    "name,instances,policy",
+    [c[:3] for c in PINNED_EXPLORATIONS],
+    ids=[f"{c[0]}-x{c[1]}-{c[2]}" for c in PINNED_EXPLORATIONS],
+)
+def test_knowledge_set_numbers_are_exact(name, instances, policy):
+    # two histories share a knowledge-set number exactly when they hold
+    # the same observations, each as (kind, instance), in whatever order
+    for steps in recorded_orbits(name, instances, policy).space.local:
+        sets = [frozenset((o.kind, o.instance) for o in steps.history(k).observations) for k in range(len(steps.origins))]
+        assert len(steps.set_of) == len(sets)
+        assert len(set(zip(steps.set_of, sets))) == len(set(steps.set_of)) == len(set(sets))
+
+
 def rebuilt_networks(space):
     """Each network `space` numbered, as a `Network`, rebuilt by replaying
     its `net_origins` through `Network.send` and `Network.remove`."""
@@ -405,8 +468,8 @@ def rebuilt_networks(space):
     return nets
 
 
-def recorded_orbits(name, instances, policy):
-    """The `_Orbits` (and through it the `_StateSpace`) of one exploration."""
+def recorded_exploration(name, instances, policy):
+    """One exploration's result and its `_Orbits` (and through it the `_StateSpace`)."""
     made = []
 
     class Recorded(netsim._Orbits):
@@ -415,9 +478,14 @@ def recorded_orbits(name, instances, policy):
             made.append(self)
 
     with mock.patch.object(netsim, "_Orbits", Recorded):
-        explore(simulate_agents(name, instances), SimPolicy(Delivery(policy)))
+        result = explore(simulate_agents(name, instances), SimPolicy(Delivery(policy)))
     (orbits,) = made
-    return orbits
+    return result, orbits
+
+
+def recorded_orbits(name, instances, policy):
+    """The `_Orbits` (and through it the `_StateSpace`) of one exploration."""
+    return recorded_exploration(name, instances, policy)[1]
 
 
 @pytest.mark.parametrize(
@@ -559,7 +627,7 @@ def test_every_table_image_is_the_component_renamed(name, instances, policy):
     for steps, rows in zip(space.local, orbits.rows):
         for k, row in rows.items():
             for perm, image in zip(group.perms, row, strict=True):
-                assert steps.states[image] == renamed_history(group, perm, steps.states[k])
+                assert steps.history(image) == renamed_history(group, perm, steps.history(k))
     nets = rebuilt_networks(space)
     for n, row in orbits.rows[-1].items():
         for perm, image in zip(group.perms, row, strict=True):

@@ -72,6 +72,10 @@ class InfoProtocol:
     def key_names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.public_params if p.is_key)
 
+    @cached_property
+    def message_names(self) -> frozenset[str]:
+        return frozenset(m.name for m in self.messages)
+
     def message(self, name: str) -> MessageSchema:
         for m in self.messages:
             if m.name == name:

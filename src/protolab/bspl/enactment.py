@@ -159,31 +159,68 @@ def check_emission(h: History, m: MessageInstance, p: InfoProtocol) -> EmissionE
 
 
 class Knowledge:
-    """What one history knows under one protocol, read in one pass: each
-    observation's key is computed once, and the known bindings for a key
-    are built once, when first asked for.  `emitted` holds the (schema
-    name, key) of every emission in the history.  `known_bindings` and
-    `check_emission` read a fresh one; a caller with many questions about
-    one history builds one and asks it each of them."""
+    """What one history knows under one protocol: each observation's
+    instance and key (`instances`, `keys`), the (schema name, key) of
+    every emission (`emitted`), the distinct keys of the observations of
+    the protocol's own schemas, in order of first observation
+    (`observed`), and the known bindings for a key, built once, when first
+    asked for.  `Knowledge(h, protocol)` reads a history in one pass;
+    `known_bindings` and `check_emission` read a fresh one, and a caller
+    with many questions about one history builds one and asks it each of
+    them.  `after` grows a knowledge by one observation without reading a
+    history: a caller that walks histories step by step keeps one per
+    step."""
+
+    __slots__ = ("owner", "protocol", "instances", "keys", "emitted", "observed", "_bindings")
 
     def __init__(self, h: History, protocol: InfoProtocol):
-        self.history = h
+        self.owner = h.owner
         self.protocol = protocol
-        self.keys: tuple[Key, ...] = tuple(obs.instance.key(protocol) for obs in h.observations)
-        self.emitted: set[tuple[str, Key]] = {
+        self.instances: tuple[MessageInstance, ...] = tuple(obs.instance for obs in h.observations)
+        self.keys: tuple[Key, ...] = tuple(mi.key(protocol) for mi in self.instances)
+        self.emitted: frozenset[tuple[str, Key]] = frozenset(
             (obs.instance.schema.name, key) for obs, key in zip(h.observations, self.keys) if obs.kind == EMISSION
-        }
+        )
+        names = protocol.message_names
+        self.observed: tuple[Key, ...] = tuple(dict.fromkeys(key for mi, key in zip(self.instances, self.keys) if mi.schema.name in names))
         self._bindings: dict[Key, dict[str, str] | IntegrityConflict] = {}
 
+    def after(self, kind: str, instance: MessageInstance) -> "Knowledge":
+        """This knowledge plus one observation of `instance` as `kind`.
+        Each union of known bindings built so far for a key that contains
+        the instance's key takes the instance's bindings, or becomes a
+        conflict, as `union_bindings` would read them last; every other
+        union is shared, and a union not built yet is built when first
+        asked for."""
+        protocol = self.protocol
+        key = instance.key(protocol)
+        new = Knowledge.__new__(Knowledge)
+        new.owner, new.protocol = self.owner, protocol
+        new.instances = (*self.instances, instance)
+        new.keys = (*self.keys, key)
+        new.emitted = self.emitted | {(instance.schema.name, key)} if kind == EMISSION else self.emitted
+        observed = self.observed
+        new.observed = observed if key in observed or instance.schema.name not in protocol.message_names else (*observed, key)
+        new._bindings = {
+            query: _extended(query, known, instance) if all(pair in query for pair in key) else known
+            for query, known in self._bindings.items()
+        }
+        return new
+
     def bindings(self, key: Key) -> dict[str, str]:
-        """`known_bindings(self.history, key, self.protocol)`.  The dict is
-        shared by every call for this key, so callers must not change it."""
-        known = self._union(key)
+        """`known_bindings` for `key`.  The dict is shared by every call
+        for this key, and by the knowledge `after` grows from this one
+        while the new observation leaves it as it is, so callers must not
+        change it."""
+        known = self.union(key)
         if isinstance(known, IntegrityConflict):
             raise known.with_traceback(None)
         return known
 
-    def _union(self, key: Key) -> dict[str, str] | IntegrityConflict:
+    def union(self, key: Key) -> dict[str, str] | IntegrityConflict:
+        """`bindings` for `key`, or the conflict it would raise, returned:
+        a caller that only skips a conflicted key raises nothing, and a
+        knowledge kept for long keeps no traceback."""
         known = self._bindings.get(key)
         if known is None:
             known = self._bindings[key] = self._read(key)
@@ -191,19 +228,18 @@ class Knowledge:
 
     def _read(self, key: Key) -> dict[str, str] | IntegrityConflict:
         query = set(key)
-        instances = [obs.instance for obs, obs_key in zip(self.history.observations, self.keys) if query.issuperset(obs_key)]
+        instances = [mi for mi, mi_key in zip(self.instances, self.keys) if query.issuperset(mi_key)]
         try:
             return union_bindings(key, instances)
         except IntegrityConflict as conflict:
             return conflict.with_traceback(None)
 
     def check_emission(self, m: MessageInstance) -> EmissionError | None:
-        """`check_emission(self.history, m, self.protocol)`."""
-        h = self.history
-        if h.owner != m.schema.sender:
-            raise ValueError(f"{h.owner} is not the sender of {m.schema.name}")
+        """`check_emission` for `m` on the history this knowledge is of."""
+        if self.owner != m.schema.sender:
+            raise ValueError(f"{self.owner} is not the sender of {m.schema.name}")
         key = m.key(self.protocol)
-        known = self._union(key)
+        known = self.union(key)
         if isinstance(known, IntegrityConflict):
             return EmissionError("IntegrityConflict", known.param, str(known))
         values = m.binding_map()
@@ -223,6 +259,25 @@ class Knowledge:
         if (m.schema.name, key) in self.emitted:
             return EmissionError("DuplicateMessage", None, f"{m.schema.name} already emitted for key {dict(key)}")
         return None
+
+
+def _extended(key: Key, known: dict[str, str] | IntegrityConflict, instance: MessageInstance) -> dict[str, str] | IntegrityConflict:
+    """The union `known` for `key` with the instance's bindings read after
+    it: a new dict when they add a binding, `known` itself when they add
+    none, and the conflict at the first parameter they bind to a second
+    value."""
+    if isinstance(known, IntegrityConflict):
+        return known
+    added = None
+    for param, value in instance.bindings:
+        bound = known.get(param)
+        if bound is None:
+            if added is None:
+                added = dict(known)
+            added[param] = value
+        elif bound != value:
+            return IntegrityConflict(param, bound, value, key)
+    return known if added is None else added
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import matrix as matrix_mod
-from .bspl.core import parse_bspl, parse_bspl_file, project_bspl, validate_bspl
+from .bspl.core import InfoProtocol, parse_bspl_file, project_bspl, validate_bspl
 from .cfp.ast import has_shuffle, roles
 from .cfp.fsm import export_fsm, extract_fsm
 from .cfp.projection import MergeFailure, print_local, project_scribble, project_trace_c, project_trace_f
@@ -164,7 +164,7 @@ def cmd_project(args) -> int:
     text = args.path.read_text()
     doctrine = args.doctrine or {"": "trace-c", ".trace": "trace-c", ".scr": "scribble", ".bspl": "bspl"}.get(suffix, "trace-c")
     if suffix == ".bspl" or doctrine == "bspl":
-        projection = project_bspl(parse_bspl(text), args.role)
+        projection = project_bspl(_one_protocol(args.path, text, "project"), args.role)
         if doctrine != "bspl":
             raise ValueError(f"--doctrine {doctrine} needs a .trace or .scr protocol: a BSPL projection is a list of messages")
         if args.fsm:
@@ -214,11 +214,13 @@ def cmd_realizability(args) -> int:
             raise ValueError(f"{', '.join(given)} {'applies' if len(given) == 1 else 'apply'} to .trace and .scr protocols, not to a {suffix} verdict")
     text = args.path.read_text()
     if suffix == ".bspl":
-        protocol = parse_bspl(text)
-        errors = [d for d in validate_bspl(protocol) if d.severity is Severity.ERROR]
+        protocols = parse_bspl_file(text)
+        if not protocols:
+            raise ValueError(f"{args.path} holds no protocol")
+        errors = [(p, d) for p in protocols for d in validate_bspl(p) if d.severity is Severity.ERROR]
         if errors:
-            for d in errors:
-                print(d)
+            for p, d in errors:
+                print(f"{p.name}: {d}" if len(protocols) > 1 else d)
             return 1
         print("Realizable (information protocols are enactable from local histories; projections are trivial)")
         return 0
@@ -247,6 +249,14 @@ def cmd_realizability(args) -> int:
         for note in verdict.notes:
             print(f"  - {note}")
     return 0 if verdict.realizable else 1
+
+
+def _one_protocol(path: Path, text: str, command: str) -> InfoProtocol:
+    """The one protocol of a .bspl source that `command` reads."""
+    protocols = parse_bspl_file(text)
+    if len(protocols) != 1:
+        raise ValueError(f"{path} holds {len(protocols)} protocols; {command} reads one")
+    return protocols[0]
 
 
 def _auto_rows(protocol, count: int) -> list[dict[str, str]]:
@@ -294,7 +304,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_commitments(args) -> int:
-    protocol = parse_bspl(args.protocol.read_text())
+    protocol = _one_protocol(args.protocol, args.protocol.read_text(), "commitments --protocol")
     spec = parse_cupid(args.cupid.read_text())
     missing = bind_spec(spec, protocol)
     if missing:

@@ -29,15 +29,16 @@ stand for equal payloads, so two keys are equal exactly when the
 history number also has a knowledge-set number, the set of its
 (emitted, payload number) pairs numbered by equality: knowledge is a set,
 so histories that hold the same observations in another order emit the
-same payloads.  Emissions are kept per numbered knowledge set, and the
-walk builds a history only for a set it meets for the first time, with
-the ancestors it is replayed from.  Each network's deliveries are listed
-once, and its send and removal successors are found once.  A move is then a few table lookups.  Agents read each
-history's knowledge in one pass (`bspl.enactment.Knowledge`).  They find
-their emissions by one enabling test per (sent schema, candidate key) on
-parameter names: the schema's 'in' names are known for the key, its other
-names are not, and it was not emitted for the key.  Only enabled instances
-are built.
+same payloads.  Each set has a knowledge record per instance script
+(`bspl.enactment.Knowledge`), grown from its origin set's record by one
+observation (`Knowledge.after`), so the walk builds no history either;
+only the enactment vectors do.  Emissions are kept per numbered knowledge
+set.  Each network's deliveries are listed once, and its send and removal
+successors are found once.  A move is then a few table lookups.  Agents
+find a set's emissions by one enabling test per (sent schema, candidate
+key) on parameter names: the schema's 'in' names are known for the key,
+its other names are not, and it was not emitted for the key.  Only
+enabled instances are built.
 
 Instances that differ only in their script row values are symmetric:
 renaming one row's values to another's maps reachable states to reachable
@@ -310,11 +311,15 @@ class _LocalSteps:
 
     Each history number has a knowledge-set number, `set_of[k]`: the set
     of its (emitted, payload number) pairs, numbered by equality, the
-    initial history's empty.  A new
-    history's set is found from its parent's set and the step, in a memo.
+    initial history's empty.  A new history's set is found from its
+    parent's set and the step, in a memo, and a new set records its
+    origin, `set_origins[s]` = (parent set, emitted, payload number).
     Knowledge is a set, so what an agent may emit depends only on that
     set: its emissions are kept per set number, and the agent's enabling
-    test runs once per set, on the first history read with it."""
+    test runs once per set, on the set's knowledge records (`knowledge`),
+    one per script, each grown from its origin set's by one observation.
+    A repeated observation leaves a history's set, and so its records, as
+    they are."""
 
     def __init__(self, agent: BsplAgent, payloads: Numbering):
         self.role = agent.role
@@ -327,7 +332,9 @@ class _LocalSteps:
         self._emissions: list[tuple[tuple[tuple[str, str, Any], int, int], ...] | None] = [None]
         self._sets = Numbering()
         self.set_of: list[int] = [self._sets(frozenset())]
+        self.set_origins: list[tuple[int, bool, int] | None] = [None]
         self._set_steps: dict[tuple[int, bool, int], int] = {}
+        self._knowledge: dict[int, tuple[Knowledge, ...]] = {0: agent.knowledge(self._built[0])}
         self._offered: dict[int, tuple[tuple[tuple[str, str, Any], int], ...]] = {}
 
     def history(self, k: int) -> History:
@@ -340,18 +347,29 @@ class _LocalSteps:
             built[j] = self.agent.emit(h, values[p]) if emitted else self.agent.receive(h, values[p])
         return built[k]
 
+    def knowledge(self, s: int) -> tuple[Knowledge, ...]:
+        """Knowledge set s's records, one per script plan, each grown on
+        first read from its origin set's by one observation (`after`), and
+        kept."""
+        records, origins, values = self._knowledge, self.set_origins, self.payloads.values
+        for j in _unmapped(records, origins, s):
+            parent, emitted, p = origins[j]
+            kind, mi = EMISSION if emitted else RECEPTION, values[p]
+            records[j] = tuple(known.after(kind, mi) for known in records[parent])
+        return records[s]
+
     def emissions(self, k: int) -> tuple[tuple[tuple[str, str, Any], int, int], ...]:
         """(event, payload number, next history number) per emission of
         history k.  The events (role, EMISSION, payload) and payload
         numbers are kept per knowledge set, found by the agent on the
-        first history read with that set."""
+        set's knowledge records when the set is first read."""
         out = self._emissions[k]
         if out is None:
             s = self.set_of[k]
             offered = self._offered.get(s)
             if offered is None:
                 values = self.payloads.values
-                ps = map(self.payloads, self.agent._payloads(self.history(k)))
+                ps = map(self.payloads, self.agent._payloads(self.knowledge(s)))
                 offered = self._offered[s] = tuple(((self.role, EMISSION, values[p]), p) for p in ps)
             step = self.step
             out = self._emissions[k] = tuple((event, p, step(k, True, p)) for event, p in offered)
@@ -369,6 +387,8 @@ class _LocalSteps:
             t = self._set_steps.get((s, emitted, p))
             if t is None:
                 t = self._set_steps[s, emitted, p] = self._sets(self._sets.values[s] | {(emitted, p)})
+                if t == len(self.set_origins):
+                    self.set_origins.append((s, emitted, p))
             self.set_of.append(t)
         return nxt
 
@@ -708,14 +728,16 @@ class BsplAgent:
     and `receive` each append one observation to it: `explore` numbers its
     histories by that origin (`_LocalSteps`).
 
-    `_payloads`, `emit` and `receive` must be pure functions of their
-    arguments: the same history (and payload) always gives equal results,
-    and none changes the agent.  `_payloads` must moreover depend only on
-    the set of observations a history holds, each as (kind, instance), not
-    on their order or ticks.  `explore` relies on this to call `emit` and
-    `receive` at most once per distinct argument, and `_payloads` once per
-    distinct set, within one exploration.  A subclass must keep to these
-    rules."""
+    `knowledge`, `_payloads`, `emit` and `receive` must be pure functions
+    of their arguments: equal arguments always give equal results, and
+    none changes the agent.  `_payloads` reads knowledge records, not a
+    history, and must moreover depend only on the set of observations the
+    records stand for, each as (kind, instance), not on their order or
+    ticks: `explore` gives it the records of `knowledge(initial())` grown
+    by `Knowledge.after`, one distinct observation at a time.  `explore`
+    relies on this to call `emit` and `receive` at most once per distinct
+    argument, and `_payloads` once per distinct set, within one
+    exploration.  A subclass must keep to these rules."""
 
     def __init__(self, role: str, scripts: list[InstanceScript]):
         self.role = role
@@ -726,19 +748,25 @@ class BsplAgent:
         return History(self.role)
 
     def emissions(self, h: History) -> tuple[tuple[MessageInstance, History], ...]:
-        """(payload, next history) per correct emission from h; the
-        walk reads `_payloads` and builds a next history with `emit`."""
-        return tuple((mi, self.emit(h, mi)) for mi in self._payloads(h))
+        """(payload, next history) per correct emission from h; the walk
+        reads `_payloads` on knowledge records and builds no history."""
+        return tuple((mi, self.emit(h, mi)) for mi in self._payloads(self.knowledge(h)))
+
+    def knowledge(self, h: History) -> tuple[Knowledge, ...]:
+        """What h knows, one record per script, under the script's protocol."""
+        return tuple(Knowledge(h, plan.protocol) for plan in self._plans)
 
     def emit(self, h: History, mi: MessageInstance) -> History:
         """The history after emitting `mi`, one of `emissions(h)`."""
         return observe(h, EMISSION, mi)
 
-    def _payloads(self, h: History) -> tuple[MessageInstance, ...]:
-        """The correct emissions from h, sorted by schema name and bindings.
-        Knowledge is a set, so they depend only on which observations h
-        holds, not on their order: `explore` keeps them by that set."""
-        out = [mi for plan in self._plans for mi in plan.emissions(h)]
+    def _payloads(self, knowledge: tuple[Knowledge, ...]) -> tuple[MessageInstance, ...]:
+        """The correct emissions from a history, given what it knows (one
+        record per script, as `knowledge` gives), sorted by schema name
+        and bindings.  Knowledge is a set, so they depend only on which
+        observations the history holds, not on their order: `explore`
+        keeps them by that set."""
+        out = [mi for plan, known in zip(self._plans, knowledge) for mi in plan.emissions(known)]
         out.sort(key=lambda mi: (mi.schema.name, mi.bindings))
         return tuple(out)
 
@@ -764,15 +792,14 @@ class _Send:
 
 class _ScriptPlan:
     """What an agent reads of one instance script, computed once: its
-    rows, the schemas the agent sends (`_Send`) and the names of the
-    protocol's schemas.  Rows are looked up by key on first use.
-    `emissions` runs the enabling tests on one history."""
+    rows and the schemas the agent sends (`_Send`).  Rows are looked up
+    by key on first use.  `emissions` runs the enabling tests on what
+    one history knows under the script's protocol."""
 
     def __init__(self, script: InstanceScript, role: str):
         p = script.protocol
         self.protocol = p
         self.rows = script.row_maps()
-        self.names = frozenset(m.name for m in p.messages)
         self.sends = tuple(self._send(schema) for schema in p.messages if schema.sender == role)
         self._rows_by_key: dict[Key, dict[str, str] | None] = {}
 
@@ -786,24 +813,23 @@ class _ScriptPlan:
             row_keys = tuple(dict.fromkeys(tuple((k, row[k]) for k in key_params) for row in rows))
         return _Send(schema, key_params, ins, outs, outs.difference(key_params), row_keys)
 
-    def emissions(self, h: History) -> list[MessageInstance]:
-        """The instances of the sent schemas that h enables.  A schema's
-        candidate keys are the distinct keys of h's observations of this
-        protocol's schemas that bind all of its key parameters, in order of
-        first observation, then its row keys.  The schema is enabled for a
-        key when all of these hold:
+    def emissions(self, knowledge: Knowledge) -> list[MessageInstance]:
+        """The instances of the sent schemas that a history enables, given
+        what it knows under this protocol.  A schema's candidate keys are
+        those of the observed keys (`Knowledge.observed`) that bind all of
+        its key parameters, cut down to them, then its row keys.  The
+        schema is enabled for a key when all of these hold:
 
-        - what h knows for the key has no conflict;
+        - what the history knows for the key has no conflict;
         - it binds every 'in' name, each 'in' key parameter to its value in
           the key;
         - it binds none of the schema's other names;
         - the key's script row holds every non-key 'out' name;
-        - h has not emitted the schema for the key.
+        - the history has not emitted the schema for the key.
 
         That is the rule `Knowledge.check_emission` checks on one instance,
         tested here on names, so that only enabled instances are built."""
-        knowledge = Knowledge(h, self.protocol)
-        observed = self.observed_keys(knowledge)
+        observed = [dict(key) for key in knowledge.observed]
         emitted = knowledge.emitted
         keys_by_params: dict[tuple[str, ...], dict[Key, None]] = {}
         out = []
@@ -820,9 +846,8 @@ class _ScriptPlan:
             for key in keys:
                 if (name, key) in emitted:
                     continue
-                try:
-                    known = knowledge.bindings(key)
-                except IntegrityConflict:
+                known = knowledge.union(key)
+                if isinstance(known, IntegrityConflict):
                     continue
                 names = known.keys()
                 if not (names >= sent.ins and names.isdisjoint(sent.outs)):
@@ -835,13 +860,6 @@ class _ScriptPlan:
                 values = {**row, **dict(key), **known}
                 out.append(MessageInstance(sent.schema, tuple((q, values[q]) for q in sent.schema.param_names())))
         return out
-
-    def observed_keys(self, knowledge: Knowledge) -> list[dict[str, str]]:
-        """The distinct keys of the history's observations of this
-        protocol's schemas, as maps, in order of first observation."""
-        observations = knowledge.history.observations
-        keys = dict.fromkeys(k for obs, k in zip(observations, knowledge.keys) if obs.instance.schema.name in self.names)
-        return [dict(k) for k in keys]
 
     def row_for(self, key: Key) -> dict[str, str] | None:
         """The first row that agrees with every binding of `key`."""

@@ -38,6 +38,22 @@ def random_protocol(rng: random.Random) -> InfoProtocol:
     return InfoProtocol(f"P{rng.randint(0, 999)}", roles, tuple(public), tuple(messages))
 
 
+def bspl_chain(name: str, length: int, roles: tuple[str, str] = ("A", "B")) -> str:
+    """BSPL source of one causal chain of `length` messages between two
+    roles, each message 'in' the value the one before it made 'out', so
+    each instance enacts strictly in order, the sender alternating."""
+    lines = [
+        f"protocol {name} {{",
+        f"  roles {roles[0]}, {roles[1]}",
+        "  parameters " + ", ".join(["out ID key", *(f"out p{i}" for i in range(1, length + 1))]),
+    ]
+    for i in range(1, length + 1):
+        sender, receiver = roles if i % 2 else roles[::-1]
+        ins = "out ID" if i == 1 else f"in ID, in p{i - 1}"
+        lines.append(f"  {sender} -> {receiver}: M{i}[{ins}, out p{i}]")
+    return "\n".join([*lines, "}"]) + "\n"
+
+
 def random_cfp(
     rng: random.Random,
     depth: int = 3,

@@ -297,6 +297,42 @@ def test_realizability_rejects_json_for_bspl_and_hapn(capsys, fixture, verdict):
     assert code == 0 and out.startswith(verdict)
 
 
+def two_protocols(tmp_path, spare=""):
+    """A .bspl file holding pricing then catalog, whose public parameters
+    take `spare` as well."""
+    catalog = (FIXDIR / "catalog.bspl").read_text().replace("out req, out products\n", f"out req, out products{spare}\n")
+    path = tmp_path / "two.bspl"
+    path.write_text((FIXDIR / "pricing.bspl").read_text() + catalog)
+    return path
+
+
+def test_realizability_validates_every_protocol_of_a_file(capsys, tmp_path):
+    code, out, err = run(capsys, "realizability", str(two_protocols(tmp_path)))
+    assert (code, out, err) == (0, "Realizable (information protocols are enactable from local histories; projections are trivial)\n", "")
+    # a public parameter in no message: each error as check prints it
+    path = two_protocols(tmp_path, ", out spare")
+    _, checked, _ = run(capsys, "check", str(path))
+    code, out, err = run(capsys, "realizability", str(path))
+    assert (code, out, err) == (1, checked, "")
+    assert out == "Catalog: error: PublicParamUnused [spare]: public parameter spare appears in no message\n"
+    # one protocol: its errors as before, unnamed
+    single = tmp_path / "catalog.bspl"
+    single.write_text("protocol Catalog" + path.read_text().split("protocol Catalog")[1])
+    code, out, err = run(capsys, "realizability", str(single))
+    assert (code, out, err) == (1, "error: PublicParamUnused [spare]: public parameter spare appears in no message\n", "")
+
+
+def test_project_and_commitments_read_one_protocol(capsys, tmp_path):
+    path = two_protocols(tmp_path)
+    code, out, err = run(capsys, "project", str(path), "Seller")
+    assert (code, out, err) == (2, "", f"error: {path} holds 2 protocols; project reads one\n")
+    log = tmp_path / "run.log"
+    log.write_text("0 Buyer E Request ID=1,item=fig\n")
+    args = ("--cupid", str(FIXDIR / "deliver_payment.cupid"), "--log", str(log), "--now", "5")
+    code, out, err = run(capsys, "commitments", "--protocol", str(path), *args)
+    assert (code, out, err) == (2, "", f"error: {path} holds 2 protocols; commitments --protocol reads one\n")
+
+
 def test_project_reads_the_declared_roles_of_a_scribble_header(capsys, tmp_path):
     # a role the header declares but no message names projects to eps
     path = tmp_path / "idle.scr"

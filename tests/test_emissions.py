@@ -1,23 +1,31 @@
 """A BSPL agent's emissions, found by one enabling test per (sent schema,
 candidate key) (`netsim.BsplAgent._payloads` over `_ScriptPlan.emissions`),
-against the loop that test replaced, kept here verbatim as the oracle: it
-builds every candidate instance and asks `Knowledge.check_emission` about
-each.  Both must give the same tuple, in the same order, on every local
-state the pinned explorations reach, and on generated histories and script
-rows over the protocols of `test_knowledge.py` and `MIX` below."""
+against the loop that test replaced, kept here as the oracle: it builds
+every candidate instance and asks `Knowledge.check_emission` about each.
+The enabling test reads knowledge records grown one observation at a time
+(`Knowledge.after`), as the exploration grows them; the oracle reads each
+history whole (`Knowledge(h, protocol)`).  Both must give the same tuple,
+in the same order, on every local state the pinned explorations reach, and
+on generated histories and script rows over the protocols of
+`test_knowledge.py` and `MIX` below.  Every knowledge set that an
+exploration numbers must moreover have records whose unions and emitted
+pairs equal those read from scratch from the set's observations."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from generators import bspl_chain
 from protolab.bspl.core import Adornment, InfoProtocol, MessageSchema, parse_bspl
 from protolab.bspl.enactment import EMISSION, RECEPTION, IntegrityConflict, Key, Knowledge, MessageInstance
+from protolab.cli import _auto_rows
 from protolab.netsim import BsplAgent, InstanceScript
 from test_knowledge import LAB, OTHER, VALUES, history, msg
-from test_netsim import PINNED_COUNTS, PINNED_EXPLORATIONS, recorded_orbits
+from test_netsim import PINNED_COUNTS, PINNED_EXPLORATIONS, PRICING_X4, recorded_orbits, recorded_walk, simulate_agents
 
 # LAB's Step has a key that mixes 'in' and 'out'.  MIX's Step has the key
 # (ID, sub), sub being a key of Step alone, and both 'in'.  Open's key
@@ -64,8 +72,8 @@ class OraclePlan:
             )
         return OracleSend(schema, key_params, row_keys)
 
-    def observed_keys(self, knowledge: Knowledge) -> list[dict[str, str]]:
-        observations = knowledge.history.observations
+    def observed_keys(self, h, knowledge: Knowledge) -> list[dict[str, str]]:
+        observations = h.observations
         keys = dict.fromkeys(k for obs, k in zip(observations, knowledge.keys) if obs.instance.schema.name in self.names)
         return [dict(k) for k in keys]
 
@@ -79,7 +87,7 @@ def oracle_payloads(role: str, scripts: list[InstanceScript], h) -> tuple[Messag
     out = []
     for plan in (OraclePlan(script, role) for script in scripts):
         knowledge = Knowledge(h, plan.protocol)
-        observed = plan.observed_keys(knowledge)
+        observed = plan.observed_keys(h, knowledge)
         for sent in plan.sends:
             for key in candidate_keys(observed, sent):
                 mi = instantiate(knowledge, plan, sent, key)
@@ -120,8 +128,20 @@ def instantiate(knowledge: Knowledge, plan: OraclePlan, sent: OracleSend, key: K
 
 
 def payloads(role: str, scripts: list[InstanceScript], h) -> tuple[MessageInstance, ...]:
-    """The enabling test's answer, from an agent with nothing memoized."""
-    return BsplAgent(role, scripts)._payloads(h)
+    """The enabling test's answer, from an agent with nothing memoized, on
+    knowledge grown as the walk grows it: from the initial history's, one
+    observation at a time (`Knowledge.after`), a repeated one skipped as
+    set numbering skips it, with the answer asked for at every step so
+    that each step extends the unions the one before it built."""
+    agent = BsplAgent(role, scripts)
+    knowledge = agent.knowledge(agent.initial())
+    seen = set()
+    for o in h.observations:
+        agent._payloads(knowledge)
+        if (o.kind, o.instance) not in seen:
+            seen.add((o.kind, o.instance))
+            knowledge = tuple(known.after(o.kind, o.instance) for known in knowledge)
+    return agent._payloads(knowledge)
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +166,84 @@ def test_every_local_state_of_a_pinned_exploration_emits_what_the_oracle_does(na
         for h in histories:
             assert payloads(steps.role, scripts, h) == oracle_payloads(steps.role, scripts, h)
     assert tuple(counts) == PINNED_COUNTS[(name, instances, policy)][0]
+
+
+# ---------------------------------------------------------------------------
+# every numbered knowledge set of an exploration: its records, grown one
+# observation at a time, against unions read from scratch
+
+
+def chain_agents(length, instances):
+    protocol = parse_bspl(bspl_chain(f"Chain{length}", length))
+    scripts = [InstanceScript.make(protocol, _auto_rows(protocol, instances))]
+    return [BsplAgent(role, scripts) for role in protocol.roles]
+
+
+# (the agents, as a function that makes them, and the policy) per exploration
+KNOWLEDGE_WALKS = {
+    **{f"{name}-x{n}-{policy}": (partial(simulate_agents, name, n), policy) for name, n, policy, *_ in PINNED_EXPLORATIONS + [PRICING_X4]},
+    **{
+        f"chain{length}-x{n}-{policy}": (partial(chain_agents, length, n), policy)
+        for length, n in ((8, 1), (16, 1), (32, 1), (3, 2), (4, 2))
+        for policy in ("fifo", "unordered")
+    },
+    "pricing+catalog-x2-fifo": (partial(simulate_agents, "pricing", 2, "catalog"), "fifo"),
+}
+
+CONFLICT = "conflict"
+
+
+def scratch_union(key: Key, observed, protocol: InfoProtocol):
+    """The bindings of the observed instances whose key is within `key`,
+    or CONFLICT where one parameter has two values."""
+    values: dict[str, set[str]] = {}
+    for _, mi in observed:
+        if set(mi.key(protocol)) <= set(key):
+            for param, value in mi.bindings:
+                values.setdefault(param, set()).add(value)
+    if any(len(vs) > 1 for vs in values.values()):
+        return CONFLICT
+    return {param: value for param, (value,) in values.items()}
+
+
+def record_union(knowledge: Knowledge, key: Key):
+    try:
+        return knowledge.bindings(key)
+    except IntegrityConflict:
+        return CONFLICT
+
+
+@pytest.mark.parametrize("walk", sorted(KNOWLEDGE_WALKS))
+def test_every_knowledge_record_equals_its_set_read_from_scratch(walk):
+    agents, policy = KNOWLEDGE_WALKS[walk]
+    _, orbits = recorded_walk(agents(), policy)
+    values = orbits.space.payloads.values
+    for steps in orbits.space.local:
+        scripts, plans = steps.agent.scripts, steps.agent._plans
+        first = {}  # a history number per knowledge set
+        for k, s in enumerate(steps.set_of):
+            first.setdefault(s, k)
+        assert sorted(first) == list(range(len(steps.set_origins)))
+        for s, pairs in enumerate(steps._sets.values):
+            observed = [(EMISSION if emitted else RECEPTION, values[p]) for emitted, p in pairs]
+            records = steps.knowledge(s)
+            for plan, known in zip(plans, records):
+                protocol = plan.protocol
+                names = {m.name for m in protocol.messages}
+                keys = {mi.key(protocol) for _, mi in observed if mi.schema.name in names}
+                assert len(known.observed) == len(keys) and set(known.observed) == keys
+                assert known.emitted == {(mi.schema.name, mi.key(protocol)) for kind, mi in observed if kind == EMISSION}
+                # every union grown so far, then every candidate key's
+                for key in list(known._bindings):
+                    assert record_union(known, key) == scratch_union(key, observed, protocol)
+                for sent in plan.sends:
+                    candidates = {tuple((q, dict(key)[q]) for q in sent.key_params) for key in keys if {q for q, _ in key} >= set(sent.key_params)}
+                    for key in sorted(candidates | set(sent.row_keys)):
+                        assert record_union(known, key) == scratch_union(key, observed, protocol)
+            emitted = steps.agent._payloads(records)
+            assert emitted == oracle_payloads(steps.role, scripts, steps.history(first[s]))
+            if s in steps._offered:
+                assert tuple(values[p] for _, p in steps._offered[s]) == emitted
 
 
 # ---------------------------------------------------------------------------

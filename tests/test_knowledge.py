@@ -1,6 +1,7 @@
 """The one-pass knowledge reading (`Knowledge`, and `known_bindings` and
-`check_emission` over it) against a reference that scans the history for
-every question, as those two functions did before the pass existed.
+`check_emission` over it), and knowledge grown one observation at a time
+(`Knowledge.after`), against a reference that scans the history for every
+question, as those two functions did before the pass existed.
 
 Histories are random: correlated, conflicting and foreign observations,
 schemas of another protocol, one of them sharing a name with one of ours,
@@ -181,6 +182,27 @@ def test_one_knowledge_answers_mixed_questions_like_fresh_scans(h, key, m):
         assert outcome(knowledge.check_emission, m) == outcome(reference_check_emission, h, m, LAB)
         assert outcome(knowledge.bindings, key) == outcome(reference_known_bindings, h, key, LAB)
         assert outcome(knowledge.bindings, m.key(LAB)) == outcome(reference_known_bindings, h, m.key(LAB), LAB)
+
+
+@settings(max_examples=250, **FIXED)
+@given(histories(), st.lists(keys, min_size=1, max_size=4), st.lists(instances(), min_size=1, max_size=3))
+@example(CONFLICT[0], [(("ID", "1"),)], [CONFLICT[1]])
+def test_knowledge_grown_one_observation_at_a_time_answers_like_the_scan(h, queries, messages):
+    # each step is asked its questions before it grows, so that the next
+    # step extends the unions it built; its answers, the details of a
+    # conflict too, and its fields are those of the history read whole
+    knowledge = Knowledge(History(h.owner), LAB)
+    for n in range(len(h.observations) + 1):
+        prefix = History(h.owner, h.observations[:n])
+        for key in queries:
+            assert outcome(knowledge.bindings, key) == outcome(reference_known_bindings, prefix, key, LAB)
+        for m in messages:
+            assert outcome(knowledge.check_emission, m) == outcome(reference_check_emission, prefix, m, LAB)
+        whole = Knowledge(prefix, LAB)
+        fields = ("owner", "instances", "keys", "emitted", "observed")
+        assert [getattr(knowledge, f) for f in fields] == [getattr(whole, f) for f in fields]
+        if n < len(h.observations):
+            knowledge = knowledge.after(h.observations[n].kind, h.observations[n].instance)
 
 
 def test_explicit_examples_give_their_answers():

@@ -1,6 +1,8 @@
 import contextlib
 import hashlib
+import json
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from protolab import netsim
 from protolab.bspl.core import parse_bspl_file
 from protolab.bspl.enactment import EMISSION, RECEPTION, History, instance_views, is_complete
-from protolab.cli import _auto_rows
+from protolab.cli import _auto_rows, main
 from protolab.matrix import fixture_text
 from protolab.netsim import (
     BsplAgent,
@@ -22,6 +24,9 @@ from protolab.netsim import (
     explore,
     run_one,
 )
+
+
+FIXTURES = Path(__file__).resolve().parents[1] / "src" / "protolab" / "fixtures"
 
 
 def agent_pair(protocol, rows):
@@ -177,9 +182,10 @@ def test_compliant_simulation_never_conflicts(purchase, pricing):
 # agent steps: the memo must not change a state, an enactment or their order
 
 
-def simulate_agents(name, instances):
-    """The agents `protolab simulate` builds for a bundled fixture."""
-    protocols = parse_bspl_file(fixture_text(f"{name}.bspl"))
+def simulate_agents(name, instances, *more):
+    """The agents `protolab simulate` builds for bundled fixtures: `name`,
+    then each of `more`, given in that order."""
+    protocols = [p for fixture in (name, *more) for p in parse_bspl_file(fixture_text(f"{fixture}.bspl"))]
     scripts = [InstanceScript.make(p, _auto_rows(p, instances)) for p in protocols]
     return [BsplAgent(role, scripts) for role in sorted({r for p in protocols for r in p.roles})]
 
@@ -340,6 +346,28 @@ PRICING_X4 = ("pricing", 4, "fifo", 134657, 8880, 4, False, "3845f1a76ed8cf6388a
 PRICING_X4_COUNTS = ((("Buyer", 7365), ("Seller", 7365)), 3317, 79752)
 
 
+# `simulate pricing.bspl catalog.bspl --exhaustive --instances 2 --policy
+# fifo`: one agent per role over both protocols, whose Seller plays in both,
+# so each of its histories mixes the two protocols' observations; as in
+# PINNED_EXPLORATIONS, then as in PINNED_COUNTS
+PRICING_CATALOG_X2 = (19973, 668, 2, False, "027346ec2d694727c9950320d14cc7b601e6c843d0697210cee6595f75db000f")
+PRICING_CATALOG_X2_COUNTS = ((("Buyer", 19), ("Provider", 19), ("Seller", 1037)), 3088, 21704)
+
+
+def test_two_protocol_exploration_pinned(capsys):
+    states, enactments, depth, exceeded, digest = PRICING_CATALOG_X2
+    result = explore(simulate_agents("pricing", 2, "catalog"), SimPolicy(Delivery.FIFO_PAIRWISE))
+    stats = result.stats
+    assert (stats.states_explored, stats.enactments, stats.max_queue_depth, result.bound_exceeded) == (states, enactments, depth, exceeded)
+    assert (stats.local_states, stats.networks, stats.dedup_hits) == PRICING_CATALOG_X2_COUNTS
+    assert len(result.enactments) == enactments
+    assert repr_digest(result.enactments) == digest
+    paths = [str(FIXTURES / f"{name}.bspl") for name in ("pricing", "catalog")]
+    assert main(["simulate", *paths, "--exhaustive", "--format", "json", "--instances", "2", "--policy", "fifo"]) == 0
+    record = {"schema_version": "1", "enactments": enactments, "states_explored": states, "max_queue_depth": depth, "bound_exceeded": exceeded}
+    assert json.loads(capsys.readouterr().out) == record
+
+
 def refuse(*args):
     raise AssertionError("a History was hashed or compared")
 
@@ -387,13 +415,14 @@ def test_the_walk_builds_no_network(name, instances, policy, states, enactments,
         assert repr_digest(result.enactments) == digest
 
 
-# observe calls while explore walks pricing x4 FIFO (it numbers 14,728
-# histories, most of them orbit images that no move reads)
-PRICING_X4_OBSERVED = 60
+# observe calls while explore walks pricing x4 FIFO, before its enactments
+# are read (it numbers 14,728 histories, most of them orbit images that no
+# move reads): the walk reads knowledge records, not histories
+PRICING_X4_OBSERVED = 0
 
 
 def lineage(origins, k):
-    """History k and the histories it was first reached from."""
+    """Number k and the numbers it was first reached from."""
     while k:
         yield k
         k = origins[k][0]
@@ -406,9 +435,10 @@ def lineage(origins, k):
     ids=[f"{c[0]}-x{c[1]}-{c[2]}" for c in PINNED_EXPLORATIONS + [PRICING_X4]],
 )
 def test_the_walk_builds_only_the_histories_it_reads(name, instances, policy, states, enactments, depth, exceeded, digest):
-    # the walk builds a history only to find the emissions of a knowledge
-    # set it meets for the first time, with the ancestors it is replayed
-    # from, and builds each once; the vectors are built when read
+    # the walk finds emissions on the knowledge records of each set it
+    # meets for the first time, each record grown once from its origin
+    # set's, and builds no history; the vectors are built when read, each
+    # history once, with the ancestors it is replayed from
     observed, read = [], []
     observe, payloads = netsim.observe, BsplAgent._payloads
 
@@ -416,24 +446,30 @@ def test_the_walk_builds_only_the_histories_it_reads(name, instances, policy, st
         observed.append(args)
         return observe(*args)
 
-    def recorded(agent, h):
-        read.append(h)
-        return payloads(agent, h)
+    def recorded(agent, knowledge):
+        read.append(knowledge)
+        return payloads(agent, knowledge)
 
     with mock.patch.object(netsim, "observe", counted), mock.patch.object(BsplAgent, "_payloads", recorded):
         result, orbits = recorded_exploration(name, instances, policy)
-    local = orbits.space.local
-    firsts = {id(h) for h in read}
+        walked = len(observed) if callable(result._enactments) else None
+        vectors = result.enactments
+    local, read_records = orbits.space.local, {id(knowledge) for knowledge in read}
+    for steps in local:
+        records = steps._knowledge
+        assert {j for s in steps._offered for j in lineage(steps.set_origins, s)} == set(records)
+        assert {id(records[s]) for s in steps._offered} <= read_records
+    assert len(read) == len(read_records) == sum(len(steps._offered) for steps in local)
+    if walked is not None:
+        assert walked == 0
+    read_histories = {id(h) for vec in vectors for h in vec}
     for steps in local:
         built = steps._built
-        first = [k for k, h in built.items() if id(h) in firsts]
-        assert len({steps.set_of[k] for k in first}) == len(first) == len(steps._offered)
-        assert {j for k in first for j in lineage(steps.origins, k)} == set(built)
-    assert len(read) == len(firsts)
+        assert {j for k, h in built.items() if id(h) in read_histories for j in lineage(steps.origins, k)} == set(built)
     assert len(observed) == sum(len(steps._built) - 1 for steps in local)
     if (name, instances, policy) == PRICING_X4[:3]:
-        assert len(observed) == PRICING_X4_OBSERVED
-    assert (result.stats.states_explored, len(result.enactments), repr_digest(result.enactments)) == (states, enactments, digest)
+        assert walked == PRICING_X4_OBSERVED
+    assert (result.stats.states_explored, len(vectors), repr_digest(vectors)) == (states, enactments, digest)
 
 
 @pytest.mark.parametrize(
@@ -470,6 +506,11 @@ def rebuilt_networks(space):
 
 def recorded_exploration(name, instances, policy):
     """One exploration's result and its `_Orbits` (and through it the `_StateSpace`)."""
+    return recorded_walk(simulate_agents(name, instances), policy)
+
+
+def recorded_walk(agents, policy):
+    """The result and the `_Orbits` of the agents' exploration under a policy."""
     made = []
 
     class Recorded(netsim._Orbits):
@@ -478,7 +519,7 @@ def recorded_exploration(name, instances, policy):
             made.append(self)
 
     with mock.patch.object(netsim, "_Orbits", Recorded):
-        result = explore(simulate_agents(name, instances), SimPolicy(Delivery(policy)))
+        result = explore(agents, SimPolicy(Delivery(policy)))
     (orbits,) = made
     return result, orbits
 

@@ -27,7 +27,7 @@ from .diagnostics import ParseError, Severity
 from .enactlog import format_log, histories_from_log, log_from_run, parse_log
 from .hapn import parse_hapn
 from .netsim import DEFAULT_QUEUE_CAP, DEFAULT_STATE_CAP, BsplAgent, Delivery, InstanceScript, SimPolicy, explore, run_one
-from .realizability import Delivery, Doctrine, Interpretation, _infer_deciders, check_realizability, language_preset
+from .realizability import Doctrine, Interpretation, _infer_deciders, check_realizability, language_preset
 
 SCHEMA_VERSION = "1"
 
@@ -217,10 +217,7 @@ def cmd_realizability(args) -> int:
         protocols = parse_bspl_file(text)
         if not protocols:
             raise ValueError(f"{args.path} holds no protocol")
-        errors = [(p, d) for p in protocols for d in validate_bspl(p) if d.severity is Severity.ERROR]
-        if errors:
-            for p, d in errors:
-                print(f"{p.name}: {d}" if len(protocols) > 1 else d)
+        if _print_errors(protocols):
             return 1
         print("Realizable (information protocols are enactable from local histories; projections are trivial)")
         return 0
@@ -251,6 +248,14 @@ def cmd_realizability(args) -> int:
     return 0 if verdict.realizable else 1
 
 
+def _print_errors(protocols: list[InfoProtocol]) -> bool:
+    """Print the errors `validate_bspl` finds, named by protocol if several; whether any."""
+    errors = [(p, d) for p in protocols for d in validate_bspl(p) if d.severity is Severity.ERROR]
+    for p, d in errors:
+        print(f"{p.name}: {d}" if len(protocols) > 1 else d)
+    return bool(errors)
+
+
 def _one_protocol(path: Path, text: str, command: str) -> InfoProtocol:
     """The one protocol of a .bspl source that `command` reads."""
     protocols = parse_bspl_file(text)
@@ -276,6 +281,8 @@ def cmd_simulate(args) -> int:
     protocols = []
     for path in args.paths:
         protocols.extend(parse_bspl_file(path.read_text()))
+    if _print_errors(protocols):
+        return 1
     scripts = [InstanceScript.make(p, _auto_rows(p, args.instances)) for p in protocols]
     roles = sorted({r for p in protocols for r in p.roles})
     agents = [BsplAgent(role, scripts) for role in roles]

@@ -8,19 +8,31 @@ choice is entered only through a reception; a mixed choice may also
 silently commit to its reception-initiated branches, which is what makes
 genuinely stuck states reachable when a choice is nonlocal.  Under anytime
 reception an agent observes a message the moment it is delivered, and a
-delivery its behavior cannot accept is an ordering violation; under the
-channel selector arrivals wait in per-peer queues until the behavior
-expects that channel.
+delivery its behavior cannot accept is an ordering violation.  Under the
+channel selector an agent reads straight from the network, and only the
+channels whose peers its behavior expects next: a message there that fits
+no reception is a selector violation, and one on any other channel stays
+in transit.  This decides as the model in which silent arrivals fill
+per-peer queues that the selector reads.  Under FIFO and unordered
+delivery an arrival changes no behavior and disables no move, so it
+commutes with every move (tau-confluence; Groote & van de Pol, MFCS 2000):
+deferring each arrival until its read keeps every event, deadlock and
+violation.  Under FIFO an arrival queue is then its channel's head; under
+unordered delivery the free arrival order gives every read order, and
+every message on an expected channel that fits no reception.  Under
+synchronous delivery each arrival empties the network at once, and the
+arrival queues keep each channel in send order, so the selector reads
+synchronous channels as FIFO ones.
 
 `compose` explores the composition as a graph of states, not of paths, on
 the exploration core (`graph.explore`) with `Composer.moves` as the
-successor function.  A state is every agent's remaining behavior, the
-payloads in transit on each channel in send order and, under the channel
-selector, each agent's arrival queues; each distinct state is expanded
-once.  The behaviors come from a recursion-free expression, so the graph
-is finite and acyclic, and every pass over it is iterative.  Witnesses are
-least event sequences in Python tuple order (`graph.least_path`), so no
-answer depends on the order in which moves are generated.
+successor function.  A state is every agent's remaining behavior and the
+payloads in transit on each channel in send order; each distinct state is
+expanded once.  The behaviors come from a recursion-free expression, so
+the graph is finite and acyclic, and every pass over it is iterative.
+Witnesses are least event sequences in Python tuple order
+(`graph.least_path`), so no answer depends on the order in which moves are
+generated.
 """
 
 from __future__ import annotations
@@ -36,10 +48,9 @@ from .netsim import Delivery, Reception, dequeue, enqueue
 # composition
 
 Event = tuple[str, int, str, str, str]  # (kind E|R, occurrence, sender, receiver, msg)
-# A composite state: (remainder number by role, network number, arrival
-# queues by role), numbers from the composer's tables; a network or an
-# arrival row is ((channel or peer, payloads), ...) sorted by its first
-# element, with empty queues left out.
+# A composite state: (remainder number by role, network number), numbers
+# from the composer's tables; a network is ((channel, payloads), ...)
+# sorted by channel, with empty queues left out.
 State = tuple
 
 
@@ -64,7 +75,8 @@ class Composer:
 
     def __init__(self, behaviors: dict[str, LocalExpr], delivery: Delivery, reception: Reception):
         self.roles = tuple(sorted(behaviors))
-        self.delivery = delivery
+        # the selector reads each channel in send order (module docstring)
+        self.delivery = Delivery.FIFO_PAIRWISE if (delivery, reception) == (Delivery.SYNCHRONOUS, Reception.BLOCKING_SELECTOR) else delivery
         self.reception = reception
         self._index = {role: i for i, role in enumerate(self.roles)}
         self._number = Numbering()  # remainders and networks
@@ -73,7 +85,7 @@ class Composer:
         self._deliveries: dict[int, list[tuple]] = {}
         self._sent: dict[tuple, int] = {}
         self._empty = self._number(())
-        self.initial: State = (tuple(self._number(behaviors[r]) for r in self.roles), self._empty, tuple(() for _ in self.roles))
+        self.initial: State = (tuple(self._number(behaviors[r]) for r in self.roles), self._empty)
 
     def _local(self, n: int) -> tuple:
         """(sends as (peer, occurrence, name, remainder), receptions as
@@ -94,7 +106,7 @@ class Composer:
                     rests = receptions.setdefault((a.peer, a.name), [])
                     if r not in rests:
                         rests.append(r)
-            local = self._steps[n] = (sends, receptions, commits, accepting(e), sorted({peer for peer, _ in receptions}))
+            local = self._steps[n] = (sends, receptions, commits, accepting(e), {peer for peer, _ in receptions})
         return local
 
     def _send(self, net: int, channel: tuple[str, str], payload: tuple[int, str]) -> int:
@@ -118,14 +130,14 @@ class Composer:
         return out
 
     def completed(self, state: State) -> bool:
-        locals_, net, pending = state
-        return net == self._empty and not any(pending) and all(self._local(l)[3] for l in locals_)
+        locals_, net = state
+        return net == self._empty and all(self._local(l)[3] for l in locals_)
 
     def moves(self, state: State) -> tuple[list[Event | None], list[State], list[Violation]]:
         """Every move from `state` as parallel lists of events (None for a
         silent move) and next states, and the violations a delivery would
         cause there."""
-        locals_, net, pending = state
+        locals_, net = state
         events, nexts = [], []
         violations: list[Violation] = []
         deliveries = self._delivered(net)
@@ -135,45 +147,25 @@ class Composer:
                 for peer, occ, name, rest in sends:
                     after = self._send(net, (role, peer), (occ, name))
                     events.append(("E", occ, role, peer, name))
-                    nexts.append((_put(locals_, i, rest), after, pending))
+                    nexts.append((_put(locals_, i, rest), after))
                 for rest in commits:
                     events.append(None)
-                    nexts.append((_put(locals_, i, rest), net, pending))
+                    nexts.append((_put(locals_, i, rest), net))
+        selector = self.reception is Reception.BLOCKING_SELECTOR
         for sender, receiver, occ, name, after in deliveries:
             i = self._index[receiver]
+            _, receptions, _, _, peers = self._local(locals_[i])
+            if selector and sender not in peers:
+                continue  # the selector reads only the channels the behavior expects
             event = ("R", occ, sender, receiver, name)
-            if self.reception is Reception.ANYTIME:
-                alternatives = self._local(locals_[i])[1].get((sender, name), ())
-                if not alternatives:
-                    violations.append(
-                        ("reception-order", f"{receiver} cannot accept {name} from {sender} at this point", event)
-                    )
-                for rest in alternatives:
-                    events.append(event)
-                    nexts.append((_put(locals_, i, rest), after, pending))
-            else:
-                # deliver into the per-peer arrival queue; observation happens
-                # only when the behavior reads that channel
-                events.append(None)
-                nexts.append((locals_, after, _put(pending, i, enqueue(pending[i], sender, (occ, name)))))
-        if self.reception is Reception.BLOCKING_SELECTOR:
-            for i, role in enumerate(self.roles):
-                row = dict(pending[i])
-                _, receptions, _, _, peers = self._local(locals_[i])
-                for peer in peers:
-                    if peer not in row:
-                        continue
-                    occ, name = row[peer][0]
-                    event = ("R", occ, peer, role, name)
-                    alternatives = receptions.get((peer, name), ())
-                    if not alternatives:
-                        violations.append(
-                            ("selector-type", f"{role} expected a different message on the channel from {peer}, found {name}", event)
-                        )
-                    new_pending = _put(pending, i, dequeue(pending[i], peer, 0))
-                    for rest in alternatives:
-                        events.append(event)
-                        nexts.append((_put(locals_, i, rest), net, new_pending))
+            alternatives = receptions.get((sender, name), ())
+            if not alternatives and selector:
+                violations.append(("selector-type", f"{receiver} expected a different message on the channel from {sender}, found {name}", event))
+            elif not alternatives:
+                violations.append(("reception-order", f"{receiver} cannot accept {name} from {sender} at this point", event))
+            for rest in alternatives:
+                events.append(event)
+                nexts.append((_put(locals_, i, rest), after))
         return events, nexts, violations
 
 

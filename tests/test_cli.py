@@ -322,6 +322,24 @@ def test_realizability_validates_every_protocol_of_a_file(capsys, tmp_path):
     assert (code, out, err) == (1, "error: PublicParamUnused [spare]: public parameter spare appears in no message\n", "")
 
 
+def test_simulate_validates_before_exploring(capsys, tmp_path):
+    path = two_protocols(tmp_path, ", out spare")
+    single = tmp_path / "catalog.bspl"
+    single.write_text("protocol Catalog" + path.read_text().split("protocol Catalog")[1])
+    error = "error: PublicParamUnused [spare]: public parameter spare appears in no message\n"
+
+    def unexplored(*args, **kwargs):
+        raise AssertionError("an invalid protocol was explored")
+
+    with mock.patch("protolab.cli.explore", unexplored), mock.patch("protolab.cli.run_one", unexplored):
+        for mode in ((), ("--exhaustive",)):
+            assert run(capsys, "simulate", str(path), *mode) == (1, f"Catalog: {error}", "")
+            assert run(capsys, "simulate", str(single), *mode) == (1, error, "")
+    # warnings are not printed: purchase.bspl has four
+    code, out, err = run(capsys, "simulate", str(FIXDIR / "purchase.bspl"), "--exhaustive")
+    assert (code, out, err) == (0, "2 maximal enactments (13 states explored)\n", "")
+
+
 def test_project_and_commitments_read_one_protocol(capsys, tmp_path):
     path = two_protocols(tmp_path)
     code, out, err = run(capsys, "project", str(path), "Seller")

@@ -4,8 +4,10 @@ and the atom occurrences (`OccAtom`) of an unrolled expression.
 
 Expressions are immutable; equality is structural.  Payload signatures on
 atoms are retained for type-level machinery but ignored by trace semantics.
-Every node caches its hash at construction (`HashedNode`), so expressions
-key dictionaries in O(1) however deep they are.
+Every node, global or local, is a frozen dataclass with `__slots__` whose
+one constructor sets its fields and its hash (`HashedNode`), so
+expressions key dictionaries in O(1) however deep they are, compare
+without recursion, and pickle without the per-process hash.
 
 The structural helpers every language's analysis rests on live here, once:
 whether an expression accepts the empty trace (`nullable`), which atoms can
@@ -19,43 +21,91 @@ the nodes of a global or local expression, which every node query reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 
 class HashedNode:
-    """Base for frozen dataclass nodes that cache their hash; declare them
-    with `@node`.
+    """Base of the nodes of both expression kinds, global and local:
+    frozen dataclasses with `__slots__`, declared with `@node`.
 
-    The hash is computed once, at construction, from the fields, whose own
-    hashes are cached the same way: hashing a node costs O(1) and never
-    recurses into a deep tree.  It is kept outside the dataclass fields, so
-    repr, equality, `fields` and `asdict` are as if it were not there.
-    String hashes are salted per process, so a pickle leaves it out."""
+    One constructor, written by `node`, sets a node's fields and its hash,
+    `hash((type(node), *field values))`.  The fields' own hashes are cached
+    the same way, so hashing a node costs O(1) and never recurses into a
+    deep tree.  The hash sits in a slot, `_hash`, outside the dataclass
+    fields, so repr, `fields`, `asdict` and `replace` are as if it were
+    not there.  String hashes are salted per process, so a pickle or a
+    deep copy leaves it out: both rebuild the node through its
+    constructor, which hashes it anew.
 
-    def __post_init__(self) -> None:
-        self.__dict__["_hash"] = hash((type(self), *self.__dict__.values()))
+    Equality is structural.  It checks identity first, then the cached
+    hashes, and walks the operands with `same`'s stack only when both
+    agree, so comparing deep nodes never recurses."""
+
+    __slots__ = ("_hash",)
 
     def __hash__(self) -> int:
-        cached = self.__dict__.get("_hash")
-        if cached is None:  # unpickled or copied
-            self.__post_init__()
-            cached = self.__dict__["_hash"]
-        return cached
+        return self._hash
 
-    def __getstate__(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._hash == other._hash and same(self, other)
+
+    def __reduce__(self):
+        return type(self), _values(self)
+
+
+def _values(x: HashedNode) -> tuple:
+    """The field values of `x` in field order (`__match_args__` names
+    every field of a node)."""
+    return tuple(getattr(x, name) for name in x.__match_args__)
+
+
+# The node types by the operands `nodes` enters: `left` and `right`,
+# `branches`, or `body`.  `node` files each type by its field names.
+_PAIRS: set[type] = set()
+_BRANCHES: set[type] = set()
+_BODIES: set[type] = set()
 
 
 def node(cls):
-    """`dataclass(frozen=True)` keeping `HashedNode`'s hash, which
-    `dataclass` would otherwise replace."""
-    cls = dataclass(frozen=True)(cls)
-    cls.__hash__ = HashedNode.__hash__
+    """`dataclass(frozen=True, slots=True)` keeping `HashedNode`'s hash and
+    equality, with one constructor that writes the fields and the hash
+    through their slots (the dataclass one writes each field through
+    `object.__setattr__` and would need a `__post_init__` for the hash).
+    A `__post_init__` the class defines runs before the hash is taken."""
+    cls = dataclass(frozen=True, slots=True, eq=False)(cls)
+    names = cls.__match_args__
+    namespace = {"cls": cls, "_set_hash": HashedNode._hash.__set__}
+    params = ""
+    for f in fields(cls):
+        namespace[f"_set_{f.name}"] = cls.__dict__[f.name].__set__
+        if f.default is MISSING:
+            params += f", {f.name}"
+        else:
+            namespace[f"_default_{f.name}"] = f.default
+            params += f", {f.name}=_default_{f.name}"
+    lines = [f"def __init__(self{params}):"]
+    lines += [f"    _set_{name}(self, {name})" for name in names]
+    if "__post_init__" in cls.__dict__:
+        lines.append("    self.__post_init__()")
+    lines.append(f"    _set_hash(self, hash((cls, {''.join(f'{name}, ' for name in names)})))")
+    exec("\n".join(lines), namespace)
+    cls.__init__ = namespace["__init__"]
+    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+    if "left" in names:
+        _PAIRS.add(cls)
+    elif "branches" in names:
+        _BRANCHES.add(cls)
+    elif "body" in names:
+        _BODIES.add(cls)
     return cls
 
 
 class CfpExpr(HashedNode):
-    pass
+    __slots__ = ()
 
 
 @node
@@ -96,7 +146,6 @@ class Choice(CfpExpr):
     def __post_init__(self):
         if len(self.branches) < 2:
             raise ValueError("Choice needs at least two branches")
-        super().__post_init__()
 
 
 @node
@@ -191,22 +240,15 @@ def choice(branches: list[CfpExpr], decider: str | None = None) -> CfpExpr:
 
 def distinct(nodes) -> list:
     """The nodes, global or local, without repeats, in order of first
-    occurrence.  Only nodes with equal cached hashes are compared, and by
-    `same`: no node is compared by recursion."""
-    buckets: dict[int, list] = {}
-    out = []
-    for x in nodes:
-        bucket = buckets.setdefault(hash(x), [])
-        if not any(same(x, y) for y in bucket):
-            bucket.append(x)
-            out.append(x)
-    return out
+    occurrence.  Node equality checks the cached hashes before it walks,
+    and never recurses."""
+    return list(dict.fromkeys(nodes))
 
 
 def same(a, b) -> bool:
-    """`a == b` for expressions, walked with a stack instead of the
-    recursive dataclass equality, so a deep expression costs no Python
-    stack.  Nodes whose cached hashes differ are unequal at once."""
+    """`a == b` for expressions, the walk node equality runs: with a
+    stack, so a deep expression costs no Python stack.  Nodes whose cached
+    hashes differ are unequal at once."""
     stack = [(a, b)]
     while stack:
         x, y = stack.pop()
@@ -215,9 +257,9 @@ def same(a, b) -> bool:
         if type(x) is not type(y):
             return False
         if isinstance(x, HashedNode):
-            if hash(x) != hash(y):
+            if x._hash != y._hash:
                 return False
-            stack.extend((getattr(x, f.name), getattr(y, f.name)) for f in fields(x))
+            stack += zip(_values(x), _values(y))
         elif isinstance(x, tuple):
             if len(x) != len(y):
                 return False
@@ -314,21 +356,21 @@ def roles(e: CfpExpr) -> tuple[str, ...]:
 def nodes(e, enter=None):
     """Every node of `e`, global or local, in pre-order, left operand first.
     The walk reads the operands both kinds name alike (`left`, `right`,
-    `branches`, `body`) with a stack and enters each node object once: a
-    node met again is yielded but not entered.  It does not enter a node at
-    which `enter` is false."""
+    `branches`, `body`), chosen by the node's type, with a stack, and
+    enters each node object once: a node met again is yielded but not
+    entered.  It does not enter a node at which `enter` is false."""
     entered: set[int] = set()
     stack = [e]
     while stack:
         x = stack.pop()
         yield x
-        fields = vars(x)
-        if "left" in fields:
-            operands = (fields["right"], fields["left"])
-        elif "branches" in fields:
-            operands = fields["branches"][::-1]
-        elif "body" in fields:
-            operands = (fields["body"],)
+        kind = type(x)
+        if kind in _PAIRS:
+            operands = (x.right, x.left)
+        elif kind in _BRANCHES:
+            operands = x.branches[::-1]
+        elif kind in _BODIES:
+            operands = (x.body,)
         else:
             continue
         if id(x) not in entered and (enter is None or enter(x)):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from ..graph import Graph, explore
-from .projection import ChoiceKind, LAtom, LChoice, LEps, LRec, LSeq, LShuffle, LVar, LocalExpr, accepting, local_steps
+from .projection import L_EPSILON, ChoiceKind, LAtom, LChoice, LEps, LRec, LSeq, LShuffle, LVar, LocalExpr, accepting, local_steps
 
 Label = tuple[str, str, str, tuple[str, ...]]  # (peer, direction, name, type signature)
 UNROLL_BOUND = 2  # unrollings of a non-tail recursion
@@ -170,12 +170,12 @@ def _all_tail(e: LocalExpr) -> bool:
 def _unroll_local(e: LocalExpr, bound: int, env: dict[str, tuple[LRec, int]]) -> LocalExpr:
     if isinstance(e, LRec):
         if bound <= 0:
-            return LEps()
+            return L_EPSILON
         return _unroll_local(e.body, bound, {**env, e.var: (e, bound - 1)})
     if isinstance(e, LVar):
         rec, budget = env[e.var]
         if budget <= 0:
-            return LEps()
+            return L_EPSILON
         return _unroll_local(rec.body, bound, {**env, e.var: (rec, budget - 1)})
     if isinstance(e, LSeq):
         return LSeq(_unroll_local(e.left, bound, env), _unroll_local(e.right, bound, env))

@@ -16,6 +16,7 @@ from itertools import combinations, count, islice
 from typing import Iterator
 
 from .ast import (
+    EPSILON,
     Atom,
     CfpExpr,
     Choice,
@@ -28,6 +29,7 @@ from .ast import (
     Var,
     atoms,
     choice,
+    distinct,
     has_rec,
     nullable,
     seq,
@@ -97,14 +99,14 @@ def _expand(e: CfpExpr, env: dict[str, tuple[Rec, int]], bound: int, counter: It
     if isinstance(e, Rec):
         # the bound counts body copies: the initial expansion uses one
         if bound <= 0:
-            return Epsilon()
+            return EPSILON
         return _expand(e.body, {**env, e.var: (e, bound - 1)}, bound, counter)
     if isinstance(e, Var):
         if e.var not in env:
             raise ValueError(f"unbound recursion variable {e.var!r}")
         rec, budget = env[e.var]
         if budget <= 0:
-            return Epsilon()
+            return EPSILON
         return _expand(rec.body, {**env, e.var: (rec, budget - 1)}, bound, counter)
     raise TypeError(type(e))
 
@@ -231,7 +233,11 @@ def eliminate_shuffle(e: CfpExpr) -> CfpExpr:
     is a DAG: equal subterms reached by different orderings are one object.
     The tree it stands for can have factorially many leaves (113,400 for
     five shuffled request/reply pairs, which have 3^5 distinct residuals),
-    so callers must walk it once per node object and never unfold it."""
+    so callers must walk it once per node object and never unfold it.
+
+    A node whose operands come back as the same objects, where `seq` and
+    `choice` would rewrite nothing, is returned itself: a shuffle-free
+    input comes back as the input object."""
     done: dict[CfpExpr, CfpExpr] = {}
 
     def walk(x: CfpExpr) -> CfpExpr:
@@ -241,14 +247,18 @@ def eliminate_shuffle(e: CfpExpr) -> CfpExpr:
         if out is not None:
             return out
         if isinstance(x, Seq):
-            out = seq(walk(x.left), walk(x.right))
+            left, right = walk(x.left), walk(x.right)
+            kept = left is x.left and right is x.right and not isinstance(left, Epsilon) and not isinstance(right, Epsilon)
+            out = x if kept else seq(left, right)
         elif isinstance(x, Choice):
-            out = choice([walk(b) for b in x.branches], x.decider)
+            branches = [walk(b) for b in x.branches]
+            kept = all(b is old for b, old in zip(branches, x.branches)) and len(distinct(branches)) == len(branches)
+            out = x if kept else choice(branches, x.decider)
         elif isinstance(x, Shuffle):
             alternatives = [seq(head, walk(residual)) for head, residual in derivatives(x).items()]
             if nullable(x):
-                alternatives.append(Epsilon())
-            out = choice(alternatives) if alternatives else Epsilon()
+                alternatives.append(EPSILON)
+            out = choice(alternatives) if alternatives else EPSILON
         else:
             raise TypeError(type(x))
         done[x] = out
@@ -270,7 +280,7 @@ def derivatives(e: CfpExpr) -> dict:
     derivative when the left is nullable; a shuffle's left derivative
     beside its right operand, then the reverse; a choice's branches'."""
     if isinstance(e, (Atom, OccAtom)):
-        return {e: Epsilon()}
+        return {e: EPSILON}
     if isinstance(e, Epsilon):
         return {}
     if isinstance(e, Seq):

@@ -129,7 +129,7 @@ def cmd_check(args) -> int:
     text = args.path.read_text()
     if suffix == ".bspl":
         exit_code = 0
-        for protocol in parse_bspl_file(text):
+        for protocol in _protocols(args.path, text):
             diagnostics = validate_bspl(protocol)
             for d in diagnostics:
                 print(f"{protocol.name}: {d}")
@@ -214,9 +214,7 @@ def cmd_realizability(args) -> int:
             raise ValueError(f"{', '.join(given)} {'applies' if len(given) == 1 else 'apply'} to .trace and .scr protocols, not to a {suffix} verdict")
     text = args.path.read_text()
     if suffix == ".bspl":
-        protocols = parse_bspl_file(text)
-        if not protocols:
-            raise ValueError(f"{args.path} holds no protocol")
+        protocols = _protocols(args.path, text)
         if _print_errors(protocols):
             return 1
         print("Realizable (information protocols are enactable from local histories; projections are trivial)")
@@ -256,6 +254,14 @@ def _print_errors(protocols: list[InfoProtocol]) -> bool:
     return bool(errors)
 
 
+def _protocols(path: Path, text: str) -> list[InfoProtocol]:
+    """The protocols of a .bspl source, which must hold at least one."""
+    protocols = parse_bspl_file(text)
+    if not protocols:
+        raise ValueError(f"{path} holds no protocol")
+    return protocols
+
+
 def _one_protocol(path: Path, text: str, command: str) -> InfoProtocol:
     """The one protocol of a .bspl source that `command` reads."""
     protocols = parse_bspl_file(text)
@@ -280,7 +286,7 @@ def cmd_simulate(args) -> int:
         raise ValueError("--format json needs --exhaustive: a seeded run prints its log as text")
     protocols = []
     for path in args.paths:
-        protocols.extend(parse_bspl_file(path.read_text()))
+        protocols.extend(_protocols(path, path.read_text()))
     if _print_errors(protocols):
         return 1
     scripts = [InstanceScript.make(p, _auto_rows(p, args.instances)) for p in protocols]

@@ -346,7 +346,8 @@ def _infer_deciders(e, done: dict[int, CfpExpr], bodies: dict[str, CfpExpr] | No
     branch that is only a recursion variable begins as its bound body, as
     in `cfp.projection._branch_polarity`.  `done` maps each node object
     already rewritten (by id) outside any recursion to its rewrite, so a
-    shared subterm stays one object."""
+    shared subterm stays one object.  A node whose operands come back as
+    the same objects and whose decider is kept is returned itself."""
     if not isinstance(e, (Choice, Seq, Shuffle, Rec)):
         return e
     bodies = bodies or {}
@@ -354,7 +355,8 @@ def _infer_deciders(e, done: dict[int, CfpExpr], bodies: dict[str, CfpExpr] | No
     if out is not None:
         return out
     if isinstance(e, Rec):
-        out = Rec(e.var, _infer_deciders(e.body, done, {**bodies, e.var: e.body}))
+        body = _infer_deciders(e.body, done, {**bodies, e.var: e.body})
+        out = e if body is e.body else Rec(e.var, body)
     elif isinstance(e, Choice):
         branches = tuple(_infer_deciders(b, done, bodies) for b in e.branches)
         decider = e.decider
@@ -365,9 +367,11 @@ def _infer_deciders(e, done: dict[int, CfpExpr], bodies: dict[str, CfpExpr] | No
                     "no single role initiates every branch (candidates: " + ", ".join(sorted(senders)) + ")"
                 )
             decider = senders.pop()
-        out = Choice(branches, decider)
+        kept = decider == e.decider and all(b is old for b, old in zip(branches, e.branches))
+        out = e if kept else Choice(branches, decider)
     else:
-        out = type(e)(_infer_deciders(e.left, done, bodies), _infer_deciders(e.right, done, bodies))
+        left, right = _infer_deciders(e.left, done, bodies), _infer_deciders(e.right, done, bodies)
+        out = e if left is e.left and right is e.right else type(e)(left, right)
     # under a recursion a choice may read a variable's binding, which
     # depends on where the node sits
     if not bodies:

@@ -1,13 +1,17 @@
 import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
 
 from protolab.cfp.ast import (
+    EPSILON,
     Atom,
     Choice,
     Epsilon,
     GlobalTrace,
+    OccAtom,
     Rec,
     Seq,
     Shuffle,
@@ -23,12 +27,13 @@ from protolab.cfp.ast import (
     roles,
     same,
 )
-from protolab.cfp.projection import LAtom, LRec, LSeq, LVar, SEND
+from protolab.cfp.projection import L_EPSILON, RECV, SEND, ChoiceKind, LAtom, LChoice, LRec, LSeq, LShuffle, LVar
 from protolab.cfp.scribble_parser import parse_scribble, parse_scribble_protocol, print_scribble
 from protolab.cfp.trace_parser import parse_trace
-from protolab.cfp.transforms import eliminate_shuffle, enumerate_traces, expand, expand_plain, occ_traces
+from protolab.cfp.transforms import derivatives, eliminate_shuffle, enumerate_traces, expand, expand_plain, occ_traces
 from protolab.diagnostics import ParseError
 from protolab.matrix import fixture_text
+from protolab.realizability import _infer_deciders
 
 from generators import random_cfp, random_scribble, random_shuffle_expr
 
@@ -408,3 +413,107 @@ def test_choice_between_deep_chains_compares_without_recursion():
     deduped = choice([first, again, other, first])
     assert isinstance(deduped, Choice) and len(deduped.branches) == 2
     assert deduped.branches[0] is first and deduped.branches[1] is other
+
+
+# ---------------------------------------------------------------------------
+# the node contract: frozen, slotted dataclasses hashed at construction
+
+GLOBAL_NODES = [
+    Atom("A", "B", "m", (("x", "int"),)),
+    OccAtom(Atom("A", "B", "m"), 3),
+    Seq(Atom("A", "B", "m"), Atom("B", "A", "n")),
+    Choice((Atom("A", "B", "m"), Atom("A", "B", "n")), "A"),
+    Shuffle(Atom("A", "B", "m"), Atom("C", "D", "n")),
+    Rec("X", Seq(Atom("A", "B", "m"), Var("X"))),
+    Var("X"),
+    EPSILON,
+]
+LOCAL_NODES = [
+    LAtom("B", "m", SEND, (("x", "int"),), 3),
+    LSeq(LAtom("B", "m", SEND), LAtom("B", "n", RECV)),
+    LChoice((LAtom("B", "m", SEND), L_EPSILON), ChoiceKind.MIXED, ChoiceKind.INTERNAL),
+    LShuffle(LAtom("B", "m", SEND), LAtom("C", "n", RECV)),
+    LRec("X", LSeq(LAtom("B", "m", SEND), LVar("X"))),
+    LVar("X"),
+    L_EPSILON,
+]
+NODES = GLOBAL_NODES + LOCAL_NODES
+
+
+def rebuilt(x):
+    """An equal node built apart from `x`, operand by operand."""
+    if isinstance(x, tuple):
+        return tuple(rebuilt(v) for v in x)
+    if dataclasses.is_dataclass(x):
+        return type(x)(*(rebuilt(getattr(x, f.name)) for f in dataclasses.fields(x)))
+    return x
+
+
+@pytest.mark.parametrize("x", NODES, ids=lambda x: type(x).__name__)
+def test_a_node_is_frozen_and_has_no_instance_dict(x):
+    assert not hasattr(x, "__dict__")
+    for f in dataclasses.fields(x):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(x, f.name, getattr(x, f.name))
+    assert [f.name for f in dataclasses.fields(x)] == list(type(x).__match_args__)
+
+
+@pytest.mark.parametrize("x", NODES, ids=lambda x: type(x).__name__)
+def test_equal_nodes_built_apart_are_equal_and_hash_equal(x):
+    y = rebuilt(x)
+    assert y is not x and y == x and hash(y) == hash(x)
+    assert hash(x) == hash((type(x), *(getattr(x, f.name) for f in dataclasses.fields(x))))
+
+
+@pytest.mark.parametrize("x", NODES, ids=lambda x: type(x).__name__)
+def test_replace_deepcopy_and_pickle_keep_equality_and_the_hash(x):
+    for y in (dataclasses.replace(x), copy.deepcopy(x), copy.copy(x), pickle.loads(pickle.dumps(x))):
+        assert y == x and hash(y) == hash(x)
+    assert b"_hash" not in pickle.dumps(x)
+
+
+def test_replace_rehashes_the_changed_node():
+    x = Seq(Atom("A", "B", "m"), Atom("B", "A", "n"))
+    y = dataclasses.replace(x, right=Atom("B", "A", "o"))
+    assert y != x and y == Seq(Atom("A", "B", "m"), Atom("B", "A", "o"))
+    assert hash(y) == hash(Seq(Atom("A", "B", "m"), Atom("B", "A", "o")))
+
+
+def test_a_10000_deep_chain_built_twice_compares_equal_without_recursion():
+    def chain(last: str):
+        e = Atom("A", "B", last)
+        for i in range(10_000):
+            e = Seq(Atom("A", "B", f"m{i}"), e)
+        return e
+
+    first, again, other = chain("z"), chain("z"), chain("y")
+    assert first == again and not first != again and hash(first) == hash(again)
+    assert first != other and not first == other
+
+
+def test_a_shuffle_free_expansion_comes_back_as_the_input_object():
+    chain = expand(parse_trace(" ; ".join(f"A -> B : M{i}" if i % 2 else f"B -> A : M{i}" for i in range(1, 40))))
+    assert eliminate_shuffle(chain) is chain
+    decided = expand(parse_trace("A -> B : x ; (B -> A : y \\/ B -> C : z)"))
+    assert eliminate_shuffle(decided) is decided
+    shuffled = expand(parse_trace("A -> B : x ; (B -> A : y | C -> D : z)"))
+    assert eliminate_shuffle(shuffled) is not shuffled
+    assert eliminate_shuffle(Seq(Atom("A", "B", "x"), EPSILON)) == Atom("A", "B", "x")
+
+
+def test_decider_inference_keeps_a_choice_free_or_decided_input():
+    for source in ("A -> B : x ; B -> A : y", "rec X (A -> B : x ; X)", "A -> B : x | C -> D : y"):
+        e = parse_trace(source)
+        assert _infer_deciders(e, {}) is e
+    decided = Seq(Atom("C", "A", "w"), Choice((Atom("A", "B", "x"), Atom("A", "B", "y")), "A"))
+    assert _infer_deciders(decided, {}) is decided
+    undecided = parse_trace("C -> A : w ; (A -> B : x \\/ A -> B : y)")
+    inferred = _infer_deciders(undecided, {})
+    assert inferred.left is undecided.left and inferred.right.decider == "A"
+
+
+def test_an_atoms_derivative_is_the_epsilon_object():
+    a = Atom("A", "B", "x")
+    assert derivatives(a)[a] is EPSILON
+    assert derivatives(OccAtom(a, 1))[OccAtom(a, 1)] is EPSILON
+    assert expand(parse_trace("rec X (A -> B : x ; X)"), 0) is EPSILON

@@ -30,6 +30,24 @@ def test_check_empty_protocol_exits_one(capsys, tmp_path):
     assert "NoMessages" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("check",), ("simulate",), ("simulate", "--seed", "3"), ("simulate", "--exhaustive"), ("realizability",)],
+)
+def test_a_bspl_file_without_a_protocol_exits_two(capsys, tmp_path, argv):
+    path = tmp_path / "none.bspl"
+    path.write_text("// no protocol here\n")
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out, err) == (2, "", f"error: {path} holds no protocol\n")
+
+
+def test_simulate_names_the_file_without_a_protocol(capsys, tmp_path):
+    path = tmp_path / "empty.bspl"
+    path.write_text("")
+    code, out, err = run(capsys, "simulate", str(FIXDIR / "purchase.bspl"), str(path), "--exhaustive")
+    assert (code, out, err) == (2, "", f"error: {path} holds no protocol\n")
+
+
 def test_check_parse_error_exits_two(capsys, tmp_path):
     path = tmp_path / "broken.trace"
     path.write_text("A -> : missing")

@@ -5,9 +5,12 @@ left operand first, entering each node object once.  Whether a recursion,
 a shuffle, an occurrence or a free variable exists, the atoms of an
 expression, a local behavior's first atom and the sequence constraints are
 all read from it.  These tests check each reader against the walker it
-replaced, kept below verbatim as the reference.
+replaced, kept below verbatim as the reference, except that `has_node`
+reads a node's fields through `dataclasses.fields`, as slotted nodes have
+no `__dict__`.
 """
 
+import dataclasses
 import random
 
 import test_acceptance
@@ -50,7 +53,7 @@ def has_node(e, hit, enter=None) -> bool:
         x = stack.pop()
         if hit(x):
             return True
-        fields = vars(x)
+        fields = {f.name: getattr(x, f.name) for f in dataclasses.fields(x)}
         if "left" in fields:
             operands = (fields["right"], fields["left"])
         elif "branches" in fields:

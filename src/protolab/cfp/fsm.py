@@ -6,14 +6,16 @@ what makes these machines value-blind.  A shuffle is compiled from its
 residuals: the remainders that the one first-step walk
 (`projection.local_steps`) reaches, one state each, rather than from a
 list of its interleavings.  That walk and `determinize`, the subset
-construction that realizability also uses to read a composition's
-emitted traces, run on the exploration core (`graph.explore`).
+construction whose step (`Subsets`) realizability's trace-set walk also
+takes, run on the exploration core (`graph.explore`).
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterable, Mapping
 
 from ..graph import Graph, explore
 from .projection import L_EPSILON, ChoiceKind, LAtom, LChoice, LEps, LRec, LSeq, LShuffle, LVar, LocalExpr, accepting, local_steps
@@ -94,8 +96,8 @@ class Nfa:
 
     def __init__(self):
         self.count = 0
-        self.eps: dict[int, set[int]] = {}
-        self.edges: dict[int, list[tuple[Label, int]]] = {}
+        self.eps: defaultdict[int, set[int]] = defaultdict(set)
+        self.edges: defaultdict[int, list[tuple[Label, int]]] = defaultdict(list)
         self.finals: set[int] = set()
 
     def new_state(self) -> int:
@@ -103,10 +105,10 @@ class Nfa:
         return self.count - 1
 
     def add_eps(self, a: int, b: int) -> None:
-        self.eps.setdefault(a, set()).add(b)
+        self.eps[a].add(b)
 
     def add_edge(self, a: int, label: Label, b: int) -> None:
-        self.edges.setdefault(a, []).append((label, b))
+        self.edges[a].append((label, b))
 
 
 def _build(nfa: Nfa, e: LocalExpr, start: int, end: int, env: dict[str, int]) -> None:
@@ -188,30 +190,42 @@ def _unroll_local(e: LocalExpr, bound: int, env: dict[str, tuple[LRec, int]]) ->
     return e
 
 
-def determinize(nfa: Nfa, start: int) -> Graph:
-    """Subset construction over the states reachable from `start`, silent
-    moves closed over: the core's graph of subsets (frozensets of NFA
-    states), each subset's moves in label order."""
+class Subsets:
+    """The subset construction's step over states with labelled moves
+    `labelled[s]`, (label, target) pairs, and silent moves `silent[s]`.
+    Each closure is computed once; equal closed sets are one object."""
 
-    def closure(states: frozenset[int]) -> frozenset[int]:
-        stack, seen = list(states), set(states)
-        while stack:
-            s = stack.pop()
-            for t in nfa.eps.get(s, ()):
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        return frozenset(seen)
+    def __init__(self, labelled: Mapping[int, Iterable[tuple[Label, int]]], silent: Mapping[int, Iterable[int]]):
+        self.labelled, self.silent, self.closed = labelled, silent, {}
 
-    def successors(subset: frozenset[int]) -> tuple[list[Label], list[frozenset[int]]]:
+    def closure(self, states: frozenset[int]) -> frozenset[int]:
+        closed = self.closed.get(states)
+        if closed is None:
+            stack, seen = list(states), set(states)
+            while stack:
+                for t in self.silent[stack.pop()]:
+                    if t not in seen:
+                        seen.add(t)
+                        stack.append(t)
+            closed = frozenset(seen)
+            closed = self.closed[states] = self.closed.setdefault(closed, closed)
+        return closed
+
+    def step(self, subset: frozenset[int], wanted: Mapping | None = None) -> tuple[list[Label], list[frozenset[int]]]:
+        """Labels in order (keys of `wanted` only, if given) and the closed sets they reach."""
         by_label: dict[Label, set[int]] = {}
         for s in subset:
-            for label, t in nfa.edges.get(s, ()):
+            for label, t in self.labelled[s]:
                 by_label.setdefault(label, set()).add(t)
-        labels = sorted(by_label)
-        return labels, [closure(frozenset(by_label[label])) for label in labels]
+        labels = sorted(by_label if wanted is None else by_label.keys() & wanted.keys())
+        return labels, [self.closure(frozenset(by_label[label])) for label in labels]
 
-    return explore(closure(frozenset([start])), successors)
+
+def determinize(nfa: Nfa, start: int) -> Graph:
+    """Subset construction from `start`, silent moves closed over: the
+    core's graph of frozensets of NFA states, moves in label order."""
+    subsets = Subsets(nfa.edges, nfa.eps)
+    return explore(subsets.closure(frozenset([start])), subsets.step)
 
 
 def _minimize(fsm: TypeLevelFsm) -> TypeLevelFsm:

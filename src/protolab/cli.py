@@ -163,6 +163,8 @@ def cmd_project(args) -> int:
         raise ValueError(f"project reads .trace, .scr and .bspl files, not {suffix}")
     text = args.path.read_text()
     doctrine = args.doctrine or {"": "trace-c", ".trace": "trace-c", ".scr": "scribble", ".bspl": "bspl"}.get(suffix, "trace-c")
+    if doctrine == "bspl" and suffix in (".trace", ".scr"):
+        raise ValueError(f"--doctrine bspl needs a .bspl protocol: a {suffix} protocol projects to a local behavior")
     if suffix == ".bspl" or doctrine == "bspl":
         projection = project_bspl(_one_protocol(args.path, text, "project"), args.role)
         if doctrine != "bspl":

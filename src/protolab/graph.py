@@ -2,8 +2,8 @@
 successor function reaches, and the passes over the graphs it builds.
 BSPL enactments (`netsim.explore`), CFP compositions (`runtime.compose`),
 the residuals of a local shuffle and the subset construction of a type-
-level machine (`cfp.fsm`), and the trace-set product of realizability all
-run on `explore`.
+level machine (`cfp.fsm`), and realizability's one walk over pairs of a
+protocol state and a set of composition states all run on `explore`.
 """
 
 from __future__ import annotations

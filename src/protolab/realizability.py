@@ -5,7 +5,8 @@ A protocol is realizable when the roles, each acting only on its own
 projection, jointly produce exactly the protocol's computations: no stuck
 states, no deliveries the receiving behavior cannot accept, every completed
 execution within the interpreted ordering constraints, and every global
-trace actually enacted.  Under unordered delivery, a protocol that repeats
+trace actually enacted (one walk over pairs of a protocol state and a set
+of composition states).  Under unordered delivery, a protocol that repeats
 the same schema on the same channel additionally fails because receivers
 consume by message type and cannot tell crossed occurrences apart, so
 reordered deliveries silently cross protocol instances.
@@ -24,7 +25,7 @@ from .cfp.projection import (
     project_trace_c,
     project_trace_f,
 )
-from .cfp.fsm import Nfa, determinize
+from .cfp.fsm import Subsets
 from .cfp.transforms import (
     DEFAULT_UNROLL,
     accepts_empty,
@@ -290,7 +291,7 @@ def check_realizability(e: CfpExpr, cfg: CommConfig, bound: int = DEFAULT_UNROLL
         witness = witness or constraint_witness
         notes.append(constraint_note)
 
-    missing, least_missing, extra, least_extra = _compare_trace_sets(expanded, graph)
+    missing, least_missing, extra, least_extra = _compare_trace_sets(expanded, graph, missing_only=bool(reasons))
     if (missing or extra) and not reasons:
         reasons.append(Reason.TRACE_MISMATCH)
         if missing:
@@ -457,55 +458,53 @@ def _least_execution(graph: CompositionGraph, advance, start, done) -> tuple | N
     return least_path((0, start), successors, lambda node: () if graph.final[node[0]] and done(node[1]) else None)
 
 
-def _compare_trace_sets(expanded, graph: CompositionGraph) -> tuple[int, tuple | None, int, tuple | None]:
+def _compare_trace_sets(expanded, graph: CompositionGraph, missing_only: bool = False) -> tuple[int, tuple | None, int, tuple | None]:
     """(number of protocol traces the composition cannot enact, the least
-    of them, number of extra traces it enacts, the least of them), with
-    traces as label words in tuple order.
-
-    The protocol's automaton comes from label derivatives of the expanded
-    expression; the composition's from subset construction over the graph,
-    its emissions as labels and every other move silent.  Both are
-    deterministic and acyclic, so each word is one path of their product
-    and path counts give the set sizes."""
-    nfa = Nfa()
-    for n, out in enumerate(graph.edges):
+    of them, number of extra traces it enacts, the least of them), as label
+    words in tuple order, from one walk over pairs of a protocol state
+    (label derivatives) and a set of composition states (emissions as
+    labels, every other move silent).  Both sides are deterministic and
+    acyclic, so path counts, taken only when some end pair disagrees, give
+    the set sizes.  With `missing_only` the walk follows the protocol's
+    moves alone (an inclusion check) and only the missing count is found."""
+    emitted, silent = [], []
+    for out in graph.edges:
+        labelled, quiet = [], []
         for event, t in out:
-            if event is not None and event[0] == "E":
-                nfa.add_edge(n, event[2:], t)
+            if event is None or event[0] != "E":
+                quiet.append(t)
             else:
-                nfa.add_eps(n, t)
-    nfa.finals = {n for n, final in enumerate(graph.final) if final}
-    emitted = determinize(nfa, 0)
-    emitted_moves = [dict(out) for out in emitted.edges]
-    protocol_moves: dict[frozenset, dict] = {}
+                labelled.append((event[2:], t))
+        emitted.append(labelled)
+        silent.append(quiet)
+    subsets = Subsets(emitted, silent)
+    protocol_moves: dict[frozenset | None, dict] = {None: {}}
 
     def successors(node):
         p, c = node
-        if p is not None and p not in protocol_moves:
+        if p not in protocol_moves:
             protocol_moves[p] = label_derivatives(p)
-        p_out = protocol_moves[p] if p is not None else {}
-        c_out = emitted_moves[c] if c is not None else {}
+        p_out = protocol_moves[p]
+        c_out = dict(zip(*subsets.step(c, p_out if missing_only else None))) if c is not None else {}
         labels = sorted(p_out.keys() | c_out.keys())
         return labels, [(p_out.get(label), c_out.get(label)) for label in labels]
 
-    product = explore((language_state(expanded), 0), successors)
-    in_protocol = [p is not None and accepts_empty(p) for p, _ in product.states]
-    in_composition = [c is not None and not emitted.states[c].isdisjoint(nfa.finals) for _, c in product.states]
-    paths = [0] * len(product.states)
-    paths[0] = 1
+    product = explore((language_state(expanded), subsets.closure(frozenset([0]))), successors)
+    ends = [(p is not None and accepts_empty(p), c is not None and any(map(graph.final.__getitem__, c))) for p, c in product.states]
+    missing_ends = [a and not b for a, b in ends]
+    extra_ends = [b and not a and not missing_only for a, b in ends]
+    if not any(missing_ends) and not any(extra_ends):
+        return 0, None, 0, None
+    paths = [1] + [0] * (len(product.states) - 1)
     for n in topological(product):
         for _, t in product.edges[n]:
             paths[t] += paths[n]
 
     def count_and_least(ends: list[bool]) -> tuple[int, tuple | None]:
         count = sum(paths[n] for n, end in enumerate(ends) if end)
-        if not count:
-            return 0, None
-        return count, least_path(0, product.successors, lambda n: () if ends[n] else None)
+        return count, least_path(0, product.successors, lambda n: () if ends[n] else None) if count and not missing_only else None
 
-    missing = count_and_least([a and not b for a, b in zip(in_protocol, in_composition)])
-    extra = count_and_least([b and not a for a, b in zip(in_protocol, in_composition)])
-    return (*missing, *extra)
+    return (*count_and_least(missing_ends), *count_and_least(extra_ends))
 
 
 def _spelling(graph: CompositionGraph, word: tuple) -> tuple:

@@ -277,6 +277,15 @@ def test_project_rejects_a_cfp_doctrine_for_a_bspl_protocol(capsys, doctrine):
     assert err == f"error: --doctrine {doctrine} needs a .trace or .scr protocol: a BSPL projection is a list of messages\n"
 
 
+@pytest.mark.parametrize("fixture", ["purchase.trace", "purchase.scr"])
+@pytest.mark.parametrize("fsm", [(), ("--fsm",)])
+def test_project_rejects_the_bspl_doctrine_for_a_cfp_protocol(capsys, fixture, fsm):
+    # the source is not read as BSPL, which would report a parse error
+    code, out, err = run(capsys, "project", str(FIXDIR / fixture), "Buyer", "--doctrine", "bspl", *fsm)
+    assert (code, out) == (2, "")
+    assert err == f"error: --doctrine bspl needs a .bspl protocol: a {Path(fixture).suffix} protocol projects to a local behavior\n"
+
+
 @pytest.mark.parametrize("fixture", ["purchase.bspl", "purchase.hapn"])
 @pytest.mark.parametrize(
     "argv",

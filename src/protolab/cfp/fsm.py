@@ -193,7 +193,9 @@ def _unroll_local(e: LocalExpr, bound: int, env: dict[str, tuple[LRec, int]]) ->
 class Subsets:
     """The subset construction's step over states with labelled moves
     `labelled[s]`, (label, target) pairs, and silent moves `silent[s]`.
-    Each closure is computed once; equal closed sets are one object."""
+    Each closure is computed once; equal closed sets are one object.  A
+    step follows every label of the subset, so realizability's trace-set
+    walk is driven by the composition's labels alone."""
 
     def __init__(self, labelled: Mapping[int, Iterable[tuple[Label, int]]], silent: Mapping[int, Iterable[int]]):
         self.labelled, self.silent, self.closed = labelled, silent, {}
@@ -211,13 +213,13 @@ class Subsets:
             closed = self.closed[states] = self.closed.setdefault(closed, closed)
         return closed
 
-    def step(self, subset: frozenset[int], wanted: Mapping | None = None) -> tuple[list[Label], list[frozenset[int]]]:
-        """Labels in order (keys of `wanted` only, if given) and the closed sets they reach."""
+    def step(self, subset: frozenset[int]) -> tuple[list[Label], list[frozenset[int]]]:
+        """Labels in order and the closed sets they reach."""
         by_label: dict[Label, set[int]] = {}
         for s in subset:
             for label, t in self.labelled[s]:
                 by_label.setdefault(label, set()).add(t)
-        labels = sorted(by_label if wanted is None else by_label.keys() & wanted.keys())
+        labels = sorted(by_label)
         return labels, [self.closure(frozenset(by_label[label])) for label in labels]
 
 
@@ -238,7 +240,9 @@ def _minimize(fsm: TypeLevelFsm) -> TypeLevelFsm:
         first.setdefault(a, {}).setdefault(lab, b)  # the move `step` takes
     moves = {a: sorted(out.items()) for a, out in first.items()}
     finals = set(fsm.finals)
-    partition = {s: (s in finals) for s in fsm.states}
+    # ints, not bools: a first refinement that numbers the blocks alike
+    # compares equal to it and ends the loop with these names
+    partition = {s: int(s in finals) for s in fsm.states}
     changed = True
     while changed:
         changed = False

@@ -2,8 +2,9 @@
 
 Supports one `global protocol` per source with message transfer lines,
 `choice at R { ... } or { ... }`, and self-recursion via `do Name(...)`.
-Each choice must be decided by the sender of every branch's first event;
-anything else is rejected at parse time.
+Each choice must be decided by the sender of every branch's first event,
+and no message goes from a role to itself; anything else is rejected at
+parse time.
 """
 
 from __future__ import annotations
@@ -119,6 +120,7 @@ class _ScribbleParser:
         return Var(_REC_VAR)
 
     def _transfer(self) -> CfpExpr:
+        at = self.ts.index
         name = self.ts.expect_kind("id")
         payload: list[tuple[str | None, str | None]] = []
         self.ts.expect("(")
@@ -141,6 +143,8 @@ class _ScribbleParser:
         sender = self._role()
         self.ts.expect("to")
         receiver = self._role()
+        if receiver == sender:
+            raise self.ts.error(f"message {name} has sender == receiver", at)
         self.ts.expect(";")
         return Atom(sender, receiver, name, tuple(payload))
 

@@ -6,7 +6,8 @@ parenthesized groups, `eps`, Kleene star suffix `*`, and recursion
 variables.  Named definitions `P = expr` precede the root expression;
 a definition may reference itself (recursion) or earlier definitions
 (inlined).  The final definition doubles as the root when no trailing
-expression is present.
+expression is present.  A role does not send a message to itself: such an
+atom is a parse error, reported at its sender.
 """
 
 from __future__ import annotations
@@ -104,10 +105,13 @@ class _TraceParser:
         raise self.ts.error(f"unbound recursion variable {tok!r}", self.ts.index - 1)
 
     def _atom_tail(self, sender: str) -> CfpExpr:
+        at = self.ts.index - 1
         self.ts.expect("->")
         receiver = self.ts.expect_kind("id")
         self.ts.expect(":")
         name = self.ts.expect_kind("id")
+        if receiver == sender:
+            raise self.ts.error(f"message {name} has sender == receiver", at)
         payload: list[tuple[str | None, str | None]] = []
         if self.ts.maybe("("):
             while not self.ts.at(")"):

@@ -4,12 +4,24 @@ configuration.
 A protocol is realizable when the roles, each acting only on its own
 projection, jointly produce exactly the protocol's computations: no stuck
 states, no deliveries the receiving behavior cannot accept, every completed
-execution within the interpreted ordering constraints, and every global
-trace actually enacted (one walk over pairs of a protocol state and a set
-of composition states).  Under unordered delivery, a protocol that repeats
-the same schema on the same channel additionally fails because receivers
+execution within the interpreted ordering constraints, and the same traces
+as the protocol.  Under unordered delivery, a protocol that repeats the
+same schema on the same channel additionally fails because receivers
 consume by message type and cannot tell crossed occurrences apart, so
 reordered deliveries silently cross protocol instances.
+
+Trace equality is one inclusion, as no message goes from a role to itself
+(both CFP parsers reject one).  Each doctrine's projection accepts each
+role's view of every protocol trace, and `local_steps` keeps its first
+event: an external choice drops only sends, and no role's view of such a
+branch starts with a send (trace-c and trace-f read polarity from the
+global initials; scribble's merge check requires each non-decider branch
+to start with a reception, at every nesting level).  So the run that
+delivers each message right after its send is a completed path under
+FIFO, unordered and synchronous delivery and under the channel selector,
+with never more than one message in transit, and every protocol trace is
+enacted.  Only extra traces are sought (`_extra_traces`), and only when no
+reason is known yet.
 """
 
 from __future__ import annotations
@@ -124,45 +136,32 @@ def sequence_constraints(e: CfpExpr, interpretation: Interpretation, unroll_boun
 
 def detect_nonlocal_choice(e: CfpExpr) -> list[Diagnostic]:
     """Choice points whose branches' first events have different senders,
-    counting a shuffle as a choice over which operand moves first."""
+    counting a shuffle as a choice over which operand moves first, in
+    pre-order (left operand first).  The walk keeps its own stack, and
+    reports once per use of a node that the parser shares."""
     out: list[Diagnostic] = []
-    _scan_nonlocal(e, out)
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, Choice):
+            senders = {a.sender for b in x.branches for a in initials(b)}
+            if len(senders) > 1:
+                subject = " vs ".join(sorted({f"{a.sender} sends {a.name}" for b in x.branches for a in initials(b)[:1]}))
+                message = "choice branches are initiated by different roles: " + ", ".join(sorted(senders))
+                out.append(Diagnostic("NonlocalChoice", message, subject=subject))
+            stack.extend(reversed(x.branches))
+        elif isinstance(x, Shuffle):
+            left = {a.sender for a in initials(x.left)}
+            right = {a.sender for a in initials(x.right)}
+            if left and right and left | right != left & right and len(left | right) > 1:
+                message = "shuffle operands are initiated by different roles: " + ", ".join(sorted(left | right))
+                out.append(Diagnostic("NonlocalChoice", message))
+            stack += (x.right, x.left)
+        elif isinstance(x, Seq):
+            stack += (x.right, x.left)
+        elif isinstance(x, Rec):
+            stack.append(x.body)
     return out
-
-
-def _scan_nonlocal(e: CfpExpr, out: list[Diagnostic]) -> None:
-    if isinstance(e, Choice):
-        senders: set[str] = set()
-        for b in e.branches:
-            firsts = initials(b)
-            senders.update(a.sender for a in firsts)
-        if len(senders) > 1:
-            out.append(
-                Diagnostic(
-                    "NonlocalChoice",
-                    "choice branches are initiated by different roles: " + ", ".join(sorted(senders)),
-                    subject=" vs ".join(sorted({f"{a.sender} sends {a.name}" for b in e.branches for a in initials(b)[:1]})),
-                )
-            )
-        for b in e.branches:
-            _scan_nonlocal(b, out)
-    elif isinstance(e, Shuffle):
-        left = {a.sender for a in initials(e.left)}
-        right = {a.sender for a in initials(e.right)}
-        if left and right and left | right != left & right and len(left | right) > 1:
-            out.append(
-                Diagnostic(
-                    "NonlocalChoice",
-                    "shuffle operands are initiated by different roles: " + ", ".join(sorted(left | right)),
-                )
-            )
-        _scan_nonlocal(e.left, out)
-        _scan_nonlocal(e.right, out)
-    elif isinstance(e, Seq):
-        _scan_nonlocal(e.left, out)
-        _scan_nonlocal(e.right, out)
-    elif isinstance(e, Rec):
-        _scan_nonlocal(e.body, out)
 
 
 # ---------------------------------------------------------------------------
@@ -291,16 +290,13 @@ def check_realizability(e: CfpExpr, cfg: CommConfig, bound: int = DEFAULT_UNROLL
         witness = witness or constraint_witness
         notes.append(constraint_note)
 
-    missing, least_missing, extra, least_extra = _compare_trace_sets(expanded, graph, missing_only=bool(reasons))
-    if (missing or extra) and not reasons:
-        reasons.append(Reason.TRACE_MISMATCH)
-        if missing:
-            notes.append(f"{missing} protocol trace(s) cannot be enacted, e.g. {_fmt_labels(least_missing)}")
+    # rule 4: every protocol trace is enacted (see the module docstring)
+    if not reasons:
+        extra, least_extra = _extra_traces(expanded, graph)
         if extra:
+            reasons.append(Reason.TRACE_MISMATCH)
             notes.append(f"the composition produces {extra} extra trace(s), e.g. {_fmt_labels(least_extra)}")
-            witness = witness or _spelling(graph, least_extra)
-    elif missing and reasons:
-        notes.append(f"{missing} protocol trace(s) additionally cannot be enacted")
+            witness = _spelling(graph, least_extra)
 
     ordered = _order_reasons(reasons)
     if ordered:
@@ -458,25 +454,16 @@ def _least_execution(graph: CompositionGraph, advance, start, done) -> tuple | N
     return least_path((0, start), successors, lambda node: () if graph.final[node[0]] and done(node[1]) else None)
 
 
-def _compare_trace_sets(expanded, graph: CompositionGraph, missing_only: bool = False) -> tuple[int, tuple | None, int, tuple | None]:
-    """(number of protocol traces the composition cannot enact, the least
-    of them, number of extra traces it enacts, the least of them), as label
-    words in tuple order, from one walk over pairs of a protocol state
-    (label derivatives) and a set of composition states (emissions as
-    labels, every other move silent).  Both sides are deterministic and
-    acyclic, so path counts, taken only when some end pair disagrees, give
-    the set sizes.  With `missing_only` the walk follows the protocol's
-    moves alone (an inclusion check) and only the missing count is found."""
-    emitted, silent = [], []
-    for out in graph.edges:
-        labelled, quiet = [], []
-        for event, t in out:
-            if event is None or event[0] != "E":
-                quiet.append(t)
-            else:
-                labelled.append((event[2:], t))
-        emitted.append(labelled)
-        silent.append(quiet)
+def _extra_traces(expanded, graph: CompositionGraph) -> tuple[int, tuple | None]:
+    """(number of traces the composition enacts beyond the protocol's, the
+    least of them as a label word in tuple order), from one walk along the
+    composition's labels over pairs of a protocol state (label
+    derivatives, None once the word has left the protocol) and a closed set
+    of composition states (emissions as labels, every other move silent).
+    Both sides are deterministic and acyclic, so path counts, taken only
+    when some completed pair lies outside the protocol, give the count."""
+    emitted = [[(event[2:], t) for event, t in out if event is not None and event[0] == "E"] for out in graph.edges]
+    silent = [[t for event, t in out if event is None or event[0] != "E"] for out in graph.edges]
     subsets = Subsets(emitted, silent)
     protocol_moves: dict[frozenset | None, dict] = {None: {}}
 
@@ -485,26 +472,19 @@ def _compare_trace_sets(expanded, graph: CompositionGraph, missing_only: bool = 
         if p not in protocol_moves:
             protocol_moves[p] = label_derivatives(p)
         p_out = protocol_moves[p]
-        c_out = dict(zip(*subsets.step(c, p_out if missing_only else None))) if c is not None else {}
-        labels = sorted(p_out.keys() | c_out.keys())
-        return labels, [(p_out.get(label), c_out.get(label)) for label in labels]
+        labels, targets = subsets.step(c)
+        return labels, [(p_out.get(label), t) for label, t in zip(labels, targets)]
 
     product = explore((language_state(expanded), subsets.closure(frozenset([0]))), successors)
-    ends = [(p is not None and accepts_empty(p), c is not None and any(map(graph.final.__getitem__, c))) for p, c in product.states]
-    missing_ends = [a and not b for a, b in ends]
-    extra_ends = [b and not a and not missing_only for a, b in ends]
-    if not any(missing_ends) and not any(extra_ends):
-        return 0, None, 0, None
+    extra = [any(map(graph.final.__getitem__, c)) and (p is None or not accepts_empty(p)) for p, c in product.states]
+    if not any(extra):
+        return 0, None
     paths = [1] + [0] * (len(product.states) - 1)
     for n in topological(product):
         for _, t in product.edges[n]:
             paths[t] += paths[n]
-
-    def count_and_least(ends: list[bool]) -> tuple[int, tuple | None]:
-        count = sum(paths[n] for n, end in enumerate(ends) if end)
-        return count, least_path(0, product.successors, lambda n: () if ends[n] else None) if count and not missing_only else None
-
-    return (*count_and_least(missing_ends), *count_and_least(extra_ends))
+    count = sum(paths[n] for n, end in enumerate(extra) if end)
+    return count, least_path(0, product.successors, lambda n: () if extra[n] else None)
 
 
 def _spelling(graph: CompositionGraph, word: tuple) -> tuple:

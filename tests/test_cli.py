@@ -56,6 +56,22 @@ def test_check_parse_error_exits_two(capsys, tmp_path):
     assert "parse error" in err
 
 
+SELF_MESSAGES = {
+    ".trace": ("B -> C : n ; A -> A : m\n", "line 1, column 14"),
+    ".scr": ("global protocol P(role A, role B) {\n  n() from B to A;\n  m() from A to A;\n}\n", "line 3, column 3"),
+}
+
+
+@pytest.mark.parametrize("suffix", sorted(SELF_MESSAGES))
+@pytest.mark.parametrize("argv", [("check",), ("realizability",), ("project", "A"), ("project", "A", "--fsm")])
+def test_a_message_from_a_role_to_itself_is_a_parse_error(capsys, tmp_path, suffix, argv):
+    source, where = SELF_MESSAGES[suffix]
+    path = tmp_path / f"self{suffix}"
+    path.write_text(source)
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out, err) == (2, "", f"parse error: message m has sender == receiver ({where})\n")
+
+
 def test_realizability_purchase_trace_c(capsys):
     code, out, _ = run(capsys, "realizability", str(FIXDIR / "purchase.trace"), "--preset", "trace-c")
     assert code == 0

@@ -7,11 +7,14 @@ expression, a local behavior's first atom and the sequence constraints are
 all read from it.  These tests check each reader against the walker it
 replaced, kept below verbatim as the reference, except that `has_node`
 reads a node's fields through `dataclasses.fields`, as slotted nodes have
-no `__dict__`.
+no `__dict__`.  The nonlocal-choice scan, which keeps its own stack, is
+checked against the recursive scan it replaced in the same way.
 """
 
 import dataclasses
 import random
+
+from protolab.diagnostics import Diagnostic
 
 import test_acceptance
 import test_local_steps
@@ -35,7 +38,7 @@ from protolab.cfp.ast import (
 )
 from protolab.cfp.projection import LAtom, LChoice, LocalExpr, LRec, LSeq, LShuffle, MergeFailure, project_scribble
 from protolab.cfp.transforms import eliminate_shuffle, expand
-from protolab.realizability import Constraint, Interpretation, sequence_constraints
+from protolab.realizability import Constraint, Interpretation, detect_nonlocal_choice, sequence_constraints
 from test_realize_table import TABLE, config_from_flags, expression
 
 # ---------------------------------------------------------------------------
@@ -131,6 +134,41 @@ def reference_sequence_constraints(e, interpretation, unroll_bound=2):
     out = []
     _collect_constraints(expanded, interpretation, out)
     return tuple(out)
+
+
+def _scan_nonlocal(e: CfpExpr, out: list[Diagnostic]) -> None:
+    if isinstance(e, Choice):
+        senders: set[str] = set()
+        for b in e.branches:
+            firsts = initials(b)
+            senders.update(a.sender for a in firsts)
+        if len(senders) > 1:
+            out.append(
+                Diagnostic(
+                    "NonlocalChoice",
+                    "choice branches are initiated by different roles: " + ", ".join(sorted(senders)),
+                    subject=" vs ".join(sorted({f"{a.sender} sends {a.name}" for b in e.branches for a in initials(b)[:1]})),
+                )
+            )
+        for b in e.branches:
+            _scan_nonlocal(b, out)
+    elif isinstance(e, Shuffle):
+        left = {a.sender for a in initials(e.left)}
+        right = {a.sender for a in initials(e.right)}
+        if left and right and left | right != left & right and len(left | right) > 1:
+            out.append(
+                Diagnostic(
+                    "NonlocalChoice",
+                    "shuffle operands are initiated by different roles: " + ", ".join(sorted(left | right)),
+                )
+            )
+        _scan_nonlocal(e.left, out)
+        _scan_nonlocal(e.right, out)
+    elif isinstance(e, Seq):
+        _scan_nonlocal(e.left, out)
+        _scan_nonlocal(e.right, out)
+    elif isinstance(e, Rec):
+        _scan_nonlocal(e.body, out)
 
 
 def _visits(e, enter=None):
@@ -271,3 +309,23 @@ def test_sequence_constraints_walk_a_10000_deep_chain():
         chain = Seq(OccAtom(Atom("A", "B", "m"), occ), chain)
     constraints = sequence_constraints(chain, Interpretation.RR)
     assert [(c.left.occ, c.right.occ) for c in constraints] == [(i, i + 1) for i in range(1, 10_000)]
+
+
+def test_nonlocal_choices_equal_the_recursive_scan():
+    # the parsed realize-table inputs (the golden cases among them) and the
+    # random expressions, before expansion, as `check_realizability` scans
+    exprs = [e for e, _ in TABLE_INPUTS] + GLOBAL_INPUTS[:600]
+    found = 0
+    for e in exprs:
+        want: list[Diagnostic] = []
+        _scan_nonlocal(e, want)
+        assert detect_nonlocal_choice(e) == want, e
+        found += len(want) > 1
+    assert found  # the order of several diagnostics is compared too
+
+
+def test_nonlocal_choices_walk_a_10000_deep_chain():
+    chain = Atom("A", "B", "m10000")
+    for i in range(9_999, 0, -1):
+        chain = Seq(Atom("A", "B", f"m{i}") if i % 2 else Atom("B", "A", f"m{i}"), chain)
+    assert detect_nonlocal_choice(chain) == []

@@ -291,6 +291,31 @@ def test_minimize_equals_the_reference_on_every_projected_machine(monkeypatch, t
         assert export_fsm(minimize(machine)) == export_fsm(reference_minimize(machine))
 
 
+def test_every_machine_state_is_an_int(monkeypatch, capsys):
+    # one send: the first refinement numbers the two blocks as finality does
+    one = extract_fsm(project_trace_c(parse_trace("A -> B : m"), "A"))
+    assert export_fsm(one) == "node 0 initial\nnode 1 final\nedge 0 -> 1 B!m()\n"
+    machines = [one]
+    minimize = fsm_module._minimize
+
+    def recorded(machine):
+        machines.append(minimize(machine))
+        return machines[-1]
+
+    monkeypatch.setattr(fsm_module, "_minimize", recorded)
+    fixtures = Path(__file__).resolve().parents[1] / "src" / "protolab" / "fixtures"
+    for f in sorted(fixtures.glob("*.trace")) + sorted(fixtures.glob("*.scr")):
+        parse = parse_scribble if f.suffix == ".scr" else parse_trace
+        for role in roles(parse(f.read_text())):
+            for doctrine in ("trace-c", "trace-f", "scribble"):
+                main(["project", str(f), role, "--doctrine", doctrine, "--fsm"])
+    capsys.readouterr()
+    assert len(machines) > 80
+    for m in machines:
+        named = [*m.states, m.initial, *m.finals] + [s for a, _, b in m.transitions for s in (a, b)]
+        assert all(type(s) is int for s in named), export_fsm(m)
+
+
 def test_erasure_soundness_every_local_atom_involves_role():
     from protolab.cfp.ast import atoms as global_atoms
 

@@ -5,16 +5,18 @@ implementation.
 before the comparison became one product walk: an NFA built from every
 composition edge, a full subset construction (`fsm.determinize`), then a
 walk of the product with the protocol's derivative automaton, a
-topological sort and path counts on every input.  The one walk must give
-what a verdict reads of it: all four values when no reason is known yet,
-and the missing count when one is.
+topological sort and path counts on every input.  It counts both halves
+of trace-set equality; the missing half is zero by construction (the
+lemma in the `realizability` docstring), so the verdict reads only
+`_extra_traces`, which must give the oracle's extra half, and only when
+no reason is known yet.
 """
 
 import random
 
 import pytest
 
-from generators import random_cfp, random_shuffle_expr
+from generators import random_cfp, random_scribble, random_shuffle_expr
 from test_realize_table import TABLE, config_from_flags, expression
 
 from protolab import realizability
@@ -24,8 +26,8 @@ from protolab.cfp.trace_parser import parse_trace
 from protolab.cfp.transforms import accepts_empty, eliminate_shuffle, expand, label_derivatives, language_state
 from protolab.graph import explore, least_path, topological
 from protolab.matrix import fixture_text
-from protolab.netsim import Delivery
-from protolab.realizability import Doctrine, Interpretation, _compare_trace_sets, _project_all, check_realizability, language_preset
+from protolab.netsim import Delivery, Reception
+from protolab.realizability import Doctrine, Interpretation, _extra_traces, _project_all, check_realizability, language_preset
 from protolab.runtime import compose
 
 CONFIGS = [language_preset("trace-c"), language_preset("scribble")] + [
@@ -92,8 +94,8 @@ def composition(e, cfg, bound=2, state_cap=250_000):
 
 def assert_same_reading(expanded, graph, label):
     want = old_compare_trace_sets(expanded, graph)
-    assert _compare_trace_sets(expanded, graph) == want, label
-    assert _compare_trace_sets(expanded, graph, missing_only=True) == (want[0], None, 0, None), label
+    assert want[:2] == (0, None), label  # every protocol trace is enacted
+    assert _extra_traces(expanded, graph) == want[2:], label
     return want
 
 
@@ -111,7 +113,7 @@ def test_one_walk_reads_as_the_old_comparison_on_the_realize_table():
             continue
         want = assert_same_reading(*found, entry["id"])
         if "TraceMismatch" in entry["reasons"]:
-            assert want[0] or want[2], entry["id"]
+            assert want[2], entry["id"]
             mismatches += 1
         checked += 1
     assert checked >= 4900  # the rest stop at a merge failure, before any comparison
@@ -128,9 +130,35 @@ def test_one_walk_reads_as_the_old_comparison_on_generated_expressions():
             continue
         want = assert_same_reading(*found, str(e))
         checked += 1
-        differing += bool(want[0] or want[2])
+        differing += bool(want[2])
     assert checked >= 300
-    assert differing  # some generated compositions do not enact the protocol's traces
+    assert differing  # some generated compositions enact traces the protocol lacks
+
+
+# synchronous delivery, and the channel selector over trace-c and trace-f
+# projections: the lemma's run is a completed path there too
+SAMPLE_CONFIGS = [
+    language_preset("trace-c").with_(delivery=Delivery.SYNCHRONOUS),
+    language_preset("scribble").with_(delivery=Delivery.SYNCHRONOUS),
+    language_preset("trace-f").with_(delivery=Delivery.SYNCHRONOUS, interpretation=Interpretation.RR),
+] + [
+    preset.with_(delivery=d, reception=Reception.BLOCKING_SELECTOR)
+    for preset in (language_preset("trace-c"), language_preset("trace-f").with_(interpretation=Interpretation.RR))
+    for d in Delivery
+]
+
+
+def test_one_walk_reads_as_the_old_comparison_under_synchronous_delivery_and_the_selector():
+    rng = random.Random(2929)
+    checked = 0
+    for i in range(450):
+        kind = i % 3
+        e = random_cfp(rng) if kind == 0 else random_shuffle_expr(rng) if kind == 1 else random_scribble(rng).body
+        found = composition(e, SAMPLE_CONFIGS[i % len(SAMPLE_CONFIGS)], state_cap=5_000)
+        if found is not None:
+            assert_same_reading(*found, str(e))
+            checked += 1
+    assert checked >= 300
 
 
 def _refuse(*args, **kwargs):
@@ -152,22 +180,24 @@ def test_a_realizable_verdict_counts_no_paths_and_builds_no_word(monkeypatch, so
     assert check_realizability(parse_trace(source), cfg).realizable
 
 
-def test_a_known_reason_asks_only_for_the_missing_count(monkeypatch):
+def test_a_known_reason_runs_no_rule_4_walk(monkeypatch):
+    cfg = CONFIGS[5]  # trace-f, FIFO, RR
+    monkeypatch.setattr(realizability, "_extra_traces", _refuse)
+    assert check_realizability(parse_trace("W -> X : p ; W -> Y : q"), cfg).reasons  # an OrderViolation
     asked = []
 
-    def recording_compare(expanded, graph, missing_only=False):
-        asked.append(missing_only)
-        return _compare_trace_sets(expanded, graph, missing_only)
+    def recording_extra_traces(expanded, graph):
+        asked.append(expanded)
+        return _extra_traces(expanded, graph)
 
-    monkeypatch.setattr(realizability, "_compare_trace_sets", recording_compare)
-    cfg = CONFIGS[5]  # trace-f, FIFO, RR
-    assert check_realizability(parse_trace("W -> X : p ; W -> Y : q"), cfg).reasons  # an OrderViolation
+    monkeypatch.setattr(realizability, "_extra_traces", recording_extra_traces)
     assert check_realizability(parse_trace("W -> X : p ; X -> Y : q"), cfg).realizable
-    assert asked == [True, False]
+    assert len(asked) == 1
 
 
-def test_the_missing_count_alone_walks_the_protocol_side_and_builds_no_word(monkeypatch):
-    # the protocol x against the composition of y: x is missing, y extra
+def test_the_walk_follows_the_composition_and_reaches_no_dead_composition_side(monkeypatch):
+    # the protocol x against the composition of y: y is extra (and x, which
+    # no projection of a parsed protocol can lose, is missing)
     _, graph = composition(parse_trace("A -> B : y"), language_preset("trace-c"))
     expanded = expand(parse_trace("A -> B : x"), 2)
     assert old_compare_trace_sets(expanded, graph) == (1, (("A", "B", "x"),), 1, (("A", "B", "y"),))
@@ -178,8 +208,6 @@ def test_the_missing_count_alone_walks_the_protocol_side_and_builds_no_word(monk
         return products[-1]
 
     monkeypatch.setattr(realizability, "explore", recording_explore)
-    monkeypatch.setattr(realizability, "least_path", _refuse)
-    assert _compare_trace_sets(expanded, graph, missing_only=True) == (1, None, 0, None)
-    # an inclusion check: every pair the walk reached has a live protocol side
+    assert _extra_traces(expanded, graph) == (1, (("A", "B", "y"),))
     [product] = products
-    assert all(p is not None for p, _ in product.states)
+    assert all(c for _, c in product.states)

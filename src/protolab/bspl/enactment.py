@@ -71,7 +71,7 @@ EMISSION = "E"
 RECEPTION = "R"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Observation:
     kind: str  # EMISSION | RECEPTION
     instance: MessageInstance

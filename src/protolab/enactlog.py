@@ -5,10 +5,15 @@
 Rejected emission attempts are recorded as `X` lines carrying the reason
 instead of bindings.  Logs serve replay and golden tests.
 
-Replay reads each line once.  `histories_from_log` builds one
-`MessageInstance` per distinct message and bindings, so an emission and
-its receptions share it, and `MessageInstance.make` checks the bindings
-against the schema's cached parameter names in one comparison.
+Replay reads each line once.  `parse_log` parses each distinct body (the
+text after the message name) once, and every line with that body shares
+one bindings tuple; agent, message and parameter names are kept once per
+call.  `histories_from_log` builds one `MessageInstance` per distinct
+message and bindings, so an emission and its receptions share it, and
+`MessageInstance.make` checks the bindings against the schema's cached
+parameter names in one comparison.  The entries are not needed after
+replay: `protolab commitments` hands them straight to
+`histories_from_log` and keeps only the histories.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from .bspl.core import InfoProtocol
 from .bspl.enactment import EMISSION, RECEPTION, History, MessageInstance, Observation, check_observation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogEntry:
     tick: int
     agent: str
@@ -48,6 +53,10 @@ def parse_log(text: str, protocols: list[InfoProtocol]) -> list[LogEntry]:
             if m.name in schemas and schemas[m.name] is not m:
                 raise ValueError(f"message name {m.name} is ambiguous across the loaded protocols")
             schemas[m.name] = m
+    # One copy of each name, and one bindings tuple per distinct body: an
+    # emission and its receptions carry the same body.
+    names: dict[str, str] = {}
+    bodies: dict[str, tuple[tuple[str, str], ...]] = {}
     entries = []
     for raw in text.splitlines():
         line = raw.strip()
@@ -57,6 +66,7 @@ def parse_log(text: str, protocols: list[InfoProtocol]) -> list[LogEntry]:
         if len(parts) < 4 or not parts[0].isdecimal():
             raise ValueError(f"malformed log line: {line!r}")
         tick, agent, kind, message = int(parts[0]), parts[1], parts[2], parts[3]
+        agent, message = names.setdefault(agent, agent), names.setdefault(message, message)
         rest = parts[4] if len(parts) > 4 else ""
         if kind == "X":
             entries.append(LogEntry(tick, agent, kind, message, (), rest))
@@ -65,10 +75,17 @@ def parse_log(text: str, protocols: list[InfoProtocol]) -> list[LogEntry]:
             raise ValueError(f"unknown event kind {kind!r} in line {line!r}")
         if message not in schemas:
             raise ValueError(f"unknown message {message!r}")
-        items = [item.partition("=") for item in rest.split(",") if item]
-        if not all(equals for _, equals, _ in items):
-            raise ValueError(f"binding without '=' in log line: {line!r}")
-        entries.append(LogEntry(tick, agent, kind, message, tuple((key, value) for key, _, value in items)))
+        bindings = bodies.get(rest)
+        if bindings is None:
+            items = [item.partition("=") for item in rest.split(",") if item]
+            if not all(equals for _, equals, _ in items):
+                raise ValueError(f"binding without '=' in log line: {line!r}")
+            keys = [key for key, _, _ in items]
+            if len(set(keys)) < len(keys):
+                twice = next(key for i, key in enumerate(keys) if key in keys[:i])
+                raise ValueError(f"parameter {twice} bound twice in log line: {line!r}")
+            bindings = bodies[rest] = tuple((names.setdefault(key, key), value) for key, _, value in items)
+        entries.append(LogEntry(tick, agent, kind, message, bindings))
     return entries
 
 
@@ -92,14 +109,6 @@ def histories_from_log(entries: list[LogEntry], protocols: list[InfoProtocol]) -
         observations.append(o)
     # one tuple per history: appending line by line would copy it per line
     return {agent: History(agent, tuple(observations)) for agent, observations in observed.items()}
-
-
-def log_from_histories(histories: dict[str, History]) -> list[LogEntry]:
-    entries = []
-    for agent in sorted(histories):
-        for obs in histories[agent].observations:
-            entries.append(LogEntry(obs.logical_day, agent, obs.kind, obs.instance.schema.name, obs.instance.bindings))
-    return entries
 
 
 def log_from_run(log: list[tuple[str, str, MessageInstance]]) -> list[LogEntry]:

@@ -117,20 +117,6 @@ def _reject(f: FilterState, mi: MessageInstance, rejection: Rejection) -> tuple[
     return logged, rejection
 
 
-def filter_log(f: FilterState) -> list:
-    """The filter's event trace in the shared log format, rejections included."""
-    from .enactlog import LogEntry
-
-    entries = [
-        LogEntry(obs.logical_day, f.owner, obs.kind, obs.instance.schema.name, obs.instance.bindings)
-        for obs in f.history.observations
-    ]
-    last = f.history.last_tick()
-    for i, (name, reason) in enumerate(f.rejections):
-        entries.append(LogEntry(last + i + 1, f.owner, "X", name, (), reason))
-    return entries
-
-
 def on_delivery(f: FilterState, mi: MessageInstance) -> tuple[FilterState, list[MessageInstance]]:
     """Handle an infrastructure delivery; returns the new state and the
     observations surfaced to the reasoner (possibly several when a held

@@ -1,20 +1,95 @@
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
 
-from protolab.bspl.enactment import instance_views
-from protolab.cli import main
+from protolab.bspl.core import InfoProtocol, parse_bspl_file
+from protolab.bspl.enactment import (
+    EMISSION,
+    RECEPTION,
+    History,
+    MessageInstance,
+    Observation,
+    check_observation,
+    instance_views,
+)
+from protolab.cli import _auto_rows, main
 from protolab.enactlog import (
     LogEntry,
     format_log,
     histories_from_log,
-    log_from_histories,
     log_from_run,
     parse_log,
 )
 from protolab.netsim import BsplAgent, Delivery, InstanceScript, SimPolicy, run_one
 
 FIXDIR = Path(__file__).resolve().parents[1] / "src" / "protolab" / "fixtures"
+
+
+def log_from_histories(histories: dict[str, History]) -> list[LogEntry]:
+    entries = []
+    for agent in sorted(histories):
+        for obs in histories[agent].observations:
+            entries.append(LogEntry(obs.logical_day, agent, obs.kind, obs.instance.schema.name, obs.instance.bindings))
+    return entries
+
+
+# ---------------------------------------------------------------------------
+# The replay before bodies were shared, verbatim (renamed), as the oracle:
+# one bindings tuple and one set of name strings per line.
+
+
+def oracle_parse_log(text: str, protocols: list[InfoProtocol]) -> list[LogEntry]:
+    schemas = {}
+    for p in protocols:
+        for m in p.messages:
+            if m.name in schemas and schemas[m.name] is not m:
+                raise ValueError(f"message name {m.name} is ambiguous across the loaded protocols")
+            schemas[m.name] = m
+    entries = []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("//"):
+            continue
+        parts = line.split(None, 4)
+        if len(parts) < 4 or not parts[0].isdecimal():
+            raise ValueError(f"malformed log line: {line!r}")
+        tick, agent, kind, message = int(parts[0]), parts[1], parts[2], parts[3]
+        rest = parts[4] if len(parts) > 4 else ""
+        if kind == "X":
+            entries.append(LogEntry(tick, agent, kind, message, (), rest))
+            continue
+        if kind not in (EMISSION, RECEPTION):
+            raise ValueError(f"unknown event kind {kind!r} in line {line!r}")
+        if message not in schemas:
+            raise ValueError(f"unknown message {message!r}")
+        items = [item.partition("=") for item in rest.split(",") if item]
+        if not all(equals for _, equals, _ in items):
+            raise ValueError(f"binding without '=' in log line: {line!r}")
+        entries.append(LogEntry(tick, agent, kind, message, tuple((key, value) for key, _, value in items)))
+    return entries
+
+
+def oracle_histories_from_log(entries: list[LogEntry], protocols: list[InfoProtocol]) -> dict[str, History]:
+    """Rebuild per-agent histories.  The numeric column is the logical
+    timestamp (several observations may share a day); an agent's
+    observation order is its line order within equal timestamps."""
+    schemas = {m.name: m for p in protocols for m in p.messages}
+    # one instance per distinct line body: an emission and its receptions share it
+    instances: dict[tuple[str, tuple[tuple[str, str], ...]], MessageInstance] = {}
+    observed: dict[str, list[Observation]] = {}
+    for e in sorted(entries, key=attrgetter("agent", "tick")):  # stable: line order within a tick
+        if e.kind == "X":
+            continue
+        observations = observed.setdefault(e.agent, [])
+        mi = instances.get((e.message, e.bindings))
+        if mi is None:
+            mi = instances[e.message, e.bindings] = MessageInstance.make(schemas[e.message], dict(e.bindings))
+        o = Observation(e.kind, mi, len(observations) + 1, day=e.tick)
+        check_observation(e.agent, len(observations), o)
+        observations.append(o)
+    # one tuple per history: appending line by line would copy it per line
+    return {agent: History(agent, tuple(observations)) for agent, observations in observed.items()}
 
 
 def test_log_roundtrip(pricing):
@@ -45,6 +120,10 @@ def test_unknown_message_rejected(pricing):
     [
         ("1 Buyer E Request ID,item=fig", "binding without '=' in log line: '1 Buyer E Request ID,item=fig'"),
         ("x Seller R Request ID=1,item=fig", "malformed log line: 'x Seller R Request ID=1,item=fig'"),
+        (
+            "1 Buyer E Request ID=1,item=fig,item=jam",
+            "parameter item bound twice in log line: '1 Buyer E Request ID=1,item=fig,item=jam'",
+        ),
     ],
 )
 def test_malformed_line_is_quoted_in_a_one_line_error(purchase, tmp_path, capsys, line, message):
@@ -90,3 +169,102 @@ def test_log_from_run_ticks_are_per_agent(want_willpay):
         per_agent.setdefault(e.agent, []).append(e.tick)
     for ticks in per_agent.values():
         assert ticks == sorted(ticks) and len(set(ticks)) == len(ticks)
+
+
+# ---------------------------------------------------------------------------
+# Shared bodies: the same entries and histories as the oracle, with one
+# bindings tuple per distinct body
+
+
+def simulated_logs():
+    """(protocols, log text) of one seeded run of every .bspl fixture at 1-5
+    instances under each delivery policy."""
+    for path in sorted(FIXDIR.glob("*.bspl")):
+        protocols = parse_bspl_file(path.read_text())
+        for instances in range(1, 6):
+            scripts = [InstanceScript.make(p, _auto_rows(p, instances)) for p in protocols]
+            agents = [BsplAgent(role, scripts) for role in sorted({r for p in protocols for r in p.roles})]
+            for delivery in Delivery:
+                _, log = run_one(agents, SimPolicy(delivery), seed=instances)
+                yield protocols, format_log(log_from_run(log))
+
+
+def decorated(text: str) -> str:
+    """The same events with a rejection line after every fifth line, comment
+    and blank lines, extra spaces, and the other line breaks
+    `str.splitlines` knows."""
+    out = ["// replayed log", ""]
+    for i, line in enumerate(text.splitlines()):
+        tick, agent, kind, message, *body = line.split(" ", 4)
+        if i % 4 == 1:
+            line = f"  {tick}   {agent}\t{kind}  {message}   {' '.join(body)}  "
+        out.append(line + ("\r\n", "\n", "\u2028", "\x1c")[i % 4])
+        if i % 5 == 4:
+            out.append(f"{tick} {agent} X {message} AlreadyBound(x) after  two spaces\n")
+    return "\n".join(out[:2]) + "\n" + "".join(out[2:])
+
+
+def test_replay_equals_the_oracle_on_simulated_logs():
+    runs = 0
+    for protocols, text in simulated_logs():
+        for log in (text, decorated(text)):
+            entries = parse_log(log, protocols)
+            assert entries == oracle_parse_log(log, protocols)
+            assert histories_from_log(entries, protocols) == oracle_histories_from_log(entries, protocols)
+        runs += 1
+    assert runs == 6 * 5 * len(Delivery)
+
+
+def test_each_distinct_body_is_one_tuple_shared_by_its_lines():
+    for protocols, text in simulated_logs():
+        entries = parse_log(decorated(text), protocols)
+        bodies = {}
+        for e in entries:
+            if e.kind != "X":
+                assert bodies.setdefault(e.bindings, e.bindings) is e.bindings
+        names = {}
+        for e in entries:
+            for name in (e.agent, e.message, *(key for key, _ in e.bindings)):
+                assert names.setdefault(name, name) is name
+
+
+def test_an_emission_and_its_receptions_share_one_instance(purchase):
+    text = "1 Buyer E Request ID=1,item=fig\n1 Seller R Request ID=1,item=fig\n2 Seller E Offer ID=1,item=fig,price=$5\n" \
+        "2 Buyer R Offer ID=1,item=fig,price=$5\n"
+    histories = histories_from_log(parse_log(text, [purchase]), [purchase])
+    (emit_request, receive_offer), (receive_request, emit_offer) = (histories[a].observations for a in ("Buyer", "Seller"))
+    assert emit_request.instance is receive_request.instance
+    assert emit_offer.instance is receive_offer.instance
+    for protocols, text in simulated_logs():
+        histories = histories_from_log(parse_log(text, protocols), protocols)
+        shared = {}
+        for h in histories.values():
+            for o in h.observations:
+                assert shared.setdefault(o.instance, o.instance) is o.instance
+
+
+def test_log_entries_and_observations_carry_no_instance_dict(purchase):
+    entries = parse_log("1 Buyer E Request ID=1,item=fig\n2 Buyer X Request AlreadyBound(ID)", [purchase])
+    observation = histories_from_log(entries, [purchase])["Buyer"].observations[0]
+    for value in (*entries, observation):
+        assert not hasattr(value, "__dict__")
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "x Seller R Request ID=1,item=fig",
+        "3 Seller Q Request ID=1,item=fig",
+        "3 Seller R Bogus ID=1",
+        "3 Seller R Request ID,item=fig",
+        "3 Seller",
+    ],
+)
+def test_a_bad_line_after_good_ones_gives_the_oracle_error(purchase, bad):
+    good = "1 Buyer E Request ID=1,item=fig\n1 Seller R Request ID=1,item=fig\n"
+    later = "4 Seller R Request ID,item=fig\n"
+    with pytest.raises(ValueError) as expected:
+        oracle_parse_log(good + bad + "\n" + later, [purchase])
+    with pytest.raises(ValueError) as err:
+        parse_log(good + bad + "\n" + later, [purchase])
+    assert str(err.value) == str(expected.value)

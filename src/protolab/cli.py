@@ -324,8 +324,10 @@ def cmd_commitments(args) -> int:
     missing = bind_spec(spec, protocol)
     if missing:
         raise ValueError(f"commitment {spec.name} names events protocol {protocol.name} lacks: {', '.join(missing)}")
+    # The histories are freed once the states are decided, before the output is built.
     histories = histories_from_log(parse_log(args.log.read_text(), [protocol]), [protocol])
     states = commitment_states(spec, list(histories.values()), protocol, now=args.now)
+    del histories
     payload = [
         {"key": dict(inst.key), "state": inst.state.value, "timestamps": inst.timestamp_map()} for inst in states
     ]

@@ -5,15 +5,19 @@
 Rejected emission attempts are recorded as `X` lines carrying the reason
 instead of bindings.  Logs serve replay and golden tests.
 
-Replay reads each line once.  `parse_log` parses each distinct body (the
-text after the message name) once, and every line with that body shares
-one bindings tuple; agent, message and parameter names are kept once per
-call.  `histories_from_log` builds one `MessageInstance` per distinct
-message and bindings, so an emission and its receptions share it, and
-`MessageInstance.make` checks the bindings against the schema's cached
-parameter names in one comparison.  The entries are not needed after
-replay: `protolab commitments` hands them straight to
-`histories_from_log` and keeps only the histories.
+Replay holds each binding once, from log line to commitment state.
+`parse_log` reads each line once and parses each distinct body (the text
+after the message name) once: every line with that body shares one
+bindings tuple, every body shares each equal (name, value) pair, and
+agent, message and parameter names are kept once per call.
+`histories_from_log` builds one `MessageInstance` per distinct message
+and bindings, so an emission and its receptions share it.  A body that
+names the schema's parameters in schema order becomes the instance's
+bindings as it is; any other body goes through `MessageInstance.make`,
+which orders it or rejects it.  The entries are not needed after replay,
+nor the histories once the commitment states are decided: `protolab
+commitments` hands the entries straight to `histories_from_log` and lets
+the histories go before it builds its output.
 """
 
 from __future__ import annotations
@@ -53,9 +57,12 @@ def parse_log(text: str, protocols: list[InfoProtocol]) -> list[LogEntry]:
             if m.name in schemas and schemas[m.name] is not m:
                 raise ValueError(f"message name {m.name} is ambiguous across the loaded protocols")
             schemas[m.name] = m
-    # One copy of each name, and one bindings tuple per distinct body: an
-    # emission and its receptions carry the same body.
+    # One copy of each name, one (name, value) pair per distinct binding,
+    # and one bindings tuple per distinct body: an emission and its
+    # receptions carry the same body, and the bodies of one instance
+    # repeat its bindings.
     names: dict[str, str] = {}
+    pairs: dict[tuple[str, str], tuple[str, str]] = {}
     bodies: dict[str, tuple[tuple[str, str], ...]] = {}
     entries = []
     for raw in text.splitlines():
@@ -84,7 +91,11 @@ def parse_log(text: str, protocols: list[InfoProtocol]) -> list[LogEntry]:
             if len(set(keys)) < len(keys):
                 twice = next(key for i, key in enumerate(keys) if key in keys[:i])
                 raise ValueError(f"parameter {twice} bound twice in log line: {line!r}")
-            bindings = bodies[rest] = tuple((names.setdefault(key, key), value) for key, _, value in items)
+            shared = []
+            for key, _, value in items:
+                pair = (names.setdefault(key, key), value)
+                shared.append(pairs.setdefault(pair, pair))
+            bindings = bodies[rest] = tuple(shared)
         entries.append(LogEntry(tick, agent, kind, message, bindings))
     return entries
 
@@ -103,7 +114,12 @@ def histories_from_log(entries: list[LogEntry], protocols: list[InfoProtocol]) -
         observations = observed.setdefault(e.agent, [])
         mi = instances.get((e.message, e.bindings))
         if mi is None:
-            mi = instances[e.message, e.bindings] = MessageInstance.make(schemas[e.message], dict(e.bindings))
+            schema = schemas[e.message]
+            if tuple([name for name, _ in e.bindings]) == schema.param_names():
+                mi = MessageInstance(schema, e.bindings)  # the body lists the parameters in schema order
+            else:
+                mi = MessageInstance.make(schema, dict(e.bindings))
+            instances[e.message, e.bindings] = mi
         o = Observation(e.kind, mi, len(observations) + 1, day=e.tick)
         check_observation(e.agent, len(observations), o)
         observations.append(o)

@@ -224,6 +224,12 @@ def test_instance_key_for_own_equal_and_foreign_schemas(purchase, pricing):
             assert protocol.message_keys(schema) == tuple(k for k, _ in reference_key(m, protocol))
 
 
+def slot_values(m):
+    """Every slot of a `MessageInstance`, cache included: what `vars` would
+    show if it had a `__dict__`."""
+    return {name: getattr(m, name) for name in type(m).__slots__}
+
+
 def test_message_instance_hash_is_cached_and_invisible(purchase):
     hashed = mi(purchase, "Offer", ID="1", item="fig", price="$5")
     hash(hashed)
@@ -231,10 +237,24 @@ def test_message_instance_hash_is_cached_and_invisible(purchase):
     assert hashed == fresh and hash(hashed) == hash(fresh)
     assert hash(hashed) != hash(mi(purchase, "Offer", ID="2", item="fig", price="$5"))
     assert repr(hashed) == repr(fresh)
+    assert [f.name for f in dataclasses.fields(hashed)] == ["schema", "bindings"]
     assert dataclasses.asdict(hashed) == dataclasses.asdict(fresh)
     never_hashed = mi(purchase, "Offer", ID="1", item="fig", price="$5")
+    assert pickle.dumps(hashed) == pickle.dumps(never_hashed)
     copy = pickle.loads(pickle.dumps(hashed))
-    assert copy == hashed and vars(copy) == vars(never_hashed)
+    assert copy == hashed and slot_values(copy) == slot_values(never_hashed)
+    assert hash(copy) == hash(hashed) and repr(copy) == repr(hashed)
+
+
+def test_message_instance_has_no_dict_and_stays_frozen(purchase):
+    request = mi(purchase, "Request", ID="1", item="fig")
+    direct = MessageInstance(purchase.message("Request"), (("ID", "1"), ("item", "fig")))
+    hash(request), request.key(purchase)
+    for m in (request, direct, pickle.loads(pickle.dumps(request)), dataclasses.replace(request)):
+        assert not hasattr(m, "__dict__") and m == direct
+        for name in type(m).__slots__:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(m, name, None)
 
 
 def test_message_instance_key_is_cached_per_protocol(purchase, pricing):
@@ -245,7 +265,8 @@ def test_message_instance_key_is_cached_per_protocol(purchase, pricing):
     for protocol in (purchase, unkeyed, purchase, pricing, unkeyed):
         assert m.key(protocol) == reference_key(m, protocol)
     assert m.key(purchase) == (("ID", "1"),) and m.key(unkeyed) == ()
+    assert pickle.dumps(m) == pickle.dumps(mi(purchase, "Request", ID="1", item="fig"))
     copy = pickle.loads(pickle.dumps(m))
-    assert "_key" not in vars(copy) and copy == m and hash(copy) == hash(m)
+    assert slot_values(copy)["_key"] is None and copy == m and hash(copy) == hash(m)
     assert copy.key(purchase) == m.key(purchase) and copy.key(unkeyed) == ()
     assert m == mi(purchase, "Request", ID="1", item="fig")

@@ -268,3 +268,72 @@ def test_a_bad_line_after_good_ones_gives_the_oracle_error(purchase, bad):
     with pytest.raises(ValueError) as err:
         parse_log(good + bad + "\n" + later, [purchase])
     assert str(err.value) == str(expected.value)
+
+
+# ---------------------------------------------------------------------------
+# Each binding held once: an in-order body is the instance's bindings, and
+# every other body goes through `MessageInstance.make`
+
+
+def reversed_bodies(text: str) -> str:
+    """The same events with each body's pairs listed in reverse."""
+    out = []
+    for line in text.splitlines():
+        tick, agent, kind, message, body = line.split(" ", 4)
+        out.append(f"{tick} {agent} {kind} {message} {','.join(reversed(body.split(',')))}\n")
+    return "".join(out)
+
+
+def test_replay_equals_the_oracle_with_bodies_out_of_schema_order():
+    for protocols, text in simulated_logs():
+        in_order = histories_from_log(parse_log(text, protocols), protocols)
+        log = reversed_bodies(text)
+        entries = parse_log(log, protocols)
+        assert entries == oracle_parse_log(log, protocols)
+        assert histories_from_log(entries, protocols) == oracle_histories_from_log(entries, protocols) == in_order
+
+
+def test_an_in_order_body_is_the_instances_bindings():
+    for protocols, text in simulated_logs():
+        entries = parse_log(decorated(text), protocols)
+        histories = histories_from_log(entries, protocols)
+        instances = {(o.instance.schema.name, o.instance.bindings): o.instance for h in histories.values() for o in h.observations}
+        for e in entries:
+            if e.kind != "X":
+                assert instances[e.message, e.bindings].bindings is e.bindings
+
+
+def test_a_body_out_of_schema_order_gets_the_bindings_make_gives(purchase):
+    entries = parse_log("1 Seller E Offer price=$5,ID=1,item=fig\n", [purchase])
+    (observation,) = histories_from_log(entries, [purchase])["Seller"].observations
+    made = MessageInstance.make(purchase.message("Offer"), {"price": "$5", "ID": "1", "item": "fig"})
+    assert observation.instance == made
+    assert observation.instance.bindings == made.bindings == (("ID", "1"), ("item", "fig"), ("price", "$5"))
+
+
+def test_equal_pairs_across_the_bodies_of_one_log_are_one_object():
+    for protocols, text in simulated_logs():
+        pairs = {}
+        for e in parse_log(decorated(text), protocols):
+            for pair in e.bindings:
+                assert pairs.setdefault(pair, pair) is pair
+
+
+@pytest.mark.parametrize(
+    "message, body, error",
+    [
+        ("Offer", "ID=1", "Offer: bindings must cover exactly the schema parameters (missing ['item', 'price'], extra [])"),
+        ("Request", "item=fig,ID=1,note=x", "Request: bindings must cover exactly the schema parameters (missing [], extra ['note'])"),
+    ],
+    ids=["missing", "extra"],
+)
+def test_make_names_the_missing_and_the_extra_parameters(purchase, tmp_path, capsys, message, body, error):
+    values = dict(item.split("=") for item in body.split(","))
+    with pytest.raises(ValueError) as err:
+        MessageInstance.make(purchase.message(message), values)
+    assert str(err.value) == error
+    log = tmp_path / "bad.log"
+    log.write_text(f"1 {purchase.message(message).sender} E {message} {body}\n")
+    argv = ["commitments", "--protocol", str(FIXDIR / "purchase.bspl"), "--cupid", str(FIXDIR / "deliver_payment.cupid")]
+    assert main([*argv, "--log", str(log), "--now", "5"]) == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n")

@@ -615,6 +615,25 @@ def test_queue_cap_fires_only_in_explore():
     assert sum(kind == EMISSION for _, kind, _ in log) == 6  # all six sent before any delivery
 
 
+# (fixture, the largest queue depth its two-instance explorations reach
+# under either policy, all within the default queue cap)
+QUEUE_DEPTHS = [("pricing", 2), ("catalog", 2), ("purchase", 2), ("indirect_payment", 2), ("want_willpay", 4), ("flexible_purchase", 4)]
+
+
+@pytest.mark.parametrize("policy", ["fifo", "unordered"])
+@pytest.mark.parametrize("name,depth", QUEUE_DEPTHS)
+def test_a_queue_cap_at_the_depth_reached_does_not_fire(name, depth, policy):
+    # the cap declines only a move that passes it: a state at the cap
+    # whose moves keep the depth at the cap is still expanded
+    agents = simulate_agents(name, 2)
+    uncapped = explore(agents, SimPolicy(Delivery(policy)))
+    assert uncapped.cap is None and uncapped.stats.max_queue_depth == depth
+    at_depth = explore(agents, SimPolicy(Delivery(policy)), queue_cap=depth)
+    assert at_depth.cap is None and at_depth.stats == uncapped.stats
+    below = explore(agents, SimPolicy(Delivery(policy)), queue_cap=depth - 1)
+    assert below.cap == "queue" and below.stats.max_queue_depth == depth - 1
+
+
 def test_state_cap_is_named_and_counts_only_expanded_states():
     result = explore(simulate_agents("want_willpay", 2), SimPolicy(Delivery.UNORDERED), state_cap=10)
     assert result.bound_exceeded and result.cap == "state"

@@ -13,11 +13,13 @@ agent, message and parameter names are kept once per call.
 `histories_from_log` builds one `MessageInstance` per distinct message
 and bindings, so an emission and its receptions share it.  A body that
 names the schema's parameters in schema order becomes the instance's
-bindings as it is; any other body goes through `MessageInstance.make`,
-which orders it or rejects it.  The entries are not needed after replay,
-nor the histories once the commitment states are decided: `protolab
-commitments` hands the entries straight to `histories_from_log` and lets
-the histories go before it builds its output.
+bindings as it is; any other body's own pairs are put in schema order,
+and a body that does not name exactly the schema's parameters is
+rejected with `MessageInstance.make`'s error.  The entries are not
+needed after replay, nor the histories once the commitment states are
+decided: `protolab commitments` hands the entries straight to
+`histories_from_log` and lets the histories go before it builds its
+output.
 """
 
 from __future__ import annotations
@@ -118,7 +120,10 @@ def histories_from_log(entries: list[LogEntry], protocols: list[InfoProtocol]) -
             if tuple([name for name, _ in e.bindings]) == schema.param_names():
                 mi = MessageInstance(schema, e.bindings)  # the body lists the parameters in schema order
             else:
-                mi = MessageInstance.make(schema, dict(e.bindings))
+                pairs = {pair[0]: pair for pair in e.bindings}
+                if pairs.keys() != schema.param_name_set:
+                    MessageInstance.make(schema, dict(e.bindings))  # raises its missing/extra error
+                mi = MessageInstance(schema, tuple([pairs[name] for name in schema.param_names()]))
             instances[e.message, e.bindings] = mi
         o = Observation(e.kind, mi, len(observations) + 1, day=e.tick)
         check_observation(e.agent, len(observations), o)

@@ -44,16 +44,18 @@ Instances that differ only in their script row values are symmetric:
 renaming one row's values to another's maps reachable states to reachable
 states (Ip and Dill, "Better verification through symmetry", 1996).  The
 walk takes one representative per orbit of that row group, the least
-numbered state of the orbit, and counts each as its orbit's size.  Every
-number records its origin (the history or network it was first reached
-from, and by which step) and has an image row, its images under every
-permutation, filled at once from its origin's row by one table lookup per
-permutation: an emission or reception by (history, payload), a send by
-(network, agent, payload), a removal by (network, send index).  No history
-or network is renamed or rehashed, and no image has its moves listed
-(`_Orbits`).  The number of enactments is the sum of the orbit sizes of
-the terminal representatives; the sorted history vectors are built only
-when a caller reads them.
+numbered state of the orbit, and counts each as its orbit's size.  That
+size is the group's order unless a permutation besides the identity fixes
+the state, and only those smaller sizes are kept: the start state's and
+those of the few symmetric states met.  Every number records its origin
+(the history or network it was first reached from, and by which step)
+and has an image row, its images under every permutation, filled at once
+from its origin's row by one table lookup per permutation: an emission
+or reception by (history, payload), a send by (network, agent, payload),
+a removal by (network, send index).  No history or network is renamed or
+rehashed, and no image has its moves listed (`_Orbits`).  The number of
+enactments is the sum of the orbit sizes of the terminal representatives;
+the sorted history vectors are built only when a caller reads them.
 """
 
 from __future__ import annotations
@@ -227,10 +229,11 @@ def explore(
     takes one representative per orbit of the instance symmetry
     (`_instance_group`), and every count is that of the whole space: a
     representative stands for its orbit's size in states, and for its
-    moves times that size.  A state with a move that would put more than
-    `queue_cap` messages on a channel is left unexpanded, and the queue cap
-    is reported as fired.  The state cap fires when more than `state_cap`
-    states are reachable, and the walk then stops before the
+    moves times that size.  That size is the group's order unless
+    `_Orbits.sizes` records a smaller one.  A state with a move that would
+    put more than `queue_cap` messages on a channel is left unexpanded, and
+    the queue cap is reported as fired.  The state cap fires when more than
+    `state_cap` states are reachable, and the walk then stops before the
     representative that would take it past the cap.
 
     `stats.enactments` is the sum of the orbit sizes of the terminal
@@ -240,7 +243,7 @@ def explore(
     space = _StateSpace(agents, policy)
     orbits = _Orbits(space, _instance_group([steps.agent for steps in space.local]))
     canonical = orbits.canonical if orbits.group.perms else None
-    sizes = orbits.sizes
+    sizes, order = orbits.sizes, orbits.order
     depths = space.depths
     terminals: list[tuple[int, ...]] = []
     max_depth = taken = moves = 0
@@ -248,7 +251,7 @@ def explore(
 
     def successors(state):
         nonlocal max_depth, taken, moves, capped, queued
-        size = sizes.get(state, 1)
+        size = sizes.get(state, order)
         if capped or taken + size > state_cap:
             capped = True
             return None
@@ -275,12 +278,12 @@ def explore(
     # and an empty network's send count is the vector's count of
     # emissions).  A message to a role no agent plays stays in transit.
     if not any(depths[state[-1]] for state in terminals):
-        count = sum(sizes.get(state, 1) for state in terminals)
+        count = sum(sizes.get(state, order) for state in terminals)
     else:
         enactments = enactments()
         count = len(enactments)
     local_states = tuple((steps.role, len(steps.origins)) for steps in space.local)
-    met = sum(sizes.get(state, 1) for state in graph.states)
+    met = sum(sizes.get(state, order) for state in graph.states)
     states = state_cap if capped else taken
     stats = ExplorationStats(states, count, max_depth, local_states, len(space.networks), moves - (met - 1))
     return ExplorationResult(enactments, stats, "state" if capped else "queue" if queued else None)
@@ -592,25 +595,27 @@ class _Orbits:
     the image of a reception is the image state's reception of the image
     payload, and likewise for emissions, sends and removals.  No history
     or network is renamed or rehashed, and no image has its moves listed.
-    The least of a state and its images represents the orbit, and `sizes`
-    keeps the size of each orbit met that has more than one state."""
+    The least of a state and its images represents the orbit.  An orbit
+    has the group's order of states unless a permutation besides the
+    identity fixes its states, and `sizes` keeps only the sizes below the
+    order: the start state's, 1, entered at once because the walk never
+    canonicalizes it, and those of the symmetric states `canonical` meets."""
 
     def __init__(self, space: _StateSpace, group: _RowGroup):
         self.space, self.group, self.order = space, group, len(group.perms) + 1
         self.rows = [{k: (k,) * len(group.perms)} for k in space.start]
         self._payload_rows: dict[int, tuple[int, ...]] = {}
-        self.sizes: dict[tuple[int, ...], int] = {}
+        self.sizes: dict[tuple[int, ...], int] = {space.start: 1}
 
     def orbit(self, state: tuple[int, ...]) -> set[tuple[int, ...]]:
         """The images of a state under every permutation, the identity's too."""
         return {state, *self._images(state)} if self.group.perms else {state}
 
     def canonical(self, state: tuple[int, ...]) -> tuple[int, ...]:
-        """The representative of the state's orbit; `sizes` holds only
-        representatives.  The orbit's size is the group's order over the
-        number of the group's elements that fix the state."""
-        if state in self.sizes:
-            return state
+        """The representative of the state's orbit.  The orbit's size is the
+        group's order over the number of the group's elements that fix the
+        state; `sizes` records it, at the representative, only when some
+        permutation besides the identity fixes the state."""
         try:
             images = zip(*map(getitem, self.rows, state))
         except KeyError:
@@ -621,7 +626,7 @@ class _Orbits:
                 least = image
             elif image == state:
                 fixed += 1
-        if fixed < self.order:
+        if fixed > 1:
             self.sizes[least] = self.order // fixed
         return least
 
@@ -737,7 +742,7 @@ class BsplAgent:
     by `Knowledge.after`, one distinct observation at a time.  `explore`
     relies on this to call `emit` and `receive` at most once per distinct
     argument, and `_payloads` once per distinct set, within one
-    exploration.  A subclass must keep to these rules."""
+    exploration."""
 
     def __init__(self, role: str, scripts: list[InstanceScript]):
         self.role = role

@@ -272,7 +272,7 @@ def test_a_bad_line_after_good_ones_gives_the_oracle_error(purchase, bad):
 
 # ---------------------------------------------------------------------------
 # Each binding held once: an in-order body is the instance's bindings, and
-# every other body goes through `MessageInstance.make`
+# every other body's own pairs are put in schema order
 
 
 def reversed_bodies(text: str) -> str:
@@ -309,6 +309,30 @@ def test_a_body_out_of_schema_order_gets_the_bindings_make_gives(purchase):
     made = MessageInstance.make(purchase.message("Offer"), {"price": "$5", "ID": "1", "item": "fig"})
     assert observation.instance == made
     assert observation.instance.bindings == made.bindings == (("ID", "1"), ("item", "fig"), ("price", "$5"))
+
+
+def test_a_body_out_of_schema_order_shares_the_parsed_pairs(tmp_path, capsys):
+    # every instance of a reversed-body log holds the parse's own pair
+    # objects, and `protolab commitments` prints the same bytes as for the
+    # log as written
+    for protocols, text in simulated_logs():
+        entries = parse_log(reversed_bodies(text), protocols)
+        parsed = {id(pair) for e in entries for pair in e.bindings}
+        histories = histories_from_log(entries, protocols)
+        assert all(id(pair) in parsed for h in histories.values() for o in h.observations for pair in o.instance.bindings)
+    protocols = parse_bspl_file((FIXDIR / "purchase.bspl").read_text())
+    scripts = [InstanceScript.make(p, _auto_rows(p, 5)) for p in protocols]
+    _, run = run_one([BsplAgent(role, scripts) for role in ("Buyer", "Seller")], SimPolicy(), seed=3)
+    text = format_log(log_from_run(run))
+    outputs = []
+    for name, log in (("as-written", text), ("reversed", reversed_bodies(text))):
+        path = tmp_path / f"{name}.log"
+        path.write_text(log)
+        argv = ["commitments", "--protocol", str(FIXDIR / "purchase.bspl"), "--cupid", str(FIXDIR / "deliver_payment.cupid")]
+        for now in ("2", "4", "20"):
+            assert main([*argv, "--log", str(path), "--now", now, "--format", "json"]) == 0
+            outputs.append((now, capsys.readouterr().out))
+    assert outputs[:3] == outputs[3:] and reversed_bodies(text) != text
 
 
 def test_equal_pairs_across_the_bodies_of_one_log_are_one_object():

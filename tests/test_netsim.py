@@ -696,6 +696,32 @@ def test_every_table_image_is_the_component_renamed(name, instances, policy):
     assert images > len(space.start) * len(group.perms)  # more than the start state's
 
 
+@pytest.mark.parametrize(
+    "name,instances,policy",
+    [c[:3] for c in PINNED_EXPLORATIONS + [PRICING_X4] if c[1] > 1],
+    ids=[f"{c[0]}-x{c[1]}-{c[2]}" for c in PINNED_EXPLORATIONS + [PRICING_X4] if c[1] > 1],
+)
+def test_every_orbit_size_read_is_the_orbit_counted(name, instances, policy):
+    # `sizes` keeps only the sizes below the group's order, and the walk
+    # reads the order for every other representative: each size it reads
+    # is the number of distinct images, the start state's 1 included
+    graphs, walk = [], netsim.walk
+
+    def recorded(*args):
+        graphs.append(walk(*args))
+        return graphs[-1]
+
+    with mock.patch.object(netsim, "walk", recorded):
+        _, orbits = recorded_exploration(name, instances, policy)
+    (graph,) = graphs
+    start, sizes, order = orbits.space.start, orbits.sizes, orbits.order
+    assert order == len(orbits.group.perms) + 1 > 1
+    assert graph.states[0] == start and sizes[start] == len(orbits.orbit(start)) == 1
+    for state in graph.states:
+        assert sizes.get(state, order) == len(orbits.orbit(state))
+    assert set(sizes) <= set(graph.states) and all(size < order for size in sizes.values())
+
+
 FIXED = {"deadline": None, "database": None, "derandomize": True}  # same cases every run, no files written
 
 

@@ -6,9 +6,9 @@ imposes no order beyond what the policy guarantees.  Its channels form a
 queue table, a tuple of (key, items) pairs sorted by key, no queue empty;
 `enqueue` and `dequeue` change such a table, here and for the queues of
 the composition runtime and the per-agent filters.  Exploration is a
-breadth-first walk on the exploration core (`graph.explore`) over a
-canonical move ordering with memoized composite states; seeds only
-influence single-run sampling.
+breadth-first walk over a canonical move ordering that numbers composite
+states by position in a list and records no moves; seeds only influence
+single-run sampling.
 
 Every agent is a `BsplAgent`, and its state is its history: what it may
 do next follows from that history alone, so one exploration expands each
@@ -53,9 +53,10 @@ and has an image row, its images under every permutation, filled at once
 from its origin's row by one table lookup per permutation: an emission
 or reception by (history, payload), a send by (network, agent, payload),
 a removal by (network, send index).  No history or network is renamed or
-rehashed, and no image has its moves listed (`_Orbits`).  The number of
-enactments is the sum of the orbit sizes of the terminal representatives;
-the sorted history vectors are built only when a caller reads them.
+rehashed, and no image has its moves listed (`_Orbits`); a next state
+the walk has numbered is a representative, not canonicalized again.  The
+number of enactments is the sum of the orbit sizes of the terminal
+representatives; the sorted history vectors are built only when read.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ from .bspl.enactment import (
     MessageInstance,
     observe,
 )
-from .graph import Numbering, explore as walk
+from .graph import Numbering
 
 
 class Delivery(str, Enum):
@@ -224,17 +225,19 @@ def explore(
     """Exhaustively explore every interleaving of enabled emissions and
     deliveries; an enactment is the history vector at a state with no moves.
 
-    The walk is `graph.explore` over `_StateSpace.moves`, and a composite
-    state is a tuple of numbers: each agent's state, then the network.  It
-    takes one representative per orbit of the instance symmetry
-    (`_instance_group`), and every count is that of the whole space: a
-    representative stands for its orbit's size in states, and for its
+    A composite state is a tuple of numbers: each agent's state, then the
+    network.  The walk numbers them by position in a list, takes them in
+    that (breadth-first) order, keeps only `_StateSpace.moves`' next
+    states, and takes one representative per orbit of the instance
+    symmetry (`_instance_group`).  Every count is that of the whole space:
+    a representative stands for its orbit's size in states, and for its
     moves times that size.  That size is the group's order unless
-    `_Orbits.sizes` records a smaller one.  A state with a move that would
-    put more than `queue_cap` messages on a channel is left unexpanded, and
-    the queue cap is reported as fired.  The state cap fires when more than
-    `state_cap` states are reachable, and the walk then stops before the
-    representative that would take it past the cap.
+    `_Orbits.sizes` records a smaller one.  A numbered next state is a
+    representative, so only the others are canonicalized.  A state with a
+    move that would put more than `queue_cap` messages on a channel is left
+    unexpanded, and the queue cap is reported as fired.  The state cap
+    fires when more than `state_cap` states are reachable, and the walk
+    then stops before the representative that would take it past the cap.
 
     `stats.enactments` is the sum of the orbit sizes of the terminal
     representatives, and the result's enactments (each orbit's vectors,
@@ -245,32 +248,34 @@ def explore(
     canonical = orbits.canonical if orbits.group.perms else None
     sizes, order = orbits.sizes, orbits.order
     depths = space.depths
+    states = [space.start]  # state n is states[n]: numbered by position
+    numbered = dict.fromkeys(states)  # membership alone (smaller than a set)
     terminals: list[tuple[int, ...]] = []
     max_depth = taken = moves = 0
     capped = queued = False
-
-    def successors(state):
-        nonlocal max_depth, taken, moves, capped, queued
+    for state in states:  # the list grows as states are numbered: breadth-first
         size = sizes.get(state, order)
-        if capped or taken + size > state_cap:
+        if taken + size > state_cap:
             capped = True
-            return None
+            break
         taken += size
         depth = depths[state[-1]]
         max_depth = max(max_depth, depth)
-        _events, nexts = space.moves(state)
+        nexts = space.moves(state)
         if canonical is not None:
-            nexts = list(map(canonical, nexts))
+            nexts = [nxt if nxt in numbered else canonical(nxt) for nxt in nexts]
         if not nexts:
             terminals.append(state)
         # a move adds at most one message, so only a state at the cap can pass it
         elif depth >= queue_cap and any(depths[nxt[-1]] > queue_cap for nxt in nexts):
             queued = True
-            return None
+            continue
         moves += size * len(nexts)
-        return None, nexts
+        for nxt in nexts:
+            if nxt not in numbered:
+                numbered[nxt] = None
+                states.append(nxt)
 
-    graph = walk(space.start, successors)
     enactments = partial(_enactments, space, orbits, terminals)
     # Terminal states are distinct, so their orbits' sizes add up to the
     # number of enactments when no two of them share a history vector: when
@@ -283,9 +288,9 @@ def explore(
         enactments = enactments()
         count = len(enactments)
     local_states = tuple((steps.role, len(steps.origins)) for steps in space.local)
-    met = sum(sizes.get(state, order) for state in graph.states)
-    states = state_cap if capped else taken
-    stats = ExplorationStats(states, count, max_depth, local_states, len(space.networks), moves - (met - 1))
+    met = sum(sizes.get(state, order) for state in states)
+    explored = state_cap if capped else taken
+    stats = ExplorationStats(explored, count, max_depth, local_states, len(space.networks), moves - (met - 1))
     return ExplorationResult(enactments, stats, "state" if capped else "queue" if queued else None)
 
 
@@ -332,13 +337,13 @@ class _LocalSteps:
         self.origins: list[tuple[int, bool, int] | None] = self._number.values
         self._number(None)
         self._built: dict[int, History] = {0: agent.initial()}
-        self._emissions: list[tuple[tuple[tuple[str, str, Any], int, int], ...] | None] = [None]
+        self._emissions: list[tuple[tuple[int, int], ...] | None] = [None]
         self._sets = Numbering()
         self.set_of: list[int] = [self._sets(frozenset())]
         self.set_origins: list[tuple[int, bool, int] | None] = [None]
         self._set_steps: dict[tuple[int, bool, int], int] = {}
         self._knowledge: dict[int, tuple[Knowledge, ...]] = {0: agent.knowledge(self._built[0])}
-        self._offered: dict[int, tuple[tuple[tuple[str, str, Any], int], ...]] = {}
+        self._offered: dict[int, tuple[int, ...]] = {}
 
     def history(self, k: int) -> History:
         """History k, built on first read from its nearest built ancestor by
@@ -361,21 +366,18 @@ class _LocalSteps:
             records[j] = tuple(known.after(kind, mi) for known in records[parent])
         return records[s]
 
-    def emissions(self, k: int) -> tuple[tuple[tuple[str, str, Any], int, int], ...]:
-        """(event, payload number, next history number) per emission of
-        history k.  The events (role, EMISSION, payload) and payload
-        numbers are kept per knowledge set, found by the agent on the
-        set's knowledge records when the set is first read."""
+    def emissions(self, k: int) -> tuple[tuple[int, int], ...]:
+        """(payload number, next history number) per emission of history
+        k.  The payload numbers are kept per knowledge set, found by the
+        agent on the set's knowledge records when the set is first read."""
         out = self._emissions[k]
         if out is None:
             s = self.set_of[k]
             offered = self._offered.get(s)
             if offered is None:
-                values = self.payloads.values
-                ps = map(self.payloads, self.agent._payloads(self.knowledge(s)))
-                offered = self._offered[s] = tuple(((self.role, EMISSION, values[p]), p) for p in ps)
+                offered = self._offered[s] = tuple(map(self.payloads, self.agent._payloads(self.knowledge(s))))
             step = self.step
-            out = self._emissions[k] = tuple((event, p, step(k, True, p)) for event, p in offered)
+            out = self._emissions[k] = tuple((p, step(k, True, p)) for p in offered)
         return out
 
     def step(self, k: int, emitted: bool, p: int) -> int:
@@ -408,13 +410,13 @@ class _StateSpace:
     networks are numbered in the order equality would number them.
     `depths[n]` is network n's largest count of messages on one channel
     (sender role, receiver).  A network's deliveries (each deliverable
-    send's reception event, payload number and receivers, and the network
-    left once it is taken) are listed on the network's first expansion;
-    its send successors and each removal, by send index, are found once,
-    on first use.  A removal that no move takes (no agent receives the
-    message and loss is off) is not made.  `net_origins[n]` is how network
-    n was first met: None for the empty network, (parent, agent index,
-    payload number) for a send, and (parent, send index) for a removal.
+    send's payload number and receivers, and the network left once it is
+    taken) are listed on the network's first expansion; its send
+    successors and each removal, by send index, are found once, on first
+    use.  A removal that no move takes (no agent receives the message and
+    loss is off) is not made.  `net_origins[n]` is how network n was first
+    met: None for the empty network, (parent, agent index, payload number)
+    for a send, and (parent, send index) for a removal.
     `moves` is the one successor function of both `explore` and
     `run_one`."""
 
@@ -426,7 +428,7 @@ class _StateSpace:
         self.networks: list[tuple[int, tuple[tuple[int, str, int], ...]]] = self._network_number.values
         self.depths: list[int] = []
         self.net_origins: list[tuple[int, ...] | None] = []
-        self._deliveries: dict[int, tuple[tuple[tuple[str, str, Any], int, tuple[int, ...], int | None], ...]] = {}
+        self._deliveries: dict[int, tuple[tuple[int, tuple[int, ...], int | None], ...]] = {}
         self._sends: dict[tuple[int, int, int], int] = {}
         self._removals: dict[tuple[int, int], int] = {}
         self.start = (0,) * len(self.local) + (self._network((0, ())),)
@@ -442,26 +444,25 @@ class _StateSpace:
             self.net_origins.append(origin)
         return n
 
-    def deliveries(self, n: int) -> tuple[tuple[tuple[str, str, Any], int, tuple[int, ...], int | None], ...]:
-        """(reception event, payload number, receiving agents, network
-        after its removal) per deliverable send of network n, in send
-        order: under FIFO the first send on each channel, else every send.
-        The network is None when no move takes the message."""
+    def deliveries(self, n: int) -> tuple[tuple[int, tuple[int, ...], int | None], ...]:
+        """(payload number, receiving agents, network after its removal)
+        per deliverable send of network n, in send order: under FIFO the
+        first send on each channel, else every send.  The network is None
+        when no move takes the message."""
         out = self._deliveries.get(n)
         if out is None:
             values, fifo = self.payloads.values, self.policy.delivery is Delivery.FIFO_PAIRWISE
             heads: set[tuple[str, str]] = set()
             out = []
             for s, sender, p in self.networks[n][1]:
-                payload = values[p]
-                receiver = payload.schema.receiver
+                receiver = values[p].schema.receiver
                 if fifo:
                     if (sender, receiver) in heads:
                         continue
                     heads.add((sender, receiver))
                 receivers = tuple(i for i, steps in enumerate(self.local) if steps.role == receiver)
                 m = self.remove(n, s) if receivers or self.policy.loss_enabled else None
-                out.append(((receiver, RECEPTION, payload), p, receivers, m))
+                out.append((p, receivers, m))
             out = self._deliveries[n] = tuple(out)
         return out
 
@@ -482,18 +483,17 @@ class _StateSpace:
             m = self._removals[n, s] = self._network((count, tuple(e for e in sends if e[0] != s)), (n, s))
         return m
 
-    def moves(self, state: tuple[int, ...]) -> tuple[list[tuple[str, str, Any]], list[tuple[int, ...]]]:
-        """Every move from a composite state in canonical order, as two
-        parallel lists of events and next states, an event (role, kind,
-        payload): emissions by role unless a synchronous delivery is due,
-        then each deliverable envelope's reception, followed by its loss
-        when loss is enabled.  Each event is built once, with the table
-        entry it labels, and the memo tables are read inline."""
+    def moves(self, state: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """The next state of every move from a composite state, in
+        canonical order: emissions by role unless a synchronous delivery is
+        due, then each deliverable envelope's reception, followed by its
+        loss when loss is enabled.  No event is built: a move's event is
+        the origin of the one history number it changes (`run_one`).  The
+        memo tables are read inline."""
         n = state[-1]
         deliveries = self._deliveries.get(n)
         if deliveries is None:
             deliveries = self.deliveries(n)
-        events: list[tuple[str, str, Any]] = []
         nexts: list[tuple[int, ...]] = []
         if not (deliveries and self.policy.delivery is Delivery.SYNCHRONOUS):
             sends = self._sends
@@ -504,20 +504,17 @@ class _StateSpace:
                 if not emissions:
                     continue
                 before, after = state[:i], state[i + 1 : -1]
-                for event, p, nxt in emissions:
+                for p, nxt in emissions:
                     m = sends.get((n, i, p))
                     if m is None:
                         m = self.send(n, i, p)
-                    events.append(event)
                     nexts.append((*before, nxt, *after, m))
-        for event, p, receivers, m in deliveries:
+        for p, receivers, m in deliveries:
             for i in receivers:
-                events.append(event)
                 nexts.append((*state[:i], self.local[i].step(state[i], False, p), *state[i + 1 : -1], m))
             if self.policy.loss_enabled:
-                events.append((event[0], LOSS, event[2]))
                 nexts.append((*state[:-1], m))
-        return events, nexts
+        return nexts
 
     def vector(self, state: tuple[int, ...]) -> tuple[History, ...]:
         """The agents' histories at a composite state."""
@@ -615,7 +612,8 @@ class _Orbits:
         """The representative of the state's orbit.  The orbit's size is the
         group's order over the number of the group's elements that fix the
         state; `sizes` records it, at the representative, only when some
-        permutation besides the identity fixes the state."""
+        permutation besides the identity fixes the state.  `explore` asks
+        for no state it has numbered."""
         try:
             images = zip(*map(getitem, self.rows, state))
         except KeyError:
@@ -671,9 +669,6 @@ def history_key(h: History):
     return (h.owner, tuple((o.kind, o.instance.schema.name, o.instance.bindings) for o in h.observations))
 
 
-LOSS = "L"
-
-
 def run_one(
     agents: list[BsplAgent],
     policy: SimPolicy,
@@ -681,27 +676,29 @@ def run_one(
     choice_script: list[int] | None = None,
 ) -> tuple[tuple[History, ...], list[tuple[str, str, Any]]]:
     """One deterministic enactment: moves are ordered canonically and picked
-    by the choice script (consumed left to right) or a seeded RNG.  Returns
-    the history vector and the global event log as (agent, kind, payload).
-    A single run delivers every message, whatever the policy says of loss,
-    and no queue cap applies."""
+    by the choice script (read left to right, one choice per move) or a
+    seeded RNG.  Returns the history vector and the global event log as
+    (agent, kind, payload).  A single run delivers every message, whatever
+    the policy says of loss, and no queue cap applies, so a move changes
+    one agent's history number, whose origin gives the move's event."""
     space = _StateSpace(agents, replace(policy, loss_enabled=False))
     state = space.start
     rng = random.Random(seed)
-    script = list(choice_script) if choice_script is not None else None
     log: list[tuple[str, str, Any]] = []
     while True:
-        events, nexts = space.moves(state)
+        nexts = space.moves(state)
         if not nexts:
             return space.vector(state), log
-        if script is not None:
-            if not script:
+        if choice_script is not None:
+            if len(log) == len(choice_script):
                 raise RuntimeError("choice script exhausted")
-            index = script.pop(0) % len(nexts)
+            index = choice_script[len(log)] % len(nexts)
         else:
             index = rng.randrange(len(nexts))
-        log.append(events[index])
-        state = nexts[index]
+        before, state = state, nexts[index]
+        i = next(i for i, k in enumerate(state) if k != before[i])
+        _, emitted, p = space.local[i].origins[state[i]]
+        log.append((space.local[i].role, EMISSION if emitted else RECEPTION, space.payloads.values[p]))
 
 
 # ---------------------------------------------------------------------------

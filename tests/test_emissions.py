@@ -243,7 +243,7 @@ def test_every_knowledge_record_equals_its_set_read_from_scratch(walk):
             emitted = steps.agent._payloads(records)
             assert emitted == oracle_payloads(steps.role, scripts, steps.history(first[s]))
             if s in steps._offered:
-                assert tuple(values[p] for _, p in steps._offered[s]) == emitted
+                assert tuple(values[p] for p in steps._offered[s]) == emitted
 
 
 # ---------------------------------------------------------------------------

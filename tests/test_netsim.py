@@ -547,8 +547,9 @@ def test_network_keys_agree_with_networks(name, instances, policy):
     for net, listed in zip(nets, deliveries):
         envelopes = net.deliverable(space.policy)
         assert len(listed) == len(envelopes)
-        for (event, p, receivers, m), env in zip(listed, envelopes):
-            assert (event, space.payloads.values[p]) == ((env.receiver, RECEPTION, env.payload), env.payload)
+        for (p, receivers, m), env in zip(listed, envelopes):
+            payload = space.payloads.values[p]
+            assert (payload.schema.receiver, payload) == (env.receiver, env.payload)
             assert receivers == tuple(i for i, steps in enumerate(space.local) if steps.role == env.receiver)
             assert m is not None and nets[m] == net.remove(env)
 
@@ -561,6 +562,30 @@ def test_repr_digest_matches_repr():
 
 # sha256 of repr([run_one(...) for seed in 0..4]) per (fixture, instances, policy)
 PINNED_RUNS = {
+    ("catalog", 1, "unordered"): "1db07b17ff1b3ded580dfae9a36ed2494f1be02310843c245ce2887436484dec",
+    ("catalog", 1, "fifo"): "1db07b17ff1b3ded580dfae9a36ed2494f1be02310843c245ce2887436484dec",
+    ("catalog", 1, "synchronous"): "1db07b17ff1b3ded580dfae9a36ed2494f1be02310843c245ce2887436484dec",
+    ("catalog", 2, "unordered"): "db7bc36ec8f9afc3b421958b06cfec3d8886ac2a37926fe0d919946a30e917a5",
+    ("catalog", 2, "fifo"): "c4f898cc0c80bc6a1e3e6491bab00d21a3c5d6eef8b9931fdc10bac21b017910",
+    ("catalog", 2, "synchronous"): "d1c5c3743237fddeabc33f4e41f3f97a88a8f4a43f775280d9cb4883823cd04f",
+    ("flexible_purchase", 1, "unordered"): "a2dbe4fde71a4f3f23b4000a8034b776dce130e808734481077bbbf17e83c6ef",
+    ("flexible_purchase", 1, "fifo"): "36893ee70d68580e659d7937098c59cf3ed567d883190ab6fcff9aef9ba40c4d",
+    ("flexible_purchase", 1, "synchronous"): "83c7d367ee8ed68a00069ea84e736651035afa42a8f2f435268a97d933e39bcd",
+    ("flexible_purchase", 2, "unordered"): "dc73e5ca748e64b74006bbabd036fcc3d08c93a99a5a81a6d4b6582bb8f53ec8",
+    ("flexible_purchase", 2, "fifo"): "c21605f9c3dca120c0598bd29e60ec2703a23405770818cf438475da68dc9126",
+    ("flexible_purchase", 2, "synchronous"): "b6d08c7625e0a4db3129df1cfc04cb5dc72024814ad66542bdf803c38b79d975",
+    ("indirect_payment", 1, "unordered"): "d7d1f6c4f12948f88bfbc8e5731908448e21a9b367187240ee1e8c186228a248",
+    ("indirect_payment", 1, "fifo"): "d7d1f6c4f12948f88bfbc8e5731908448e21a9b367187240ee1e8c186228a248",
+    ("indirect_payment", 1, "synchronous"): "8cb1dfd44ef5d3897ed33c2317e401ee74a9de81a80423fa3e2253f77bc49b09",
+    ("indirect_payment", 2, "unordered"): "57344e57ec22dc7ca38b9203f1fac5d0c8724ea6002de1c1dfc0daef5a3e7f7f",
+    ("indirect_payment", 2, "fifo"): "6f81152fcd761885fe0e7990b7891dfda0305bfcba0c97b68b18b9bfb197b3ca",
+    ("indirect_payment", 2, "synchronous"): "b402448f4edee229989883c38f463daeb561dde476656f030075eedfff1af243",
+    ("pricing", 1, "unordered"): "da6d9f8dff1049e8ae491bfc7bac6104ccc6442b06f8d9453b0d3b935ca0735e",
+    ("pricing", 1, "fifo"): "da6d9f8dff1049e8ae491bfc7bac6104ccc6442b06f8d9453b0d3b935ca0735e",
+    ("pricing", 1, "synchronous"): "da6d9f8dff1049e8ae491bfc7bac6104ccc6442b06f8d9453b0d3b935ca0735e",
+    ("pricing", 2, "unordered"): "75d793e455b7709b71e8dc9b21b6e38f717decc6d77b515d4e7bb49b03a9d61f",
+    ("pricing", 2, "fifo"): "b6e758a0e89ddcc75e30b35a8cddd4d91af64ad309261f076191c1b85d81dc43",
+    ("pricing", 2, "synchronous"): "dc3d70352f47a145c36d8ec50ec544a039a143d2f90a477179220e1dd939bf9f",
     ("purchase", 1, "unordered"): "f9ab836ae05932c05b03a9bf4309a4a0a9363561844540d8ff8656783e4229fe",
     ("purchase", 1, "fifo"): "f9ab836ae05932c05b03a9bf4309a4a0a9363561844540d8ff8656783e4229fe",
     ("purchase", 1, "synchronous"): "f9ab836ae05932c05b03a9bf4309a4a0a9363561844540d8ff8656783e4229fe",
@@ -580,6 +605,38 @@ PINNED_RUNS = {
 def test_run_one_logs_pinned(name, instances, policy):
     runs = [run_one(simulate_agents(name, instances), SimPolicy(Delivery(policy)), seed=seed) for seed in range(5)]
     assert hashlib.sha256(repr(runs).encode()).hexdigest() == PINNED_RUNS[(name, instances, policy)]
+
+
+SCRIPT = [7, 3, 5, 1, 2] * 40
+
+# sha256 of repr(run_one(..., choice_script=SCRIPT)) at two instances,
+# unordered, and the length of its log, per fixture
+PINNED_SCRIPTED = {
+    "catalog": ("e7cc6c04a50a8a680b14e997bb46070613aef44fa8061a887d254fe69fefe21c", 8),
+    "flexible_purchase": ("910f4320d90e3a6c3f1d2d6006fdb9674a164756b9669dfe099ca51f5ba5cf32", 12),
+    "indirect_payment": ("e33a9989b7861edc881f19659fdb6fcc049bb853a503f7c70f6bd0e0f6bcec05", 16),
+    "pricing": ("606c8f10e4b06378c3cbb3e3321b60692faa3990dc4e5d98ac4c279c75051e35", 8),
+    "purchase": ("1a661735688b554bf4ff92c98d2f3462e1e0bde89573dded036b1b7ce7022f4d", 12),
+    "want_willpay": ("85cfe26e9f37467b5696c8241a4ad568c1d9938914837a46d46e646b63f040c8", 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SCRIPTED))
+def test_run_one_scripted_logs_pinned(name):
+    run = run_one(simulate_agents(name, 2), SimPolicy(Delivery.UNORDERED), choice_script=SCRIPT)
+    assert (hashlib.sha256(repr(run).encode()).hexdigest(), len(run[1])) == PINNED_SCRIPTED[name]
+
+
+def test_run_one_raises_when_the_choice_script_is_exhausted():
+    # one choice per move: a script as long as the log plays the run out,
+    # one choice fewer runs out before the last move
+    agents = simulate_agents("purchase", 2)
+    vector, log = run_one(agents, SimPolicy(Delivery.UNORDERED), choice_script=SCRIPT)
+    script = SCRIPT[: len(log)]
+    assert run_one(agents, SimPolicy(Delivery.UNORDERED), choice_script=script) == (vector, log)
+    with pytest.raises(RuntimeError, match="^choice script exhausted$"):
+        run_one(agents, SimPolicy(Delivery.UNORDERED), choice_script=script[:-1])
+    assert script == SCRIPT[: len(log)]  # the caller's script is not consumed
 
 
 def test_run_one_never_loses_messages(want_willpay):
@@ -705,21 +762,57 @@ def test_every_orbit_size_read_is_the_orbit_counted(name, instances, policy):
     # `sizes` keeps only the sizes below the group's order, and the walk
     # reads the order for every other representative: each size it reads
     # is the number of distinct images, the start state's 1 included
-    graphs, walk = [], netsim.walk
-
-    def recorded(*args):
-        graphs.append(walk(*args))
-        return graphs[-1]
-
-    with mock.patch.object(netsim, "walk", recorded):
-        _, orbits = recorded_exploration(name, instances, policy)
-    (graph,) = graphs
+    orbits, states, _ = canonicalized_walk(name, instances, policy)
     start, sizes, order = orbits.space.start, orbits.sizes, orbits.order
     assert order == len(orbits.group.perms) + 1 > 1
-    assert graph.states[0] == start and sizes[start] == len(orbits.orbit(start)) == 1
-    for state in graph.states:
+    assert states[0] == start and sizes[start] == len(orbits.orbit(start)) == 1
+    for state in states:
         assert sizes.get(state, order) == len(orbits.orbit(state))
-    assert set(sizes) <= set(graph.states) and all(size < order for size in sizes.values())
+    assert set(sizes) <= set(states) and all(size < order for size in sizes.values())
+
+
+@pytest.mark.parametrize(
+    "name,instances,policy",
+    [c[:3] for c in PINNED_EXPLORATIONS + [PRICING_X4] if c[1] > 1],
+    ids=[f"{c[0]}-x{c[1]}-{c[2]}" for c in PINNED_EXPLORATIONS + [PRICING_X4] if c[1] > 1],
+)
+def test_the_walk_canonicalizes_no_state_it_has_numbered(name, instances, policy):
+    # a numbered state is a representative, its orbit's size recorded when
+    # it was first met: a move that reaches it again does not canonicalize it
+    _, states, repeated = canonicalized_walk(name, instances, policy)
+    assert len(states) > 1 and repeated == []
+
+
+def canonicalized_walk(name, instances, policy):
+    """One exploration's `_Orbits`, the states its walk numbered, in the
+    order numbered, and the states `_Orbits.canonical` was called with
+    after the walk had numbered them.  The numbered states are read off
+    the calls of `_StateSpace.moves` and `canonical`: the start state,
+    then, per state expanded in turn, the representatives of its moves'
+    next states, unless the queue cap left it unexpanded (one of them is
+    deeper than the cap)."""
+    expansions = []
+    moves, canonical = netsim._StateSpace.moves, netsim._Orbits.canonical
+
+    def recorded_moves(space, state):
+        expansions.append((state, []))
+        return moves(space, state)
+
+    def recorded_canonical(orbits, state):
+        least = canonical(orbits, state)
+        expansions[-1][1].append((state, least))
+        return least
+
+    with mock.patch.object(netsim._StateSpace, "moves", recorded_moves), mock.patch.object(netsim._Orbits, "canonical", recorded_canonical):
+        _, orbits = recorded_exploration(name, instances, policy)
+    depths, numbered, repeated = orbits.space.depths, {orbits.space.start: None}, []
+    for _, calls in expansions:
+        repeated += [state for state, _ in calls if state in numbered]
+        if all(depths[least[-1]] <= netsim.DEFAULT_QUEUE_CAP for _, least in calls):
+            numbered.update(dict.fromkeys(least for _, least in calls))
+    states = list(numbered)
+    assert [state for state, _ in expansions] == states[: len(expansions)]  # taken in the order numbered
+    return orbits, states, repeated
 
 
 FIXED = {"deadline": None, "database": None, "derandomize": True}  # same cases every run, no files written

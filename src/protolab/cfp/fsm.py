@@ -2,23 +2,28 @@
 
 Labels carry peer, direction, message name, and the payload *type*
 signature; parameter names and values are deliberately absent, which is
-what makes these machines value-blind.  A shuffle is compiled from its
-residuals: the remainders that the one first-step walk
-(`projection.local_steps`) reaches, one state each, rather than from a
-list of its interleavings.  That walk and `determinize`, the subset
-construction whose step (`Subsets`) realizability's trace-set walk also
-takes, run on the exploration core (`graph.explore`).
+what makes these machines value-blind.  A machine is the subset
+construction over a behavior's derivatives: one walk on the exploration
+core (`graph.explore`) whose states are sets of remainders, stepped by the
+first-step walk the runtime also takes (`projection.local_steps`) with
+every choice read plain.  A recursion steps as its unfolding, so tail
+recursion becomes a cycle; a shuffle's residuals are remainders like any
+other.  The walk is breadth-first in label order and `_minimize` names
+each block by its least state, so the printed machine depends only on
+the words the behavior can read and accept.
+
+`Subsets` is the subset construction's step over states with silent
+moves, which realizability's trace-set walk takes.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from ..graph import Graph, explore
-from .projection import L_EPSILON, ChoiceKind, LAtom, LChoice, LEps, LRec, LSeq, LShuffle, LVar, LocalExpr, accepting, local_steps
+from ..graph import explore
+from .projection import L_EPSILON, LAtom, LChoice, LRec, LSeq, LShuffle, LVar, LocalExpr, accepting, local_steps
 
 Label = tuple[str, str, str, tuple[str, ...]]  # (peer, direction, name, type signature)
 UNROLL_BOUND = 2  # unrollings of a non-tail recursion
@@ -77,77 +82,26 @@ class TypeLevelFsm:
 
 
 def extract_fsm(l: LocalExpr) -> TypeLevelFsm:
-    """Compile a local behavior to a deterministic type-level FSM.
+    """Compile a local behavior to a deterministic type-level FSM: the
+    subset walk over its derivatives, minimized.
 
     Tail recursion becomes a cycle; non-tail recursion is unrolled
     `UNROLL_BOUND` times before compilation."""
-    nfa = Nfa()
-    start, end = nfa.new_state(), nfa.new_state()
-    _build(nfa, l if _all_tail(l) else _unroll_local(l, UNROLL_BOUND, {}), start, end, {})
-    nfa.finals.add(end)
-    subsets = determinize(nfa, start)
-    transitions = [(n, label, t) for n, out in enumerate(subsets.edges) for label, t in out]
-    finals = tuple(n for n, subset in enumerate(subsets.states) if subset & nfa.finals)
-    return _minimize(TypeLevelFsm(tuple(range(len(subsets.states))), 0, finals, tuple(sorted(transitions))))
+    walk = explore(frozenset([l if _all_tail(l) else _unroll_local(l, UNROLL_BOUND, {})]), _step)
+    transitions = [(n, label, t) for n, out in enumerate(walk.edges) for label, t in out]
+    finals = tuple(n for n, rests in enumerate(walk.states) if any(accepting(r) for r in rests))
+    return _minimize(TypeLevelFsm(tuple(range(len(walk.states))), 0, finals, tuple(sorted(transitions))))
 
 
-class Nfa:
-    """A labelled automaton with silent (epsilon) moves, states 0..count-1."""
-
-    def __init__(self):
-        self.count = 0
-        self.eps: defaultdict[int, set[int]] = defaultdict(set)
-        self.edges: defaultdict[int, list[tuple[Label, int]]] = defaultdict(list)
-        self.finals: set[int] = set()
-
-    def new_state(self) -> int:
-        self.count += 1
-        return self.count - 1
-
-    def add_eps(self, a: int, b: int) -> None:
-        self.eps[a].add(b)
-
-    def add_edge(self, a: int, label: Label, b: int) -> None:
-        self.edges[a].append((label, b))
-
-
-def _build(nfa: Nfa, e: LocalExpr, start: int, end: int, env: dict[str, int]) -> None:
-    if isinstance(e, LEps):
-        nfa.add_eps(start, end)
-    elif isinstance(e, LAtom):
-        nfa.add_edge(start, _label(e), end)
-    elif isinstance(e, LSeq):
-        mid = nfa.new_state()
-        _build(nfa, e.left, start, mid, env)
-        _build(nfa, e.right, mid, end, env)
-    elif isinstance(e, LChoice):
-        for b in e.branches:
-            _build(nfa, b, start, end, env)
-    elif isinstance(e, LShuffle):
-        # one NFA state per residual the shuffle's first steps reach, the
-        # shuffle itself at `start`
-        residuals = explore(e, _first_steps)
-        number = [start] + [nfa.new_state() for _ in residuals.states[1:]]
-        for n, r in enumerate(residuals.states):
-            for label, t in residuals.successors(n):
-                nfa.add_edge(number[n], label, number[t])
-            if accepting(r):
-                nfa.add_eps(number[n], end)
-    elif isinstance(e, LRec):
-        entry = nfa.new_state()
-        nfa.add_eps(start, entry)
-        _build(nfa, e.body, entry, end, {**env, e.var: entry})
-    elif isinstance(e, LVar):
-        nfa.add_eps(start, env[e.var])
-    else:
-        raise TypeError(type(e))
-
-
-def _first_steps(e: LocalExpr) -> tuple[list[Label], list[LocalExpr]]:
-    """The moves of a residual, for `explore`: each first event's label and
-    the remainder it leaves (silent commitments are not moves here)."""
-    steps = [(atom, rest) for atom, rest in local_steps(e) if atom is not None]
-    return [_label(atom) for atom, _ in steps], [rest for _, rest in steps]
+def _step(rests: frozenset[LocalExpr]) -> tuple[list[Label], list[frozenset[LocalExpr]]]:
+    """The moves of a set of remainders, for `explore`: each label, in
+    order, and the remainders its events leave, every choice read plain."""
+    by_label: dict[Label, set[LocalExpr]] = {}
+    for r in rests:
+        for atom, rest in local_steps(r, plain=True):
+            by_label.setdefault(_label(atom), set()).add(rest)
+    labels = sorted(by_label)
+    return labels, [frozenset(by_label[label]) for label in labels]
 
 
 def _all_tail(e: LocalExpr) -> bool:
@@ -184,9 +138,7 @@ def _unroll_local(e: LocalExpr, bound: int, env: dict[str, tuple[LRec, int]]) ->
     if isinstance(e, LShuffle):
         return LShuffle(_unroll_local(e.left, bound, env), _unroll_local(e.right, bound, env))
     if isinstance(e, LChoice):
-        # a polarity read before a variable was replaced by its body no
-        # longer holds; the machine reads every branch, so it is plain
-        return LChoice(tuple(_unroll_local(b, bound, env) for b in e.branches), ChoiceKind.PLAIN, e.lean)
+        return LChoice(tuple(_unroll_local(b, bound, env) for b in e.branches), e.kind, e.lean)
     return e
 
 
@@ -221,13 +173,6 @@ class Subsets:
                 by_label.setdefault(label, set()).add(t)
         labels = sorted(by_label)
         return labels, [self.closure(frozenset(by_label[label])) for label in labels]
-
-
-def determinize(nfa: Nfa, start: int) -> Graph:
-    """Subset construction from `start`, silent moves closed over: the
-    core's graph of frozensets of NFA states, moves in label order."""
-    subsets = Subsets(nfa.edges, nfa.eps)
-    return explore(subsets.closure(frozenset([start])), subsets.step)
 
 
 def _minimize(fsm: TypeLevelFsm) -> TypeLevelFsm:

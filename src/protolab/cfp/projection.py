@@ -118,23 +118,27 @@ def lshuffle(l: LocalExpr, r: LocalExpr) -> LocalExpr:
 
 
 def accepting(e: LocalExpr) -> bool:
-    """Whether a recursion-free local behavior may stop here (it accepts
-    the empty sequence of events)."""
+    """Whether a local behavior may stop here (it accepts the empty
+    sequence of events).  A recursion accepts when its body does; a
+    variable adds nothing, as going round the loop consumes no event (the
+    least fixpoint)."""
     if isinstance(e, LEps):
         return True
-    if isinstance(e, LAtom):
+    if isinstance(e, (LAtom, LVar)):
         return False
     if isinstance(e, (LSeq, LShuffle)):
         return accepting(e.left) and accepting(e.right)
     if isinstance(e, LChoice):
         return any(accepting(b) for b in e.branches)
+    if isinstance(e, LRec):
+        return accepting(e.body)
     raise TypeError(type(e))
 
 
-def local_steps(e: LocalExpr) -> list[tuple[LAtom | None, LocalExpr]]:
-    """Every step a recursion-free local behavior can take first, with the
-    remainder it leaves, left to right (its derivatives: Brzozowski, JACM
-    1964; Antimirov, TCS 1996).  Entering a branch commits its choice; an
+def local_steps(e: LocalExpr, plain: bool = False) -> list[tuple[LAtom | None, LocalExpr]]:
+    """Every step a local behavior can take first, with the remainder it
+    leaves, left to right (its derivatives: Brzozowski, JACM 1964;
+    Antimirov, TCS 1996).  Entering a branch commits its choice; an
     external choice is entered only through a reception, so a role that
     waits on its peers never commits by sending.
 
@@ -142,32 +146,77 @@ def local_steps(e: LocalExpr) -> list[tuple[LAtom | None, LocalExpr]]:
     resolve to waiting on its branches whose first events are not all
     sends, when some but not all of them are.  A choice takes no silent
     step of its branches, as a commitment nested in a branch is not a move
-    of the choice."""
+    of the choice.  With `plain`, every choice is read as the type-level
+    machines read it: entered through any branch's event, with no silent
+    step.
+
+    A recursion steps as its unfolding: its body's steps, each remainder
+    with the recursion for its variable (`_unfold`), so the remainders of
+    a closed behavior are closed.  A variable is met only inside a
+    recursion whose steps are being taken, before any event, and takes no
+    step of its own (the least fixpoint)."""
     if isinstance(e, LAtom):
         return [(e, L_EPSILON)]
-    if isinstance(e, LEps):
+    if isinstance(e, (LEps, LVar)):
         return []
     if isinstance(e, LSeq):
-        out = [(a, lseq(rest, e.right)) for a, rest in local_steps(e.left)]
+        out = [(a, lseq(rest, e.right)) for a, rest in local_steps(e.left, plain)]
         if accepting(e.left):
-            out.extend(local_steps(e.right))
+            out.extend(local_steps(e.right, plain))
         return out
     if isinstance(e, LChoice):
-        external = e.kind is ChoiceKind.EXTERNAL
+        kind = ChoiceKind.PLAIN if plain else e.kind
+        external = kind is ChoiceKind.EXTERNAL
         out, waitable = [], []
         for b in e.branches:
-            steps = [(a, rest) for a, rest in local_steps(b) if a is not None and not (external and a.direction == SEND)]
+            steps = [(a, rest) for a, rest in local_steps(b, plain) if a is not None and not (external and a.direction == SEND)]
             out += steps
-            if e.kind is ChoiceKind.MIXED and {a.direction for a, _ in steps} != {SEND}:
+            if kind is ChoiceKind.MIXED and {a.direction for a, _ in steps} != {SEND}:
                 waitable.append(b)
         if 0 < len(waitable) < len(e.branches):
             out.append((None, waitable[0] if len(waitable) == 1 else LChoice(tuple(waitable), ChoiceKind.EXTERNAL)))
         return out
     if isinstance(e, LShuffle):
-        out = [(a, lshuffle(rest, e.right)) for a, rest in local_steps(e.left)]
-        out.extend((a, lshuffle(e.left, rest)) for a, rest in local_steps(e.right))
+        out = [(a, lshuffle(rest, e.right)) for a, rest in local_steps(e.left, plain)]
+        out.extend((a, lshuffle(e.left, rest)) for a, rest in local_steps(e.right, plain))
         return out
-    raise TypeError(f"first steps need an expanded local behavior, got {type(e).__name__}")
+    if isinstance(e, LRec):
+        return [(a, _unfold(rest, e.var, e)) for a, rest in local_steps(e.body, plain)]
+    raise TypeError(type(e))
+
+
+def _unfold(e: LocalExpr, var: str, value: LocalExpr) -> LocalExpr:
+    """`e` with `value` for each free occurrence of the variable `var`,
+    built with a stack; a subterm with nothing to replace stays the same
+    object.  Scope stays lexical: a recursion that would capture a variable
+    free in `value` is renamed first."""
+    done: dict[int, LocalExpr] = {}
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        if id(x) in done:
+            continue
+        if isinstance(x, LRec) and x.var != var and occurs_free(value, x.var) and occurs_free(x.body, var):
+            fresh = x.var + "'"
+            while occurs_free(value, fresh) or occurs_free(x.body, fresh):
+                fresh += "'"
+            done[id(x)] = LRec(fresh, _unfold(_unfold(x.body, x.var, LVar(fresh)), var, value))
+            continue
+        inner = x.branches if isinstance(x, LChoice) else (x.left, x.right) if isinstance(x, (LSeq, LShuffle)) else ()
+        operands = (x.body,) if isinstance(x, LRec) and x.var != var else inner
+        if any(id(y) not in done for y in operands):
+            stack += [x, *operands]
+            continue
+        new = [done[id(y)] for y in operands]
+        if isinstance(x, LVar) and x.var == var:
+            done[id(x)] = value
+        elif all(a is b for a, b in zip(new, operands)):
+            done[id(x)] = x  # an atom, eps, a recursion binding `var` anew, or nothing replaced
+        elif isinstance(x, LChoice):
+            done[id(x)] = LChoice(tuple(new), x.kind, x.lean)
+        else:
+            done[id(x)] = LRec(x.var, *new) if isinstance(x, LRec) else type(x)(*new)
+    return done[id(e)]
 
 
 def _branch_polarity(global_branches, role: str, bodies: dict[str, CfpExpr]) -> tuple[ChoiceKind, ChoiceKind | None]:

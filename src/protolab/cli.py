@@ -62,7 +62,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"parse error: {err}", file=sys.stderr)
         return 2
     except (OSError, ValueError, KeyError) as err:
-        print(f"error: {err}", file=sys.stderr)
+        # a KeyError prints as its key's repr: print the message itself
+        print(f"error: {err.args[0] if isinstance(err, KeyError) and err.args else err}", file=sys.stderr)
         return 2
     except RecursionError:
         print("error: input nested too deeply (Python recursion limit reached)", file=sys.stderr)
@@ -183,15 +184,13 @@ def cmd_project(args) -> int:
     if args.role not in declared:
         raise KeyError(f"unknown role {args.role!r} in protocol {name}")
     try:
-        if doctrine == "scribble":
-            # as realizability does, a shuffle becomes the choice of its
-            # orderings; a shuffle-free recursion stays folded
-            session = eliminate_shuffle(expr) if has_shuffle(expr) else expr
-            local = project_scribble(_infer_deciders(session, {}), args.role)
-        elif doctrine == "trace-f":
+        if doctrine == "trace-f":
             local = project_trace_f(expr, args.role)
         else:
-            local = project_trace_c(eliminate_shuffle(expr), args.role)
+            # as realizability does, a shuffle becomes the choice of its
+            # orderings; a shuffle-free recursion stays folded
+            folded = eliminate_shuffle(expr) if has_shuffle(expr) else expr
+            local = project_scribble(_infer_deciders(folded, {}), args.role) if doctrine == "scribble" else project_trace_c(folded, args.role)
     except MergeFailure as failure:
         print(f"projection failed: {failure}", file=sys.stderr)
         return 1

@@ -1,9 +1,9 @@
 """The exploration core: one breadth-first walk that numbers the states a
 successor function reaches, and the passes over the graphs it builds.
-CFP compositions (`runtime.compose`), the residuals of a local shuffle
-and the subset construction of a type-level machine (`cfp.fsm`), and
-realizability's one walk over pairs of a protocol state and a set of
-composition states run on `explore` and read its moves.  The BSPL walk
+CFP compositions (`runtime.compose`), the walk of a type-level machine
+over sets of local remainders (`cfp.fsm`), and realizability's one walk
+over pairs of a protocol state and a set of composition states run on
+`explore` and read its moves.  The BSPL walk
 (`netsim.explore`) reads none: it numbers its states by position in a
 list and records no moves.
 """

@@ -273,7 +273,7 @@ def test_project_under_scribble_infers_deciders(capsys):
 @pytest.mark.parametrize("doctrine", [(), ("--doctrine", "trace-f"), ("--doctrine", "scribble"), ("--fsm",)])
 def test_project_names_an_unknown_role(capsys, fixture, protocol, doctrine):
     code, out, err = run(capsys, "project", str(FIXDIR / fixture), "Nobody", *doctrine)
-    assert (code, out, err) == (2, "", f"error: \"unknown role 'Nobody' in protocol {protocol}\"\n")
+    assert (code, out, err) == (2, "", f"error: unknown role 'Nobody' in protocol {protocol}\n")
 
 
 def test_project_rejects_fsm_for_a_bspl_protocol(capsys):
@@ -401,7 +401,7 @@ def test_project_reads_the_declared_roles_of_a_scribble_header(capsys, tmp_path)
     code, out, _ = run(capsys, "project", str(path), "C")
     assert (code, out) == (0, "eps\n")
     code, _, err = run(capsys, "project", str(path), "D")
-    assert (code, err) == (2, "error: \"unknown role 'D' in protocol P\"\n")
+    assert (code, err) == (2, "error: unknown role 'D' in protocol P\n")
 
 
 def test_project_fsm_output(capsys):

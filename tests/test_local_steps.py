@@ -3,19 +3,22 @@
 `projection.local_steps` gives every event a local behavior can perform
 first, and every silent commitment, with the remainder it leaves.  The
 runtime reads its sends, receptions, commitments and expected peers from
-it, and `extract_fsm` numbers the residuals of a shuffle with it, on the
-exploration core.  These tests check both readers against the walkers and
-the shuffle builders they replaced, kept below verbatim as the reference,
-and pin the machine of shuffles too large to linearize.
+it, and `extract_fsm` steps every machine with it, on the exploration core.
+These tests check the runtime against the walkers it replaced, and the
+machines of shuffles against the shuffle builders of the Thompson
+construction (`thompson.py`) before it, kept below verbatim as the
+reference; they also pin the machine of shuffles too large to linearize.
 """
 
 import random
 
 import protolab.cfp.fsm as fsm
 import test_acceptance
+import thompson
 from generators import random_cfp, random_shuffle_expr
+from thompson import Nfa
 from protolab.cfp.ast import Atom, Choice, Rec, Seq, Shuffle, Var, roles
-from protolab.cfp.fsm import Nfa, _label, export_fsm, extract_fsm
+from protolab.cfp.fsm import _label, export_fsm, extract_fsm
 from protolab.cfp.projection import (
     RECV,
     SEND,
@@ -143,8 +146,8 @@ def _dedup(items):
     return list(dict.fromkeys(items))
 
 
-# the reference: `extract_fsm`'s shuffle builder before `local_steps`, which
-# builds one sequence of atoms per interleaving
+# the reference: the Thompson construction's shuffle builder before
+# `local_steps`, which builds one sequence of atoms per interleaving
 
 
 def reference_build(nfa, e, start, end, env):
@@ -172,8 +175,8 @@ def reference_build(nfa, e, start, end, env):
         raise TypeError(type(e))
 
 
-# the reference: `extract_fsm`'s builder before the residuals of a shuffle
-# ran on `graph.explore`, numbering them with its own stack loop
+# the reference: the Thompson construction's builder before the residuals
+# of a shuffle ran on `graph.explore`, numbering them with its own stack loop
 
 
 def _build(nfa: Nfa, e: LocalExpr, start: int, end: int, env: dict[str, int]) -> None:
@@ -369,8 +372,8 @@ def _fsm_inputs():
 
 def _reference_fsm(local, monkeypatch):
     with monkeypatch.context() as patch:
-        patch.setattr(fsm, "_build", reference_build)
-        return extract_fsm(local)
+        patch.setattr(thompson, "_build", reference_build)
+        return thompson.thompson_fsm(local)
 
 
 def test_shuffle_machines_equal_the_linearized_ones(monkeypatch):
@@ -389,8 +392,8 @@ def test_residuals_on_the_core_equal_the_stack_loop(monkeypatch):
     assert sum(_shuffle_atoms(local) > 0 for local in inputs) > 1_000
     for local in inputs:
         with monkeypatch.context() as patch:
-            patch.setattr(fsm, "_build", _build)
-            loop = extract_fsm(local)
+            patch.setattr(thompson, "_build", _build)
+            loop = thompson.thompson_fsm(local)
         assert export_fsm(extract_fsm(local)) == export_fsm(loop)
 
 

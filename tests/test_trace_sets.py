@@ -3,7 +3,7 @@ implementation.
 
 `old_compare_trace_sets` is `realizability._compare_trace_sets` as it was
 before the comparison became one product walk: an NFA built from every
-composition edge, a full subset construction (`fsm.determinize`), then a
+composition edge, a full subset construction (`thompson.determinize`), then a
 walk of the product with the protocol's derivative automaton, a
 topological sort and path counts on every input.  It counts both halves
 of trace-set equality; the missing half is zero by construction (the
@@ -18,9 +18,9 @@ import pytest
 
 from generators import random_cfp, random_scribble, random_shuffle_expr
 from test_realize_table import TABLE, config_from_flags, expression
+from thompson import Nfa, determinize
 
 from protolab import realizability
-from protolab.cfp.fsm import Nfa, determinize
 from protolab.cfp.projection import MergeFailure
 from protolab.cfp.trace_parser import parse_trace
 from protolab.cfp.transforms import accepts_empty, eliminate_shuffle, expand, label_derivatives, language_state

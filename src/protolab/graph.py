@@ -19,16 +19,16 @@ from typing import Callable, Hashable, Iterable
 
 class Numbering:
     """Numbers equal values 0, 1, 2, ... in the order they are met;
-    `values[n]` is the first value numbered n."""
+    `values[n]` is the first value numbered n, and `numbers[value]` is n."""
 
     def __init__(self):
         self.values: list = []
-        self._numbers: dict = {}
+        self.numbers: dict = {}
 
     def __call__(self, value) -> int:
-        n = self._numbers.get(value)
+        n = self.numbers.get(value)
         if n is None:
-            n = self._numbers[value] = len(self.values)
+            n = self.numbers[value] = len(self.values)
             self.values.append(value)
         return n
 

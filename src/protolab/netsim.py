@@ -53,8 +53,9 @@ and has an image row, its images under every permutation, filled at once
 from its origin's row by one table lookup per permutation: an emission
 or reception by (history, payload), a send by (network, agent, payload),
 a removal by (network, send index).  No history or network is renamed or
-rehashed, and no image has its moves listed (`_Orbits`); a next state
-the walk has numbered is a representative, not canonicalized again.  The
+rehashed, and no image has its moves listed (`_Orbits`).  A move costs
+one membership test and at most one canonicalization: a next state the
+walk has numbered is a representative, not canonicalized again.  The
 number of enactments is the sum of the orbit sizes of the terminal
 representatives; the sorted history vectors are built only when read.
 """
@@ -232,12 +233,17 @@ def explore(
     symmetry (`_instance_group`).  Every count is that of the whole space:
     a representative stands for its orbit's size in states, and for its
     moves times that size.  That size is the group's order unless
-    `_Orbits.sizes` records a smaller one.  A numbered next state is a
-    representative, so only the others are canonicalized.  A state with a
-    move that would put more than `queue_cap` messages on a channel is left
-    unexpanded, and the queue cap is reported as fired.  The state cap
-    fires when more than `state_cap` states are reachable, and the walk
-    then stops before the representative that would take it past the cap.
+    `_Orbits.sizes` records a smaller one.  One pass over the next states
+    tests each once: a numbered one is a representative, any other is
+    canonicalized and its representative numbered unless it already is.
+    A state with a move that would put more than `queue_cap` messages on a
+    channel is left unexpanded, and the queue cap is reported as fired;
+    its next states are still canonicalized, which numbers their images'
+    histories and networks, as the walk over every state numbers those
+    of each declined state's moves: `local_states` and `networks` stay
+    that walk's counts.  The state cap fires when more than `state_cap`
+    states are reachable, and the walk then stops before the
+    representative that would take it past the cap.
 
     `stats.enactments` is the sum of the orbit sizes of the terminal
     representatives, and the result's enactments (each orbit's vectors,
@@ -260,19 +266,27 @@ def explore(
             break
         taken += size
         depth = depths[state[-1]]
-        max_depth = max(max_depth, depth)
+        if depth > max_depth:
+            max_depth = depth
         nexts = space.moves(state)
-        if canonical is not None:
-            nexts = [nxt if nxt in numbered else canonical(nxt) for nxt in nexts]
         if not nexts:
             terminals.append(state)
+            continue
         # a move adds at most one message, so only a state at the cap can pass it
-        elif depth >= queue_cap and any(depths[nxt[-1]] > queue_cap for nxt in nexts):
+        if depth >= queue_cap and any(depths[nxt[-1]] > queue_cap for nxt in nexts):
             queued = True
+            if canonical is not None:  # their images' numbers count (see above)
+                for nxt in nexts:
+                    if nxt not in numbered:
+                        canonical(nxt)
             continue
         moves += size * len(nexts)
         for nxt in nexts:
             if nxt not in numbered:
+                if canonical is not None:
+                    nxt = canonical(nxt)
+                    if nxt in numbered:
+                        continue
                 numbered[nxt] = None
                 states.append(nxt)
 
@@ -288,7 +302,8 @@ def explore(
         enactments = enactments()
         count = len(enactments)
     local_states = tuple((steps.role, len(steps.origins)) for steps in space.local)
-    met = sum(sizes.get(state, order) for state in states)
+    # `sizes` may also hold the representative of a declined state's move, never met
+    met = order * len(states) - sum(order - size for state, size in sizes.items() if state in numbered)
     explored = state_cap if capped else taken
     stats = ExplorationStats(explored, count, max_depth, local_states, len(space.networks), moves - (met - 1))
     return ExplorationResult(enactments, stats, "state" if capped else "queue" if queued else None)
@@ -424,6 +439,7 @@ class _StateSpace:
         self.policy = policy
         self.payloads = Numbering()
         self.local = [_LocalSteps(a, self.payloads) for a in sorted(agents, key=lambda a: a.role)]
+        self._histories = [steps._number.numbers for steps in self.local]  # origin -> history number
         self._network_number = Numbering()
         self.networks: list[tuple[int, tuple[tuple[int, str, int], ...]]] = self._network_number.values
         self.depths: list[int] = []
@@ -509,10 +525,14 @@ class _StateSpace:
                     if m is None:
                         m = self.send(n, i, p)
                     nexts.append((*before, nxt, *after, m))
+        loss, histories = self.policy.loss_enabled, self._histories
         for p, receivers, m in deliveries:
             for i in receivers:
-                nexts.append((*state[:i], self.local[i].step(state[i], False, p), *state[i + 1 : -1], m))
-            if self.policy.loss_enabled:
+                nxt = histories[i].get((state[i], False, p))
+                if nxt is None:
+                    nxt = self.local[i].step(state[i], False, p)
+                nexts.append((*state[:i], nxt, *state[i + 1 : -1], m))
+            if loss:
                 nexts.append((*state[:-1], m))
         return nexts
 

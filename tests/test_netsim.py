@@ -789,8 +789,10 @@ def canonicalized_walk(name, instances, policy):
     after the walk had numbered them.  The numbered states are read off
     the calls of `_StateSpace.moves` and `canonical`: the start state,
     then, per state expanded in turn, the representatives of its moves'
-    next states, unless the queue cap left it unexpanded (one of them is
-    deeper than the cap)."""
+    next states, each numbered at its own move, so that a later move of
+    the same expansion finds it numbered; none when the queue cap left the
+    state unexpanded (one of them is deeper than the cap: a numbered state
+    never is, so such a move is always canonicalized)."""
     expansions = []
     moves, canonical = netsim._StateSpace.moves, netsim._Orbits.canonical
 
@@ -807,9 +809,12 @@ def canonicalized_walk(name, instances, policy):
         _, orbits = recorded_exploration(name, instances, policy)
     depths, numbered, repeated = orbits.space.depths, {orbits.space.start: None}, []
     for _, calls in expansions:
-        repeated += [state for state, _ in calls if state in numbered]
-        if all(depths[least[-1]] <= netsim.DEFAULT_QUEUE_CAP for _, least in calls):
-            numbered.update(dict.fromkeys(least for _, least in calls))
+        expanded = all(depths[least[-1]] <= netsim.DEFAULT_QUEUE_CAP for _, least in calls)
+        for state, least in calls:  # move by move
+            if state in numbered:
+                repeated.append(state)
+            if expanded:
+                numbered[least] = None
     states = list(numbered)
     assert [state for state, _ in expansions] == states[: len(expansions)]  # taken in the order numbered
     return orbits, states, repeated
